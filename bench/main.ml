@@ -8,20 +8,15 @@
      dune exec bench/main.exe -- figure5      -- one experiment
      dune exec bench/main.exe -- micro        -- Bechamel suite
      dune exec bench/main.exe -- static       -- figure-5 static on/off A-B
-     dune exec bench/main.exe -- event        -- figure-5 differential on/off A-B
      dune exec bench/main.exe -- journal      -- direct vs resume vs 4-shard-merge A/B
-     dune exec bench/main.exe -- batch        -- figure-5 bit-parallel batching on/off A-B
      dune exec bench/main.exe -- iss          -- ISS vs RTL campaign cost ratio
+     dune exec bench/main.exe -- serve        -- campaign-service golden-trace cache
    The RICV_SAMPLES environment variable scales campaign sample sizes
-   (default 250); RICV_TRIM=0 disables trimmed campaign execution,
-   RICV_STATIC=0 disables netlist static analysis and RICV_EVENT=0
-   disables event-driven differential simulation (identical results
-   either way, full simulation cost).  The [static] selector runs
-   figure 5 twice — static pruning+collapsing on, then off — checks
-   the rendered tables are byte-identical and emits a
-   BENCH_static.json line with both wall clocks; [event] does the same
-   A/B for the differential engine and emits BENCH_event.json with
-   both wall clocks and the faulty-run comb-evaluation ratio. *)
+   (default 250); RICV_STATIC=0 disables netlist static analysis
+   (identical results either way).  The [static] selector runs figure 5
+   twice — static pruning+collapsing on, then off — checks the rendered
+   tables are byte-identical and emits a BENCH_static.json line with
+   both wall clocks. *)
 
 module Experiments = Correlation.Experiments
 module Context = Correlation.Context
@@ -55,8 +50,6 @@ let run_experiments ?csv_dir ids =
   let ctx = Context.create ~obs () in
   Format.printf "injection sample size per (workload, block): %d@."
     (Context.samples ctx);
-  Format.printf "trimmed execution: %s (RICV_TRIM=0 disables)@."
-    (if Context.trim ctx then "on" else "off");
   List.iter
     (fun id ->
       Format.printf "@.";
@@ -173,182 +166,6 @@ let run_static () =
             ("behavioural", behavioural);
             ("gate_level", gate) ]))
 
-(* ---- differential simulation A/B: figure 5 with the event-driven
-   engine on vs. off, same samples and seed.  The rendered tables must
-   be byte-identical (the replay is exact); BENCH_event.json records
-   both wall clocks and the faulty-run comb-evaluation ratio
-   (diff.nodes_evaluated / diff.golden_evaluated). ---- *)
-
-let run_event () =
-  let run ~event =
-    let obs = Obs.create () in
-    let ctx = Context.create ~event ~obs () in
-    let t0 = Unix.gettimeofday () in
-    let tables = Experiments.run ctx "figure5" in
-    let wall = Unix.gettimeofday () -. t0 in
-    (tables, wall, obs, Context.samples ctx)
-  in
-  Format.printf "figure 5, differential simulation on:@.@.";
-  let tables_on, wall_on, obs_on, samples = run ~event:true in
-  print_tables tables_on;
-  Format.printf "  [%.1fs]@.@.figure 5, differential simulation off:@.@." wall_on;
-  let tables_off, wall_off, _, _ = run ~event:false in
-  print_tables tables_off;
-  Format.printf "  [%.1fs]@." wall_off;
-  let identical = render_tables tables_on = render_tables tables_off in
-  let evaluated = Obs.counter obs_on "diff.nodes_evaluated" in
-  let dense = Obs.counter obs_on "diff.golden_evaluated" in
-  let ratio = if dense > 0 then float_of_int evaluated /. float_of_int dense else 0. in
-  let open Obs.Json in
-  Format.printf "@.BENCH_event.json: %s@."
-    (to_string
-       (Obj
-          [ ("experiment", Str "figure5");
-            ("samples", Int samples);
-            ( "event",
-              Obj
-                [ ("wall_seconds", Float wall_on);
-                  ("nodes_evaluated", Int evaluated);
-                  ("golden_evaluated", Int dense);
-                  ("eval_ratio", Float ratio) ] );
-            ("full", Obj [ ("wall_seconds", Float wall_off) ]);
-            ("speedup", Float (if wall_on > 0. then wall_off /. wall_on else 1.));
-            ("tables_identical", Bool identical) ]));
-  if not identical then begin
-    prerr_endline "event/full figure-5 tables differ";
-    exit 1
-  end
-
-(* ---- batch A/B: figure 5 with bit-parallel fault batching on vs.
-   off, same samples and seed.  The batch engine packs the golden
-   machine and up to 63 faulty machines into bit-lanes of one native
-   int per netlist node and settles them change-driven against the
-   golden trace; verdicts are byte-identical to the scalar engine by
-   construction, and the rendered tables are asserted to be.
-   BENCH_batch.json records both wall clocks, the pass/lane/ejection
-   counts and the mean lane occupancy. ---- *)
-
-let run_batch () =
-  let run ~batch =
-    let obs = Obs.create () in
-    let ctx = Context.create ~batch ~obs () in
-    let t0 = Unix.gettimeofday () in
-    let tables = Experiments.run ctx "figure5" in
-    let wall = Unix.gettimeofday () -. t0 in
-    (tables, wall, obs, Context.samples ctx)
-  in
-  Format.printf "figure 5, bit-parallel batching on:@.@.";
-  let tables_on, wall_on, obs_on, samples = run ~batch:true in
-  print_tables tables_on;
-  Format.printf "  [%.1fs]@.@.figure 5, bit-parallel batching off:@.@." wall_on;
-  let tables_off, wall_off, _, _ = run ~batch:false in
-  print_tables tables_off;
-  Format.printf "  [%.1fs]@." wall_off;
-  let identical = render_tables tables_on = render_tables tables_off in
-  let passes = Obs.counter obs_on "batch.passes" in
-  let lanes = Obs.counter obs_on "batch.lanes" in
-  let ejected = Obs.counter obs_on "batch.ejected" in
-  let occupancy =
-    match Obs.histogram obs_on "batch.occupancy" with
-    | Some h when h.Obs.count > 0 -> h.Obs.sum /. float_of_int h.Obs.count
-    | Some _ | None -> 0.
-  in
-  let open Obs.Json in
-  Format.printf "@.BENCH_batch.json: %s@."
-    (to_string
-       (Obj
-          [ ("experiment", Str "figure5");
-            ("samples", Int samples);
-            ( "batch",
-              Obj
-                [ ("wall_seconds", Float wall_on);
-                  ("passes", Int passes);
-                  ("lanes", Int lanes);
-                  ("ejected", Int ejected);
-                  ("mean_occupancy", Float occupancy) ] );
-            ("scalar", Obj [ ("wall_seconds", Float wall_off) ]);
-            ("speedup", Float (if wall_on > 0. then wall_off /. wall_on else 1.));
-            ("tables_identical", Bool identical) ]));
-  if not identical then begin
-    prerr_endline "batch/scalar figure-5 tables differ";
-    exit 1
-  end
-
-(* ---- tail A/B: figure 5 with the watchdog-tail machinery on vs.
-   off, batching on in both runs, same samples and seed.  With the
-   tail off, batch-ejected hang candidates restart from cycle 0 in a
-   scalar circuit and burn the full watchdog budget; with it on they
-   advance together in dense bit-parallel mode past trace end, retire
-   early via per-lane cycle proofs, and any lone survivor is
-   transplanted — not restarted — into the scalar circuit.  Verdict
-   tables are byte-identical by construction and asserted to be.
-   BENCH_tail.json records both wall clocks plus the tail
-   decomposition: watchdog cycles burned vs. proven away, transplant
-   prefix cycles saved, dense-tail occupancy, and the hang-candidate
-   watchdog share of wall-clock before and after. ---- *)
-
-let run_tail () =
-  let run ~tail =
-    let obs = Obs.create () in
-    let ctx = Context.create ~batch:true ~tail ~obs () in
-    let t0 = Unix.gettimeofday () in
-    let tables = Experiments.run ctx "figure5" in
-    let wall = Unix.gettimeofday () -. t0 in
-    (tables, wall, obs, Context.samples ctx)
-  in
-  Format.printf "figure 5, watchdog tail on:@.@.";
-  let tables_on, wall_on, obs_on, samples = run ~tail:true in
-  print_tables tables_on;
-  Format.printf "  [%.1fs]@.@.figure 5, watchdog tail off:@.@." wall_on;
-  let tables_off, wall_off, obs_off, _ = run ~tail:false in
-  print_tables tables_off;
-  Format.printf "  [%.1fs]@." wall_off;
-  let identical = render_tables tables_on = render_tables tables_off in
-  let mean obs name =
-    match Obs.histogram obs name with
-    | Some h when h.Obs.count > 0 -> h.Obs.sum /. float_of_int h.Obs.count
-    | Some _ | None -> 0.
-  in
-  let watchdog obs wall =
-    let s = Obs.span_total obs "tail.watchdog" +. Obs.span_total obs "tail.dense" in
-    (s, if wall > 0. then s /. wall else 0.)
-  in
-  let wd_on, share_on = watchdog obs_on wall_on in
-  let wd_off, share_off = watchdog obs_off wall_off in
-  let open Obs.Json in
-  Format.printf "@.BENCH_tail.json: %s@."
-    (to_string
-       (Obj
-          [ ("experiment", Str "figure5");
-            ("samples", Int samples);
-            ( "tail",
-              Obj
-                [ ("wall_seconds", Float wall_on);
-                  ("ejected", Int (Obs.counter obs_on "batch.ejected"));
-                  ("cycle_proofs", Int (Obs.counter obs_on "tail.cycle_proofs"));
-                  ("transplants", Int (Obs.counter obs_on "tail.transplants"));
-                  ( "watchdog_cycles_saved",
-                    Int (Obs.counter obs_on "tail.cycles_saved") );
-                  ( "transplant_prefix_cycles_saved",
-                    Int (Obs.counter obs_on "tail.prefix_saved") );
-                  ("mean_cycle_length", Float (mean obs_on "tail.cycle_length"));
-                  ("mean_occupancy", Float (mean obs_on "tail.occupancy"));
-                  ("dense_seconds", Float (Obs.span_total obs_on "tail.dense"));
-                  ("watchdog_seconds", Float wd_on);
-                  ("watchdog_share", Float share_on) ] );
-            ( "no_tail",
-              Obj
-                [ ("wall_seconds", Float wall_off);
-                  ("ejected", Int (Obs.counter obs_off "batch.ejected"));
-                  ("watchdog_seconds", Float wd_off);
-                  ("watchdog_share", Float share_off) ] );
-            ("speedup", Float (if wall_on > 0. then wall_off /. wall_on else 1.));
-            ("tables_identical", Bool identical) ]));
-  if not identical then begin
-    prerr_endline "tail/no-tail figure-5 tables differ";
-    exit 1
-  end
-
 (* ---- journal A/B: one campaign three ways — direct, killed-and-
    resumed, and 4-shard-merged — asserting all three verdict tables
    are byte-identical and emitting BENCH_journal.json with the wall
@@ -462,9 +279,9 @@ let run_journal () =
    size — the instruction-grain ISS campaign (reg/mem/op bit flips)
    and the RTL stuck-at campaign at IU nodes — and emits
    BENCH_iss.json with per-injection wall clocks and their ratio.
-   The RTL side runs with every acceleration layer on (trim, static,
-   event, batch), so the measured ratio is a conservative floor on
-   the paper's ISS-vs-plain-RTL 85x. ---- *)
+   The RTL side runs with every acceleration layer, so the measured
+   ratio is a conservative floor on the paper's ISS-vs-plain-RTL
+   85x. ---- *)
 
 let run_iss () =
   let module FC = Fault_injection.Campaign in
@@ -563,8 +380,8 @@ let run_iss () =
             ("paper_ratio", Float 85.);
             ( "notes",
               Str
-                "RTL side runs with trim/static/event/batch acceleration on; the \
-                 ratio is a floor on the paper's ISS-vs-plain-RTL 85x" ) ]))
+                "RTL side runs with every acceleration layer on; the ratio is a \
+                 floor on the paper's ISS-vs-plain-RTL 85x" ) ]))
 
 (* ---- Campaign service: golden-trace cache economics.  A repeat
    submission to `ricv serve` must pay a hash lookup instead of the
@@ -739,16 +556,13 @@ let () =
   | [] -> run_experiments ?csv_dir Experiments.all_ids
   | [ "micro" ] -> run_micro ()
   | [ "static" ] -> run_static ()
-  | [ "event" ] -> run_event ()
   | [ "journal" ] -> run_journal ()
-  | [ "batch" ] -> run_batch ()
-  | [ "tail" ] -> run_tail ()
   | [ "iss" ] -> run_iss ()
   | [ "serve" ] -> run_serve ()
   | ids when List.for_all (fun id -> List.mem id Experiments.all_ids) ids ->
       run_experiments ?csv_dir ids
   | _ ->
       prerr_endline
-        ("usage: main.exe [csv] [micro | static | event | journal | batch | tail | iss | serve | "
+        ("usage: main.exe [csv] [micro | static | journal | iss | serve | "
         ^ String.concat " | " Experiments.all_ids ^ " ...]");
       exit 2

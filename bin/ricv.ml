@@ -279,37 +279,11 @@ let campaign_cmd =
                  them, then continue.  A journal from a different campaign \
                  (workload, config, seed, netlist or shard mismatch) is rejected.")
   in
-  let no_trim_arg =
-    Arg.(value & flag & info [ "no-trim" ]
-           ~doc:"Disable trimmed execution (activation prefilter and checkpointed \
-                 early exit).  Results are identical; only the runtime changes.")
-  in
   let no_static_arg =
     Arg.(value & flag & info [ "no-static" ]
            ~doc:"Disable netlist static analysis (cone-of-influence pruning and \
                  structural fault collapsing).  Results are identical; only the \
                  runtime changes.")
-  in
-  let no_event_arg =
-    Arg.(value & flag & info [ "no-event" ]
-           ~doc:"Disable event-driven differential simulation (faulty runs replaying \
-                 the golden trace and re-evaluating only the dirty fanout cone).  \
-                 Results are identical; only the runtime changes.")
-  in
-  let no_batch_arg =
-    Arg.(value & flag & info [ "no-batch" ]
-           ~env:(Cmd.Env.info "RICV_NO_BATCH")
-           ~doc:"Disable bit-parallel fault batching (up to 63 faulty machines \
-                 advancing as bit-lanes of one circuit per pass).  Results are \
-                 identical; only the runtime changes.")
-  in
-  let no_tail_arg =
-    Arg.(value & flag & info [ "no-tail" ]
-           ~env:(Cmd.Env.info "RICV_NO_TAIL")
-           ~doc:"Disable the watchdog-tail machinery (dense bit-parallel advance of \
-                 batch-ejected hang candidates past trace end, per-lane cycle-proof \
-                 hang classification, and lane-to-scalar state transplant).  Results \
-                 are identical; only the runtime changes.")
   in
   let hang_arg =
     Arg.(value & opt (positive_int "hang factor") 4 & info [ "hang-factor" ] ~docv:"K"
@@ -321,8 +295,8 @@ let campaign_cmd =
   let seed_arg =
     Arg.(value & opt int 7 & info [ "seed" ] ~docv:"S" ~doc:"Site-sampling seed.")
   in
-  let run name iterations dataset target samples domains shard journal resume no_trim
-      no_static no_event no_batch no_tail hang_factor seed gate trace metrics =
+  let run name iterations dataset target samples domains shard journal resume no_static
+      hang_factor seed gate trace metrics =
     let prog = or_fail (build_workload name iterations dataset) in
     let params = system_params ~gate:(gate_enabled gate) in
     if resume && journal = None then begin
@@ -332,19 +306,7 @@ let campaign_cmd =
     let config =
       { Fault_injection.Campaign.default_config with
         Fault_injection.Campaign.sample_size = Some samples;
-        trim = not no_trim;
         static = not no_static;
-        event = not no_event;
-        batch =
-          (not no_batch)
-          && (match Sys.getenv_opt "RICV_BATCH" with
-             | Some ("0" | "false" | "no" | "off") -> false
-             | Some _ | None -> true);
-        tail =
-          (not no_tail)
-          && (match Sys.getenv_opt "RICV_TAIL" with
-             | Some ("0" | "false" | "no" | "off") -> false
-             | Some _ | None -> true);
         hang_factor;
         seed;
         shard }
@@ -358,14 +320,10 @@ let campaign_cmd =
     let summaries, _ =
       try
         Obs.span obs "campaign" (fun () ->
-            if domains > 1 then
-              Fault_injection.Campaign.run_parallel ~config ~obs ~domains ~on_progress
-                ?journal ~resume
-                (fun () -> Leon3.System.create ~params ())
-                prog target
-            else
-              Fault_injection.Campaign.run ~config ~obs ~on_progress ?journal ~resume
-                (Leon3.System.create ~params ()) prog target)
+            Fault_injection.Campaign.run_parallel ~config ~obs ~domains ~on_progress
+              ?journal ~resume
+              (fun () -> Leon3.System.create ~params ())
+              prog target)
       with Fault_injection.Journal.Rejected msg ->
         Printf.eprintf "\nricv: journal rejected: %s\n" msg;
         exit 1
@@ -385,7 +343,7 @@ let campaign_cmd =
     in
     Printf.printf
       "%d injections in %.1fs: %d prefiltered (%.1f%%), %d cone-pruned, %d collapsed, \
-       %d early-exited%s%s%s%s%s%s\n"
+       %d early-exited%s%s%s\n"
       injections elapsed skipped
       (if injections = 0 then 0. else 100. *. float_of_int skipped /. float_of_int injections)
       pruned collapsed early
@@ -398,22 +356,14 @@ let campaign_cmd =
           Printf.sprintf "  [journal %s, %d replayed]" path (Obs.counter obs "journal.replayed")
       | Some path, true -> Printf.sprintf "  [journal %s, resumed]" path
       | None, _ -> "")
-      (if config.Fault_injection.Campaign.trim then "" else "  [trimming disabled]")
-      (if config.Fault_injection.Campaign.static then "" else "  [static analysis disabled]")
-      (if config.Fault_injection.Campaign.event then ""
-       else "  [differential simulation disabled]")
-      ((if config.Fault_injection.Campaign.batch then ""
-        else "  [bit-parallel batching disabled]")
-      ^
-      if config.Fault_injection.Campaign.tail then "" else "  [watchdog tail disabled]");
+      (if config.Fault_injection.Campaign.static then "" else "  [static analysis disabled]");
     finish_obs ()
   in
   Cmd.v
     (Cmd.info "campaign" ~doc:"Run a fault-injection campaign on the RTL model.")
     Term.(const run $ workload_arg $ iterations_arg $ dataset_arg $ target_arg
           $ samples_arg $ domains_arg $ shard_arg $ journal_arg $ resume_arg
-          $ no_trim_arg $ no_static_arg $ no_event_arg $ no_batch_arg $ no_tail_arg
-          $ hang_arg $ seed_arg $ gate_arg $ trace_arg $ metrics_arg)
+          $ no_static_arg $ hang_arg $ seed_arg $ gate_arg $ trace_arg $ metrics_arg)
 
 (* ---- iss-campaign ---- *)
 
@@ -480,12 +430,8 @@ let iss_campaign_cmd =
     let summaries, _ =
       try
         Obs.span obs "campaign" (fun () ->
-            if domains > 1 then
-              Fault_injection.Iss_campaign.run_parallel ~config ~obs ~domains
-                ~on_progress ?journal ~resume prog
-            else
-              Fault_injection.Iss_campaign.run ~config ~obs ~on_progress ?journal
-                ~resume prog)
+            Fault_injection.Iss_campaign.run_parallel ~config ~obs ~domains ~on_progress
+              ?journal ~resume prog)
       with Fault_injection.Journal.Rejected msg ->
         Printf.eprintf "\nricv: journal rejected: %s\n" msg;
         exit 1

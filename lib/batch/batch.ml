@@ -36,7 +36,7 @@ type ejected = {
   e_writes : int;
 }
 
-type outcome = Done of result | Ejected of ejected option
+type outcome = Done of result | Ejected of ejected
 
 (* Per-lane off-core state.  The main-memory image is the golden base
    plus a sparse word-addressed overlay; bus-port drivers mirror
@@ -98,8 +98,7 @@ let lv_set base ln wa v =
 
 let size_of_code = function 0 -> Bus_event.Byte | 1 -> Bus_event.Half | _ -> Bus_event.Word
 
-let run ?(obs = Obs.null) ?(tail = true) ~sys ~prog ~trace ~reference ~max_cycles specs
-    =
+let run ?(obs = Obs.null) ~sys ~prog ~trace ~reference ~max_cycles specs =
   let n = Array.length specs in
   if n > C.max_lanes then invalid_arg "Batch.run: more specs than lanes";
   let core = System.core sys in
@@ -116,7 +115,7 @@ let run ?(obs = Obs.null) ?(tail = true) ~sys ~prog ~trace ~reference ~max_cycle
         sp.model)
     specs;
   let lanes = Array.init n mk_lane in
-  let outcomes = Array.make n (Ejected None) in
+  let outcomes = Array.make n None in
   let live = ref n in
   let record ln ev =
     ln.events_rev <- ev :: ln.events_rev;
@@ -132,45 +131,38 @@ let run ?(obs = Obs.null) ?(tail = true) ~sys ~prog ~trace ~reference ~max_cycle
       end
     end
   in
-  let finish ln stop =
-    outcomes.(ln.idx) <-
-      Done
-        { stop;
-          matched = ln.matched;
-          stop_cycle = C.cycle circuit;
-          mismatch_cycle = ln.mismatch;
-          events = List.rev ln.events_rev };
+  let retire ln outcome =
+    outcomes.(ln.idx) <- Some outcome;
     C.batch_retire circuit ln.idx;
     ln.finished <- true;
     decr live
   in
-  let eject ln =
-    (* outcome stays Ejected None: the caller re-runs scalar from 0 *)
-    C.batch_retire circuit ln.idx;
-    ln.finished <- true;
-    decr live
+  let finish ln stop =
+    retire ln
+      (Done
+         { stop;
+           matched = ln.matched;
+           stop_cycle = C.cycle circuit;
+           mismatch_cycle = ln.mismatch;
+           events = List.rev ln.events_rev })
   in
   (* Materialise a lane's full state for scalar continuation (tail
      mode only: requires the exhausting clock completed by
      [batch_tail_start], so the lane stands at a settled post-step
      state). *)
-  let eject_transplant ln =
+  let eject ln =
     let mem = Memory.copy base in
     Hashtbl.iter (fun wa v -> Memory.store_word mem wa v) ln.mem;
-    outcomes.(ln.idx) <-
-      Ejected
-        (Some
-           { e_tp = C.batch_eject circuit ln.idx;
-             e_mem = mem;
-             e_iport = (ln.cd.(0), ln.rdy.(0));
-             e_dport = (ln.cd.(1), ln.rdy.(1));
-             e_matched = ln.matched;
-             e_mismatch = ln.mismatch;
-             e_events_rev = ln.events_rev;
-             e_writes = ln.nw });
-    C.batch_retire circuit ln.idx;
-    ln.finished <- true;
-    decr live
+    retire ln
+      (Ejected
+         { e_tp = C.batch_eject circuit ln.idx;
+           e_mem = mem;
+           e_iport = (ln.cd.(0), ln.rdy.(0));
+           e_dport = (ln.cd.(1), ln.rdy.(1));
+           e_matched = ln.matched;
+           e_mismatch = ln.mismatch;
+           e_events_rev = ln.events_rev;
+           e_writes = ln.nw })
   in
   (* One bus-port driver step for one lane, against the lane's settled
      view of the request signals; mirrors [System.drive_port].  Writes
@@ -358,8 +350,8 @@ let run ?(obs = Obs.null) ?(tail = true) ~sys ~prog ~trace ~reference ~max_cycle
     C.batch_tail_settle circuit;
     arm_detectors ()
   in
-  let step () =
-    (* Port drives read the settled cycle; lane writes are parked. *)
+  (* Port drives read the settled cycle; lane writes are parked. *)
+  let drive_lanes () =
     Array.iter
       (fun ln ->
         if not ln.finished then begin
@@ -371,11 +363,17 @@ let run ?(obs = Obs.null) ?(tail = true) ~sys ~prog ~trace ~reference ~max_cycle
           ln.in_dr <- dr;
           ln.in_drd <- drd
         end)
-      lanes;
-    golden_drive ();
+      lanes
+  in
+  let commit_lane_writes () =
     Array.iter
       (fun ln -> if (not ln.finished) && ln.pw >= 0 then lv_set base ln ln.pw ln.pwv)
-      lanes;
+      lanes
+  in
+  let step () =
+    drive_lanes ();
+    golden_drive ();
+    commit_lane_writes ();
     C.batch_clock circuit;
     if C.batch_exhausted circuit then begin
       (* Past the trace the golden machine stops advancing, but a stop
@@ -387,12 +385,10 @@ let run ?(obs = Obs.null) ?(tail = true) ~sys ~prog ~trace ~reference ~max_cycle
           if not ln.finished then
             match ln.stopped with
             | Some r -> finish ln r
-            | None -> if ln.abort then finish ln System.Aborted else if not tail then eject ln)
+            | None -> if ln.abort then finish ln System.Aborted)
         lanes;
-      (* Unresolved lanes: with the tail engine they keep advancing
-         bit-parallel past trace end; without it they were ejected
-         above for a scalar re-run from cycle 0. *)
-      if tail && !live > 0 then enter_tail ()
+      (* unresolved lanes keep advancing bit-parallel past trace end *)
+      if !live > 0 then enter_tail ()
     end
     else begin
       apply_inputs ();
@@ -400,23 +396,10 @@ let run ?(obs = Obs.null) ?(tail = true) ~sys ~prog ~trace ~reference ~max_cycle
     end
   in
   let tail_step () =
-    Array.iter
-      (fun ln ->
-        if not ln.finished then begin
-          ln.pw <- -1;
-          let ir, ird = drive_lane ln 0 in
-          let dr, drd = drive_lane ln 1 in
-          ln.in_ir <- ir;
-          ln.in_ird <- ird;
-          ln.in_dr <- dr;
-          ln.in_drd <- drd
-        end)
-      lanes;
+    drive_lanes ();
     (* no golden_drive: the golden machine ended with its trace, the
        base image is frozen *)
-    Array.iter
-      (fun ln -> if (not ln.finished) && ln.pw >= 0 then lv_set base ln ln.pw ln.pwv)
-      lanes;
+    commit_lane_writes ();
     C.batch_tail_clock circuit;
     apply_inputs ();
     C.batch_tail_settle circuit
@@ -455,7 +438,7 @@ let run ?(obs = Obs.null) ?(tail = true) ~sys ~prog ~trace ~reference ~max_cycle
          engine is cheaper per lane-cycle (no lane bookkeeping) and
          runs its own cycle-proof detector — hand the survivors over
          at the current settled state. *)
-      Array.iter (fun ln -> if not ln.finished then eject_transplant ln) lanes
+      Array.iter (fun ln -> if not ln.finished then eject ln) lanes
     else if !live > 0 then begin
       if !in_tail then tail_step () else step ();
       loop ()
@@ -464,4 +447,4 @@ let run ?(obs = Obs.null) ?(tail = true) ~sys ~prog ~trace ~reference ~max_cycle
   loop ();
   if !in_tail then Obs.add_time obs "tail.dense" (Obs.now obs -. !tail_entry);
   let stats = C.batch_stop circuit in
-  (outcomes, stats)
+  (Array.map Option.get outcomes, stats)

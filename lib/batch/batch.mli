@@ -15,9 +15,7 @@
     advancing bit-parallel, each retired individually by exit, trap,
     budget, or a cycle-proof of periodicity; a lone survivor is
     ejected with its complete state for scalar continuation from trace
-    end.  With [tail:false] ejection reverts to the pre-tail contract:
-    the caller re-runs ejected faults on the scalar engine from
-    cycle 0. *)
+    end. *)
 
 module C = Rtl.Circuit
 
@@ -51,14 +49,12 @@ type ejected = {
 
 type outcome =
   | Done of result
-  | Ejected of ejected option
-      (** still running when the golden trace ended; [Some] carries
-          the lane's state for scalar continuation ([None] only with
-          the tail engine disabled — re-run scalar from cycle 0) *)
+  | Ejected of ejected
+      (** undecided by the dense tail: the lane's state at hand-over,
+          for scalar continuation *)
 
 val run :
   ?obs:Obs.t ->
-  ?tail:bool ->
   sys:Leon3.System.t ->
   prog:Sparc.Asm.program ->
   trace:C.trace ->
@@ -72,9 +68,7 @@ val run :
     lane retires or the trace is exhausted.  [reference] is the golden
     run's {e write} stream, compared in order against each lane's
     writes exactly as the scalar comparator does (a read is recorded
-    but never compared).  At most [C.max_lanes] specs.
-
-    [tail] (default [true]) keeps trace-outliving lanes advancing in
-    dense bit-parallel mode past trace end (see the module overview);
-    [obs] receives the [tail.*] counters, histograms and the
+    but never compared).  At most [C.max_lanes] specs.  Lanes that
+    outlive the trace advance in the dense tail (see the module
+    overview); [obs] receives the [tail.*] counters, histograms and the
     [tail.dense] span. *)

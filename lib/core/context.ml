@@ -14,11 +14,7 @@ type t = {
   sys : Leon3.System.t;
   samples_ : int;
   seed : int;
-  trim_ : bool;
   static_ : bool;
-  event_ : bool;
-  batch_ : bool;
-  tail_ : bool;
   gate_ : bool;
   obs_ : Obs.t;
   campaigns :
@@ -34,28 +30,8 @@ let default_samples () =
   | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | Some _ | None -> 250)
   | None -> 250
 
-let default_trim () =
-  match Sys.getenv_opt "RICV_TRIM" with
-  | Some ("0" | "false" | "no" | "off") -> false
-  | Some _ | None -> true
-
 let default_static () =
   match Sys.getenv_opt "RICV_STATIC" with
-  | Some ("0" | "false" | "no" | "off") -> false
-  | Some _ | None -> true
-
-let default_event () =
-  match Sys.getenv_opt "RICV_EVENT" with
-  | Some ("0" | "false" | "no" | "off") -> false
-  | Some _ | None -> true
-
-let default_batch () =
-  match Sys.getenv_opt "RICV_BATCH" with
-  | Some ("0" | "false" | "no" | "off") -> false
-  | Some _ | None -> true
-
-let default_tail () =
-  match Sys.getenv_opt "RICV_TAIL" with
   | Some ("0" | "false" | "no" | "off") -> false
   | Some _ | None -> true
 
@@ -64,13 +40,9 @@ let default_gate () =
   | Some ("0" | "false" | "no" | "off") | None -> false
   | Some _ -> true
 
-let create ?samples ?(seed = 7) ?trim ?static ?event ?batch ?tail ?gate ?obs () =
+let create ?samples ?(seed = 7) ?static ?gate ?obs () =
   let samples_ = match samples with Some n -> n | None -> default_samples () in
-  let trim_ = match trim with Some b -> b | None -> default_trim () in
   let static_ = match static with Some b -> b | None -> default_static () in
-  let event_ = match event with Some b -> b | None -> default_event () in
-  let batch_ = match batch with Some b -> b | None -> default_batch () in
-  let tail_ = match tail with Some b -> b | None -> default_tail () in
   let gate_ = match gate with Some b -> b | None -> default_gate () in
   let params =
     { Leon3.Core.default_params with Leon3.Core.gate_level = gate_ }
@@ -82,11 +54,7 @@ let create ?samples ?(seed = 7) ?trim ?static ?event ?batch ?tail ?gate ?obs () 
   { sys = Leon3.System.create ~params ();
     samples_;
     seed;
-    trim_;
     static_;
-    event_;
-    batch_;
-    tail_;
     gate_;
     obs_;
     campaigns = Hashtbl.create 64;
@@ -95,15 +63,7 @@ let create ?samples ?(seed = 7) ?trim ?static ?event ?batch ?tail ?gate ?obs () 
 
 let samples t = t.samples_
 
-let trim t = t.trim_
-
 let static t = t.static_
-
-let event t = t.event_
-
-let batch t = t.batch_
-
-let tail t = t.tail_
 
 let gate t = t.gate_
 
@@ -139,11 +99,7 @@ let campaign t ~key ?(models = Campaign.default_config.Campaign.models) prog tar
           Campaign.models;
           sample_size = Some t.samples_;
           seed = t.seed;
-          trim = t.trim_;
-          static = t.static_;
-          event = t.event_;
-          batch = t.batch_;
-          tail = t.tail_ }
+          static = t.static_ }
       in
       let summaries, _ = Campaign.run ~config ~obs:t.obs_ t.sys prog target in
       Hashtbl.add t.campaigns memo_key summaries;

@@ -23,35 +23,18 @@ type trim_stats = {
 val create :
   ?samples:int ->
   ?seed:int ->
-  ?trim:bool ->
   ?static:bool ->
-  ?event:bool ->
-  ?batch:bool ->
-  ?tail:bool ->
   ?gate:bool ->
   ?obs:Obs.t ->
   unit ->
   t
 (** [samples] is the per-(workload, block) injection sample size
     (default 250; the [RICV_SAMPLES] environment variable, when set,
-    overrides the default).  [trim] enables trimmed campaign execution
-    (default true; set [RICV_TRIM=0] to disable without code changes —
-    results are identical either way, only the time changes).
-    [static] likewise enables netlist static analysis (cone pruning +
-    fault collapsing; default true, [RICV_STATIC=0] to disable — also
-    result-identical).  [event] enables event-driven differential
-    simulation of the faulty runs against the golden trace (default
-    true, [RICV_EVENT=0] to disable — also result-identical).
-    [batch] enables bit-parallel fault batching, packing up to 63
-    faulty machines into the bit-lanes of one circuit per pass
-    (default true, [RICV_BATCH=0] to disable — also
-    result-identical).  [tail] enables the watchdog-tail machinery for
-    batch-ejected hang candidates — dense bit-parallel advance past
-    trace end, per-lane cycle-proof hang classification and
-    lane→scalar state transplant (default true, [RICV_TAIL=0] to
-    disable — also result-identical).  [gate] selects the gate-level
-    elaboration of
-    the IU datapath ({!Leon3.Core.params.gate_level}; default false,
+    overrides the default).  [static] enables netlist static analysis
+    (cone pruning + fault collapsing; default true, [RICV_STATIC=0] to
+    disable — results are identical either way, only the time
+    changes).  [gate] selects the gate-level elaboration of the IU
+    datapath ({!Leon3.Core.params.gate_level}; default false,
     set [RICV_GATE=1] to opt in — verdicts at the observation
     boundary are identical, but the injection-site population grows
     by an order of magnitude, so sampled campaigns draw from a
@@ -62,15 +45,7 @@ val create :
 
 val samples : t -> int
 
-val trim : t -> bool
-
 val static : t -> bool
-
-val event : t -> bool
-
-val batch : t -> bool
-
-val tail : t -> bool
 
 val gate : t -> bool
 

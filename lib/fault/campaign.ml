@@ -143,32 +143,99 @@ let record_run obs golden ~dt ~start_cycle r =
 let record_static obs golden r =
   if Obs.enabled obs then record_run obs golden ~dt:0. ~start_cycle:0 r
 
-let run_one ?(obs = Obs.null) ?plan ?detect_loops sys prog golden ?(inject_cycle = 0)
-    ?duration ?(hang_factor = 4) ?(compare_reads = false) (site : Injection.site) model =
-  let t_start = if Obs.enabled obs then Obs.now obs else 0. in
-  let start_cycle = ref 0 in
-  let circuit = (Leon3.System.core sys).Leon3.Core.circuit in
-  let mk outcome detect_cycle sim =
-    { site_name = site.Injection.site_name; model; outcome; detect_cycle; inject_cycle;
-      sim }
+(* Activation prefilter: a permanent fault whose forced value the golden
+   run never contradicts can never activate. *)
+let prefiltered golden (site : Injection.site) model =
+  match golden.coverage with
+  | Some cov -> C.never_activates cov site.Injection.fault_site model
+  | None -> false
+
+(* The one verdict rule: how a faulty run's stop reason reads against
+   the lockstep comparator's progress ([matched] reference events, the
+   first divergence at [mismatch]). *)
+let verdict ~reference ~max_cycles ~matched ~mismatch ~stop_cycle = function
+  | Leon3.System.Aborted -> (Failure (Wrong_write matched), mismatch)
+  | Leon3.System.Trapped code -> (Failure (Trap code), Some stop_cycle)
+  | Leon3.System.Cycle_limit -> (Failure Hang, Some max_cycles)
+  | Leon3.System.Exited _ ->
+      if matched = Array.length reference then (Silent, None)
+      else (Failure (Missing_writes matched), Some stop_cycle)
+
+(* Watchdog budget: cache-degrading faults can legitimately run slower
+   than golden without failing. *)
+let max_cycles_of ~hang_factor golden = (hang_factor * golden.cycles) + 2000
+
+let checkpoint_progress ~compare_reads ck =
+  if compare_reads then Leon3.System.checkpoint_events ck
+  else Leon3.System.checkpoint_writes ck
+
+(* Run the positioned faulty machine to its verdict under the lockstep
+   comparator, which resumes at [matched] reference events (first
+   divergence at [mismatch]).  Early exit: once a bounded fault has
+   expired ([expiry]), exact state equality with a golden checkpoint
+   proves the remaining trajectory is golden — classify silent without
+   simulating the rest. *)
+let lockstep ?detect_loops sys golden ~compare_reads ~hang_factor ~expiry ~matched
+    ~mismatch =
+  let reference = if compare_reads then golden.events else golden.writes in
+  let matched = ref matched in
+  let mismatch = ref mismatch in
+  let on_event ev =
+    if not (compare_reads || Bus_event.is_write ev) then true
+    else if !matched < Array.length reference && Bus_event.equal ev reference.(!matched)
+    then begin
+      incr matched;
+      true
+    end
+    else begin
+      mismatch := Some (Leon3.System.cycles sys);
+      false
+    end
   in
-  let finish r =
+  let max_cycles = max_cycles_of ~hang_factor golden in
+  let n = Array.length golden.checkpoints in
+  let rec from_boundary i =
+    if i >= n then Either.Left (Leon3.System.run ~on_event ?detect_loops sys ~max_cycles)
+    else begin
+      let ck = golden.checkpoints.(i) in
+      let bc = Leon3.System.checkpoint_cycle ck in
+      if bc < expiry || bc <= Leon3.System.cycles sys then from_boundary (i + 1)
+      else
+        match
+          Leon3.System.run_segment ~on_event ?detect_loops sys ~until_cycle:bc ~max_cycles
+        with
+        | Some stop -> Either.Left stop
+        | None ->
+            if !matched = checkpoint_progress ~compare_reads ck
+               && Leon3.System.matches_checkpoint sys ck
+            then Either.Right bc
+            else from_boundary (i + 1)
+    end
+  in
+  match from_boundary 0 with
+  | Either.Right cyc -> (Silent, None, Converged cyc)
+  | Either.Left stop ->
+      let outcome, detect_cycle =
+        verdict ~reference ~max_cycles ~matched:!matched ~mismatch:!mismatch
+          ~stop_cycle:(Leon3.System.cycles sys) stop
+      in
+      (outcome, detect_cycle, Simulated)
+
+let run_one ?(obs = Obs.null) ?plan sys prog golden ?(inject_cycle = 0) ?duration
+    ?(hang_factor = 4) ?(compare_reads = false) (site : Injection.site) model =
+  let t_start = if Obs.enabled obs then Obs.now obs else 0. in
+  let circuit = (Leon3.System.core sys).Leon3.Core.circuit in
+  let finish ~start_cycle outcome detect_cycle sim =
+    let r =
+      { site_name = site.Injection.site_name; model; outcome; detect_cycle; inject_cycle;
+        sim }
+    in
     if Obs.enabled obs then
-      record_run obs golden ~dt:(Obs.now obs -. t_start) ~start_cycle:!start_cycle r;
+      record_run obs golden ~dt:(Obs.now obs -. t_start) ~start_cycle r;
     r
   in
-  let prefiltered =
-    match golden.coverage with
-    | Some cov -> C.never_activates cov site.Injection.fault_site model
-    | None -> false
-  in
-  if prefiltered then finish (mk Silent None Prefiltered)
+  if prefiltered golden site model then finish ~start_cycle:0 Silent None Prefiltered
   else begin
-    let reference = if compare_reads then golden.events else golden.writes in
-    let ck_progress ck =
-      if compare_reads then Leon3.System.checkpoint_events ck
-      else Leon3.System.checkpoint_writes ck
-    in
     (* Trimmed start: the run is fault-free strictly before
        [inject_cycle], so resume from the last golden checkpoint
        before it (strictly: the settle AT the injection instant is
@@ -179,13 +246,16 @@ let run_one ?(obs = Obs.null) ?plan ?detect_loops sys prog golden ?(inject_cycle
           if Leon3.System.checkpoint_cycle ck < inject_cycle then Some ck else acc)
         None golden.checkpoints
     in
-    let matched = ref 0 in
-    (match start_ck with
-    | Some ck ->
-        Leon3.System.restore_checkpoint sys ck;
-        matched := ck_progress ck
-    | None -> Leon3.System.load sys prog);
-    start_cycle := Leon3.System.cycles sys;
+    let matched =
+      match start_ck with
+      | Some ck ->
+          Leon3.System.restore_checkpoint sys ck;
+          checkpoint_progress ~compare_reads ck
+      | None ->
+          Leon3.System.load sys prog;
+          0
+    in
+    let start_cycle = Leon3.System.cycles sys in
     (* Differential replay: the state just positioned is a state the
        golden run passed through, so the dirty set starts empty and
        every settle from here is O(divergence) instead of O(n). *)
@@ -196,82 +266,22 @@ let run_one ?(obs = Obs.null) ?plan ?detect_loops sys prog golden ?(inject_cycle
           true
       | (Some _ | None), _ -> false
     in
-    let replay_epilogue () =
-      if replaying then begin
-        let st = C.replay_stop circuit in
-        if Obs.enabled obs then begin
-          Obs.incr obs ~by:st.C.rs_evals "diff.nodes_evaluated";
-          Obs.incr obs ~by:st.C.rs_dense_evals "diff.golden_evaluated";
-          Obs.observe obs "diff.dirty_peak" (float_of_int st.C.rs_dirty_peak);
-          Obs.observe obs "diff.divergence_cycles"
-            (float_of_int st.C.rs_divergence_cycles)
-        end
-      end
-    in
     C.inject circuit ~from_cycle:inject_cycle ?duration site.Injection.fault_site model;
-    let mismatch_cycle = ref None in
-    let on_event ev =
-      let relevant = compare_reads || Bus_event.is_write ev in
-      if not relevant then true
-      else if !matched < Array.length reference
-              && Bus_event.equal ev reference.(!matched)
-      then begin
-        incr matched;
-        true
-      end
-      else begin
-        mismatch_cycle := Some (Leon3.System.cycles sys);
-        false
-      end
-    in
-    let max_cycles = (hang_factor * golden.cycles) + 2000 in
-    (* Early exit: once a bounded fault has expired, exact state
-       equality with a golden checkpoint proves the remaining
-       trajectory is golden — classify silent without simulating the
-       rest. *)
     let expiry = match duration with Some d -> inject_cycle + d | None -> max_int in
-    let converged = ref None in
-    let stop =
-      let n = Array.length golden.checkpoints in
-      let rec from_boundary i =
-        if i >= n then Leon3.System.run ~on_event ?detect_loops sys ~max_cycles
-        else begin
-          let ck = golden.checkpoints.(i) in
-          let bc = Leon3.System.checkpoint_cycle ck in
-          if bc < expiry || bc <= Leon3.System.cycles sys then from_boundary (i + 1)
-          else
-            match
-              Leon3.System.run_segment ~on_event ?detect_loops sys ~until_cycle:bc
-                ~max_cycles
-            with
-            | Some r -> r
-            | None ->
-                if !matched = ck_progress ck && Leon3.System.matches_checkpoint sys ck
-                then begin
-                  converged := Some bc;
-                  golden.stop
-                end
-                else from_boundary (i + 1)
-        end
-      in
-      from_boundary 0
+    let outcome, detect_cycle, sim =
+      lockstep sys golden ~compare_reads ~hang_factor ~expiry ~matched ~mismatch:None
     in
     C.clear_fault circuit;
-    replay_epilogue ();
-    match !converged with
-    | Some cyc -> finish (mk Silent None (Converged cyc))
-    | None ->
-        let outcome, detect_cycle =
-          match stop with
-          | Leon3.System.Aborted -> (Failure (Wrong_write !matched), !mismatch_cycle)
-          | Leon3.System.Trapped code ->
-              (Failure (Trap code), Some (Leon3.System.cycles sys))
-          | Leon3.System.Cycle_limit -> (Failure Hang, Some max_cycles)
-          | Leon3.System.Exited _ ->
-              if !matched = Array.length reference then (Silent, None)
-              else (Failure (Missing_writes !matched), Some (Leon3.System.cycles sys))
-        in
-        finish (mk outcome detect_cycle Simulated)
+    if replaying then begin
+      let st = C.replay_stop circuit in
+      if Obs.enabled obs then begin
+        Obs.incr obs ~by:st.C.rs_evals "diff.nodes_evaluated";
+        Obs.incr obs ~by:st.C.rs_dense_evals "diff.golden_evaluated";
+        Obs.observe obs "diff.dirty_peak" (float_of_int st.C.rs_dirty_peak);
+        Obs.observe obs "diff.divergence_cycles" (float_of_int st.C.rs_divergence_cycles)
+      end
+    end;
+    finish ~start_cycle outcome detect_cycle sim
   end
 
 type summary = {
@@ -341,12 +351,8 @@ type config = {
   hang_factor : int;
   compare_reads : bool;
   seed : int;
-  trim : bool;
   checkpoint_every : int option;
   static : bool;
-  event : bool;
-  batch : bool;
-  tail : bool;
   shard : int * int;
 }
 
@@ -358,12 +364,8 @@ let default_config =
     hang_factor = 4;
     compare_reads = false;
     seed = 7;
-    trim = true;
     checkpoint_every = None;
     static = true;
-    event = true;
-    batch = true;
-    tail = true;
     shard = (1, 1) }
 
 (* Static analysis of the netlist, shared by every injection of a
@@ -406,12 +408,7 @@ type plan =
   | P_class of (C.fault_site * C.fault_model)
 
 let classify static golden (site : Injection.site) model =
-  let prefiltered =
-    match golden.coverage with
-    | Some cov -> C.never_activates cov site.Injection.fault_site model
-    | None -> false
-  in
-  if prefiltered then P_direct
+  if prefiltered golden site model then P_direct
   else
     match static with
     | None -> P_direct
@@ -434,17 +431,12 @@ let follower_result ~inject_cycle (site : Injection.site) model lead =
 
 (* Golden-run options for a campaign: value coverage powers the
    permanent-fault prefilter (useless for bit-flips, which always
-   activate); checkpoints only pay off when runs start after cycle 0
-   or can exit early (bounded faults). *)
-let golden_options config ~bounded_faults =
-  if not config.trim then (false, None)
-  else
-    let coverage = List.exists (fun m -> m <> C.Bit_flip) config.models in
-    let want_checkpoints = bounded_faults || config.inject_cycle > 0 in
-    ( coverage,
-      if want_checkpoints then
-        Some (Option.value config.checkpoint_every ~default:default_checkpoint_interval)
-      else None )
+   activate); checkpoints only pay off when runs start after cycle 0. *)
+let golden_options config =
+  ( List.exists (fun m -> m <> C.Bit_flip) config.models,
+    if config.inject_cycle > 0 then
+      Some (Option.value config.checkpoint_every ~default:default_checkpoint_interval)
+    else None )
 
 (* Site enumeration and sampling, under its own span so campaign time
    decomposes into golden / site_sampling / prefilter / simulate /
@@ -459,21 +451,14 @@ let sample_sites ~obs ~config core target =
   | Some k when k < Array.length pool -> Stats.Rng.sample_without_replacement rng k pool
   | Some _ | None -> pool
 
-(* ---- sharding, fingerprints and journal plumbing ----
+(* ---- sharding and fingerprints ----
 
    A campaign is a fixed global task list: model-major over the full
-   sampled site array, exactly the sequential engine's historical
-   order.  Shard I/N executes the sites whose sample index is
-   congruent to I-1 mod N — same seed therefore gives disjoint,
+   sampled site array.  Shard I/N executes the sites whose sample index
+   is congruent to I-1 mod N — same seed therefore gives disjoint,
    covering shards — and a journal records each finished verdict under
    its global site index, so kill/resume and shard/merge both
    reassemble the unsharded run byte-identically. *)
-
-let validate_shard config =
-  let i, n = config.shard in
-  if n < 1 || i < 1 || i > n then
-    invalid_arg (Printf.sprintf "Campaign: shard index out of range: %d/%d" i n);
-  (i, n)
 
 let fingerprint ~config prog target sample =
   { Journal.workload = prog.Sparc.Asm.name;
@@ -491,81 +476,45 @@ let fingerprint ~config prog target sample =
     total_sites = Array.length sample;
     shard = config.shard }
 
-(* Returns the (optional) writer, a replay lookup keyed by
-   (model, global site index), and an idempotent close. *)
-let open_journal ~journal ~resume fp =
-  match journal with
-  | None -> (None, (fun _ ~index:_ -> None), fun () -> ())
-  | Some path ->
-      let w, entries =
-        if resume then
-          match Journal.open_resume path fp with
-          | Ok (w, entries) -> (w, entries)
-          | Error msg -> raise (Journal.Rejected msg)
-        else (Journal.create path fp, [])
-      in
-      let tbl = Hashtbl.create ((2 * List.length entries) + 1) in
-      List.iter
-        (fun e ->
-          Hashtbl.replace tbl (e.Journal.result.model, e.Journal.index) e.Journal.result)
-        entries;
-      ( Some w,
-        (fun model ~index -> Hashtbl.find_opt tbl (model, index)),
-        fun () -> Journal.close w )
-
-let replay_check ~index (site : Injection.site) r =
-  if r.site_name <> site.Injection.site_name then
-    raise
-      (Journal.Rejected
-         (Printf.sprintf "journal verdict at site %d names %S, campaign expects %S"
-            index r.site_name site.Injection.site_name))
-
 let build_tasks config sample =
   Array.concat
     (List.map (fun model -> Array.map (fun site -> (model, site)) sample) config.models)
 
 (* Per-task classification with globally chosen collapse leaders:
-   leaders are the first class member in global task order exactly as
-   the sequential engine always chose them, so the assignment is
-   identical for every shard and every domain count. *)
+   leaders are the first class member in global task order, so the
+   assignment is identical for every shard and every domain count. *)
 type task_plan =
   | T_direct
   | T_pruned
   | T_lead of Injection.site * C.fault_model
   | T_follow of int  (* global task index of the class leader *)
 
-(* Everything that only exists to classify and simulate: built lazily
-   so a resume whose journal already covers the whole shard skips the
-   golden run and the static analysis entirely. *)
+(* Everything that only exists to classify and simulate: built only
+   when something is left to run, so a resume whose journal already
+   covers the whole shard skips the golden run and the static analysis
+   entirely. *)
 type machinery = {
   m_golden : golden;
   m_golden_lead : golden;
       (* prefilter bypassed for collapse-class leaders: the member
          reached simulation, so its representative must simulate too *)
-  m_plan : C.replay_plan option;
+  m_plan : C.replay_plan;
   m_plans : task_plan array;
 }
 
 let build_machinery ~obs ~config sys prog tasks =
   let core = Leon3.System.core sys in
-  let coverage, checkpoint_every = golden_options config ~bounded_faults:false in
+  let coverage, checkpoint_every = golden_options config in
   let golden =
-    golden_run ~obs ~coverage
-      ~trace:(config.event || config.batch)
-      ?checkpoint_every sys prog ~max_cycles:5_000_000
+    golden_run ~obs ~coverage ~trace:true ?checkpoint_every sys prog ~max_cycles:5_000_000
   in
-  let graph =
+  let static =
     if config.static then
-      Some
-        (Obs.span obs "static.graph" (fun () ->
-             Analysis.Graph.build core.Leon3.Core.circuit))
+      let graph =
+        Obs.span obs "static.graph" (fun () -> Analysis.Graph.build core.Leon3.Core.circuit)
+      in
+      Some (build_static ~obs ~graph core)
     else None
-  in
-  let static = if config.static then Some (build_static ~obs ?graph core) else None in
-  (* the kernel lowers the levelized schedule at elaboration; no graph
-     extraction is needed just to replay *)
-  let plan =
-    if config.event then Some (C.compiled_plan core.Leon3.Core.circuit) else None
   in
   let plans =
     let class_leader = Hashtbl.create 64 in
@@ -584,7 +533,9 @@ let build_machinery ~obs ~config sys prog tasks =
   in
   { m_golden = golden;
     m_golden_lead = { golden with coverage = None };
-    m_plan = plan;
+    (* the kernel lowers the levelized schedule at elaboration; no graph
+       extraction is needed just to replay *)
+    m_plan = C.compiled_plan core.Leon3.Core.circuit;
     m_plans = plans }
 
 (* ---- reusable campaign preparation (the serve layer's golden-trace
@@ -601,14 +552,12 @@ type prepared = {
 }
 
 let prepare ?(config = default_config) ?(obs = Obs.null) sys prog target =
-  ignore (validate_shard config);
+  Executor.check_shard ~who:"Campaign" config.shard;
   Leon3.System.set_obs sys obs;
-  Leon3.System.set_hang_cone sys config.tail;
   let sample = sample_sites ~obs ~config (Leon3.System.core sys) target in
   let tasks = build_tasks config sample in
   let m = build_machinery ~obs ~config sys prog tasks in
   Leon3.System.set_obs sys Obs.null;
-  Leon3.System.set_hang_cone sys true;
   { p_fingerprint =
       { (fingerprint ~config prog target sample) with Journal.shard = (1, 1) };
     p_machinery = m }
@@ -620,22 +569,22 @@ let prepared_fingerprint p = p.p_fingerprint
    or program — cannot be spliced in silently: the site-name hash and
    config fields are all compared.  The shard spec is exempt by
    construction. *)
-let check_prepared ~who fp = function
+let check_prepared fp = function
   | None -> None
   | Some p -> (
       match Journal.base_mismatch p.p_fingerprint fp with
       | Some f ->
           invalid_arg
-            (Printf.sprintf "%s: prepared machinery mismatch: %s differs from this \
-                             campaign" who f)
+            (Printf.sprintf "Campaign: prepared machinery mismatch: %s differs from this \
+                             campaign" f)
       | None -> Some p.p_machinery)
 
-let simulate_lead ~obs ~config ?detect_loops m sys prog tasks j =
+let simulate_lead ~obs ~config m sys prog tasks j =
   match m.m_plans.(j) with
   | T_lead (rep, rmodel) ->
       let model, _ = tasks.(j) in
       let r0 =
-        run_one ~obs ?plan:m.m_plan ?detect_loops sys prog m.m_golden_lead
+        run_one ~obs ~plan:m.m_plan sys prog m.m_golden_lead
           ~inject_cycle:config.inject_cycle ~hang_factor:config.hang_factor
           ~compare_reads:config.compare_reads rep rmodel
       in
@@ -643,28 +592,37 @@ let simulate_lead ~obs ~config ?detect_loops m sys prog tasks j =
   | T_direct | T_pruned | T_follow _ ->
       failwith "Campaign: collapse leader reclassified (internal error)"
 
+(* One scalar task: a direct simulation, a cone-pruned verdict, or a
+   collapse leader's representative run. *)
+let run_task ~obs ~config m sys prog tasks ti =
+  let model, site = tasks.(ti) in
+  match m.m_plans.(ti) with
+  | T_direct ->
+      run_one ~obs ~plan:m.m_plan sys prog m.m_golden ~inject_cycle:config.inject_cycle
+        ~hang_factor:config.hang_factor ~compare_reads:config.compare_reads site model
+  | T_pruned ->
+      let r = pruned_result ~inject_cycle:config.inject_cycle site model in
+      record_static obs m.m_golden r;
+      r
+  | T_lead _ -> simulate_lead ~obs ~config m sys prog tasks ti
+  | T_follow _ -> failwith "Campaign: collapse follower queued (internal error)"
+
 (* ---- bit-parallel batching (PPSFP) ----
 
    A batchable task is a direct or collapse-leader simulation of a
    permanent fault that survived the activation prefilter: up to
    [C.max_lanes] of them advance against the golden trace in one
-   bitwise pass, with verdicts identical to [run_one]'s.  Lanes the
-   trace cannot decide (watchdog candidates outliving the golden run)
-   are ejected and decided on the scalar engine. *)
-
-let task_prefiltered m tasks ti =
-  let model, site = tasks.(ti) in
-  match m.m_golden.coverage with
-  | Some cov -> C.never_activates cov site.Injection.fault_site model
-  | None -> false
+   bitwise pass, with verdicts identical to [run_one]'s.  Lanes that
+   outlive the trace run on in the batch's dense tail; the few it
+   cannot decide are handed over to the scalar engine at trace end. *)
 
 let batchable ~config m tasks ti =
-  config.batch
-  && (not config.compare_reads)
-  && m.m_golden.trace <> None
+  (not config.compare_reads)
   &&
   match m.m_plans.(ti) with
-  | T_direct -> not (task_prefiltered m tasks ti)
+  | T_direct ->
+      let model, site = tasks.(ti) in
+      not (prefiltered m.m_golden site model)
   | T_lead _ -> true
   | T_pruned | T_follow _ -> false
 
@@ -687,47 +645,25 @@ let chunk_list k l =
    complete state (circuit, memory image, bus drivers, comparator
    counters), so only the genuinely undecided suffix — trace end to
    verdict — is simulated, with cycle-proof hang detection armed.
-   Verdicts match a from-zero re-run because the transplanted state is
-   state-for-state equal to the re-run's state at trace end
+   Verdicts match a from-zero run because the transplanted state is
+   state-for-state equal to that run's state at trace end
    (qcheck-tested) and the comparator resumes at the same counters. *)
 let continue_ejected ~obs ~config golden sys e (site : Injection.site) model =
   let t_start = if Obs.enabled obs then Obs.now obs else 0. in
-  let circuit = (Leon3.System.core sys).Leon3.Core.circuit in
   Leon3.System.transplant sys e.Batch.e_tp ~mem:e.Batch.e_mem ~iport:e.Batch.e_iport
     ~dport:e.Batch.e_dport ~events_rev:e.Batch.e_events_rev
     ~n_events:(List.length e.Batch.e_events_rev)
     ~n_writes:e.Batch.e_writes;
   let start_cycle = C.transplant_cycle e.Batch.e_tp in
-  let reference = golden.writes in
-  let matched = ref e.Batch.e_matched in
-  let mismatch_cycle = ref e.Batch.e_mismatch in
-  let on_event ev =
-    if not (Bus_event.is_write ev) then true
-    else if !matched < Array.length reference && Bus_event.equal ev reference.(!matched)
-    then begin
-      incr matched;
-      true
-    end
-    else begin
-      mismatch_cycle := Some (Leon3.System.cycles sys);
-      false
-    end
+  let outcome, detect_cycle, sim =
+    lockstep ~detect_loops:true sys golden ~compare_reads:false
+      ~hang_factor:config.hang_factor ~expiry:max_int ~matched:e.Batch.e_matched
+      ~mismatch:e.Batch.e_mismatch
   in
-  let max_cycles = (config.hang_factor * golden.cycles) + 2000 in
-  let stop = Leon3.System.run ~on_event ~detect_loops:true sys ~max_cycles in
-  C.clear_fault circuit;
-  let outcome, detect_cycle =
-    match stop with
-    | Leon3.System.Aborted -> (Failure (Wrong_write !matched), !mismatch_cycle)
-    | Leon3.System.Trapped code -> (Failure (Trap code), Some (Leon3.System.cycles sys))
-    | Leon3.System.Cycle_limit -> (Failure Hang, Some max_cycles)
-    | Leon3.System.Exited _ ->
-        if !matched = Array.length reference then (Silent, None)
-        else (Failure (Missing_writes !matched), Some (Leon3.System.cycles sys))
-  in
+  C.clear_fault (Leon3.System.core sys).Leon3.Core.circuit;
   let r =
     { site_name = site.Injection.site_name; model; outcome; detect_cycle;
-      inject_cycle = config.inject_cycle; sim = Simulated }
+      inject_cycle = config.inject_cycle; sim }
   in
   if Obs.enabled obs then begin
     Obs.incr obs "tail.transplants";
@@ -742,7 +678,7 @@ let run_batch_chunk ~obs ~config m sys prog tasks tis =
   let t_start = if Obs.enabled obs then Obs.now obs else 0. in
   let golden = m.m_golden in
   let trace = Option.get golden.trace in
-  let max_cycles = (config.hang_factor * golden.cycles) + 2000 in
+  let max_cycles = max_cycles_of ~hang_factor:config.hang_factor golden in
   let specs =
     Array.map
       (fun ti ->
@@ -758,8 +694,7 @@ let run_batch_chunk ~obs ~config m sys prog tasks tis =
       tis
   in
   let outcomes, stats =
-    Batch.run ~obs ~tail:config.tail ~sys ~prog ~trace ~reference:golden.writes
-      ~max_cycles specs
+    Batch.run ~obs ~sys ~prog ~trace ~reference:golden.writes ~max_cycles specs
   in
   let n = Array.length tis in
   let dt =
@@ -781,16 +716,9 @@ let run_batch_chunk ~obs ~config m sys prog tasks tis =
       | Batch.Done br ->
           Obs.incr obs "batch.lanes_retired";
           let outcome, detect_cycle =
-            match br.Batch.stop with
-            | Leon3.System.Aborted ->
-                (Failure (Wrong_write br.Batch.matched), br.Batch.mismatch_cycle)
-            | Leon3.System.Trapped code ->
-                (Failure (Trap code), Some br.Batch.stop_cycle)
-            | Leon3.System.Cycle_limit -> (Failure Hang, Some max_cycles)
-            | Leon3.System.Exited _ ->
-                if br.Batch.matched = Array.length golden.writes then (Silent, None)
-                else
-                  (Failure (Missing_writes br.Batch.matched), Some br.Batch.stop_cycle)
+            verdict ~reference:golden.writes ~max_cycles ~matched:br.Batch.matched
+              ~mismatch:br.Batch.mismatch_cycle ~stop_cycle:br.Batch.stop_cycle
+              br.Batch.stop
           in
           let r =
             { site_name = site.Injection.site_name; model; outcome; detect_cycle;
@@ -798,401 +726,140 @@ let run_batch_chunk ~obs ~config m sys prog tasks tis =
           in
           if Obs.enabled obs then record_run obs golden ~dt ~start_cycle:0 r;
           r
-      | Batch.Ejected eo ->
+      | Batch.Ejected e ->
+          (* T_direct and T_lead lanes were both armed with the fault
+             the plan resolved to, and the verdict is recorded under the
+             member's site/model either way, exactly as [simulate_lead]
+             does *)
           Obs.incr obs "batch.ejected";
           let tw_start = if Obs.enabled obs then Obs.now obs else 0. in
-          let r =
-            match eo with
-            | Some e ->
-                (* the dense tail already carried this lane to its
-                   settled trace-end state: continue scalar from there.
-                   T_direct and T_lead lanes were both armed with the
-                   fault the plan resolved to, and the verdict is
-                   recorded under the member's site/model either way,
-                   exactly as [simulate_lead] does. *)
-                continue_ejected ~obs ~config m.m_golden sys e site model
-            | None -> (
-                (* tail engine disabled: ejected lanes are
-                   overwhelmingly watchdog candidates — rerun them
-                   scalar from cycle 0 with hang-loop detection armed,
-                   and without the replay plan (a lane that outlived
-                   the trace is densely diverged, where plain
-                   simulation is cheaper than differential replay) *)
-                match m.m_plans.(ti) with
-                | T_direct ->
-                    run_one ~obs ~detect_loops:true sys prog m.m_golden
-                      ~inject_cycle:config.inject_cycle
-                      ~hang_factor:config.hang_factor
-                      ~compare_reads:config.compare_reads site model
-                | T_lead _ ->
-                    simulate_lead ~obs ~config ~detect_loops:true m sys prog tasks ti
-                | T_pruned | T_follow _ -> assert false)
-          in
+          let r = continue_ejected ~obs ~config golden sys e site model in
           if Obs.enabled obs then
             Obs.add_time obs "tail.watchdog" (Obs.now obs -. tw_start);
           r)
     tis
+
+(* ---- the campaign driver ---- *)
+
+(* Work units for the executor: batchable tasks fold into ≤ max_lanes
+   wide PPSFP passes, the rest stay single-task; one unit is one queue
+   claim, so a whole batch runs on one worker's system.  Collapse
+   followers copy their leader's verdict after the queue drains:
+   leaders always precede followers in task order, so in-shard leaders
+   are already decided, and a leader whose member sits in another shard
+   is simulated once, on worker 0's system. *)
+let plan_work ~obs ~config m prog tasks pending =
+  let queued, followers =
+    List.partition_map
+      (fun ti ->
+        match m.m_plans.(ti) with
+        | T_follow j -> Either.Right (ti, j)
+        | T_direct | T_pruned | T_lead _ -> Either.Left ti)
+      pending
+  in
+  let batched, single = List.partition (batchable ~config m tasks) queued in
+  { Executor.units =
+      Array.of_list
+        (List.map (fun c -> `Batch (Array.of_list c)) (chunk_list C.max_lanes batched)
+        @ List.map (fun ti -> `One ti) single);
+    exec =
+      (fun sys o u ->
+        Leon3.System.set_obs sys o;
+        match u with
+        | `One ti -> [ (ti, run_task ~obs:o ~config m sys prog tasks ti) ]
+        | `Batch tis ->
+            Array.to_list
+              (Array.map2
+                 (fun ti r -> (ti, r))
+                 tis
+                 (run_batch_chunk ~obs:o ~config m sys prog tasks tis)));
+    finish =
+      (fun sys result ->
+        let orphans = Hashtbl.create 8 in
+        List.map
+          (fun (ti, j) ->
+            let lead =
+              match result j with
+              | Some lead -> lead
+              | None -> (
+                  match Hashtbl.find_opt orphans j with
+                  | Some lead -> lead
+                  | None ->
+                      let lead = simulate_lead ~obs ~config m sys prog tasks j in
+                      Hashtbl.add orphans j lead;
+                      lead)
+            in
+            let model, site = tasks.(ti) in
+            let r = follower_result ~inject_cycle:config.inject_cycle site model lead in
+            record_static obs m.m_golden r;
+            (ti, r))
+          followers) }
 
 let shard_summaries config all =
   List.map
     (fun model -> (model, summarize (List.filter (fun r -> r.model = model) all)))
     config.models
 
-let collect_results tasks exec_ids results =
-  Array.to_list
-    (Array.map
-       (fun ti ->
-         match results.(ti) with
-         | Some r -> r
-         | None ->
-             let model, site = tasks.(ti) in
-             failwith
-               (Printf.sprintf "Campaign: missing result for task %d (site %s, model %s)"
-                  ti site.Injection.site_name (C.fault_model_name model)))
-       exec_ids)
-
-let run ?(config = default_config) ?(obs = Obs.null) ?on_progress ?journal
-    ?(resume = false) ?prepared sys prog target =
-  let shard_i, shard_n = validate_shard config in
-  Leon3.System.set_obs sys obs;
-  (* the observed-cone hang detector is part of the watchdog-tail
-     machinery: with [tail] off the A/B reverts to the legacy
-     full-state (inert) comparison *)
-  Leon3.System.set_hang_cone sys config.tail;
-  let core = Leon3.System.core sys in
-  let sample = sample_sites ~obs ~config core target in
-  let fp = fingerprint ~config prog target sample in
-  let supplied = check_prepared ~who:"Campaign.run" fp prepared in
-  let writer, lookup, close_journal = open_journal ~journal ~resume fp in
-  Fun.protect ~finally:close_journal @@ fun () ->
-  let nsites = Array.length sample in
-  let tasks = build_tasks config sample in
-  let exec_ids =
-    let ids = ref [] in
-    Array.iteri
-      (fun ti _ -> if ti mod nsites mod shard_n = shard_i - 1 then ids := ti :: !ids)
-      tasks;
-    Array.of_list (List.rev !ids)
-  in
-  let machinery =
-    match supplied with
-    | Some m -> Lazy.from_val m
-    | None -> lazy (build_machinery ~obs ~config sys prog tasks)
-  in
-  let results = Array.make (Array.length tasks) None in
-  (* Bit-parallel pre-pass: the batchable remainder of the shard runs
-     in ≤ max_lanes-wide PPSFP passes up front; the walk below emits
-     (and journals) the stashed verdicts in its usual order, so
-     journal layout and result order are unchanged. *)
-  let batch_stash = Hashtbl.create 64 in
-  (if config.batch then begin
-     let pending =
-       List.filter
-         (fun ti ->
-           let model, _ = tasks.(ti) in
-           lookup model ~index:(ti mod nsites) = None)
-         (Array.to_list exec_ids)
-     in
-     if pending <> [] then begin
-       let m = Lazy.force machinery in
-       List.iter
-         (fun chunk ->
-           let tis = Array.of_list chunk in
-           let rs = run_batch_chunk ~obs ~config m sys prog tasks tis in
-           Array.iteri (fun k r -> Hashtbl.replace batch_stash tis.(k) r) rs)
-         (chunk_list C.max_lanes (List.filter (batchable ~config m tasks) pending))
-     end
-   end);
-  let orphans = Hashtbl.create 8 in
-  let total = Array.length exec_ids in
-  let done_ = ref 0 in
-  let progress () =
-    incr done_;
-    match on_progress with Some f -> f ~done_:!done_ ~total | None -> ()
-  in
-  Array.iter
-    (fun ti ->
-      let model, site = tasks.(ti) in
-      let index = ti mod nsites in
-      let r =
-        match lookup model ~index with
-        | Some r ->
-            replay_check ~index site r;
-            Obs.incr obs "journal.replayed";
-            r
-        | None ->
-            let m = Lazy.force machinery in
-            let r =
-              match Hashtbl.find_opt batch_stash ti with
-              | Some r -> r
-              | None -> (
-              match m.m_plans.(ti) with
-              | T_direct ->
-                  run_one ~obs ?plan:m.m_plan sys prog m.m_golden
-                    ~inject_cycle:config.inject_cycle ~hang_factor:config.hang_factor
-                    ~compare_reads:config.compare_reads site model
-              | T_pruned ->
-                  let r = pruned_result ~inject_cycle:config.inject_cycle site model in
-                  record_static obs m.m_golden r;
-                  r
-              | T_lead _ -> simulate_lead ~obs ~config m sys prog tasks ti
-              | T_follow j ->
-                  let lead =
-                    match results.(j) with
-                    | Some lead -> lead
-                    | None -> (
-                        (* the leader's member belongs to another shard:
-                           simulate its representative once, locally *)
-                        match Hashtbl.find_opt orphans j with
-                        | Some lead -> lead
-                        | None ->
-                            let lead = simulate_lead ~obs ~config m sys prog tasks j in
-                            Hashtbl.add orphans j lead;
-                            lead)
-                  in
-                  let r =
-                    follower_result ~inject_cycle:config.inject_cycle site model lead
-                  in
-                  record_static obs m.m_golden r;
-                  r)
-            in
-            (match writer with Some w -> Journal.append w ~index r | None -> ());
-            r
-      in
-      results.(ti) <- Some r;
-      progress ())
-    exec_ids;
-  Leon3.System.set_obs sys Obs.null;
-  Leon3.System.set_hang_cone sys true;
-  let all = collect_results tasks exec_ids results in
-  (shard_summaries config all, all)
-
-let pf_percent s = 100. *. s.pf
-
-(* Parallel campaigns: the runs are independent, so they shard across
-   domains.  Each domain owns a private RTL system; injection sites
-   carry node ids, which are valid across systems because circuit
-   construction is deterministic (same build ⇒ same numbering) — the
-   same property lets every domain share the golden coverage and
-   checkpoints captured on the scratch system.  The task order is
-   fixed up front, so results are identical to the sequential
-   engine's. *)
+(* The one campaign driver.  Injection sites carry node ids, which are
+   valid across systems because circuit construction is deterministic
+   (same build ⇒ same numbering) — the same property lets every worker
+   share the golden coverage, checkpoints, trace and replay plan
+   captured on worker 0's system, all immutable after construction. *)
 let run_parallel ?(config = default_config) ?(obs = Obs.null) ?(domains = 4)
     ?on_progress ?journal ?(resume = false) ?prepared sys_factory prog target =
-  let shard_i, shard_n = validate_shard config in
-  let domains = max 1 domains in
-  let scratch = sys_factory () in
-  Leon3.System.set_obs scratch obs;
-  Leon3.System.set_hang_cone scratch config.tail;
-  let sample = sample_sites ~obs ~config (Leon3.System.core scratch) target in
+  Executor.check_shard ~who:"Campaign" config.shard;
+  let sys = sys_factory () in
+  Leon3.System.set_obs sys obs;
+  let sample = sample_sites ~obs ~config (Leon3.System.core sys) target in
   let fp = fingerprint ~config prog target sample in
-  let supplied = check_prepared ~who:"Campaign.run_parallel" fp prepared in
-  let writer, lookup, close_journal = open_journal ~journal ~resume fp in
-  Fun.protect ~finally:close_journal @@ fun () ->
+  let supplied = check_prepared fp prepared in
   let nsites = Array.length sample in
   let tasks = build_tasks config sample in
-  let exec_ids =
-    let ids = ref [] in
-    Array.iteri
-      (fun ti _ -> if ti mod nsites mod shard_n = shard_i - 1 then ids := ti :: !ids)
-      tasks;
-    Array.of_list (List.rev !ids)
+  let plan pending =
+    let m =
+      match supplied with
+      | Some m -> m
+      | None -> build_machinery ~obs ~config sys prog tasks
+    in
+    plan_work ~obs ~config m prog tasks pending
   in
-  let results = Array.make (Array.length tasks) None in
-  let total = Array.length exec_ids in
-  let completed = Atomic.make 0 in
-  let progress () =
-    match on_progress with
-    | Some f -> f ~done_:(Atomic.fetch_and_add completed 1 + 1) ~total
-    | None -> ()
+  let all =
+    Executor.run ~obs ~domains:(max 1 domains) ~spawn:sys_factory ?on_progress ?journal
+      ~resume ~fingerprint:fp ~ntasks:(Array.length tasks)
+      ~identity:(fun ti ->
+        let model, site = tasks.(ti) in
+        (model, ti mod nsites, site.Injection.site_name))
+      ~exec_ids:
+        (Executor.shard_ids config.shard ~tasks:(Array.length tasks) ~site:(fun ti ->
+             ti mod nsites))
+      ~plan sys
   in
-  let journal_append ~index r =
-    match writer with Some w -> Journal.append w ~index r | None -> ()
-  in
-  (* Journaled verdicts replay before any domain spawns, so their
-     result slots are read-only by the time workers run. *)
-  Array.iter
-    (fun ti ->
-      let model, site = tasks.(ti) in
-      let index = ti mod nsites in
-      match lookup model ~index with
-      | Some r ->
-          replay_check ~index site r;
-          Obs.incr obs "journal.replayed";
-          results.(ti) <- Some r;
-          progress ()
-      | None -> ())
-    exec_ids;
-  let needs_sim = Array.exists (fun ti -> results.(ti) = None) exec_ids in
-  (if needs_sim then begin
-     (* graph, plan and trace are immutable after construction, so all
-        domains share them read-only *)
-     let m =
-       match supplied with
-       | Some m -> m
-       | None -> build_machinery ~obs ~config scratch prog tasks
-     in
-     let todo =
-       List.filter
-         (fun ti ->
-           results.(ti) = None
-           && match m.m_plans.(ti) with T_follow _ -> false | _ -> true)
-         (Array.to_list exec_ids)
-     in
-     (* Work units: batchable tasks fold into ≤ max_lanes-wide PPSFP
-        passes, the rest stay single-task; one unit is one queue
-        claim, so a whole batch runs on one domain's system. *)
-     let units =
-       let batched, scalar = List.partition (batchable ~config m tasks) todo in
-       Array.of_list
-         (List.map
-            (fun c -> `Batch (Array.of_list c))
-            (chunk_list C.max_lanes batched)
-         @ List.map (fun ti -> `One ti) scalar)
-     in
-     let next = Atomic.make 0 in
-     let aborted = Atomic.make false in
-     let errors = Array.make domains None in
-     let process sys fork ti =
-       let model, site = tasks.(ti) in
-       let r =
-         match m.m_plans.(ti) with
-         | T_pruned ->
-             let r = pruned_result ~inject_cycle:config.inject_cycle site model in
-             record_static fork m.m_golden r;
-             r
-         | T_direct ->
-             run_one ~obs:fork ?plan:m.m_plan sys prog m.m_golden
-               ~inject_cycle:config.inject_cycle ~hang_factor:config.hang_factor
-               ~compare_reads:config.compare_reads site model
-         | T_lead _ -> simulate_lead ~obs:fork ~config m sys prog tasks ti
-         | T_follow _ -> assert false (* filtered out of [todo] *)
-       in
-       journal_append ~index:(ti mod nsites) r;
-       results.(ti) <- Some r;
-       progress ()
-     in
-     let process_unit sys fork = function
-       | `One ti -> process sys fork ti
-       | `Batch tis ->
-           let rs = run_batch_chunk ~obs:fork ~config m sys prog tasks tis in
-           Array.iteri
-             (fun k r ->
-               let ti = tis.(k) in
-               journal_append ~index:(ti mod nsites) r;
-               results.(ti) <- Some r;
-               progress ())
-             rs
-     in
-     (* Every worker (the scratch domain included) aggregates into a
-        private fork, so the hot path never contends; the forks merge
-        into [obs] in spawn order at join, which keeps totals
-        deterministic for any domain count.  A worker that raises
-        records the exception and flips [aborted] so its peers stop at
-        the next task boundary instead of burning through the queue. *)
-     let worker wi sys fork =
-       Leon3.System.set_obs sys fork;
-       Leon3.System.set_hang_cone sys config.tail;
-       let rec go () =
-         if not (Atomic.get aborted) then begin
-           let k = Atomic.fetch_and_add next 1 in
-           if k < Array.length units then begin
-             process_unit sys fork units.(k);
-             go ()
-           end
-         end
-       in
-       try go ()
-       with e ->
-         errors.(wi) <- Some (e, Printexc.get_raw_backtrace ());
-         Atomic.set aborted true
-     in
-     let forks = Array.init domains (fun _ -> Obs.fork obs) in
-     let spawned =
-       List.init (domains - 1) (fun i ->
-           Domain.spawn (fun () -> worker (i + 1) (sys_factory ()) forks.(i + 1)))
-     in
-     worker 0 scratch forks.(0);
-     List.iter Domain.join spawned;
-     Array.iter (fun fork -> Obs.merge ~into:obs fork) forks;
-     (* A failed worker re-raises its original exception, with its
-        backtrace, after every domain has joined and its fork has been
-        merged — nothing is masked behind a missing-result failure, and
-        every verdict classified before the abort is already
-        journaled. *)
-     Array.iter
-       (function
-         | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-         | None -> ())
-       errors;
-     (* Collapse followers copy their leader's verdict; leaders always
-        precede followers in task order, so in-shard leaders are
-        already filled, and a leader whose member sits in another
-        shard is simulated once here, on the scratch system. *)
-     Leon3.System.set_obs scratch obs;
-     let orphans = Hashtbl.create 8 in
-     Array.iter
-       (fun ti ->
-         match m.m_plans.(ti) with
-         | T_follow j when results.(ti) = None ->
-             let lead =
-               match results.(j) with
-               | Some lead -> lead
-               | None -> (
-                   match Hashtbl.find_opt orphans j with
-                   | Some lead -> lead
-                   | None ->
-                       (match m.m_plans.(j) with
-                       | T_lead _ -> ()
-                       | T_direct | T_pruned | T_follow _ ->
-                           let lmodel, lsite = tasks.(j) in
-                           failwith
-                             (Printf.sprintf
-                                "run_parallel: missing leader result for task %d \
-                                 (site %s, model %s)"
-                                j lsite.Injection.site_name
-                                (C.fault_model_name lmodel)));
-                       let lead = simulate_lead ~obs ~config m scratch prog tasks j in
-                       Hashtbl.add orphans j lead;
-                       lead)
-             in
-             let model, site = tasks.(ti) in
-             let r = follower_result ~inject_cycle:config.inject_cycle site model lead in
-             record_static obs m.m_golden r;
-             journal_append ~index:(ti mod nsites) r;
-             results.(ti) <- Some r;
-             progress ()
-         | T_follow _ | T_direct | T_pruned | T_lead _ -> ())
-       exec_ids
-   end);
-  Leon3.System.set_obs scratch Obs.null;
-  let all = collect_results tasks exec_ids results in
+  Leon3.System.set_obs sys Obs.null;
   (shard_summaries config all, all)
+
+let run ?config ?obs ?on_progress ?journal ?resume ?prepared sys prog target =
+  run_parallel ?config ?obs ~domains:1 ?on_progress ?journal ?resume ?prepared
+    (fun () -> sys)
+    prog target
+
+let pf_percent s = 100. *. s.pf
 
 (* Transient study (the paper's stated future work): single-event
    upsets — one-cycle bit inversions at uniformly random instants of
    the run.  Unlike permanent faults the outcome depends on *when* the
    fault hits, so each sampled site gets its own random instant.  The
    1-cycle window is where checkpoint trimming shines: each injection
-   resumes from the checkpoint before its instant and stops at the
-   first checkpoint where its state has re-converged with the golden
-   run. *)
-let run_transient ?(sample = 400) ?(seed = 7) ?(trim = true) ?(event = true)
-    ?checkpoint_every ?(obs = Obs.null) sys prog target =
+   resumes from the checkpoint before its instant, replays
+   differentially against the golden trace, and stops at the first
+   checkpoint where its state has re-converged with the golden run. *)
+let run_transient ?(sample = 400) ?(seed = 7)
+    ?(checkpoint_every = default_checkpoint_interval) ?(obs = Obs.null) sys prog target =
   Leon3.System.set_obs sys obs;
   let core = Leon3.System.core sys in
-  let checkpoint_every =
-    if trim then Some (Option.value checkpoint_every ~default:default_checkpoint_interval)
-    else None
-  in
   let golden =
-    golden_run ~obs ~trace:event ?checkpoint_every sys prog ~max_cycles:5_000_000
+    golden_run ~obs ~trace:true ~checkpoint_every sys prog ~max_cycles:5_000_000
   in
-  let plan =
-    if event then
-      Some (Analysis.Graph.replay_plan (Analysis.Graph.build core.Leon3.Core.circuit))
-    else None
-  in
+  let plan = C.compiled_plan core.Leon3.Core.circuit in
   let chosen =
     Obs.span obs "site_sampling" @@ fun () ->
     let pool = Array.of_list (Injection.sites core target) in
@@ -1208,7 +875,7 @@ let run_transient ?(sample = 400) ?(seed = 7) ?(trim = true) ?(event = true)
     Array.to_list
       (Array.map
          (fun (site, inject_cycle) ->
-           run_one ~obs ?plan sys prog golden ~inject_cycle ~duration:1 site C.Bit_flip)
+           run_one ~obs ~plan sys prog golden ~inject_cycle ~duration:1 site C.Bit_flip)
          chosen)
   in
   Leon3.System.set_obs sys Obs.null;

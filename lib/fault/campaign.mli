@@ -9,19 +9,22 @@
     a trap, or a hang (watchdog).  Runs stop at the first divergent
     write, so failures are cheap and only silent runs pay full cost.
 
-    {b Trimmed execution.}  Most injections are redundant work: a
-    permanent fault whose forced value the golden run never
-    contradicts can never activate, and a 1-cycle transient whose
-    state re-converges with the golden state has a provably golden
-    future.  With [config.trim] (on by default) the engine records
-    value coverage and checkpoints during the golden run and uses them
-    to (a) classify never-activating permanent faults silent without
-    simulating, (b) start each bounded-fault run at the last
-    checkpoint before its injection instant, and (c) stop a
-    bounded-fault run at the first checkpoint where its state equals
-    the golden state.  All three are exact — trimmed and untrimmed
-    campaigns produce identical verdicts, failure breakdowns and
-    latencies; {!summary} reports how much simulation was avoided.
+    {b Acceleration layers.}  Most injections are redundant work, and
+    the engine always skips it: value coverage classifies
+    never-activating permanent faults silent without simulating;
+    checkpoints start each run at the last golden state before its
+    injection instant and stop a bounded fault at the first golden
+    state it re-converges with; static analysis prunes faults outside
+    the observation cone and collapses equivalent ones; faulty runs
+    replay differentially against the golden value trace; permanent
+    faults run up to {!Rtl.Circuit.max_lanes} at a time as bit-lanes
+    of one machine, and hang candidates outliving the trace are
+    decided by the batch's dense tail or handed over to the scalar
+    engine at trace end.  Every layer is exact: a campaign's verdicts,
+    failure breakdowns and latencies equal the dense reference's —
+    {!run_one} without a replay plan, against a {!golden_run} with no
+    coverage, trace or checkpoints.  {!summary} reports how much
+    simulation was avoided.
 
     {b Telemetry.}  Every entry point accepts an [?obs] collector
     (default {!Obs.null}, no cost).  A live collector receives
@@ -30,9 +33,9 @@
     ([injections], [outcome.*], [prefiltered], [early_exits],
     [simulated], [cycles.saved], plus [rtl.cycles] /
     [rtl.instructions] from the attached system) and a
-    [detect_latency] histogram.  {!run_parallel} gives each domain a
-    private {!Obs.fork} and merges them in spawn order, so counter
-    totals are identical for any domain count. *)
+    [detect_latency] histogram.  {!run_parallel} gives each spawned
+    domain a private {!Obs.fork} and merges them in spawn order, so
+    counter totals are identical for any domain count. *)
 
 module C = Rtl.Circuit
 module Bus_event = Sparc.Bus_event
@@ -110,7 +113,6 @@ type run_result = Journal.run_result = {
 val run_one :
   ?obs:Obs.t ->
   ?plan:C.replay_plan ->
-  ?detect_loops:bool ->
   Leon3.System.t ->
   Sparc.Asm.program ->
   golden ->
@@ -132,14 +134,12 @@ val run_one :
     When [plan] is given {e and} [golden] carries a trace, the run
     executes in differential replay — only the fanout cone of nodes
     diverging from golden is re-evaluated each cycle, and convergence
-    checks are O(dirty); verdicts are identical either way.
-    [detect_loops] (default false) arms {!Leon3.System.run}'s
-    hang-loop detection, which short-circuits watchdog runs whose
-    state provably became periodic; the batch engine enables it for
-    ejected lanes.  Replay
+    checks are O(dirty); verdicts are identical either way.  Replay
     statistics land on [obs] as [diff.nodes_evaluated] /
     [diff.golden_evaluated] counters and [diff.dirty_peak] /
-    [diff.divergence_cycles] histograms. *)
+    [diff.divergence_cycles] histograms.  Without [plan], on a golden
+    run with no coverage, trace or checkpoints, this is the dense
+    reference every campaign verdict must equal. *)
 
 type summary = {
   injections : int;
@@ -167,9 +167,6 @@ type config = {
   hang_factor : int;
   compare_reads : bool;
   seed : int;
-  trim : bool;
-      (** trimmed execution (activation prefilter + checkpointing);
-          [false] forces every injection through a full simulation *)
   checkpoint_every : int option;
       (** golden checkpoint interval in cycles; [None] = default *)
   static : bool;
@@ -177,31 +174,6 @@ type config = {
           structural fault collapsing ({!Analysis}); verdicts are
           byte-identical with it on or off — classification order puts
           the dynamic prefilter first, so even [skipped] matches *)
-  event : bool;
-      (** event-driven differential simulation: the golden run records
-          a value trace and every simulated fault replays against it,
-          re-evaluating only the dirty fanout cone (classification
-          order: prefilter → cone prune → collapse → differential
-          simulate).  Exact — verdicts, summaries and latencies are
-          byte-identical with it on or off *)
-  batch : bool;
-      (** bit-parallel fault batching (PPSFP): permanent-fault
-          injections that survive prefilter, cone prune and collapse
-          run up to {!Rtl.Circuit.max_lanes} at a time as bit-lanes of
-          one machine, against the golden trace.  Exact — verdicts,
-          summaries and latencies are byte-identical with it on or
-          off; lanes the trace cannot decide (hang candidates) fall
-          back to the scalar engine automatically *)
-  tail : bool;
-      (** watchdog-tail machinery for the hang candidates the batch
-          ejects: dense bit-parallel advance past trace end with
-          per-lane cycle-proof hang classification, and lane→scalar
-          state transplant so the last survivor resumes at trace end
-          instead of cycle 0.  Exact — verdicts, summaries and
-          latencies are byte-identical with it on or off (a proven
-          state cycle can only ever end in the watchdog verdict the
-          budget would have returned, with the same recorded latency).
-          Only reachable when [batch] is on *)
   shard : int * int;
       (** [(i, n)]: execute only the sites whose sample index is
           congruent to [i-1 mod n] (1-based, default [(1, 1)] = all).
@@ -215,8 +187,7 @@ type config = {
 val default_config : config
 (** Stuck-at-0/1 + open-line, 400-site sample, cells included,
     injection at cycle 0, watchdog 4x, writes-only compare, seed 7,
-    trimming, static analysis, differential simulation, bit-parallel
-    batching and the watchdog tail on, shard 1/1. *)
+    static analysis on, shard 1/1. *)
 
 val fingerprint :
   config:config ->
@@ -283,10 +254,37 @@ val run :
   Sparc.Asm.program ->
   Injection.target ->
   (C.fault_model * summary) list * run_result list
+(** {!run_parallel} with one domain on the caller's system: no domain
+    spawned, no extra system built. *)
+
+val run_parallel :
+  ?config:config ->
+  ?obs:Obs.t ->
+  ?domains:int ->
+  ?on_progress:(done_:int -> total:int -> unit) ->
+  ?journal:string ->
+  ?resume:bool ->
+  ?prepared:prepared ->
+  (unit -> Leon3.System.t) ->
+  Sparc.Asm.program ->
+  Injection.target ->
+  (C.fault_model * summary) list * run_result list
 (** Full campaign for one workload and one target block: golden run,
     site sampling, every model over the same sampled sites (restricted
     to [config.shard]).  Returns per-model summaries plus every
     individual result, in model-major task order.
+
+    The campaign runs on {!Executor} over [domains] OCaml domains
+    (default 4).  The factory builds the first worker's system — which
+    also runs the golden run and static analysis — and is called once
+    more per spawned domain.  Results are identical for any domain
+    count.  [on_progress] is invoked after every classified injection
+    with an atomically increasing [done_] (callers must tolerate
+    concurrent invocation); the final call reports [done_ = total],
+    the shard's task count.  A worker that raises aborts its peers at
+    the next work unit, and the original exception is re-raised with
+    its backtrace once every domain has joined; verdicts classified
+    before the abort are already journaled.
 
     [journal] appends every classified verdict to a crash-safe JSONL
     file ({!Journal}), fsync'd in batches, headed by the campaign
@@ -307,37 +305,9 @@ val run :
 val pf_percent : summary -> float
 (** [100 * pf], as the paper's figures report. *)
 
-val run_parallel :
-  ?config:config ->
-  ?obs:Obs.t ->
-  ?domains:int ->
-  ?on_progress:(done_:int -> total:int -> unit) ->
-  ?journal:string ->
-  ?resume:bool ->
-  ?prepared:prepared ->
-  (unit -> Leon3.System.t) ->
-  Sparc.Asm.program ->
-  Injection.target ->
-  (C.fault_model * summary) list * run_result list
-(** Like {!run}, sharded over [domains] OCaml domains (default 4).
-    The factory is called once per domain to build a private RTL
-    system; golden coverage and checkpoints are shared read-only, and
-    results are bit-identical to the sequential engine's — including
-    under [config.shard], [journal] and [resume], which behave exactly
-    as in {!run}.  [on_progress] is invoked after every completed
-    injection with an atomically increasing [done_] (callers must
-    tolerate concurrent invocation from worker domains); the final
-    call reports [done_ = total], the shard's task count.  A worker
-    domain that raises aborts its peers at the next task boundary and,
-    after every domain has joined and its telemetry fork merged, the
-    original exception is re-raised with the worker's backtrace;
-    verdicts classified before the abort are already journaled. *)
-
 val run_transient :
   ?sample:int ->
   ?seed:int ->
-  ?trim:bool ->
-  ?event:bool ->
   ?checkpoint_every:int ->
   ?obs:Obs.t ->
   Leon3.System.t ->
@@ -346,10 +316,9 @@ val run_transient :
   summary
 (** Single-event-upset campaign (the paper's stated future work):
     one-cycle bit inversions at uniformly random instants, one instant
-    per sampled site.  With [trim] (default true) each run starts at
-    the last golden checkpoint before its instant and early-exits on
-    state re-convergence; with [event] (default true) each run replays
-    differentially against the golden trace — for a 1-cycle upset the
-    dirty set typically collapses to empty within a few cycles, which
-    is also what makes the convergence check O(dirty).  Verdicts are
-    unchanged by either. *)
+    per sampled site.  Each run starts at the last golden checkpoint
+    (every [checkpoint_every] cycles, default 512) before its instant,
+    replays differentially against the golden trace and early-exits on
+    state re-convergence — for a 1-cycle upset the dirty set typically
+    collapses to empty within a few cycles, which is also what makes
+    the convergence check O(dirty). *)

@@ -180,14 +180,8 @@ type prepared = {
   p_sample : site array;
 }
 
-let validate_shard config =
-  let i, n = config.shard in
-  if n < 1 || i < 1 || i > n then
-    invalid_arg (Printf.sprintf "Iss_campaign: shard index out of range: %d/%d" i n);
-  (i, n)
-
 let prepare ?(config = default_config) ?(obs = Obs.null) prog =
-  ignore (validate_shard config);
+  Executor.check_shard ~who:"Iss_campaign" config.shard;
   let golden = golden_run ~obs prog in
   let sample =
     Obs.span obs "site_sampling" (fun () -> sample_sites ~config golden prog)
@@ -202,15 +196,13 @@ let prepared_fingerprint p = p.p_fingerprint
 (* Returns the (golden, sample) to run with; raises on any mismatch a
    silent reuse could hide — the program hash and every config field
    except the shard. *)
-let use_prepared ~who ~config prog = function
+let use_prepared ~config prog = function
   | None -> None
   | Some p ->
       if { config with shard = (1, 1) } <> p.p_config then
-        invalid_arg
-          (Printf.sprintf "%s: prepared run was built for a different config" who);
+        invalid_arg "Iss_campaign: prepared run was built for a different config";
       if Journal.hash_program prog <> p.p_fingerprint.Journal.prog_hash then
-        invalid_arg
-          (Printf.sprintf "%s: prepared run was built for a different program" who);
+        invalid_arg "Iss_campaign: prepared run was built for a different program";
       Some (p.p_golden, p.p_sample)
 
 (* ---- one faulty run ---- *)
@@ -298,177 +290,36 @@ let summaries_by_model models results =
              results) ))
     models
 
-(* Same journal plumbing as {!Campaign.run}, with the flat task list:
-   the journal index {e is} the site index, and every verdict's model
-   is bit-flip, so the replay lookup is keyed by index alone. *)
-let open_journal ~journal ~resume fp =
-  match journal with
-  | None -> (None, (fun ~index:_ -> None), fun () -> ())
-  | Some path ->
-      let w, entries =
-        if resume then
-          match Journal.open_resume path fp with
-          | Ok (w, entries) -> (w, entries)
-          | Error msg -> raise (Journal.Rejected msg)
-        else (Journal.create path fp, [])
-      in
-      let tbl = Hashtbl.create ((2 * List.length entries) + 1) in
-      List.iter
-        (fun e -> Hashtbl.replace tbl e.Journal.index e.Journal.result)
-        entries;
-      (Some w, (fun ~index -> Hashtbl.find_opt tbl index), fun () -> Journal.close w)
-
-let replay_check ~index (site : site) (r : run_result) =
-  if r.site_name <> site.site_name then
-    raise
-      (Journal.Rejected
-         (Printf.sprintf "journal verdict at site %d names %S, campaign expects %S"
-            index r.site_name site.site_name))
-
-let exec_ids_of ~shard_i ~shard_n sample =
-  let ids = ref [] in
-  Array.iteri
-    (fun ti _ -> if ti mod shard_n = shard_i - 1 then ids := ti :: !ids)
-    sample;
-  Array.of_list (List.rev !ids)
-
-let collect sample results exec_ids =
-  Array.to_list
-    (Array.map
-       (fun ti ->
-         match results.(ti) with
-         | Some r -> r
-         | None ->
-             failwith
-               (Printf.sprintf "Iss_campaign: missing result for site %d (%s)" ti
-                  sample.(ti).site_name))
-       exec_ids)
-
-let run ?(config = default_config) ?(obs = Obs.null) ?on_progress ?journal
-    ?(resume = false) ?prepared prog =
-  let shard_i, shard_n = validate_shard config in
-  let golden, sample =
-    match use_prepared ~who:"Iss_campaign.run" ~config prog prepared with
-    | Some gs -> gs
-    | None ->
-        let golden = golden_run ~obs prog in
-        ( golden,
-          Obs.span obs "site_sampling" (fun () -> sample_sites ~config golden prog) )
-  in
-  let fp = fingerprint ~config prog sample in
-  let writer, lookup, close_journal = open_journal ~journal ~resume fp in
-  Fun.protect ~finally:close_journal @@ fun () ->
-  let exec_ids = exec_ids_of ~shard_i ~shard_n sample in
-  let results = Array.make (Array.length sample) None in
-  let total = Array.length exec_ids in
-  let done_ = ref 0 in
-  let progress () =
-    incr done_;
-    match on_progress with Some f -> f ~done_:!done_ ~total | None -> ()
-  in
-  Array.iter
-    (fun ti ->
-      let site = sample.(ti) in
-      let r =
-        match lookup ~index:ti with
-        | Some r ->
-            replay_check ~index:ti site r;
-            Obs.incr obs "journal.replayed";
-            r
-        | None ->
-            let r = run_one ~obs prog golden ~hang_factor:config.hang_factor site in
-            (match writer with Some w -> Journal.append w ~index:ti r | None -> ());
-            r
-      in
-      results.(ti) <- Some r;
-      progress ())
-    exec_ids;
-  let all = collect sample results exec_ids in
-  (summaries_by_model config.models all, all)
-
 (* Faulty ISS runs are independent and each builds a private emulator,
-   so the parallel engine is a plain atomic work queue; per-domain
-   telemetry forks merge in spawn order, which keeps counter totals
-   identical for any domain count, and verdict order is fixed by the
-   site list, so results are byte-identical to {!run}'s. *)
+   so every unit is one site and workers need no context of their own.
+   The journal index {e is} the site index, and every verdict's model
+   is bit-flip. *)
 let run_parallel ?(config = default_config) ?(obs = Obs.null) ?(domains = 4)
     ?on_progress ?journal ?(resume = false) ?prepared prog =
-  let shard_i, shard_n = validate_shard config in
-  let domains = max 1 domains in
+  Executor.check_shard ~who:"Iss_campaign" config.shard;
   let golden, sample =
-    match use_prepared ~who:"Iss_campaign.run_parallel" ~config prog prepared with
+    match use_prepared ~config prog prepared with
     | Some gs -> gs
     | None ->
         let golden = golden_run ~obs prog in
         ( golden,
           Obs.span obs "site_sampling" (fun () -> sample_sites ~config golden prog) )
   in
-  let fp = fingerprint ~config prog sample in
-  let writer, lookup, close_journal = open_journal ~journal ~resume fp in
-  Fun.protect ~finally:close_journal @@ fun () ->
-  let exec_ids = exec_ids_of ~shard_i ~shard_n sample in
-  let results = Array.make (Array.length sample) None in
-  let total = Array.length exec_ids in
-  let completed = Atomic.make 0 in
-  let progress () =
-    match on_progress with
-    | Some f -> f ~done_:(Atomic.fetch_and_add completed 1 + 1) ~total
-    | None -> ()
+  let plan pending =
+    { Executor.units = Array.of_list pending;
+      exec =
+        (fun () o ti ->
+          [ (ti, run_one ~obs:o prog golden ~hang_factor:config.hang_factor sample.(ti)) ]);
+      finish = (fun () _ -> []) }
   in
-  (* Journaled verdicts replay before any domain spawns, so their
-     result slots are read-only by the time workers run. *)
-  Array.iter
-    (fun ti ->
-      match lookup ~index:ti with
-      | Some r ->
-          replay_check ~index:ti sample.(ti) r;
-          Obs.incr obs "journal.replayed";
-          results.(ti) <- Some r;
-          progress ()
-      | None -> ())
-    exec_ids;
-  let todo =
-    Array.of_list (List.filter (fun ti -> results.(ti) = None) (Array.to_list exec_ids))
+  let all =
+    Executor.run ~obs ~domains:(max 1 domains) ~spawn:ignore ?on_progress ?journal ~resume
+      ~fingerprint:(fingerprint ~config prog sample) ~ntasks:(Array.length sample)
+      ~identity:(fun ti -> (C.Bit_flip, ti, sample.(ti).site_name))
+      ~exec_ids:(Executor.shard_ids config.shard ~tasks:(Array.length sample) ~site:Fun.id)
+      ~plan ()
   in
-  (if Array.length todo > 0 then begin
-     let next = Atomic.make 0 in
-     let aborted = Atomic.make false in
-     let errors = Array.make domains None in
-     let worker wi fork =
-       let rec go () =
-         if not (Atomic.get aborted) then begin
-           let k = Atomic.fetch_and_add next 1 in
-           if k < Array.length todo then begin
-             let ti = todo.(k) in
-             let r =
-               run_one ~obs:fork prog golden ~hang_factor:config.hang_factor
-                 sample.(ti)
-             in
-             (match writer with Some w -> Journal.append w ~index:ti r | None -> ());
-             results.(ti) <- Some r;
-             progress ();
-             go ()
-           end
-         end
-       in
-       try go ()
-       with e ->
-         errors.(wi) <- Some (e, Printexc.get_raw_backtrace ());
-         Atomic.set aborted true
-     in
-     let forks = Array.init domains (fun _ -> Obs.fork obs) in
-     let spawned =
-       List.init (domains - 1) (fun i ->
-           Domain.spawn (fun () -> worker (i + 1) forks.(i + 1)))
-     in
-     worker 0 forks.(0);
-     List.iter Domain.join spawned;
-     Array.iter (fun fork -> Obs.merge ~into:obs fork) forks;
-     Array.iter
-       (function
-         | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-         | None -> ())
-       errors
-   end);
-  let all = collect sample results exec_ids in
   (summaries_by_model config.models all, all)
+
+let run ?config ?obs ?on_progress ?journal ?resume ?prepared prog =
+  run_parallel ?config ?obs ~domains:1 ?on_progress ?journal ?resume ?prepared prog

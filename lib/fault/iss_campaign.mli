@@ -148,15 +148,7 @@ val run :
   ?prepared:prepared ->
   Sparc.Asm.program ->
   (model * Campaign.summary) list * run_result list
-(** Full sequential campaign: golden run, site sampling, one faulty run
-    per sampled site (restricted to [config.shard]).  [journal] /
-    [resume] behave exactly as in {!Campaign.run} — journaled verdicts
-    replay byte-identically (counted as [journal.replayed] on [obs]), a
-    stale journal raises {!Journal.Rejected}.  [prepared] skips the
-    golden run and sampling, reusing a {!prepare} result; it must have
-    been built from the same program and config (shard aside) or the
-    call raises [Invalid_argument].  Returns per-model summaries plus
-    every verdict in model-major site order. *)
+(** {!run_parallel} with one domain. *)
 
 val run_parallel :
   ?config:config ->
@@ -168,7 +160,15 @@ val run_parallel :
   ?prepared:prepared ->
   Sparc.Asm.program ->
   (model * Campaign.summary) list * run_result list
-(** Like {!run}, over [domains] OCaml domains (default 4).  Verdicts,
-    summaries and journal contents are byte-identical to the sequential
-    engine's for any domain count; telemetry forks merge in spawn
-    order. *)
+(** Full campaign: golden run, site sampling, one faulty run per
+    sampled site (restricted to [config.shard]), on the same
+    {!Executor} as {!Campaign.run_parallel}, over [domains] OCaml
+    domains (default 4).  [journal] / [resume] behave exactly as in
+    {!Campaign.run_parallel} — journaled verdicts replay
+    byte-identically (counted as [journal.replayed] on [obs]), a stale
+    journal raises {!Journal.Rejected}.  [prepared] skips the golden
+    run and sampling, reusing a {!prepare} result; it must have been
+    built from the same program and config (shard aside) or the call
+    raises [Invalid_argument].  Returns per-model summaries plus every
+    verdict in model-major site order — the same for any domain
+    count. *)

@@ -53,8 +53,6 @@ let obs t = t.obs
 
 let circuit t = t.core.Core.circuit
 
-let set_hang_cone t on = C.enable_observed_cone (circuit t) on
-
 let load t prog =
   assert (prog.Asm.entry = Core.default_params.reset_pc || prog.Asm.entry <> 0);
   C.reset (circuit t);

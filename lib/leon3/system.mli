@@ -38,13 +38,6 @@ val set_obs : t -> Obs.t -> unit
 
 val obs : t -> Obs.t
 
-val set_hang_cone : t -> bool -> unit
-(** Gate the observed-cone restriction of cycle-proof hang detection
-    ({!Rtl.Circuit.enable_observed_cone}); on by default.  Off, the
-    detector compares full state — inert on this core, whose
-    free-running retired-instruction counter never recurs — which is
-    the legacy watchdog behaviour the tail A/B measures against. *)
-
 val load : t -> Asm.program -> unit
 (** Reset the circuit, clear recorded events and install the program
     image.  The program must be linked at the core's reset PC. *)

@@ -298,12 +298,9 @@ type t = {
   mutable replay : replay option;
   mutable batch : batch option;
   (* observed-cone restriction for recurrence comparison: [||] = no
-     cone set, every node and memory compared; [cone_on] gates the
-     restriction so an A/B can fall back to full-state comparison
-     without recomputing the closure *)
+     cone set, every node and memory compared *)
   mutable cone : bool array;
   mutable cone_mems : bool array;
-  mutable cone_on : bool;
 }
 
 let create c_name =
@@ -313,7 +310,7 @@ let create c_name =
     rport_of = [||]; max_deps = 0; reg_ids = [||]; reg_next = [||]; reg_d = [||];
     reg_en = [||]; input_ids = [||]; compiled = None; by_name = Hashtbl.create 16;
     elaborated = false; cyc = 0; fault = None; recording = None; tracing = None;
-    replay = None; batch = None; cone = [||]; cone_mems = [||]; cone_on = true }
+    replay = None; batch = None; cone = [||]; cone_mems = [||] }
 
 let name t = t.c_name
 
@@ -1842,11 +1839,7 @@ let set_observed_cone t roots =
   t.cone <- inc;
   t.cone_mems <- incm
 
-let enable_observed_cone t on =
-  check_elab t;
-  t.cone_on <- on
-
-let coned t = t.cone_on && Array.length t.cone > 0
+let coned t = Array.length t.cone > 0
 
 let same_state t snap =
   check_elab t;

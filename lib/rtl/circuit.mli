@@ -189,14 +189,6 @@ val set_observed_cone : t -> signal list -> unit
     {!batch_lane_hash}; {!state_equal}, {!snapshot}/{!restore} and
     {!state_hash} stay full-state. *)
 
-val enable_observed_cone : t -> bool -> unit
-(** Toggle the cone restriction without recomputing the closure
-    (default on once {!set_observed_cone} has run).  Off, recurrence
-    comparison reverts to full state — on a core with free-running
-    accounting state that makes the hang detector provably inert,
-    which is exactly the legacy behaviour the tail A/B measures
-    against. *)
-
 val state_hash : t -> int
 (** Deterministic hash of the full sequential state; cheap fingerprint
     for logging and cross-checking checkpoints. *)

@@ -363,11 +363,10 @@ let test_campaign_same_sites_across_models () =
     (names_of C.Stuck_at_1)
     (names_of C.Open_line)
 
-(* ---- trimmed execution ---- *)
+(* ---- result projections ---- *)
 
 (* Verdict-relevant projection of a result: everything except the
-   [sim] status, which is the only field trimming may legitimately
-   change. *)
+   [sim] status, which records which layer decided the verdict. *)
 let verdict (r : Campaign.run_result) =
   (r.Campaign.site_name, r.Campaign.model, r.Campaign.outcome, r.Campaign.detect_cycle,
    r.Campaign.inject_cycle)
@@ -377,37 +376,141 @@ let core_summary (s : Campaign.summary) =
    s.Campaign.missing_writes, s.Campaign.traps, s.Campaign.hangs,
    s.Campaign.max_latency, s.Campaign.mean_latency)
 
-let test_trim_matches_untrimmed () =
-  let sys = Lazy.force shared_sys in
-  let prog = Lazy.force small_prog in
-  let base =
-    { Campaign.default_config with
-      Campaign.models = [ C.Stuck_at_0; C.Stuck_at_1; C.Open_line ];
-      sample_size = Some 40 }
+(* ---- reference equivalence ----
+
+   Every acceleration layer of the campaign engine (activation
+   prefilter, checkpoints, static pruning and collapsing, differential
+   replay, bit-parallel batching and its dense tail) is always on, so
+   its exactness is checked the way [bench/layers] checks it: each
+   campaign verdict is re-derived on the dense reference oracle,
+   [Campaign.run_one] without a replay plan against a golden run with
+   no coverage, trace or checkpoints. *)
+
+let rspeed =
+  lazy ((Workloads.Suite.find "rspeed").Workloads.Suite.build ~iterations:1 ~dataset:0)
+
+let dense_golden sys prog = Campaign.golden_run sys prog ~max_cycles:5_000_000
+
+(* Re-derive each verdict on the oracle; [skip] leaves verdicts out
+   (hangs on the gate-level netlist, where one dense watchdog run costs
+   seconds). *)
+let check_against_oracle ?(skip = fun _ -> false) ~label sys prog results =
+  let dense = dense_golden sys prog in
+  let sites = Hashtbl.create 4096 in
+  List.iter
+    (fun s -> Hashtbl.replace sites s.Injection.site_name s)
+    (Injection.sites (Leon3.System.core sys) Injection.Iu);
+  let checked = ref 0 in
+  List.iter
+    (fun (r : Campaign.run_result) ->
+      if not (skip r) then begin
+        incr checked;
+        let got =
+          Campaign.run_one sys prog dense ~inject_cycle:r.Campaign.inject_cycle
+            (Hashtbl.find sites r.Campaign.site_name)
+            r.Campaign.model
+        in
+        check_bool
+          (Printf.sprintf "%s: %s %s = dense" label r.Campaign.site_name
+             (C.fault_model_name r.Campaign.model))
+          true
+          (verdict got = verdict r)
+      end)
+    results;
+  !checked
+
+let reference_config ~sites =
+  { Campaign.default_config with
+    Campaign.models = [ C.Stuck_at_0; C.Stuck_at_1; C.Open_line ];
+    sample_size = Some sites }
+
+let test_behavioural_matches_oracle () =
+  let prog = Lazy.force rspeed in
+  let sys = Leon3.System.create () in
+  let config = reference_config ~sites:16 in
+  let obs = Obs.create () in
+  let summaries, seq = Campaign.run ~config ~obs sys prog Injection.Iu in
+  let checked = check_against_oracle ~label:"run" sys prog seq in
+  check_int "every verdict checked" (List.length seq) checked;
+  List.iter
+    (fun (m, s) ->
+      check_bool "summary = summary of the verdicts" true
+        (core_summary s
+        = core_summary
+            (Campaign.summarize (List.filter (fun r -> r.Campaign.model = m) seq))))
+    summaries;
+  (* the parallel and sharded paths return the same verdicts, hence the
+     oracle's too *)
+  let _, par =
+    Campaign.run_parallel ~config ~domains:3 (fun () -> Leon3.System.create ()) prog
+      Injection.Iu
   in
-  let sum_t, res_t = Campaign.run ~config:{ base with Campaign.trim = true } sys prog Injection.Iu in
-  let sum_u, res_u = Campaign.run ~config:{ base with Campaign.trim = false } sys prog Injection.Iu in
-  (* byte-identical verdicts, result for result *)
-  check_int "result count" (List.length res_u) (List.length res_t);
-  List.iter2
-    (fun rt ru ->
-      check_bool ("verdict: " ^ rt.Campaign.site_name) true (verdict rt = verdict ru))
-    res_t res_u;
-  List.iter2
-    (fun (m, st) (m', su) ->
-      check_bool "model order" true (m = m');
-      check_bool "summary core fields identical" true (core_summary st = core_summary su);
-      check_int "untrimmed skips nothing" 0 su.Campaign.skipped;
-      check_int "untrimmed never exits early" 0 su.Campaign.early_exits)
-    sum_t sum_u;
-  (* trimming must actually pay: >= 20% of this workload's injections
-     are provably never-activating and classified without simulation *)
-  let total = List.fold_left (fun a (_, s) -> a + s.Campaign.injections) 0 sum_t in
-  let skipped = List.fold_left (fun a (_, s) -> a + s.Campaign.skipped) 0 sum_t in
+  check_bool "run_parallel ~domains:3 = run" true
+    (List.map verdict par = List.map verdict seq);
+  let shard k =
+    snd (Campaign.run ~config:{ config with Campaign.shard = (k, 2) } sys prog Injection.Iu)
+  in
+  let sharded = shard 1 @ shard 2 in
+  check_bool "2-shard split = run" true
+    (List.sort compare (List.map verdict sharded) = List.sort compare (List.map verdict seq));
+  (* the layers did the work: the prefilter decided a fifth of the
+     injections, batches ran, replays evaluated a fraction of the dense
+     sweeps, and every lane the batch ejected was resolved by a cycle
+     proof or a transplant *)
+  let total = Obs.counter obs "injections" in
+  let skipped = Obs.counter obs "prefiltered" in
   check_bool
     (Printf.sprintf "prefilter skips >= 20%% (%d/%d)" skipped total)
     true
-    (skipped * 5 >= total)
+    (skipped * 5 >= total);
+  check_bool "batch passes ran" true (Obs.counter obs "batch.passes" > 0);
+  check_bool "dirty cone much smaller than dense sweep" true
+    (Obs.counter obs "diff.nodes_evaluated" * 2 < Obs.counter obs "diff.golden_evaluated");
+  if Obs.counter obs "batch.ejected" > 0 then
+    check_bool "ejections resolved by proof or transplant" true
+      (Obs.counter obs "tail.cycle_proofs" + Obs.counter obs "tail.transplants" > 0)
+
+let test_gate_level_matches_oracle () =
+  let prog = Lazy.force rspeed in
+  let params = { Leon3.Core.default_params with Leon3.Core.gate_level = true } in
+  let sys = Leon3.System.create ~params () in
+  let _, results = Campaign.run ~config:(reference_config ~sites:4) sys prog Injection.Iu in
+  let checked =
+    check_against_oracle ~label:"gate-level"
+      ~skip:(fun r -> r.Campaign.outcome = Campaign.Failure Campaign.Hang)
+      sys prog results
+  in
+  check_bool "verdicts checked" true (checked > 0)
+
+(* [run_transient] reports only its summary, so its upsets are redrawn
+   here exactly as it draws them — sites without replacement from the
+   pool, then one instant per site — and every one is re-run dense. *)
+let test_transient_matches_oracle () =
+  let prog = Lazy.force rspeed in
+  let sys = Leon3.System.create () in
+  let sample = 30 and seed = 11 in
+  let s =
+    Campaign.run_transient ~sample ~seed ~checkpoint_every:64 sys prog Injection.Iu
+  in
+  let dense = dense_golden sys prog in
+  let rng = Stats.Rng.create seed in
+  let upsets =
+    Array.map
+      (fun site -> (site, Stats.Rng.int rng (max 1 dense.Campaign.cycles)))
+      (Stats.Rng.sample_without_replacement rng sample
+         (Array.of_list (Injection.sites (Leon3.System.core sys) Injection.Iu)))
+  in
+  let results =
+    Array.to_list
+      (Array.map
+         (fun (site, inject_cycle) ->
+           Campaign.run_one sys prog dense ~inject_cycle ~duration:1 site C.Bit_flip)
+         upsets)
+  in
+  check_bool "summary = dense upsets' summary" true
+    (core_summary s = core_summary (Campaign.summarize results));
+  check_int "bit flips never prefiltered" 0 s.Campaign.skipped;
+  check_bool "some runs early-exit on convergence" true (s.Campaign.early_exits > 0)
 
 let test_parallel_domain_count_irrelevant () =
   let prog = Lazy.force small_prog in
@@ -505,16 +608,6 @@ let test_obs_counters_domain_invariant () =
   check_bool "golden span" true (Obs.span_total obs4 "golden" >= 0.);
   check_int "one golden per parallel run" 1 (Obs.span_count obs4 "golden");
   check_int "one sampling pass" 1 (Obs.span_count obs4 "site_sampling")
-
-let test_transient_trim_equivalence () =
-  let sys = Lazy.force shared_sys in
-  let prog = Lazy.force small_prog in
-  let s_t = Campaign.run_transient ~sample:60 ~seed:11 ~trim:true ~checkpoint_every:64 sys prog Injection.Iu in
-  let s_u = Campaign.run_transient ~sample:60 ~seed:11 ~trim:false sys prog Injection.Iu in
-  check_bool "verdict summary identical" true (core_summary s_t = core_summary s_u);
-  check_int "bit flips never prefiltered" 0 s_t.Campaign.skipped;
-  check_bool "some runs early-exit on convergence" true (s_t.Campaign.early_exits > 0);
-  check_int "untrimmed never exits early" 0 s_u.Campaign.early_exits
 
 (* ---- static netlist analysis: pruning + collapsing ---- *)
 
@@ -635,13 +728,17 @@ let suite =
       Alcotest.test_case "parallel = sequential" `Slow test_parallel_matches_sequential;
       Alcotest.test_case "transient campaign" `Slow test_transient_campaign;
       Alcotest.test_case "paired sites" `Quick test_campaign_same_sites_across_models;
-      Alcotest.test_case "trim = untrimmed" `Slow test_trim_matches_untrimmed;
+      Alcotest.test_case "behavioural campaign = dense oracle" `Slow
+        test_behavioural_matches_oracle;
       Alcotest.test_case "domains 1 = domains 4" `Slow test_parallel_domain_count_irrelevant;
       Alcotest.test_case "parallel progress reporting" `Slow test_parallel_progress_reporting;
       Alcotest.test_case "obs counters domain-invariant" `Slow test_obs_counters_domain_invariant;
-      Alcotest.test_case "transient trim equivalence" `Slow test_transient_trim_equivalence;
+      Alcotest.test_case "transient upsets = dense oracle" `Slow
+        test_transient_matches_oracle;
       Alcotest.test_case "static = full on figure-5 workloads" `Slow
         test_static_matches_full_on_figure5_workloads;
       Alcotest.test_case "gate-level collapsing" `Slow test_gate_level_campaign_collapses;
       Alcotest.test_case "cone-pruned faults silent" `Slow
-        test_cone_pruned_faults_are_silent ] )
+        test_cone_pruned_faults_are_silent;
+      Alcotest.test_case "gate-level campaign = dense oracle" `Slow
+        test_gate_level_matches_oracle ] )

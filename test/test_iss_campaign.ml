@@ -105,16 +105,31 @@ let test_campaign_runs_all_models () =
     results
 
 let test_parallel_equals_sequential () =
+  (* both entry points run the shared executor: verdicts, summaries,
+     telemetry counters and journal contents agree *)
   let prog = Lazy.force small_prog in
-  let s_seq, r_seq = IC.run ~config:(config ()) prog in
-  let s_par, r_par = IC.run_parallel ~config:(config ()) ~domains:4 prog in
+  with_journal @@ fun seq_path ->
+  with_journal @@ fun par_path ->
+  let obs_seq = Obs.create () and obs_par = Obs.create () in
+  let s_seq, r_seq = IC.run ~config:(config ()) ~obs:obs_seq ~journal:seq_path prog in
+  let s_par, r_par =
+    IC.run_parallel ~config:(config ()) ~obs:obs_par ~domains:4 ~journal:par_path prog
+  in
   check_int "verdict count" (List.length r_seq) (List.length r_par);
   List.iter2
     (fun a b ->
       check_bool ("verdicts equal: " ^ a.Journal.site_name) true
         (full_verdict a = full_verdict b))
     r_seq r_par;
-  check_bool "summaries equal" true (s_seq = s_par)
+  check_bool "summaries equal" true (s_seq = s_par);
+  Alcotest.(check (list (pair string int)))
+    "counters equal" (Obs.counters obs_seq) (Obs.counters obs_par);
+  match (Journal.load seq_path, Journal.load par_path) with
+  | Ok (_, a), Ok (_, b) ->
+      let key e = (e.Journal.index, full_verdict e.Journal.result) in
+      check_bool "journal contents equal" true
+        (List.sort compare (List.map key a) = List.sort compare (List.map key b))
+  | Error m, _ | _, Error m -> Alcotest.fail m
 
 let prop_parallel_matches_sequential =
   (* the engines agree for any sample size and domain count *)

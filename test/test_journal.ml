@@ -227,7 +227,21 @@ let test_campaign_journal_resume () =
   check_int "no golden run on a complete journal" 0 (Obs.span_count obs2 "golden");
   List.iter2
     (fun r0 r2 -> check_bool "stable" true (full_verdict r0 = full_verdict r2))
-    results0 results2
+    results0 results2;
+  (* ... and neither does the parallel engine *)
+  let obs3 = Obs.create () in
+  let _, results3 =
+    Campaign.run_parallel ~config:(config ()) ~obs:obs3 ~domains:3 ~journal:path ~resume:true
+      (fun () -> Leon3.System.create ())
+      (Lazy.force small_prog) Injection.Iu
+  in
+  check_int "parallel: everything replayed" (List.length results0)
+    (Obs.counter obs3 "journal.replayed");
+  check_int "parallel: no golden run on a complete journal" 0
+    (Obs.span_count obs3 "golden");
+  List.iter2
+    (fun r0 r3 -> check_bool "parallel stable" true (full_verdict r0 = full_verdict r3))
+    results0 results3
 
 let test_campaign_rejects_stale_journal () =
   with_journal @@ fun path ->
@@ -321,6 +335,29 @@ let test_sharded_parallel_engine () =
         (List.sort compare (List.map key ea) = List.sort compare (List.map key eb))
   | Error m, _ | _, Error m -> Alcotest.fail m
 
+let test_sequential_journal_merges_like_parallel () =
+  (* verdict lines land in completion order, which differs between
+     engines; loading and merging places them by index, so both
+     journals reassemble the direct run *)
+  let _, direct = direct_run () in
+  with_journal @@ fun seq_path ->
+  with_journal @@ fun par_path ->
+  let _ = direct_run ~journal:seq_path () in
+  let _ =
+    Campaign.run_parallel ~config:(config ()) ~domains:3 ~journal:par_path
+      (fun () -> Leon3.System.create ())
+      (Lazy.force small_prog) Injection.Iu
+  in
+  let merged path =
+    match Result.bind (Journal.load path) (fun j -> Journal.merge [ j ]) with
+    | Ok (_, merged) -> List.map full_verdict merged
+    | Error m -> Alcotest.fail m
+  in
+  check_bool "sequential journal merges to the direct run" true
+    (merged seq_path = List.map full_verdict direct);
+  check_bool "parallel journal merges to the same verdicts" true
+    (merged par_path = merged seq_path)
+
 let test_invalid_shard_rejected () =
   let sys = Lazy.force shared_sys in
   let prog = Lazy.force small_prog in
@@ -336,21 +373,25 @@ let test_invalid_shard_rejected () =
 
 let test_parallel_exception_propagates () =
   (* a worker's exception must surface as itself, not as a
-     missing-result failure *)
+     missing-result failure — with or without spawned domains *)
   let prog = Lazy.force small_prog in
-  let hits = Atomic.make 0 in
-  check_bool "original exception re-raised" true
-    (match
-       Campaign.run_parallel ~config:(config ())
-         ~domains:2
-         ~on_progress:(fun ~done_:_ ~total:_ ->
-           if Atomic.fetch_and_add hits 1 = 3 then raise Exit)
-         (fun () -> Leon3.System.create ())
-         prog Injection.Iu
-     with
-    | _ -> false
-    | exception Exit -> true
-    | exception _ -> false)
+  List.iter
+    (fun domains ->
+      let hits = Atomic.make 0 in
+      check_bool
+        (Printf.sprintf "original exception re-raised (%d domains)" domains)
+        true
+        (match
+           Campaign.run_parallel ~config:(config ()) ~domains
+             ~on_progress:(fun ~done_:_ ~total:_ ->
+               if Atomic.fetch_and_add hits 1 = 3 then raise Exit)
+             (fun () -> Leon3.System.create ())
+             prog Injection.Iu
+         with
+        | _ -> false
+        | exception Exit -> true
+        | exception _ -> false))
+    [ 1; 2 ]
 
 let suite =
   ( "journal",
@@ -362,6 +403,8 @@ let suite =
       Alcotest.test_case "stale journal rejected" `Slow test_campaign_rejects_stale_journal;
       Alcotest.test_case "shard merge = direct" `Slow test_shard_merge_equals_direct;
       Alcotest.test_case "sharded parallel engine" `Slow test_sharded_parallel_engine;
+      Alcotest.test_case "sequential journal merges like parallel" `Slow
+        test_sequential_journal_merges_like_parallel;
       Alcotest.test_case "invalid shard rejected" `Quick test_invalid_shard_rejected;
       Alcotest.test_case "worker exception propagates" `Slow
         test_parallel_exception_propagates ] )

@@ -1,8 +1,8 @@
 (* Tests for the watchdog-tail machinery: the Brent cycle detector
-   (exact period, hash-collision rejection), the lane→scalar
+   (exact period, hash-collision rejection), the observed-cone
+   restriction of recurrence comparison, and the lane→scalar
    exhaustion-state transplant (state-for-state equal to a from-zero
-   re-simulation advanced to trace end), and campaign verdict-table
-   byte-equivalence with the tail engine on vs off. *)
+   re-simulation advanced to trace end). *)
 
 module A = Sparc.Asm
 module I = Sparc.Isa
@@ -115,9 +115,8 @@ let golden_setup =
 
 let spec site model = { Batch.site; model; from_cycle = 0; duration = None }
 
-(* Permanent faults that outlive the golden trace (the batch ejects
-   them), discovered by sweeping full batches over the site pool with
-   the tail engine off. *)
+(* Permanent faults the dense tail hands over to the scalar engine,
+   discovered by sweeping full batches over the site pool. *)
 let ejecting_specs =
   lazy
     (let sys = Lazy.force shared_sys in
@@ -135,8 +134,7 @@ let ejecting_specs =
                models.(i mod 3))
        in
        let outcomes, _ =
-         Batch.run ~tail:false ~sys ~prog ~trace ~reference:golden.Campaign.writes
-           ~max_cycles specs
+         Batch.run ~sys ~prog ~trace ~reference:golden.Campaign.writes ~max_cycles specs
        in
        Array.iteri
          (fun i o ->
@@ -152,13 +150,9 @@ let ejecting_specs =
    lane outlives the trace is always handed over as a transplant. *)
 let eject_one sys prog golden trace ~max_cycles sp =
   let outcomes, _ =
-    Batch.run ~tail:true ~sys ~prog ~trace ~reference:golden.Campaign.writes
-      ~max_cycles [| sp |]
+    Batch.run ~sys ~prog ~trace ~reference:golden.Campaign.writes ~max_cycles [| sp |]
   in
-  match outcomes.(0) with
-  | Batch.Ejected (Some e) -> Some e
-  | Batch.Ejected None -> Alcotest.fail "tail engine returned Ejected None"
-  | Batch.Done _ -> None
+  match outcomes.(0) with Batch.Ejected e -> Some e | Batch.Done _ -> None
 
 let check_transplant_matches_rerun sp =
   let sys = Lazy.force shared_sys in
@@ -230,90 +224,43 @@ let prop_transplant_matches_rerun =
       check_transplant_matches_rerun pool.(k mod Array.length pool);
       true)
 
-(* ---- campaign verdict tables byte-identical, tail on vs off ---- *)
-
-let verdict (r : Campaign.run_result) =
-  (r.Campaign.site_name, r.Campaign.model, r.Campaign.outcome, r.Campaign.detect_cycle,
-   r.Campaign.inject_cycle)
-
-let full_summary (s : Campaign.summary) =
-  ( s.Campaign.injections, s.Campaign.failures, s.Campaign.pf, s.Campaign.wrong_writes,
-    s.Campaign.missing_writes, s.Campaign.traps, s.Campaign.hangs,
-    s.Campaign.max_latency, s.Campaign.mean_latency, s.Campaign.skipped,
-    s.Campaign.early_exits )
-
-let test_tail_campaign_equivalence () =
-  let sys = Lazy.force shared_sys in
-  let base =
-    { Campaign.default_config with
-      Campaign.models = [ C.Stuck_at_0; C.Stuck_at_1; C.Open_line ];
-      sample_size = Some 40 }
-  in
-  let obs_on = Obs.create () in
-  List.iter
-    (fun e ->
-      let prog = e.Workloads.Suite.build ~iterations:1 ~dataset:0 in
-      let wl = e.Workloads.Suite.name in
-      let sum_t, res_t =
-        Campaign.run
-          ~config:{ base with Campaign.tail = true }
-          ~obs:obs_on sys prog Injection.Iu
-      in
-      let sum_o, res_o =
-        Campaign.run ~config:{ base with Campaign.tail = false } sys prog Injection.Iu
-      in
-      check_int (wl ^ ": result count") (List.length res_o) (List.length res_t);
-      List.iter2
-        (fun rt ro ->
-          check_bool (wl ^ ": verdict " ^ rt.Campaign.site_name) true
-            (verdict rt = verdict ro))
-        res_t res_o;
-      List.iter2
-        (fun (m, st) (m', so) ->
-          check_bool (wl ^ ": model order") true (m = m');
-          check_bool (wl ^ ": summaries identical") true
-            (full_summary st = full_summary so))
-        sum_t sum_o)
-    Workloads.Suite.table1_set;
-  (* whenever the batch ejected a lane, the tail machinery must have
-     resolved it: by in-batch cycle proof or by transplant *)
-  if Obs.counter obs_on "batch.ejected" > 0 then
-    check_bool "ejections resolved by proof or transplant" true
-      (Obs.counter obs_on "tail.cycle_proofs" + Obs.counter obs_on "tail.transplants"
-      > 0)
-
 (* ---- the observed cone: free-running accounting state outside the
-   cone (the instret pattern) must not block a recurrence proof, and
-   disabling the cone must restore the legacy full-state comparison ---- *)
+   cone (the instret pattern) must not block a recurrence proof, while
+   a circuit with no cone compares full state ---- *)
 let test_observed_cone () =
-  let c = C.create "cone" in
   (* a 2-state oscillator drives the observable output; a free-running
      counter (never read by the output) accumulates forever *)
-  let osc = C.reg c "osc" ~width:1 ~init:0 () in
-  let ctr = C.reg c "ctr" ~width:16 ~init:0 () in
-  let out = C.comb1 c "out" 1 osc (fun v -> v) in
-  C.connect c osc ~d:(C.comb1 c "osc_n" 1 osc (fun v -> lnot v land 1)) ();
-  C.connect c ctr ~d:(C.comb1 c "ctr_n" 16 ctr (fun v -> v + 1)) ();
-  C.elaborate c;
-  C.set_observed_cone c [ out ];
-  C.settle c;
-  let snap = C.snapshot c in
-  let h0 = C.content_hash c in
-  let step () =
-    C.clock c;
-    C.settle c
+  let build ~cone =
+    let c = C.create "cone" in
+    let osc = C.reg c "osc" ~width:1 ~init:0 () in
+    let ctr = C.reg c "ctr" ~width:16 ~init:0 () in
+    let out = C.comb1 c "out" 1 osc (fun v -> v) in
+    C.connect c osc ~d:(C.comb1 c "osc_n" 1 osc (fun v -> lnot v land 1)) ();
+    C.connect c ctr ~d:(C.comb1 c "ctr_n" 16 ctr (fun v -> v + 1)) ();
+    C.elaborate c;
+    if cone then C.set_observed_cone c [ out ];
+    C.settle c;
+    c
   in
-  step ();
-  step ();
+  let two_steps c =
+    let snap = C.snapshot c in
+    let h0 = C.content_hash c in
+    for _ = 1 to 2 do
+      C.clock c;
+      C.settle c
+    done;
+    (snap, h0)
+  in
   (* two steps later the oscillator has recurred but the counter has
-     not: cone-restricted comparison proves the recurrence, the legacy
-     full-state comparison must still see the counter move *)
-  check_bool "cone: recurrence proven" true (C.same_state c snap);
-  check_int "cone: hash recurs" h0 (C.content_hash c);
-  C.enable_observed_cone c false;
-  check_bool "no cone: counter blocks recurrence" false (C.same_state c snap);
-  C.enable_observed_cone c true;
-  check_bool "cone re-enabled: recurrence again" true (C.same_state c snap)
+     not: cone-restricted comparison proves the recurrence, full-state
+     comparison must still see the counter move *)
+  let coned = build ~cone:true in
+  let snap, h0 = two_steps coned in
+  check_bool "cone: recurrence proven" true (C.same_state coned snap);
+  check_int "cone: hash recurs" h0 (C.content_hash coned);
+  let plain = build ~cone:false in
+  let snap, _ = two_steps plain in
+  check_bool "no cone: counter blocks recurrence" false (C.same_state plain snap)
 
 let suite =
   ( "tail",
@@ -324,7 +271,5 @@ let suite =
       Alcotest.test_case "cycle detector: collisions rejected" `Quick
         test_cycle_collisions_rejected;
       Alcotest.test_case "transplant = from-zero rerun (known ejectors)" `Slow
-        test_transplant_known_ejecting;
-      Alcotest.test_case "tail campaign = no-tail campaign (figure 5)" `Slow
-        test_tail_campaign_equivalence ]
+        test_transplant_known_ejecting ]
     @ List.map QCheck_alcotest.to_alcotest [ prop_transplant_matches_rerun ] )
