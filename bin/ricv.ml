@@ -470,7 +470,8 @@ let iss_campaign_cmd =
 
 let correlate_cmd =
   let samples_arg =
-    Arg.(value & opt (some int) None & info [ "samples"; "s" ] ~docv:"N"
+    Arg.(value & opt (some (positive_int "sample size")) None
+           & info [ "samples"; "s" ] ~docv:"N"
            ~doc:"Injection sample size per (workload, block) and per ISS model.")
   in
   let run samples gate trace metrics =
@@ -683,7 +684,8 @@ let experiment_cmd =
            & info [] ~docv:"ID" ~doc:"Experiment id (see `ricv list`).")
   in
   let samples_arg =
-    Arg.(value & opt (some int) None & info [ "samples"; "s" ] ~docv:"N"
+    Arg.(value & opt (some (positive_int "sample size")) None
+           & info [ "samples"; "s" ] ~docv:"N"
            ~doc:"Injection sample size per (workload, block).")
   in
   let run id samples gate trace metrics =

@@ -21,10 +21,11 @@ type result = {
   events : Bus_event.t list;
 }
 
-(* A lane the dense tail could not retire, extracted for scalar
-   continuation: circuit state + fault (the transplant), the lane's
-   main-memory image (golden base + overlay, materialised), bus-driver
-   states, and the comparator/event bookkeeping a resumed run needs. *)
+(* A lane still undecided at the trace's last cycle, extracted for
+   scalar continuation: circuit state + fault (the transplant), the
+   lane's main-memory image (golden base + overlay, materialised),
+   bus-driver states, and the comparator/event bookkeeping a resumed
+   run needs. *)
 type ejected = {
   e_tp : C.transplant;
   e_mem : Memory.t;
@@ -98,7 +99,7 @@ let lv_set base ln wa v =
 
 let size_of_code = function 0 -> Bus_event.Byte | 1 -> Bus_event.Half | _ -> Bus_event.Word
 
-let run ?(obs = Obs.null) ~sys ~prog ~trace ~reference ~max_cycles specs =
+let run ~sys ~prog ~trace ~reference ~max_cycles specs =
   let n = Array.length specs in
   if n > C.max_lanes then invalid_arg "Batch.run: more specs than lanes";
   let core = System.core sys in
@@ -146,10 +147,8 @@ let run ?(obs = Obs.null) ~sys ~prog ~trace ~reference ~max_cycles specs =
            mismatch_cycle = ln.mismatch;
            events = List.rev ln.events_rev })
   in
-  (* Materialise a lane's full state for scalar continuation (tail
-     mode only: requires the exhausting clock completed by
-     [batch_tail_start], so the lane stands at a settled post-step
-     state). *)
+  (* Materialise a lane's full state for scalar continuation; the lane
+     stands at a settled loop top, where [System.run_segment] resumes. *)
   let eject ln =
     let mem = Memory.copy base in
     Hashtbl.iter (fun wa v -> Memory.store_word mem wa v) ln.mem;
@@ -274,84 +273,11 @@ let run ?(obs = Obs.null) ~sys ~prog ~trace ~reference ~max_cycles specs =
       end
     end
   in
-  let apply_inputs () =
-    Array.iter
-      (fun ln ->
-        if not ln.finished then begin
-          C.batch_set_input circuit ic.Cache_block.bus_ready ln.idx ln.in_ir;
-          C.batch_set_input circuit ic.Cache_block.bus_rdata ln.idx ln.in_ird;
-          C.batch_set_input circuit dc.Cache_block.bus_ready ln.idx ln.in_dr;
-          C.batch_set_input circuit dc.Cache_block.bus_rdata ln.idx ln.in_drd
-        end)
-      lanes
-  in
-  (* Per-lane cycle-proof detectors, armed at tail entry for lanes
-     whose fault is permanent and already active — then the armed
-     fault is a pure function of the circuit state and a confirmed
-     state recurrence with equal write count and bus-driver state is a
-     proof of periodicity, exactly as in the scalar detector
-     ([System.run_segment]'s correctness argument carries over lane by
-     lane: the golden base memory is frozen in tail mode, so a lane's
-     main-memory image can only change through its own writes). *)
-  let dets = Array.make n None in
-  let in_tail = ref false in
-  let tail_entry = ref 0.0 in
-  (* Dense advance is a full per-lane sweep of the netlist each cycle —
-     several times the scalar engine's per-cycle cost — so it only
-     earns its keep while cycle proofs are retiring lanes.  The window
-     below catches the common wedge (a loop of a few dozen cycles
-     proves within stride × period of the entry anchor); survivors are
-     handed to the scalar engine as transplants, which still skips the
-     whole trace prefix and runs its own detector for longer periods. *)
-  let dense_tail_budget = 256 in
-  let tail_deadline = ref max_int in
-  let arm_detectors () =
-    let cyc = C.cycle circuit in
-    Array.iter
-      (fun ln ->
-        if (not ln.finished) && specs.(ln.idx).duration = None
-           && specs.(ln.idx).from_cycle <= cyc
-        then
-          let mix h x = ((h lxor x) * 0x100000001B3) lxor (h lsr 17) in
-          dets.(ln.idx) <-
-            Some
-              (Rtl.Cycle.create ~first:cyc ~stride:4
-                 ~hash:(fun () ->
-                   mix
-                     (mix
-                        (mix
-                           (mix
-                              (mix (C.batch_lane_hash circuit ln.idx) ln.nw)
-                              ln.cd.(0))
-                           (Bool.to_int ln.rdy.(0)))
-                        ln.cd.(1))
-                     (Bool.to_int ln.rdy.(1)))
-                 ~capture:(fun () ->
-                   ( C.batch_lane_state circuit ln.idx, ln.nw, ln.cd.(0), ln.rdy.(0),
-                     ln.cd.(1), ln.rdy.(1) ))
-                 ~confirm:(fun (s, wr, icd, iro, dcd, dro) ->
-                   ln.nw = wr && ln.cd.(0) = icd && ln.rdy.(0) = iro
-                   && ln.cd.(1) = dcd && ln.rdy.(1) = dro
-                   && C.batch_lane_same_state circuit ln.idx s)
-                 ()))
-      lanes
-  in
-  (* Enter dense tail mode: complete the exhausting clock's register
-     commit, then apply the bus inputs this cycle's drive computed and
-     settle — the live lanes now stand at the same settled state a
-     scalar run reaches one step past the trace. *)
-  let enter_tail () =
-    C.batch_tail_start circuit;
-    in_tail := true;
-    tail_entry := Obs.now obs;
-    tail_deadline := C.cycle circuit + dense_tail_budget;
-    Obs.observe obs "tail.occupancy" (float_of_int !live);
-    apply_inputs ();
-    C.batch_tail_settle circuit;
-    arm_detectors ()
-  in
-  (* Port drives read the settled cycle; lane writes are parked. *)
-  let drive_lanes () =
+  (* One cycle, in [System.step]'s order: port drives read the settled
+     state (lane writes are parked), the golden driver commits its base
+     write, parked lane writes land over it, then the batch clocks and
+     the bus answers settle in as next-cycle inputs. *)
+  let step () =
     Array.iter
       (fun ln ->
         if not ln.finished then begin
@@ -363,51 +289,26 @@ let run ?(obs = Obs.null) ~sys ~prog ~trace ~reference ~max_cycles specs =
           ln.in_dr <- dr;
           ln.in_drd <- drd
         end)
-      lanes
-  in
-  let commit_lane_writes () =
+      lanes;
+    golden_drive ();
     Array.iter
       (fun ln -> if (not ln.finished) && ln.pw >= 0 then lv_set base ln ln.pw ln.pwv)
-      lanes
-  in
-  let step () =
-    drive_lanes ();
-    golden_drive ();
-    commit_lane_writes ();
+      lanes;
     C.batch_clock circuit;
-    if C.batch_exhausted circuit then begin
-      (* Past the trace the golden machine stops advancing, but a stop
-         latched during this cycle's drive is already a verdict (and
-         the cycle counter did advance, so stop cycles match the
-         scalar run). *)
-      Array.iter
-        (fun ln ->
-          if not ln.finished then
-            match ln.stopped with
-            | Some r -> finish ln r
-            | None -> if ln.abort then finish ln System.Aborted)
-        lanes;
-      (* unresolved lanes keep advancing bit-parallel past trace end *)
-      if !live > 0 then enter_tail ()
-    end
-    else begin
-      apply_inputs ();
-      C.batch_settle circuit
-    end
+    Array.iter
+      (fun ln ->
+        if not ln.finished then begin
+          C.batch_set_input circuit ic.Cache_block.bus_ready ln.idx ln.in_ir;
+          C.batch_set_input circuit ic.Cache_block.bus_rdata ln.idx ln.in_ird;
+          C.batch_set_input circuit dc.Cache_block.bus_ready ln.idx ln.in_dr;
+          C.batch_set_input circuit dc.Cache_block.bus_rdata ln.idx ln.in_drd
+        end)
+      lanes;
+    C.batch_settle circuit
   in
-  let tail_step () =
-    drive_lanes ();
-    (* no golden_drive: the golden machine ended with its trace, the
-       base image is frozen *)
-    commit_lane_writes ();
-    C.batch_tail_clock circuit;
-    apply_inputs ();
-    C.batch_tail_settle circuit
-  in
+  let last = C.trace_cycles trace - 1 in
   let rec loop () =
-    (* Terminal checks in the scalar run loop's order (the cycle-proof
-       check sits where the scalar detector's does: after the budget
-       check, at a settled loop top). *)
+    (* Terminal checks in the scalar run loop's order. *)
     Array.iter
       (fun ln ->
         if not ln.finished then
@@ -418,33 +319,19 @@ let run ?(obs = Obs.null) ~sys ~prog ~trace ~reference ~max_cycles specs =
               else if C.batch_value circuit core.Core.halted ln.idx <> 0 then
                 finish ln
                   (System.Trapped (C.batch_value circuit core.Core.trap_code ln.idx))
-              else if C.cycle circuit >= max_cycles then finish ln System.Cycle_limit
-              else
-                match dets.(ln.idx) with
-                | Some d -> (
-                    match Rtl.Cycle.observe d ~cycle:(C.cycle circuit) with
-                    | Some period ->
-                        Obs.incr obs "tail.cycle_proofs";
-                        Obs.observe obs "tail.cycle_length" (float_of_int period);
-                        Obs.incr obs
-                          ~by:(max_cycles - C.cycle circuit)
-                          "tail.cycles_saved";
-                        finish ln System.Cycle_limit
-                    | None -> ())
-                | None -> ())
+              else if C.cycle circuit >= max_cycles then finish ln System.Cycle_limit)
       lanes;
-    if !in_tail && (!live = 1 || C.cycle circuit >= !tail_deadline) then
-      (* A lone survivor, or the dense window closing: the scalar
-         engine is cheaper per lane-cycle (no lane bookkeeping) and
-         runs its own cycle-proof detector — hand the survivors over
-         at the current settled state. *)
-      Array.iter (fun ln -> if not ln.finished then eject ln) lanes
-    else if !live > 0 then begin
-      if !in_tail then tail_step () else step ();
-      loop ()
-    end
+    if !live > 0 then
+      if C.cycle circuit < last then begin
+        step ();
+        loop ()
+      end
+      else
+        (* The trace ends here: there is no golden state to clock
+           towards, and the scalar engine, with its cycle-proof
+           detector, decides the survivors from this settled state. *)
+        Array.iter (fun ln -> if not ln.finished then eject ln) lanes
   in
   loop ();
-  if !in_tail then Obs.add_time obs "tail.dense" (Obs.now obs -. !tail_entry);
   let stats = C.batch_stop circuit in
   (Array.map Option.get outcomes, stats)

@@ -9,13 +9,12 @@
 
     Verdict-relevant behaviour — write streams, stop reasons, stop and
     mismatch cycles — is identical to running each fault through
-    {!Leon3.System.run} on its own machine.  Lanes whose run outlives
-    the golden trace (hang candidates) enter the {e dense tail}: the
-    golden machine freezes at trace end and the survivors keep
-    advancing bit-parallel, each retired individually by exit, trap,
-    budget, or a cycle-proof of periodicity; a lone survivor is
-    ejected with its complete state for scalar continuation from trace
-    end. *)
+    {!Leon3.System.run} on its own machine.  The batch runs only where
+    the golden trace does: a lane whose run outlives it (a hang
+    candidate) is ejected at the trace's last settled cycle with its
+    complete state, for a scalar continuation that decides it with
+    cycle-proof hang detection ([Leon3.System.run ~detect_loops:true])
+    or the timeout. *)
 
 module C = Rtl.Circuit
 
@@ -50,11 +49,10 @@ type ejected = {
 type outcome =
   | Done of result
   | Ejected of ejected
-      (** undecided by the dense tail: the lane's state at hand-over,
-          for scalar continuation *)
+      (** undecided at the trace's last settled cycle: the lane's state
+          at hand-over, for scalar continuation *)
 
 val run :
-  ?obs:Obs.t ->
   sys:Leon3.System.t ->
   prog:Sparc.Asm.program ->
   trace:C.trace ->
@@ -65,10 +63,10 @@ val run :
 (** [run ~sys ~prog ~trace ~reference ~max_cycles specs] loads [prog]
     (fresh golden image at cycle 0 — the state [trace] was recorded
     from), arms one lane per spec and advances the batch until every
-    lane retires or the trace is exhausted.  [reference] is the golden
-    run's {e write} stream, compared in order against each lane's
-    writes exactly as the scalar comparator does (a read is recorded
-    but never compared).  At most [C.max_lanes] specs.  Lanes that
-    outlive the trace advance in the dense tail (see the module
-    overview); [obs] receives the [tail.*] counters, histograms and the
-    [tail.dense] span. *)
+    lane retires or the trace ends.  [reference] is the golden run's
+    {e write} stream, compared in order against each lane's writes
+    exactly as the scalar comparator does (a read is recorded but never
+    compared).  At most [C.max_lanes] specs.  Every lane still live at
+    cycle [C.trace_cycles trace - 1], after that cycle's terminal
+    checks, comes back [Ejected] with [C.transplant_cycle] equal to
+    that cycle. *)

@@ -41,7 +41,14 @@ let default_gate () =
   | Some _ -> true
 
 let create ?samples ?(seed = 7) ?static ?gate ?obs () =
-  let samples_ = match samples with Some n -> n | None -> default_samples () in
+  let samples_ =
+    match samples with
+    | Some n when n <= 0 ->
+        invalid_arg
+          (Printf.sprintf "Context.create: sample size must be positive (got %d)" n)
+    | Some n -> n
+    | None -> default_samples ()
+  in
   let static_ = match static with Some b -> b | None -> default_static () in
   let gate_ = match gate with Some b -> b | None -> default_gate () in
   let params =

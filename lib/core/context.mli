@@ -30,7 +30,9 @@ val create :
   t
 (** [samples] is the per-(workload, block) injection sample size
     (default 250; the [RICV_SAMPLES] environment variable, when set,
-    overrides the default).  [static] enables netlist static analysis
+    overrides the default); a non-positive value raises
+    [Invalid_argument "Context.create: sample size must be positive
+    (got N)"].  [static] enables netlist static analysis
     (cone pruning + fault collapsing; default true, [RICV_STATIC=0] to
     disable — results are identical either way, only the time
     changes).  [gate] selects the gate-level elaboration of the IU

@@ -613,8 +613,8 @@ let run_task ~obs ~config m sys prog tasks ti =
    permanent fault that survived the activation prefilter: up to
    [C.max_lanes] of them advance against the golden trace in one
    bitwise pass, with verdicts identical to [run_one]'s.  Lanes that
-   outlive the trace run on in the batch's dense tail; the few it
-   cannot decide are handed over to the scalar engine at trace end. *)
+   outlive the trace are handed over to the scalar engine at trace
+   end. *)
 
 let batchable ~config m tasks ti =
   (not config.compare_reads)
@@ -694,7 +694,7 @@ let run_batch_chunk ~obs ~config m sys prog tasks tis =
       tis
   in
   let outcomes, stats =
-    Batch.run ~obs ~sys ~prog ~trace ~reference:golden.writes ~max_cycles specs
+    Batch.run ~sys ~prog ~trace ~reference:golden.writes ~max_cycles specs
   in
   let n = Array.length tis in
   let dt =

@@ -18,9 +18,9 @@
     the observation cone and collapses equivalent ones; faulty runs
     replay differentially against the golden value trace; permanent
     faults run up to {!Rtl.Circuit.max_lanes} at a time as bit-lanes
-    of one machine, and hang candidates outliving the trace are
-    decided by the batch's dense tail or handed over to the scalar
-    engine at trace end.  Every layer is exact: a campaign's verdicts,
+    of one machine, and hang candidates outliving the trace are handed
+    over to the scalar engine at trace end, where cycle proofs decide
+    the periodic ones early.  Every layer is exact: a campaign's verdicts,
     failure breakdowns and latencies equal the dense reference's —
     {!run_one} without a replay plan, against a {!golden_run} with no
     coverage, trace or checkpoints.  {!summary} reports how much

@@ -52,7 +52,7 @@ val run :
     have elapsed, or [on_event] returns [false] for a bus event
     (events are delivered in order, writes and reads alike).
     [detect_loops] (default false) arms hang-loop detection: when the
-    machine provably re-enters an earlier state with no bus event in
+    machine provably re-enters an earlier state with no bus write in
     between, the run returns [Cycle_limit] immediately — the exact
     verdict a full run to [max_cycles] would produce, at a fraction of
     the cost.  Intended for runs already suspected to hang (e.g. lanes

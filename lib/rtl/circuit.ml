@@ -253,13 +253,6 @@ type batch = {
   bt_regset : int Vec.t;  (* slots with any divergence on q/d/en *)
   bt_regmem : bool array;  (* per slot: member of [bt_regset] *)
   bt_regactive : int Vec.t;  (* slots sampled by this clock's phase 1 *)
-  mutable bt_exhausted : bool;  (* ran past the end of the golden trace *)
-  mutable bt_tail : bool;
-      (* dense (non-differential) tail mode: the golden machine is
-         frozen at the trace's last settled state and the live lanes
-         advance together past trace end — every comb node evaluates
-         for every live lane each settle, every register slot commits
-         per lane each clock *)
   mutable bt_evals : int;
   mutable bt_dense : int;
 }
@@ -710,11 +703,48 @@ let transform_bit f ~bit v =
           f.frozen <- Some b;
           v)
 
-let apply_node_fault t id v =
-  match t.fault with
+(* The fault rules below are defined once and called by every engine —
+   the scalar ones through [t.fault], the lane engine through each
+   lane's own fault — so the dense oracle and the batch agree on fault
+   semantics by construction. *)
+
+(* A freshly evaluated value of node [id] under [fault]. *)
+let node_fault t fault id v =
+  match fault with
   | Some ({ site = Node (s, bit); _ } as f) when s = id && fault_active t f ->
       transform_bit f ~bit v
   | Some _ | None -> v
+
+(* The value a write of [v] to cell [(m, idx)] stores under [fault],
+   given the cell's pre-write content [cur]. *)
+let cell_write t fault m idx ~cur v =
+  match fault with
+  | Some ({ site = Cell (fm, fidx, bit); _ } as f)
+    when fm = m && fidx = idx && fault_active t f -> (
+      match f.model with
+      | Stuck_at_0 -> Bitops.clear_bit bit v
+      | Stuck_at_1 -> Bitops.set_bit bit v
+      | Bit_flip -> v
+      (* an SEU corrupts content once, not the write path *)
+      | Open_line ->
+          (* The cell bit is disconnected: the write does not change it. *)
+          Bitops.update_bit bit (Bitops.bit bit cur <> 0) v)
+  | Some _ | None -> v
+
+(* The content an active cell fault [f] forces into its cell at a
+   settle, given the current content [cur], or [None] when it forces
+   nothing: stuck-at bits are forced so reads observe them even without
+   an intervening write; a single-event upset inverts the content
+   exactly once (the fault's [frozen] marker records that it has); an
+   open line acts on writes only. *)
+let cell_force f ~bit cur =
+  match f.model with
+  | Stuck_at_0 -> Some (Bitops.clear_bit bit cur)
+  | Stuck_at_1 -> Some (Bitops.set_bit bit cur)
+  | Bit_flip when f.frozen = None ->
+      f.frozen <- Some 1;
+      Some (cur lxor (1 lsl bit))
+  | Bit_flip | Open_line -> None
 
 (* The single mutation path for memory content: faulty-side replay
    accounting and the golden trace's write stream both hook here. *)
@@ -731,20 +761,7 @@ let commit_cell t m idx v =
 
 let write_cell t m idx v =
   let info = t.mem_arr.(m) in
-  let v =
-    match t.fault with
-    | Some ({ site = Cell (fm, fidx, bit); _ } as f)
-      when fm = m && fidx = idx && fault_active t f -> (
-        match f.model with
-        | Stuck_at_0 -> Bitops.clear_bit bit v
-        | Stuck_at_1 -> Bitops.set_bit bit v
-        | Bit_flip -> v
-        (* an SEU corrupts content once, not the write path *)
-        | Open_line ->
-            (* The cell bit is disconnected: the write does not change it. *)
-            Bitops.update_bit bit (Bitops.bit bit info.data.(idx) <> 0) v)
-    | Some _ | None -> v
-  in
+  let v = cell_write t t.fault m idx ~cur:info.data.(idx) v in
   let mask = (1 lsl info.m_width) - 1 in
   let v = v land mask in
   commit_cell t m idx v;
@@ -752,23 +769,14 @@ let write_cell t m idx v =
   | Some cov -> record_cell cov m idx ~mask v
   | None -> ()
 
-(* Force stuck-at cell faults into the stored content when they become
-   active, so reads observe them even without an intervening write. *)
 let refresh_cell_fault t =
   match t.fault with
   | Some ({ site = Cell (m, idx, bit); _ } as f) when fault_active t f -> (
       let info = t.mem_arr.(m) in
       if idx < info.words then
-        match f.model with
-        | Stuck_at_0 -> commit_cell t m idx (Bitops.clear_bit bit info.data.(idx))
-        | Stuck_at_1 -> commit_cell t m idx (Bitops.set_bit bit info.data.(idx))
-        | Bit_flip ->
-            (* single-event upset: invert the cell content exactly once *)
-            if f.frozen = None then begin
-              commit_cell t m idx (info.data.(idx) lxor (1 lsl bit));
-              f.frozen <- Some 1
-            end
-        | Open_line -> ())
+        match cell_force f ~bit info.data.(idx) with
+        | Some v -> commit_cell t m idx v
+        | None -> ())
   | Some _ | None -> ()
 
 let inject t ?(from_cycle = 0) ?duration site model =
@@ -893,7 +901,7 @@ let dense_settle t =
     for k = 0 to Array.length order - 1 do
       let id = Array.unsafe_get order k in
       let v = (Array.unsafe_get evals k) values land Array.unsafe_get masks id in
-      Array.unsafe_set values id (if id = fnode then apply_node_fault t id v else v)
+      Array.unsafe_set values id (if id = fnode then node_fault t t.fault id v else v)
     done;
   (match t.tracing with Some tb -> trace_record t tb | None -> ());
   match t.recording with Some cov -> record_nodes t cov | None -> ()
@@ -954,7 +962,7 @@ let replay_settle t r =
     for i = 0 to Vec.length b - 1 do
       let id = Vec.get b i in
       let v0 = t.eval_by_id.(id) values land masks.(id) in
-      let v = if id = !fnode then apply_node_fault t id v0 else v0 in
+      let v = if id = !fnode then node_fault t t.fault id v0 else v0 in
       incr nev;
       values.(id) <- v;
       let d = v <> g.(id) in
@@ -1328,8 +1336,6 @@ let batch_start t tr =
         bt_regset = Vec.create 0;
         bt_regmem = Array.make (max nregs 1) false;
         bt_regactive = Vec.create 0;
-        bt_exhausted = false;
-        bt_tail = false;
         bt_evals = 0;
         bt_dense = 0 }
 
@@ -1398,26 +1404,18 @@ let batch_mem_read t m idx lane =
 let batch_settle t =
   check_elab t;
   let bt = get_batch t "batch_settle" in
-  if bt.bt_tail then invalid_arg "Circuit.batch_settle: tail mode (use batch_tail_settle)";
   let rp = match t.compiled with Some p -> p | None -> assert false in
   let active = bt.bt_active in
   if active <> 0 then begin
     bt.bt_dense <- bt.bt_dense + (lane_popcount active * Array.length t.order);
-    (* forced cell faults, per lane (mirrors [refresh_cell_fault]) *)
+    (* forced cell faults, per lane, as [refresh_cell_fault] *)
     iter_lanes active (fun l ->
         match bt.bt_faults.(l) with
-        | Some ({ site = Cell (m, idx, bit); _ } as f) when fault_active t f ->
-            if idx < t.mem_arr.(m).words then begin
-              match f.model with
-              | Stuck_at_0 -> ov_set t bt m idx l (Bitops.clear_bit bit (ov_get t bt m idx l))
-              | Stuck_at_1 -> ov_set t bt m idx l (Bitops.set_bit bit (ov_get t bt m idx l))
-              | Bit_flip ->
-                  if f.frozen = None then begin
-                    ov_set t bt m idx l (ov_get t bt m idx l lxor (1 lsl bit));
-                    f.frozen <- Some 1
-                  end
-              | Open_line -> ()
-            end
+        | Some ({ site = Cell (m, idx, bit); _ } as f)
+          when fault_active t f && idx < t.mem_arr.(m).words -> (
+            match cell_force f ~bit (ov_get t bt m idx l) with
+            | Some v -> ov_set t bt m idx l v
+            | None -> ())
         | Some _ | None -> ());
     (* transform faulted sources before seeding: the resulting value
        changes (divergence, toggle or heal) land in [bt_stamped] and
@@ -1562,12 +1560,7 @@ let batch_settle t =
                    end
                  in
                  let v =
-                   if bt.bt_fnode.(l) = id && not bt.bt_fsrc.(l) then
-                     match bt.bt_faults.(l) with
-                     | Some ({ site = Node (_, bit); _ } as f) when fault_active t f ->
-                         transform_bit f ~bit v0
-                     | Some _ | None -> v0
-                   else v0
+                   if bt.bt_fnode.(l) = id then node_fault t bt.bt_faults.(l) id v0 else v0
                  in
                  incr nev;
                  if set_lane t bt id l v then push_fanout id (1 lsl l)
@@ -1589,7 +1582,8 @@ let batch_settle t =
 let batch_clock t =
   check_elab t;
   let bt = get_batch t "batch_clock" in
-  if bt.bt_exhausted then invalid_arg "Circuit.batch_clock: trace exhausted";
+  if t.cyc + 1 >= bt.bt_tr.tr_len then
+    invalid_arg "Circuit.batch_clock: clock past the end of the trace";
   let active = bt.bt_active in
   let values = t.values in
   (* Phase 1: sample lane register inputs.  Lanes clean on d/en/q
@@ -1645,20 +1639,9 @@ let batch_clock t =
             if lane_view t bt wp_we l <> 0 then begin
               let idx = lane_view t bt wp_addr l in
               if idx < info.words then begin
-                let v = lane_view t bt wp_data l in
                 let v =
-                  match bt.bt_faults.(l) with
-                  | Some ({ site = Cell (fm, fidx, bit); _ } as f)
-                    when fm = m && fidx = idx && fault_active t f -> (
-                      match f.model with
-                      | Stuck_at_0 -> Bitops.clear_bit bit v
-                      | Stuck_at_1 -> Bitops.set_bit bit v
-                      | Bit_flip -> v
-                      | Open_line ->
-                          Bitops.update_bit bit
-                            (Bitops.bit bit (ov_get t bt m idx l) <> 0)
-                            v)
-                  | Some _ | None -> v
+                  cell_write t bt.bt_faults.(l) m idx ~cur:(ov_get t bt m idx l)
+                    (lane_view t bt wp_data l)
                 in
                 bt.bt_sc_fire.(l) <- 1;
                 bt.bt_sc_idx.(l) <- idx;
@@ -1705,30 +1688,27 @@ let batch_clock t =
   (* Phase 3: advance the golden machine wholesale from the trace *)
   t.cyc <- t.cyc + 1;
   let c = t.cyc in
-  if c >= bt.bt_tr.tr_len then bt.bt_exhausted <- true
-  else begin
-    let dend = bt.bt_tr.tr_dend and delta = bt.bt_tr.tr_delta in
-    let nstamp = bt.bt_nstamp in
-    (* the seed set restarts here: stale entries from the settle that
-       just ran describe changes its sweep already propagated *)
-    Vec.clear bt.bt_stamped;
-    for i = dend.(c - 1) to dend.(c) - 1 do
-      let p = Array.unsafe_get delta i in
-      let id = delta_id p in
-      Array.unsafe_set values id (delta_val p);
-      (* a delta is by definition an effective-value change for every
-         lane that is clean on this node *)
-      Array.unsafe_set nstamp id c;
-      Vec.push bt.bt_stamped id
-    done;
-    (* Phase 4: commit sampled lane registers against the new golden *)
-    for i = 0 to Vec.length bt.bt_regactive - 1 do
-      let k = Vec.get bt.bt_regactive i in
-      let id = t.reg_ids.(k) in
-      iter_lanes bt.bt_regpend.(k) (fun l ->
-          ignore (set_lane t bt id l bt.bt_regnext.((k lsl lane_shift) lor l)))
-    done;
-  end
+  let dend = bt.bt_tr.tr_dend and delta = bt.bt_tr.tr_delta in
+  let nstamp = bt.bt_nstamp in
+  (* the seed set restarts here: stale entries from the settle that
+     just ran describe changes its sweep already propagated *)
+  Vec.clear bt.bt_stamped;
+  for i = dend.(c - 1) to dend.(c) - 1 do
+    let p = Array.unsafe_get delta i in
+    let id = delta_id p in
+    Array.unsafe_set values id (delta_val p);
+    (* a delta is by definition an effective-value change for every
+       lane that is clean on this node *)
+    Array.unsafe_set nstamp id c;
+    Vec.push bt.bt_stamped id
+  done;
+  (* Phase 4: commit sampled lane registers against the new golden *)
+  for i = 0 to Vec.length bt.bt_regactive - 1 do
+    let k = Vec.get bt.bt_regactive i in
+    let id = t.reg_ids.(k) in
+    iter_lanes bt.bt_regpend.(k) (fun l ->
+        ignore (set_lane t bt id l bt.bt_regnext.((k lsl lane_shift) lor l)))
+  done
 
 let batch_stop t =
   match t.batch with
@@ -1740,8 +1720,6 @@ let batch_stop t =
 let batch_armed t = t.batch <> None
 
 let batch_active t = match t.batch with Some bt -> bt.bt_active | None -> 0
-
-let batch_exhausted t = (get_batch t "batch_exhausted").bt_exhausted
 
 (* --- state snapshots (campaign checkpointing) --- *)
 
@@ -1780,8 +1758,8 @@ let int_arrays_equal a b =
    its write-port drivers are too.  State outside the cone (pure
    accounting such as a retired-instruction counter) can keep evolving
    without ever influencing an observable, so recurrence comparison
-   ({!same_state}/{!content_hash} and the batch-lane analogues)
-   restricts itself to the cone once one is set.  Exact-state equality
+   ({!same_state}/{!content_hash}) restricts itself to the cone once
+   one is set.  Exact-state equality
    ({!state_equal}), snapshots and restores stay full-state. *)
 let set_observed_cone t roots =
   check_elab t;
@@ -1825,9 +1803,9 @@ let set_observed_cone t roots =
   done;
   (* Comparisons restrict to the closure's sequential elements:
      between clock cycles every comb value is a pure function of
-     registers, memories and primary inputs, and the hang detectors
-     mix the inputs' driver state (bus countdowns, ready flags, write
-     counts) into their fingerprints separately — so register+memory
+     registers, memories and primary inputs, and the hang detector
+     mixes the inputs' driver state (bus countdowns, ready flags, write
+     counts) into its fingerprint separately — so register+memory
      recurrence already implies recurrence of every node in the
      closure, at a fraction of the per-observation cost. *)
   Array.iteri
@@ -1905,266 +1883,6 @@ let content_hash t =
       t.reg_ids;
   !h
 
-(* --- dense tail batching and lane-state extraction --- *)
-
-(* Apply the armed comb-node fault of lane [l] to a freshly evaluated
-   value, exactly as [batch_settle] does. *)
-let tail_apply_fault t bt id l v0 =
-  if bt.bt_fnode.(l) = id && not bt.bt_fsrc.(l) then
-    match bt.bt_faults.(l) with
-    | Some ({ site = Node (_, bit); _ } as f) when fault_active t f ->
-        transform_bit f ~bit v0
-    | Some _ | None -> v0
-  else v0
-
-let batch_tail_active t = (get_batch t "batch_tail_active").bt_tail
-
-let batch_tail_start t =
-  check_elab t;
-  let bt = get_batch t "batch_tail_start" in
-  if not bt.bt_exhausted then invalid_arg "Circuit.batch_tail_start: trace not exhausted";
-  if bt.bt_tail then invalid_arg "Circuit.batch_tail_start: already in tail mode";
-  bt.bt_tail <- true;
-  (* Complete the exhausting clock's register commit: its phase 4 was
-     skipped (there is no golden delta to commit against), and past the
-     trace clean lanes can no longer follow the golden machine for
-     free, so every slot commits from the lane's settled pre-clock
-     view.  Two passes, like the scalar clock: all slots sample before
-     any commits (registers may feed each other directly). *)
-  let active = bt.bt_active in
-  if active <> 0 then begin
-    let nregs = Array.length t.reg_ids in
-    for k = 0 to nregs - 1 do
-      let id = t.reg_ids.(k) in
-      let d = t.reg_d.(k) and en = t.reg_en.(k) in
-      iter_lanes active (fun l ->
-          bt.bt_regnext.((k lsl lane_shift) lor l) <-
-            (if en >= 0 && lane_view t bt en l = 0 then lane_view t bt id l
-             else lane_view t bt d l land t.masks.(id)))
-    done;
-    for k = 0 to nregs - 1 do
-      let id = t.reg_ids.(k) in
-      iter_lanes active (fun l ->
-          ignore (set_lane t bt id l bt.bt_regnext.((k lsl lane_shift) lor l)))
-    done
-  end
-
-(* Forced cell faults per lane, shared by both settle variants
-   (mirrors the scalar [refresh_cell_fault]). *)
-let tail_refresh_cell_faults t bt active =
-  iter_lanes active (fun l ->
-      match bt.bt_faults.(l) with
-      | Some ({ site = Cell (m, idx, bit); _ } as f) when fault_active t f ->
-          if idx < t.mem_arr.(m).words then begin
-            match f.model with
-            | Stuck_at_0 -> ov_set t bt m idx l (Bitops.clear_bit bit (ov_get t bt m idx l))
-            | Stuck_at_1 -> ov_set t bt m idx l (Bitops.set_bit bit (ov_get t bt m idx l))
-            | Bit_flip ->
-                if f.frozen = None then begin
-                  ov_set t bt m idx l (ov_get t bt m idx l lxor (1 lsl bit));
-                  f.frozen <- Some 1
-                end
-            | Open_line -> ()
-          end
-      | Some _ | None -> ())
-
-let batch_tail_settle t =
-  check_elab t;
-  let bt = get_batch t "batch_tail_settle" in
-  if not bt.bt_tail then invalid_arg "Circuit.batch_tail_settle: not in tail mode";
-  let active = bt.bt_active in
-  if active <> 0 then begin
-    bt.bt_dense <- bt.bt_dense + (lane_popcount active * Array.length t.order);
-    tail_refresh_cell_faults t bt active;
-    (* faulted sources transform before the sweep, as in [batch_settle] *)
-    iter_lanes active (fun l ->
-        match bt.bt_faults.(l) with
-        | Some ({ site = Node (s, bit); _ } as f) when bt.bt_fsrc.(l) ->
-            if fault_active t f then
-              ignore (set_lane t bt s l (transform_bit f ~bit (lane_view t bt s l)))
-        | Some _ | None -> ());
-    (* Dense sweep: every comb node evaluates for every live lane, in
-       topological order — there is no golden trace to diff against, so
-       nothing can be skipped.  The golden values stay frozen at the
-       trace's last settled state and keep serving as the base the
-       divergence masks compare to. *)
-    let values = t.values in
-    let order = t.order in
-    let nev = ref 0 in
-    for k = 0 to Array.length order - 1 do
-      let id = Array.unsafe_get order k in
-      let rm = t.rport_of.(id) in
-      let deps = t.deps_by_id.(id) in
-      if rm >= 0 then
-        iter_lanes active (fun l ->
-            let a = lane_view t bt (Array.unsafe_get deps 0) l in
-            let v0 =
-              (if a < t.mem_arr.(rm).words then ov_get t bt rm a l else 0)
-              land t.masks.(id)
-            in
-            incr nev;
-            ignore (set_lane t bt id l (tail_apply_fault t bt id l v0)))
-      else begin
-        (* deps diverged in any live lane are saved once, written per
-           lane, restored once — same grouping as [batch_settle] *)
-        let nov = ref 0 in
-        for i = 0 to Array.length deps - 1 do
-          let d = Array.unsafe_get deps i in
-          if bt.bt_diff.(d) land active <> 0 then begin
-            bt.bt_ov_ids.(!nov) <- d;
-            bt.bt_ov_vals.(!nov) <- Array.unsafe_get values d;
-            incr nov
-          end
-        done;
-        iter_lanes active (fun l ->
-            let bitl = 1 lsl l in
-            for j = 0 to !nov - 1 do
-              let d = Array.unsafe_get bt.bt_ov_ids j in
-              Array.unsafe_set values d
-                (if Array.unsafe_get bt.bt_diff d land bitl <> 0 then
-                   Array.unsafe_get bt.bt_lane ((d lsl lane_shift) lor l)
-                 else Array.unsafe_get bt.bt_ov_vals j)
-            done;
-            let v0 = t.eval_by_id.(id) values land t.masks.(id) in
-            incr nev;
-            ignore (set_lane t bt id l (tail_apply_fault t bt id l v0)));
-        for j = !nov - 1 downto 0 do
-          Array.unsafe_set values bt.bt_ov_ids.(j) bt.bt_ov_vals.(j)
-        done
-      end
-    done;
-    bt.bt_evals <- bt.bt_evals + !nev;
-    Array.iteri (fun m _ -> bt.bt_mem_dirty.(m) <- 0) t.mem_arr
-  end
-
-let batch_tail_clock t =
-  check_elab t;
-  let bt = get_batch t "batch_tail_clock" in
-  if not bt.bt_tail then invalid_arg "Circuit.batch_tail_clock: not in tail mode";
-  let active = bt.bt_active in
-  let nregs = Array.length t.reg_ids in
-  (* Phase 1: sample every register slot for every live lane. *)
-  for k = 0 to nregs - 1 do
-    let id = t.reg_ids.(k) in
-    let d = t.reg_d.(k) and en = t.reg_en.(k) in
-    iter_lanes active (fun l ->
-        bt.bt_regnext.((k lsl lane_shift) lor l) <-
-          (if en >= 0 && lane_view t bt en l = 0 then lane_view t bt id l
-           else lane_view t bt d l land t.masks.(id)))
-  done;
-  (* Phase 2: lane memory writes to the overlays, in write-port order;
-     the golden base is frozen (the golden machine ended with its
-     trace).  Cell faults on the write path read the pre-write view,
-     like [write_cell]. *)
-  Array.iteri
-    (fun m info ->
-      let mask = (1 lsl info.m_width) - 1 in
-      let wps = info.wp_arr in
-      for p = 0 to Array.length wps - 1 do
-        let { wp_we; wp_addr; wp_data } = wps.(p) in
-        iter_lanes active (fun l ->
-            if lane_view t bt wp_we l <> 0 then begin
-              let idx = lane_view t bt wp_addr l in
-              if idx < info.words then begin
-                let v = lane_view t bt wp_data l in
-                let v =
-                  match bt.bt_faults.(l) with
-                  | Some ({ site = Cell (fm, fidx, bit); _ } as f)
-                    when fm = m && fidx = idx && fault_active t f -> (
-                      match f.model with
-                      | Stuck_at_0 -> Bitops.clear_bit bit v
-                      | Stuck_at_1 -> Bitops.set_bit bit v
-                      | Bit_flip -> v
-                      | Open_line ->
-                          Bitops.update_bit bit
-                            (Bitops.bit bit (ov_get t bt m idx l) <> 0)
-                            v)
-                  | Some _ | None -> v
-                in
-                ov_set t bt m idx l (v land mask)
-              end
-            end)
-      done)
-    t.mem_arr;
-  (* Phase 3: advance the cycle counter (no golden delta exists). *)
-  t.cyc <- t.cyc + 1;
-  Vec.clear bt.bt_stamped;
-  (* Phase 4: commit the sampled registers. *)
-  for k = 0 to nregs - 1 do
-    let id = t.reg_ids.(k) in
-    iter_lanes active (fun l ->
-        ignore (set_lane t bt id l bt.bt_regnext.((k lsl lane_shift) lor l)))
-  done
-
-let batch_lane_state t lane =
-  check_elab t;
-  let bt = get_batch t "batch_lane_state" in
-  let n = Array.length t.values in
-  { snap_values = Array.init n (fun id -> lane_view t bt id lane);
-    snap_mems =
-      Array.init (Array.length t.mem_arr) (fun m ->
-          Array.init t.mem_arr.(m).words (fun idx -> ov_get t bt m idx lane));
-    snap_cycle = t.cyc }
-
-let batch_lane_same_state t lane snap =
-  check_elab t;
-  let bt = get_batch t "batch_lane_same_state" in
-  let n = Array.length t.values in
-  let coned = coned t in
-  let nodes_full () =
-    let rec go id =
-      id >= n
-      || lane_view t bt id lane = Array.unsafe_get snap.snap_values id && go (id + 1)
-    in
-    go 0
-  in
-  (if coned then
-     Array.for_all
-       (fun id ->
-         (not (Array.unsafe_get t.cone id))
-         || lane_view t bt id lane = Array.unsafe_get snap.snap_values id)
-       t.reg_ids
-   else nodes_full ())
-  && Array.for_all Fun.id
-       (Array.mapi
-          (fun m info ->
-            (coned && not t.cone_mems.(m))
-            ||
-            let sm = snap.snap_mems.(m) in
-            let rec cells idx =
-              idx >= info.words
-              || (ov_get t bt m idx lane = Array.unsafe_get sm idx && cells (idx + 1))
-            in
-            cells 0)
-          t.mem_arr)
-
-let batch_lane_hash t lane =
-  check_elab t;
-  let bt = get_batch t "batch_lane_hash" in
-  let n = Array.length t.values in
-  let coned = coned t in
-  let h = ref 0x27D4EB2F165667C5 in
-  if coned then
-    (* registers-only candidate filter, exactly as [content_hash]:
-       collisions are resolved by [batch_lane_same_state], which does
-       compare the cone memories *)
-    Array.iter
-      (fun id ->
-        if Array.unsafe_get t.cone id then h := mix !h (lane_view t bt id lane))
-      t.reg_ids
-  else begin
-    for id = 0 to n - 1 do
-      h := mix !h (lane_view t bt id lane)
-    done;
-    Array.iteri
-      (fun m info ->
-        for idx = 0 to info.words - 1 do
-          h := mix !h (ov_get t bt m idx lane)
-        done)
-      t.mem_arr
-  end;
-  !h
-
 (* --- lane -> scalar transplant --- *)
 
 type transplant = { tp_snap : snapshot; tp_fault : fault option }
@@ -2175,7 +1893,12 @@ let batch_eject t lane =
   let bt = get_batch t "batch_eject" in
   if bt.bt_active land (1 lsl lane) = 0 then
     invalid_arg "Circuit.batch_eject: lane not active";
-  { tp_snap = batch_lane_state t lane;
+  { tp_snap =
+      { snap_values = Array.init (Array.length t.values) (fun id -> lane_view t bt id lane);
+        snap_mems =
+          Array.init (Array.length t.mem_arr) (fun m ->
+              Array.init t.mem_arr.(m).words (fun idx -> ov_get t bt m idx lane));
+        snap_cycle = t.cyc };
     tp_fault = Option.map copy_fault bt.bt_faults.(lane) }
 
 let transplant t tp =

@@ -185,9 +185,8 @@ val set_observed_cone : t -> signal list -> unit
     ever influencing an observable signal, a relevant memory, or its
     own feed-back into the cone, so a cone-state recurrence still
     proves the observable trajectory is periodic.  Affects
-    {!same_state}, {!content_hash}, {!batch_lane_same_state} and
-    {!batch_lane_hash}; {!state_equal}, {!snapshot}/{!restore} and
-    {!state_hash} stay full-state. *)
+    {!same_state} and {!content_hash}; {!state_equal},
+    {!snapshot}/{!restore} and {!state_hash} stay full-state. *)
 
 val state_hash : t -> int
 (** Deterministic hash of the full sequential state; cheap fingerprint
@@ -348,11 +347,18 @@ val compiled_plan : t -> replay_plan
     dozens of passes.  Memory divergence is tracked per lane with
     sparse overlays above the golden (base) arrays.
 
+    A batch only runs where the golden trace does: lanes still live at
+    the trace's last settled cycle are handed over to the scalar engine
+    ({!batch_eject}/{!transplant}), which decides them with its own
+    hang detection.
+
     While a batch is armed the scalar entry points ([reset], [settle],
     [clock], [set_input], [inject], [restore], [mem_write], trace and
     replay control) are rejected; use the [batch_*] variants.  The
     circuit must sit at cycle 0 in the trace's initial settled state
-    when the batch starts (a fresh golden [load]). *)
+    when the batch starts (a fresh golden [load]).  Fault semantics are
+    the scalar engines' by construction: every engine applies the same
+    node and cell fault rules. *)
 
 val max_lanes : int
 (** 63: one native [int] keeps 63 usable lane bits next to the
@@ -381,9 +387,10 @@ val batch_settle : t -> unit
 
 val batch_clock : t -> unit
 (** Commit registers and memory writes for every active lane, then
-    advance the golden machine one cycle from the trace.  Check
-    {!batch_exhausted} afterwards: past the end of the trace the
-    remaining lanes must be ejected to scalar runs. *)
+    advance the golden machine one cycle from the trace.  Raises
+    [Invalid_argument] from the trace's last settled cycle
+    ([trace_cycles - 1]): there is no golden state to advance to, so
+    the remaining lanes must be ejected to scalar runs instead. *)
 
 val batch_value : t -> signal -> int -> int
 (** [batch_value c s lane]: lane's settled view of a node. *)
@@ -405,55 +412,10 @@ val batch_active : t -> int
 
 val batch_armed : t -> bool
 
-val batch_exhausted : t -> bool
-(** The golden trace ended while lanes were still live; their batch
-    state is no longer advanced. *)
-
 val batch_stop : t -> batch_stats
 (** Disarm the batch and return its accumulated statistics.  The
     circuit is left mid-trace (golden values at the current cycle);
     callers re-[load] before the next use. *)
-
-(** {2 Dense tail batching}
-
-    When the golden trace ends ({!batch_exhausted}) with lanes still
-    live, the batch can switch into {e tail mode}: the golden machine
-    stays frozen at the trace's last settled state while the live lanes
-    keep advancing together, bit-parallel but dense — every comb node
-    evaluates for every live lane (there is no golden trajectory left
-    to diff against).  Each lane retires individually (exit, abort, or
-    a proven state cycle via {!batch_lane_hash}/{!batch_lane_same_state});
-    a lone survivor is cheaper ejected to a scalar run
-    ({!batch_eject}/{!transplant}). *)
-
-val batch_tail_start : t -> unit
-(** Enter tail mode.  Requires {!batch_exhausted}.  Completes the
-    exhausting clock's skipped register commit (every slot, every live
-    lane, from the lane's settled pre-clock view) so the batch stands
-    at a clean cycle boundary; the caller then drives lane inputs
-    ({!batch_set_input}) and calls {!batch_tail_settle}. *)
-
-val batch_tail_active : t -> bool
-
-val batch_tail_settle : t -> unit
-(** Dense settle of every live lane (replaces {!batch_settle}, which
-    rejects tail mode). *)
-
-val batch_tail_clock : t -> unit
-(** Clock every live lane: sample all register slots, commit lane
-    memory writes to the overlays (the golden base is frozen), advance
-    the cycle counter, commit registers. *)
-
-val batch_lane_state : t -> int -> snapshot
-(** One lane's complete settled state as an ordinary snapshot. *)
-
-val batch_lane_same_state : t -> int -> snapshot -> bool
-(** Exact equality of a lane's live state against a snapshot, ignoring
-    the cycle counter (the batch analogue of {!same_state}). *)
-
-val batch_lane_hash : t -> int -> int
-(** Cycle-independent fingerprint of one lane's state (the batch
-    analogue of {!content_hash}). *)
 
 (** {2 Lane → scalar transplant} *)
 
@@ -464,9 +426,9 @@ type transplant
     captured open-line bit carries over instead of re-triggering). *)
 
 val batch_eject : t -> int -> transplant
-(** Extract a live lane's state for scalar continuation.  The lane is
-    not retired; callers typically {!batch_retire} or {!batch_stop}
-    afterwards. *)
+(** Extract a live lane's complete settled state for scalar
+    continuation.  The lane is not retired; callers typically
+    {!batch_retire} or {!batch_stop} afterwards. *)
 
 val transplant : t -> transplant -> unit
 (** Overwrite a scalar circuit's state and armed fault from a

@@ -147,48 +147,44 @@ let continue_observe sys (golden : Campaign.golden) ~max_cycles (e : Batch.eject
     o_mismatch = !mismatch;
     o_events = Leon3.System.events sys }
 
+(* Every lane must equal its scalar run field for field — stop
+   reason, stop cycle, matched count, mismatch cycle and the full event
+   stream — directly when the batch decided it, through its
+   transplanted continuation when it was ejected.  A lane is ejected
+   exactly when its run is still undecided at the last cycle the trace
+   covers, and it is ejected at that cycle.  Returns the number of
+   ejected lanes. *)
 let batch_vs_scalar specs =
   let sys = Lazy.force shared_sys in
   let prog = Lazy.force small_prog in
   let golden, trace, _ = Lazy.force golden_setup in
   let max_cycles = (4 * golden.Campaign.cycles) + 2000 in
+  let last = C.trace_cycles trace - 1 in
   let outcomes, _ =
     Batch.run ~sys ~prog ~trace ~reference:golden.Campaign.writes ~max_cycles
       specs
   in
+  let ejected = ref 0 in
   Array.iteri
     (fun i outcome ->
-      let scalar () = scalar_observe sys prog golden ~max_cycles specs.(i) in
-      match outcome with
-      | Batch.Done r ->
-          let b = observed_of_result r in
-          let scalar = scalar () in
-          if r.Batch.stop = Leon3.System.Cycle_limit && b.o_stop_cycle < max_cycles
-          then begin
-            (* cycle-proof retirement stops recording the moment
-               periodicity is proven, so the raw stop cycle and event
-               tail are shorter than the budget-exhausting scalar
-               run's — but everything a verdict reads must agree *)
-            check_bool (Printf.sprintf "lane %d: proof = scalar hang" i) true
-              (scalar.o_stop = Leon3.System.Cycle_limit);
-            check_int (Printf.sprintf "lane %d: matched" i) scalar.o_matched
-              b.o_matched;
-            check_bool (Printf.sprintf "lane %d: mismatch cycle" i) true
-              (scalar.o_mismatch = b.o_mismatch)
-          end
-          else if b <> scalar then
-            Alcotest.failf "lane %d: batch %s <> scalar %s" i (pp_observed b)
-              (pp_observed scalar)
-      | Batch.Ejected e ->
-          (* a transplanted continuation replays the exact scalar
-             future: every observable matches, including the stop
-             cycle and the full event stream *)
-          let b = continue_observe sys golden ~max_cycles e in
-          let scalar = scalar () in
-          if b <> scalar then
-            Alcotest.failf "lane %d: transplant %s <> scalar %s" i (pp_observed b)
-              (pp_observed scalar))
-    outcomes
+      let scalar = scalar_observe sys prog golden ~max_cycles specs.(i) in
+      let b =
+        match outcome with
+        | Batch.Done r -> observed_of_result r
+        | Batch.Ejected e ->
+            incr ejected;
+            check_int (Printf.sprintf "lane %d: ejected at the last trace cycle" i) last
+              (C.transplant_cycle e.Batch.e_tp);
+            continue_observe sys golden ~max_cycles e
+      in
+      check_bool (Printf.sprintf "lane %d: ejected iff live at the last trace cycle" i)
+        (scalar.o_stop_cycle > last)
+        (match outcome with Batch.Ejected _ -> true | Batch.Done _ -> false);
+      if b <> scalar then
+        Alcotest.failf "lane %d: batch %s <> scalar %s" i (pp_observed b)
+          (pp_observed scalar))
+    outcomes;
+  !ejected
 
 let spec ?duration ?(from_cycle = 0) site model =
   { Batch.site; model; from_cycle; duration }
@@ -206,20 +202,22 @@ let full_occupancy_specs () =
       let duration = if i mod 5 = 4 then Some ((i mod 3) + 1) else None in
       spec ?duration ~from_cycle site.Injection.fault_site models.(i mod 4))
 
-let test_batch_full_occupancy () = batch_vs_scalar (full_occupancy_specs ())
+let test_batch_full_occupancy () = ignore (batch_vs_scalar (full_occupancy_specs ()))
 
-let test_batch_tail_full_occupancy () =
+let test_batch_past_trace_end () =
   (* Campaign-shaped lanes — permanent faults armed at cycle 0 — are
-     the ones that outlive the trace: they come back from the dense
-     tail as verdicts (byte-matching the scalar runs, modulo a
-     cycle-proof's early stop cycle) or as transplants whose scalar
-     continuation byte-matches the from-zero run. *)
+     the ones that outlive the trace: every lane still live at the last
+     trace cycle comes back as a transplant whose scalar continuation
+     byte-matches the from-zero run. *)
   let _, _, sites = Lazy.force golden_setup in
   let models = [| C.Stuck_at_0; C.Stuck_at_1; C.Open_line |] in
-  batch_vs_scalar
-    (Array.init C.max_lanes (fun i ->
-         let site = sites.(((i * 97) + 13) mod Array.length sites) in
-         spec site.Injection.fault_site models.(i mod 3)))
+  let ejected =
+    batch_vs_scalar
+      (Array.init C.max_lanes (fun i ->
+           let site = sites.(((i * 97) + 13) mod Array.length sites) in
+           spec site.Injection.fault_site models.(i mod 3)))
+  in
+  check_bool "some lanes outlive the trace" true (ejected > 0)
 
 let test_batch_cell_faults () =
   let _, _, sites = Lazy.force golden_setup in
@@ -241,7 +239,7 @@ let test_batch_cell_faults () =
         in
         spec site.Injection.fault_site model)
   in
-  batch_vs_scalar specs
+  ignore (batch_vs_scalar specs)
 
 (* qcheck: random small batches equal per-lane scalar runs. *)
 let gen_specs =
@@ -278,7 +276,7 @@ let prop_batch_matches_scalar =
                  site.Injection.fault_site model)
              l)
       in
-      batch_vs_scalar specs;
+      ignore (batch_vs_scalar specs);
       true)
 
 (* ---- lane arming and early retirement ---- *)
@@ -341,6 +339,12 @@ let test_scalar_api_rejected_while_armed () =
   check_bool "settle rejected" true (rejected (fun () -> C.settle c));
   check_bool "clock rejected" true (rejected (fun () -> C.clock c));
   check_bool "reset rejected" true (rejected (fun () -> C.reset c));
+  (* the batch clock itself stops where the trace does *)
+  while C.cycle c < C.trace_cycles trace - 1 do
+    C.batch_clock c;
+    C.batch_settle c
+  done;
+  check_bool "clock past the trace rejected" true (rejected (fun () -> C.batch_clock c));
   ignore (C.batch_stop c);
   (* and the circuit is usable again after batch_stop + reload *)
   Leon3.System.load sys prog;
@@ -352,8 +356,8 @@ let suite =
         test_compiled_plan_matches_graph;
       Alcotest.test_case "full 63-lane batch = scalar runs" `Slow
         test_batch_full_occupancy;
-      Alcotest.test_case "full 63-lane batch through the tail = scalar runs" `Slow
-        test_batch_tail_full_occupancy;
+      Alcotest.test_case "full 63-lane batch past trace end = scalar runs" `Slow
+        test_batch_past_trace_end;
       Alcotest.test_case "cell-fault lanes = scalar runs" `Slow
         test_batch_cell_faults;
       Alcotest.test_case "lane masks per model + retirement" `Quick

@@ -100,6 +100,16 @@ let test_run_dispatch () =
     (Invalid_argument "Experiments.run: unknown experiment nope") (fun () ->
       ignore (X.run (Lazy.force ctx) "nope"))
 
+let test_context_rejects_bad_samples () =
+  List.iter
+    (fun n ->
+      Alcotest.check_raises
+        (Printf.sprintf "samples %d" n)
+        (Invalid_argument
+           (Printf.sprintf "Context.create: sample size must be positive (got %d)" n))
+        (fun () -> ignore (Ctx.create ~samples:n ())))
+    [ 0; -3 ]
+
 let test_context_memoisation () =
   let ctx = Lazy.force ctx in
   let e = Workloads.Suite.find "intbench" in
@@ -129,4 +139,5 @@ let suite =
       Alcotest.test_case "figure7" `Slow test_figure7_shape;
       Alcotest.test_case "sim time" `Slow test_sim_time_shape;
       Alcotest.test_case "dispatch" `Quick test_run_dispatch;
+      Alcotest.test_case "sample size validated" `Quick test_context_rejects_bad_samples;
       Alcotest.test_case "memoisation" `Quick test_context_memoisation ] )

@@ -115,8 +115,9 @@ let golden_setup =
 
 let spec site model = { Batch.site; model; from_cycle = 0; duration = None }
 
-(* Permanent faults the dense tail hands over to the scalar engine,
-   discovered by sweeping full batches over the site pool. *)
+(* Permanent faults still undecided at trace end, which the batch hands
+   over to the scalar engine, discovered by sweeping full batches over
+   the site pool. *)
 let ejecting_specs =
   lazy
     (let sys = Lazy.force shared_sys in
@@ -146,8 +147,8 @@ let ejecting_specs =
      done;
      Array.of_list (List.rev !pool))
 
-(* Eject one spec through the tail engine: a single-lane batch whose
-   lane outlives the trace is always handed over as a transplant. *)
+(* Eject one spec: a single-lane batch whose lane outlives the trace
+   hands it over as a transplant, exactly as the full batch did. *)
 let eject_one sys prog golden trace ~max_cycles sp =
   let outcomes, _ =
     Batch.run ~sys ~prog ~trace ~reference:golden.Campaign.writes ~max_cycles [| sp |]
@@ -161,7 +162,7 @@ let check_transplant_matches_rerun sp =
   let c = circuit sys in
   let max_cycles = (4 * golden.Campaign.cycles) + 2000 in
   match eject_one sys prog golden trace ~max_cycles sp with
-  | None -> ()  (* the tail engine itself retired the lane: no transplant *)
+  | None -> Alcotest.fail "an ejecting spec was decided before trace end"
   | Some e ->
       let tc = C.transplant_cycle e.Batch.e_tp in
       (* from-zero re-simulation advanced to the transplant's cycle *)
