@@ -145,9 +145,9 @@ let cone_site cone = function
 
 let cone_size cone = cone.size
 
-(* The differential engine's schedule: per-node comb fanout, comb
-   levels, and each memory's read ports — straight projections of the
-   edge lists above into the dense arrays the replay hot loop wants. *)
+(* The batch engine's schedule: per-node comb fanout, comb levels, and
+   each memory's read ports — straight projections of the edge lists
+   above into the dense arrays the lane settle wants. *)
 let replay_plan g =
   let comb_sinks succs =
     Array.of_list

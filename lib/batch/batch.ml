@@ -37,7 +37,7 @@ type ejected = {
   e_writes : int;
 }
 
-type outcome = Done of result | Ejected of ejected
+type outcome = Done of result | Converged of int | Ejected of ejected
 
 (* Per-lane off-core state.  The main-memory image is the golden base
    plus a sparse word-addressed overlay; bus-port drivers mirror
@@ -99,7 +99,8 @@ let lv_set base ln wa v =
 
 let size_of_code = function 0 -> Bus_event.Byte | 1 -> Bus_event.Half | _ -> Bus_event.Word
 
-let run ~sys ~prog ~trace ~reference ~max_cycles specs =
+let run ~sys ~prog ~trace ~reference ~max_cycles ?(compare_reads = false)
+    ?(boundaries = [||]) specs =
   let n = Array.length specs in
   if n > C.max_lanes then invalid_arg "Batch.run: more specs than lanes";
   let core = System.core sys in
@@ -120,8 +121,9 @@ let run ~sys ~prog ~trace ~reference ~max_cycles specs =
   let live = ref n in
   let record ln ev =
     ln.events_rev <- ev :: ln.events_rev;
-    if Bus_event.is_write ev then begin
-      ln.nw <- ln.nw + 1;
+    let write = Bus_event.is_write ev in
+    if write then ln.nw <- ln.nw + 1;
+    if write || compare_reads then
       if ln.matched < nref && Bus_event.equal ev reference.(ln.matched) then
         ln.matched <- ln.matched + 1
       else begin
@@ -130,7 +132,6 @@ let run ~sys ~prog ~trace ~reference ~max_cycles specs =
         | Some _ -> ());
         ln.abort <- true
       end
-    end
   in
   let retire ln outcome =
     outcomes.(ln.idx) <- Some outcome;
@@ -306,6 +307,32 @@ let run ~sys ~prog ~trace ~reference ~max_cycles specs =
       lanes;
     C.batch_settle circuit
   in
+  (* Convergence at a golden boundary: a lane whose fault window has
+     closed and whose complete state — circuit, main memory, both bus
+     drivers, comparator progress — equals the golden run's there has a
+     golden future, so its verdict is silent. *)
+  let converged ln ck =
+    let sp = specs.(ln.idx) in
+    (match sp.duration with
+    | Some d -> sp.from_cycle + d <= System.checkpoint_cycle ck
+    | None -> false)
+    && Hashtbl.length ln.mem = 0
+    && (ln.cd.(0), ln.rdy.(0)) = System.checkpoint_iport ck
+    && (ln.cd.(1), ln.rdy.(1)) = System.checkpoint_dport ck
+    && ln.matched
+       = (if compare_reads then System.checkpoint_events ck else System.checkpoint_writes ck)
+    && C.batch_lane_golden circuit ln.idx
+  in
+  let next_boundary = ref 0 in
+  let boundary_at cyc =
+    let nb = Array.length boundaries in
+    while !next_boundary < nb && System.checkpoint_cycle boundaries.(!next_boundary) < cyc do
+      incr next_boundary
+    done;
+    if !next_boundary < nb && System.checkpoint_cycle boundaries.(!next_boundary) = cyc then
+      Some boundaries.(!next_boundary)
+    else None
+  in
   let last = C.trace_cycles trace - 1 in
   let rec loop () =
     (* Terminal checks in the scalar run loop's order. *)
@@ -321,6 +348,14 @@ let run ~sys ~prog ~trace ~reference ~max_cycles specs =
                   (System.Trapped (C.batch_value circuit core.Core.trap_code ln.idx))
               else if C.cycle circuit >= max_cycles then finish ln System.Cycle_limit)
       lanes;
+    (match boundary_at (C.cycle circuit) with
+    | Some ck ->
+        Array.iter
+          (fun ln ->
+            if (not ln.finished) && converged ln ck then
+              retire ln (Converged (C.cycle circuit)))
+          lanes
+    | None -> ());
     if !live > 0 then
       if C.cycle circuit < last then begin
         step ();

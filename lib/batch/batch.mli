@@ -1,20 +1,27 @@
-(** Bit-parallel fault batching at the system level (PPSFP).
+(** Bit-parallel fault batching at the system level (PPSFP): the one
+    accelerated faulty-run engine.
 
     [run] packs up to {!Rtl.Circuit.max_lanes} single-fault machines
     into the lanes of one {!Leon3.System} circuit and advances them all
-    against one golden trace: the golden machine's values come straight
-    from the trace deltas, each lane pays only for its divergence cone,
-    and the off-core world (bus drivers, main memory) is replicated per
-    lane as cheap sparse overlays above the golden image.
+    from cycle 0 against one golden trace: the golden machine's values
+    come straight from the trace deltas, each lane pays only for its
+    divergence cone (a lane whose fault has not fired yet costs next to
+    nothing), and the off-core world (bus drivers, main memory) is
+    replicated per lane as cheap sparse overlays above the golden image.
+    Permanent faults, bounded and one-cycle faults, write-only and
+    read-comparing observation all run here; a single fault is a
+    one-lane batch.
 
-    Verdict-relevant behaviour — write streams, stop reasons, stop and
+    Verdict-relevant behaviour — event streams, stop reasons, stop and
     mismatch cycles — is identical to running each fault through
-    {!Leon3.System.run} on its own machine.  The batch runs only where
-    the golden trace does: a lane whose run outlives it (a hang
-    candidate) is ejected at the trace's last settled cycle with its
-    complete state, for a scalar continuation that decides it with
-    cycle-proof hang detection ([Leon3.System.run ~detect_loops:true])
-    or the timeout. *)
+    {!Leon3.System.run} on its own machine.  Two things end a lane
+    before its run does: convergence with the golden run at a
+    boundary (a {!Leon3.System.checkpoint}) once its fault window has
+    closed, and the end of the trace: a lane whose run outlives the
+    trace (a hang candidate) is ejected at the trace's last settled
+    cycle with its complete state, for a scalar continuation that
+    decides it with cycle-proof hang detection
+    ([Leon3.System.run ~detect_loops:true]) or the timeout. *)
 
 module C = Rtl.Circuit
 
@@ -27,7 +34,7 @@ type spec = {
 
 type result = {
   stop : Leon3.System.stop_reason;
-  matched : int;  (** reference writes matched before the first mismatch *)
+  matched : int;  (** reference events matched before the first mismatch *)
   stop_cycle : int;
   mismatch_cycle : int option;
   events : Sparc.Bus_event.t list;  (** data-side bus events, in order *)
@@ -38,7 +45,7 @@ type ejected = {
   e_mem : Sparc.Memory.t;  (** the lane's full main-memory image *)
   e_iport : int * bool;  (** bus-driver countdown, ready_out *)
   e_dport : int * bool;
-  e_matched : int;  (** reference writes matched so far *)
+  e_matched : int;  (** reference events matched so far *)
   e_mismatch : int option;
   e_events_rev : Sparc.Bus_event.t list;  (** newest first *)
   e_writes : int;  (** write events among them *)
@@ -48,6 +55,9 @@ type ejected = {
 
 type outcome =
   | Done of result
+  | Converged of int
+      (** retired at this boundary cycle with a provably golden future:
+          the run is silent *)
   | Ejected of ejected
       (** undecided at the trace's last settled cycle: the lane's state
           at hand-over, for scalar continuation *)
@@ -58,15 +68,30 @@ val run :
   trace:C.trace ->
   reference:Sparc.Bus_event.t array ->
   max_cycles:int ->
+  ?compare_reads:bool ->
+  ?boundaries:Leon3.System.checkpoint array ->
   spec array ->
   outcome array * C.batch_stats
 (** [run ~sys ~prog ~trace ~reference ~max_cycles specs] loads [prog]
     (fresh golden image at cycle 0 — the state [trace] was recorded
     from), arms one lane per spec and advances the batch until every
-    lane retires or the trace ends.  [reference] is the golden run's
-    {e write} stream, compared in order against each lane's writes
-    exactly as the scalar comparator does (a read is recorded but never
-    compared).  At most [C.max_lanes] specs.  Every lane still live at
-    cycle [C.trace_cycles trace - 1], after that cycle's terminal
-    checks, comes back [Ejected] with [C.transplant_cycle] equal to
-    that cycle. *)
+    lane retires or the trace ends.  At most [C.max_lanes] specs.
+
+    [reference] is the golden stream each lane's events are compared
+    against, in order, exactly as the scalar lockstep comparator does:
+    the golden {e write} stream by default (a read is recorded but
+    never compared), or with [compare_reads] (default false) the golden
+    run's every data-side event, reads included.
+
+    [boundaries] are checkpoints of the golden run [trace] records, in
+    ascending cycle order (default none).  At a boundary cycle, after
+    that cycle's terminal checks, a live lane retires as [Converged]
+    when its fault window has closed by then, its circuit state equals
+    the golden machine's ({!Rtl.Circuit.batch_lane_golden}), its main
+    memory has no overlay, both its bus drivers equal the boundary's
+    and its matched count equals the boundary's write count (event
+    count with [compare_reads]).  Permanent faults never converge.
+
+    Every lane still live at cycle [C.trace_cycles trace - 1], after
+    that cycle's terminal checks, comes back [Ejected] with
+    [C.transplant_cycle] equal to that cycle. *)

@@ -25,8 +25,8 @@ let golden_run ?(obs = Obs.null) ?(coverage = false) ?(trace = false) ?checkpoin
   let circuit = (Leon3.System.core sys).Leon3.Core.circuit in
   C.clear_fault circuit;
   if coverage then C.coverage_start circuit;
-  (* armed before [load] so the cycle-0 settled state (and its
-     keyframe) is part of the trace — replays can start from reset *)
+  (* armed before [load] so the cycle-0 settled state is part of the
+     trace — the batch engine starts from it *)
   if trace then C.trace_start circuit;
   Leon3.System.load sys prog;
   let checkpoints = ref [] in
@@ -102,9 +102,9 @@ type run_result = Journal.run_result = {
 (* Telemetry epilogue for one faulty run: outcome/sim counters, the
    detection-latency histogram, time attribution per phase
    (prefilter / simulate / converge) and the cycles the trimming
-   machinery avoided ([start_cycle] for a checkpointed start, the
-   remaining suffix for a convergence exit, the whole golden run for a
-   prefiltered injection). *)
+   machinery avoided ([start_cycle] for a continuation transplanted at
+   trace end, the remaining suffix for a convergence exit, the whole
+   golden run for a prefiltered injection). *)
 let record_run obs golden ~dt ~start_cycle r =
   Obs.incr obs "injections";
   (match r.outcome with
@@ -125,7 +125,7 @@ let record_run obs golden ~dt ~start_cycle r =
   | Converged cyc ->
       Obs.incr obs "early_exits";
       Obs.add_time obs "converge" dt;
-      Obs.incr obs ~by:(start_cycle + max 0 (golden.cycles - cyc)) "cycles.saved"
+      Obs.incr obs ~by:(max 0 (golden.cycles - cyc)) "cycles.saved"
   | Simulated ->
       Obs.incr obs "simulated";
       Obs.add_time obs "simulate" dt;
@@ -165,18 +165,10 @@ let verdict ~reference ~max_cycles ~matched ~mismatch ~stop_cycle = function
    than golden without failing. *)
 let max_cycles_of ~hang_factor golden = (hang_factor * golden.cycles) + 2000
 
-let checkpoint_progress ~compare_reads ck =
-  if compare_reads then Leon3.System.checkpoint_events ck
-  else Leon3.System.checkpoint_writes ck
-
-(* Run the positioned faulty machine to its verdict under the lockstep
+(* Run the loaded, fault-armed machine to its verdict under the lockstep
    comparator, which resumes at [matched] reference events (first
-   divergence at [mismatch]).  Early exit: once a bounded fault has
-   expired ([expiry]), exact state equality with a golden checkpoint
-   proves the remaining trajectory is golden — classify silent without
-   simulating the rest. *)
-let lockstep ?detect_loops sys golden ~compare_reads ~hang_factor ~expiry ~matched
-    ~mismatch =
+   divergence at [mismatch]). *)
+let lockstep ?detect_loops sys golden ~compare_reads ~hang_factor ~matched ~mismatch =
   let reference = if compare_reads then golden.events else golden.writes in
   let matched = ref matched in
   let mismatch = ref mismatch in
@@ -193,96 +185,146 @@ let lockstep ?detect_loops sys golden ~compare_reads ~hang_factor ~expiry ~match
     end
   in
   let max_cycles = max_cycles_of ~hang_factor golden in
-  let n = Array.length golden.checkpoints in
-  let rec from_boundary i =
-    if i >= n then Either.Left (Leon3.System.run ~on_event ?detect_loops sys ~max_cycles)
-    else begin
-      let ck = golden.checkpoints.(i) in
-      let bc = Leon3.System.checkpoint_cycle ck in
-      if bc < expiry || bc <= Leon3.System.cycles sys then from_boundary (i + 1)
-      else
-        match
-          Leon3.System.run_segment ~on_event ?detect_loops sys ~until_cycle:bc ~max_cycles
-        with
-        | Some stop -> Either.Left stop
-        | None ->
-            if !matched = checkpoint_progress ~compare_reads ck
-               && Leon3.System.matches_checkpoint sys ck
-            then Either.Right bc
-            else from_boundary (i + 1)
-    end
+  let stop = Leon3.System.run ~on_event ?detect_loops sys ~max_cycles in
+  verdict ~reference ~max_cycles ~matched:!matched ~mismatch:!mismatch
+    ~stop_cycle:(Leon3.System.cycles sys) stop
+
+(* ---- the lane engine ----
+
+   Every simulated fault runs as a lane of a bit-parallel batch
+   ({!Batch.run}) from cycle 0 against the golden trace; verdicts are
+   identical to the dense reference's.  A lane retires when its run
+   stops, when it converges with the golden run at a checkpoint
+   boundary, or at trace end, where it is handed over to the scalar
+   engine. *)
+
+(* Continue an ejected lane from its transplanted trace-end state
+   instead of re-running the whole prefix: the batch already carried
+   the fault to the end of the golden trace and handed over the lane's
+   complete state (circuit, memory image, bus drivers, comparator
+   counters), so only the genuinely undecided suffix — trace end to
+   verdict — is simulated.  Verdicts match a from-zero run because the
+   transplanted state is state-for-state equal to that run's state at
+   trace end (qcheck-tested) and the comparator resumes at the same
+   counters.  [dt] is the lane's share of its batch pass. *)
+let continue_ejected ~obs golden sys ~compare_reads ~hang_factor ~dt e (sp : Batch.spec)
+    (site : Injection.site) model =
+  let t_start = if Obs.enabled obs then Obs.now obs else 0. in
+  Leon3.System.transplant sys e.Batch.e_tp ~mem:e.Batch.e_mem ~iport:e.Batch.e_iport
+    ~dport:e.Batch.e_dport ~events_rev:e.Batch.e_events_rev
+    ~n_events:(List.length e.Batch.e_events_rev)
+    ~n_writes:e.Batch.e_writes;
+  let start_cycle = C.transplant_cycle e.Batch.e_tp in
+  (* The cycle proof in [System.run_segment] holds only for a
+     comparator blind to reads and a fault whose activity can no longer
+     change: permanent and already active, or bounded and expired. *)
+  let settled =
+    match sp.Batch.duration with
+    | None -> sp.Batch.from_cycle <= start_cycle
+    | Some d -> sp.Batch.from_cycle + d <= start_cycle
   in
-  match from_boundary 0 with
-  | Either.Right cyc -> (Silent, None, Converged cyc)
-  | Either.Left stop ->
-      let outcome, detect_cycle =
-        verdict ~reference ~max_cycles ~matched:!matched ~mismatch:!mismatch
-          ~stop_cycle:(Leon3.System.cycles sys) stop
+  let outcome, detect_cycle =
+    lockstep ~detect_loops:(settled && not compare_reads) sys golden ~compare_reads
+      ~hang_factor ~matched:e.Batch.e_matched ~mismatch:e.Batch.e_mismatch
+  in
+  C.clear_fault (Leon3.System.core sys).Leon3.Core.circuit;
+  let r =
+    { site_name = site.Injection.site_name; model; outcome; detect_cycle;
+      inject_cycle = sp.Batch.from_cycle; sim = Simulated }
+  in
+  if Obs.enabled obs then begin
+    let tail = Obs.now obs -. t_start in
+    Obs.incr obs "tail.transplants";
+    Obs.incr obs ~by:start_cycle "tail.prefix_saved";
+    Obs.add_time obs "tail.watchdog" tail;
+    record_run obs golden ~dt:(dt +. tail) ~start_cycle r
+  end;
+  r
+
+(* One batch pass over up to [C.max_lanes] faulty runs.  Each entry is
+   the site and model its verdict is recorded under, plus the fault its
+   lane is armed with (a collapse leader's representative stands in for
+   the member).  Verdicts come back in entry order. *)
+let run_lanes ~obs golden sys prog ~compare_reads ~hang_factor lanes =
+  let t_start = if Obs.enabled obs then Obs.now obs else 0. in
+  let reference = if compare_reads then golden.events else golden.writes in
+  let max_cycles = max_cycles_of ~hang_factor golden in
+  let outcomes, stats =
+    Batch.run ~sys ~prog ~trace:(Option.get golden.trace) ~reference ~max_cycles
+      ~compare_reads ~boundaries:golden.checkpoints
+      (Array.map (fun (_, _, sp) -> sp) lanes)
+  in
+  let n = Array.length lanes in
+  (* every lane is charged an equal share of the pass, under the phase
+     that decided it *)
+  let dt =
+    if Obs.enabled obs then (Obs.now obs -. t_start) /. float_of_int (max 1 n) else 0.
+  in
+  if Obs.enabled obs then begin
+    Obs.incr obs "batch.passes";
+    Obs.incr obs ~by:n "batch.lanes";
+    Obs.observe obs "batch.occupancy" (float_of_int n);
+    (* lane evaluations actually performed vs what dense per-lane
+       sweeps would cost *)
+    Obs.incr obs ~by:stats.C.bs_evals "diff.nodes_evaluated";
+    Obs.incr obs ~by:stats.C.bs_dense_evals "diff.golden_evaluated"
+  end;
+  Array.map2
+    (fun ((site : Injection.site), model, (sp : Batch.spec)) outcome ->
+      let decided outcome detect_cycle sim =
+        Obs.incr obs "batch.lanes_retired";
+        let r =
+          { site_name = site.Injection.site_name; model; outcome; detect_cycle;
+            inject_cycle = sp.Batch.from_cycle; sim }
+        in
+        if Obs.enabled obs then record_run obs golden ~dt ~start_cycle:0 r;
+        r
       in
-      (outcome, detect_cycle, Simulated)
+      match outcome with
+      | Batch.Done br ->
+          let outcome, detect_cycle =
+            verdict ~reference ~max_cycles ~matched:br.Batch.matched
+              ~mismatch:br.Batch.mismatch_cycle ~stop_cycle:br.Batch.stop_cycle
+              br.Batch.stop
+          in
+          decided outcome detect_cycle Simulated
+      | Batch.Converged cyc -> decided Silent None (Converged cyc)
+      | Batch.Ejected e ->
+          Obs.incr obs "batch.ejected";
+          continue_ejected ~obs golden sys ~compare_reads ~hang_factor ~dt e sp site model)
+    lanes outcomes
 
 let run_one ?(obs = Obs.null) ?plan sys prog golden ?(inject_cycle = 0) ?duration
     ?(hang_factor = 4) ?(compare_reads = false) (site : Injection.site) model =
   let t_start = if Obs.enabled obs then Obs.now obs else 0. in
-  let circuit = (Leon3.System.core sys).Leon3.Core.circuit in
-  let finish ~start_cycle outcome detect_cycle sim =
+  let finish outcome detect_cycle sim =
     let r =
       { site_name = site.Injection.site_name; model; outcome; detect_cycle; inject_cycle;
         sim }
     in
     if Obs.enabled obs then
-      record_run obs golden ~dt:(Obs.now obs -. t_start) ~start_cycle r;
+      record_run obs golden ~dt:(Obs.now obs -. t_start) ~start_cycle:0 r;
     r
   in
-  if prefiltered golden site model then finish ~start_cycle:0 Silent None Prefiltered
-  else begin
-    (* Trimmed start: the run is fault-free strictly before
-       [inject_cycle], so resume from the last golden checkpoint
-       before it (strictly: the settle AT the injection instant is
-       already faulty and must be re-executed). *)
-    let start_ck =
-      Array.fold_left
-        (fun acc ck ->
-          if Leon3.System.checkpoint_cycle ck < inject_cycle then Some ck else acc)
-        None golden.checkpoints
-    in
-    let matched =
-      match start_ck with
-      | Some ck ->
-          Leon3.System.restore_checkpoint sys ck;
-          checkpoint_progress ~compare_reads ck
-      | None ->
-          Leon3.System.load sys prog;
-          0
-    in
-    let start_cycle = Leon3.System.cycles sys in
-    (* Differential replay: the state just positioned is a state the
-       golden run passed through, so the dirty set starts empty and
-       every settle from here is O(divergence) instead of O(n). *)
-    let replaying =
-      match (plan, golden.trace) with
-      | Some pl, Some tr ->
-          C.replay_start circuit pl tr;
-          true
-      | (Some _ | None), _ -> false
-    in
-    C.inject circuit ~from_cycle:inject_cycle ?duration site.Injection.fault_site model;
-    let expiry = match duration with Some d -> inject_cycle + d | None -> max_int in
-    let outcome, detect_cycle, sim =
-      lockstep sys golden ~compare_reads ~hang_factor ~expiry ~matched ~mismatch:None
-    in
-    C.clear_fault circuit;
-    if replaying then begin
-      let st = C.replay_stop circuit in
-      if Obs.enabled obs then begin
-        Obs.incr obs ~by:st.C.rs_evals "diff.nodes_evaluated";
-        Obs.incr obs ~by:st.C.rs_dense_evals "diff.golden_evaluated";
-        Obs.observe obs "diff.dirty_peak" (float_of_int st.C.rs_dirty_peak);
-        Obs.observe obs "diff.divergence_cycles" (float_of_int st.C.rs_divergence_cycles)
-      end
-    end;
-    finish ~start_cycle outcome detect_cycle sim
-  end
+  if prefiltered golden site model then finish Silent None Prefiltered
+  else
+    match (plan, golden.trace) with
+    | Some _, Some _ ->
+        let sp =
+          { Batch.site = site.Injection.fault_site; model; from_cycle = inject_cycle;
+            duration }
+        in
+        (run_lanes ~obs golden sys prog ~compare_reads ~hang_factor [| (site, model, sp) |]).(0)
+    | (Some _ | None), _ ->
+        (* the dense reference: a plain cycle-by-cycle run from reset *)
+        let circuit = (Leon3.System.core sys).Leon3.Core.circuit in
+        Leon3.System.load sys prog;
+        C.inject circuit ~from_cycle:inject_cycle ?duration site.Injection.fault_site model;
+        let outcome, detect_cycle =
+          lockstep sys golden ~compare_reads ~hang_factor ~matched:0 ~mismatch:None
+        in
+        C.clear_fault circuit;
+        finish outcome detect_cycle Simulated
 
 type summary = {
   injections : int;
@@ -351,7 +393,6 @@ type config = {
   hang_factor : int;
   compare_reads : bool;
   seed : int;
-  checkpoint_every : int option;
   static : bool;
   shard : int * int;
 }
@@ -364,7 +405,6 @@ let default_config =
     hang_factor = 4;
     compare_reads = false;
     seed = 7;
-    checkpoint_every = None;
     static = true;
     shard = (1, 1) }
 
@@ -404,11 +444,12 @@ let build_static ?(obs = Obs.null) ?graph core =
    the collapse table. *)
 type plan =
   | P_direct
+  | P_prefiltered
   | P_pruned
   | P_class of (C.fault_site * C.fault_model)
 
 let classify static golden (site : Injection.site) model =
-  if prefiltered golden site model then P_direct
+  if prefiltered golden site model then P_prefiltered
   else
     match static with
     | None -> P_direct
@@ -428,15 +469,6 @@ let pruned_result ~inject_cycle (site : Injection.site) model =
 let follower_result ~inject_cycle (site : Injection.site) model lead =
   { site_name = site.Injection.site_name; model; outcome = lead.outcome;
     detect_cycle = lead.detect_cycle; inject_cycle; sim = Collapsed lead.site_name }
-
-(* Golden-run options for a campaign: value coverage powers the
-   permanent-fault prefilter (useless for bit-flips, which always
-   activate); checkpoints only pay off when runs start after cycle 0. *)
-let golden_options config =
-  ( List.exists (fun m -> m <> C.Bit_flip) config.models,
-    if config.inject_cycle > 0 then
-      Some (Option.value config.checkpoint_every ~default:default_checkpoint_interval)
-    else None )
 
 (* Site enumeration and sampling, under its own span so campaign time
    decomposes into golden / site_sampling / prefilter / simulate /
@@ -485,6 +517,7 @@ let build_tasks config sample =
    assignment is identical for every shard and every domain count. *)
 type task_plan =
   | T_direct
+  | T_prefiltered
   | T_pruned
   | T_lead of Injection.site * C.fault_model
   | T_follow of int  (* global task index of the class leader *)
@@ -498,16 +531,16 @@ type machinery = {
   m_golden_lead : golden;
       (* prefilter bypassed for collapse-class leaders: the member
          reached simulation, so its representative must simulate too *)
-  m_plan : C.replay_plan;
   m_plans : task_plan array;
 }
 
 let build_machinery ~obs ~config sys prog tasks =
   let core = Leon3.System.core sys in
-  let coverage, checkpoint_every = golden_options config in
-  let golden =
-    golden_run ~obs ~coverage ~trace:true ?checkpoint_every sys prog ~max_cycles:5_000_000
-  in
+  (* value coverage powers the permanent-fault prefilter (useless for
+     bit-flips, which always activate); no checkpoints, since a fault
+     without a duration never converges *)
+  let coverage = List.exists (fun m -> m <> C.Bit_flip) config.models in
+  let golden = golden_run ~obs ~coverage ~trace:true sys prog ~max_cycles:5_000_000 in
   let static =
     if config.static then
       let graph =
@@ -522,6 +555,7 @@ let build_machinery ~obs ~config sys prog tasks =
       (fun i (model, site) ->
         match classify static golden site model with
         | P_direct -> T_direct
+        | P_prefiltered -> T_prefiltered
         | P_pruned -> T_pruned
         | P_class ((rsite, rmodel) as key) -> (
             match Hashtbl.find_opt class_leader key with
@@ -531,18 +565,13 @@ let build_machinery ~obs ~config sys prog tasks =
                 T_lead ({ site with Injection.fault_site = rsite }, rmodel)))
       tasks
   in
-  { m_golden = golden;
-    m_golden_lead = { golden with coverage = None };
-    (* the kernel lowers the levelized schedule at elaboration; no graph
-       extraction is needed just to replay *)
-    m_plan = C.compiled_plan core.Leon3.Core.circuit;
-    m_plans = plans }
+  { m_golden = golden; m_golden_lead = { golden with coverage = None }; m_plans = plans }
 
 (* ---- reusable campaign preparation (the serve layer's golden-trace
    + static-analysis cache) ----
 
    Everything shard-independent and expensive — golden run, static
-   analysis, replay plan, per-task classification — packaged so repeat
+   analysis, per-task classification — packaged so repeat
    or concurrent campaigns over the same (program, netlist, config)
    never recompute it.  The fingerprint is shard-normalised to (1,1):
    any shard of the same campaign may consume the same preparation. *)
@@ -579,52 +608,34 @@ let check_prepared fp = function
                              campaign" f)
       | None -> Some p.p_machinery)
 
+(* A collapse leader whose member sits in another shard is simulated
+   on its own, as a one-lane batch. *)
 let simulate_lead ~obs ~config m sys prog tasks j =
   match m.m_plans.(j) with
   | T_lead (rep, rmodel) ->
       let model, _ = tasks.(j) in
       let r0 =
-        run_one ~obs ~plan:m.m_plan sys prog m.m_golden_lead
-          ~inject_cycle:config.inject_cycle ~hang_factor:config.hang_factor
-          ~compare_reads:config.compare_reads rep rmodel
+        run_one ~obs
+          ~plan:(C.compiled_plan (Leon3.System.core sys).Leon3.Core.circuit)
+          sys prog m.m_golden_lead ~inject_cycle:config.inject_cycle
+          ~hang_factor:config.hang_factor ~compare_reads:config.compare_reads rep rmodel
       in
       { r0 with model }
-  | T_direct | T_pruned | T_follow _ ->
+  | T_direct | T_prefiltered | T_pruned | T_follow _ ->
       failwith "Campaign: collapse leader reclassified (internal error)"
 
-(* One scalar task: a direct simulation, a cone-pruned verdict, or a
-   collapse leader's representative run. *)
-let run_task ~obs ~config m sys prog tasks ti =
+(* A task decided without simulation: prefiltered or cone-pruned. *)
+let run_decided ~obs ~config m sys prog tasks ti =
   let model, site = tasks.(ti) in
   match m.m_plans.(ti) with
-  | T_direct ->
-      run_one ~obs ~plan:m.m_plan sys prog m.m_golden ~inject_cycle:config.inject_cycle
-        ~hang_factor:config.hang_factor ~compare_reads:config.compare_reads site model
+  | T_prefiltered ->
+      run_one ~obs sys prog m.m_golden ~inject_cycle:config.inject_cycle site model
   | T_pruned ->
       let r = pruned_result ~inject_cycle:config.inject_cycle site model in
       record_static obs m.m_golden r;
       r
-  | T_lead _ -> simulate_lead ~obs ~config m sys prog tasks ti
-  | T_follow _ -> failwith "Campaign: collapse follower queued (internal error)"
-
-(* ---- bit-parallel batching (PPSFP) ----
-
-   A batchable task is a direct or collapse-leader simulation of a
-   permanent fault that survived the activation prefilter: up to
-   [C.max_lanes] of them advance against the golden trace in one
-   bitwise pass, with verdicts identical to [run_one]'s.  Lanes that
-   outlive the trace are handed over to the scalar engine at trace
-   end. *)
-
-let batchable ~config m tasks ti =
-  (not config.compare_reads)
-  &&
-  match m.m_plans.(ti) with
-  | T_direct ->
-      let model, site = tasks.(ti) in
-      not (prefiltered m.m_golden site model)
-  | T_lead _ -> true
-  | T_pruned | T_follow _ -> false
+  | T_direct | T_lead _ | T_follow _ ->
+      failwith "Campaign: simulated task queued as decided (internal error)"
 
 let chunk_list k l =
   let rec take n acc = function
@@ -639,111 +650,34 @@ let chunk_list k l =
   in
   go l
 
-(* Continue an ejected lane from its transplanted trace-end state
-   instead of re-running the whole prefix: the batch already carried
-   the fault to the end of the golden trace and handed over the lane's
-   complete state (circuit, memory image, bus drivers, comparator
-   counters), so only the genuinely undecided suffix — trace end to
-   verdict — is simulated, with cycle-proof hang detection armed.
-   Verdicts match a from-zero run because the transplanted state is
-   state-for-state equal to that run's state at trace end
-   (qcheck-tested) and the comparator resumes at the same counters. *)
-let continue_ejected ~obs ~config golden sys e (site : Injection.site) model =
-  let t_start = if Obs.enabled obs then Obs.now obs else 0. in
-  Leon3.System.transplant sys e.Batch.e_tp ~mem:e.Batch.e_mem ~iport:e.Batch.e_iport
-    ~dport:e.Batch.e_dport ~events_rev:e.Batch.e_events_rev
-    ~n_events:(List.length e.Batch.e_events_rev)
-    ~n_writes:e.Batch.e_writes;
-  let start_cycle = C.transplant_cycle e.Batch.e_tp in
-  let outcome, detect_cycle, sim =
-    lockstep ~detect_loops:true sys golden ~compare_reads:false
-      ~hang_factor:config.hang_factor ~expiry:max_int ~matched:e.Batch.e_matched
-      ~mismatch:e.Batch.e_mismatch
-  in
-  C.clear_fault (Leon3.System.core sys).Leon3.Core.circuit;
-  let r =
-    { site_name = site.Injection.site_name; model; outcome; detect_cycle;
-      inject_cycle = config.inject_cycle; sim }
-  in
-  if Obs.enabled obs then begin
-    Obs.incr obs "tail.transplants";
-    Obs.incr obs ~by:start_cycle "tail.prefix_saved";
-    record_run obs golden ~dt:(Obs.now obs -. t_start) ~start_cycle r
-  end;
-  r
-
-(* Simulate one chunk of batchable tasks (≤ [C.max_lanes]) in a single
-   bit-parallel pass; returns verdicts aligned with [tis]. *)
+(* One batch pass over a chunk of simulated tasks (≤ [C.max_lanes]):
+   direct simulations and collapse leaders, the latter armed with the
+   fault the plan resolved to and recorded under the member's site and
+   model, exactly as [simulate_lead] does. *)
 let run_batch_chunk ~obs ~config m sys prog tasks tis =
-  let t_start = if Obs.enabled obs then Obs.now obs else 0. in
-  let golden = m.m_golden in
-  let trace = Option.get golden.trace in
-  let max_cycles = max_cycles_of ~hang_factor:config.hang_factor golden in
-  let specs =
-    Array.map
-      (fun ti ->
-        let model, site = tasks.(ti) in
-        let fsite, fmodel =
-          match m.m_plans.(ti) with
-          | T_lead (rep, rmodel) -> (rep.Injection.fault_site, rmodel)
-          | T_direct -> (site.Injection.fault_site, model)
-          | T_pruned | T_follow _ -> assert false
-        in
-        { Batch.site = fsite; model = fmodel; from_cycle = config.inject_cycle;
-          duration = None })
-      tis
-  in
-  let outcomes, stats =
-    Batch.run ~sys ~prog ~trace ~reference:golden.writes ~max_cycles specs
-  in
-  let n = Array.length tis in
-  let dt =
-    if Obs.enabled obs then (Obs.now obs -. t_start) /. float_of_int (max 1 n) else 0.
-  in
-  if Obs.enabled obs then begin
-    Obs.incr obs "batch.passes";
-    Obs.incr obs ~by:n "batch.lanes";
-    Obs.observe obs "batch.occupancy" (float_of_int n);
-    (* the replay counters CI and the bench track: lane evaluations
-       actually performed vs what dense per-lane sweeps would cost *)
-    Obs.incr obs ~by:stats.C.bs_evals "diff.nodes_evaluated";
-    Obs.incr obs ~by:stats.C.bs_dense_evals "diff.golden_evaluated"
-  end;
-  Array.mapi
-    (fun k ti ->
-      let model, site = tasks.(ti) in
-      match outcomes.(k) with
-      | Batch.Done br ->
-          Obs.incr obs "batch.lanes_retired";
-          let outcome, detect_cycle =
-            verdict ~reference:golden.writes ~max_cycles ~matched:br.Batch.matched
-              ~mismatch:br.Batch.mismatch_cycle ~stop_cycle:br.Batch.stop_cycle
-              br.Batch.stop
-          in
-          let r =
-            { site_name = site.Injection.site_name; model; outcome; detect_cycle;
-              inject_cycle = config.inject_cycle; sim = Simulated }
-          in
-          if Obs.enabled obs then record_run obs golden ~dt ~start_cycle:0 r;
-          r
-      | Batch.Ejected e ->
-          (* T_direct and T_lead lanes were both armed with the fault
-             the plan resolved to, and the verdict is recorded under the
-             member's site/model either way, exactly as [simulate_lead]
-             does *)
-          Obs.incr obs "batch.ejected";
-          let tw_start = if Obs.enabled obs then Obs.now obs else 0. in
-          let r = continue_ejected ~obs ~config golden sys e site model in
-          if Obs.enabled obs then
-            Obs.add_time obs "tail.watchdog" (Obs.now obs -. tw_start);
-          r)
-    tis
+  run_lanes ~obs m.m_golden sys prog ~compare_reads:config.compare_reads
+    ~hang_factor:config.hang_factor
+    (Array.map
+       (fun ti ->
+         let model, site = tasks.(ti) in
+         let fsite, fmodel =
+           match m.m_plans.(ti) with
+           | T_lead (rep, rmodel) -> (rep.Injection.fault_site, rmodel)
+           | T_direct -> (site.Injection.fault_site, model)
+           | T_prefiltered | T_pruned | T_follow _ -> assert false
+         in
+         ( site,
+           model,
+           { Batch.site = fsite; model = fmodel; from_cycle = config.inject_cycle;
+             duration = None } ))
+       tis)
 
 (* ---- the campaign driver ---- *)
 
-(* Work units for the executor: batchable tasks fold into ≤ max_lanes
-   wide PPSFP passes, the rest stay single-task; one unit is one queue
-   claim, so a whole batch runs on one worker's system.  Collapse
+(* Work units for the executor: simulated tasks fold into ≤ max_lanes
+   wide PPSFP passes, tasks decided without simulation stay
+   single-task; one unit is one queue claim, so a whole batch runs on
+   one worker's system.  Collapse
    followers copy their leader's verdict after the queue drains:
    leaders always precede followers in task order, so in-shard leaders
    are already decided, and a leader whose member sits in another shard
@@ -754,10 +688,17 @@ let plan_work ~obs ~config m prog tasks pending =
       (fun ti ->
         match m.m_plans.(ti) with
         | T_follow j -> Either.Right (ti, j)
-        | T_direct | T_pruned | T_lead _ -> Either.Left ti)
+        | T_direct | T_prefiltered | T_pruned | T_lead _ -> Either.Left ti)
       pending
   in
-  let batched, single = List.partition (batchable ~config m tasks) queued in
+  let batched, single =
+    List.partition
+      (fun ti ->
+        match m.m_plans.(ti) with
+        | T_direct | T_lead _ -> true
+        | T_prefiltered | T_pruned | T_follow _ -> false)
+      queued
+  in
   { Executor.units =
       Array.of_list
         (List.map (fun c -> `Batch (Array.of_list c)) (chunk_list C.max_lanes batched)
@@ -766,7 +707,7 @@ let plan_work ~obs ~config m prog tasks pending =
       (fun sys o u ->
         Leon3.System.set_obs sys o;
         match u with
-        | `One ti -> [ (ti, run_task ~obs:o ~config m sys prog tasks ti) ]
+        | `One ti -> [ (ti, run_decided ~obs:o ~config m sys prog tasks ti) ]
         | `Batch tis ->
             Array.to_list
               (Array.map2
@@ -803,8 +744,8 @@ let shard_summaries config all =
 (* The one campaign driver.  Injection sites carry node ids, which are
    valid across systems because circuit construction is deterministic
    (same build ⇒ same numbering) — the same property lets every worker
-   share the golden coverage, checkpoints, trace and replay plan
-   captured on worker 0's system, all immutable after construction. *)
+   share the golden coverage and trace captured on worker 0's system,
+   both immutable after construction. *)
 let run_parallel ?(config = default_config) ?(obs = Obs.null) ?(domains = 4)
     ?on_progress ?journal ?(resume = false) ?prepared sys_factory prog target =
   Executor.check_shard ~who:"Campaign" config.shard;
@@ -848,10 +789,10 @@ let pf_percent s = 100. *. s.pf
    upsets — one-cycle bit inversions at uniformly random instants of
    the run.  Unlike permanent faults the outcome depends on *when* the
    fault hits, so each sampled site gets its own random instant.  The
-   1-cycle window is where checkpoint trimming shines: each injection
-   resumes from the checkpoint before its instant, replays
-   differentially against the golden trace, and stops at the first
-   checkpoint where its state has re-converged with the golden run. *)
+   upsets run as batch lanes from cycle 0; a lane costs next to nothing
+   until its upset fires, and most retire at the first golden
+   checkpoint after it where their state has re-converged with the
+   golden run. *)
 let run_transient ?(sample = 400) ?(seed = 7)
     ?(checkpoint_every = default_checkpoint_interval) ?(obs = Obs.null) sys prog target =
   Leon3.System.set_obs sys obs;
@@ -859,8 +800,7 @@ let run_transient ?(sample = 400) ?(seed = 7)
   let golden =
     golden_run ~obs ~trace:true ~checkpoint_every sys prog ~max_cycles:5_000_000
   in
-  let plan = C.compiled_plan core.Leon3.Core.circuit in
-  let chosen =
+  let upsets =
     Obs.span obs "site_sampling" @@ fun () ->
     let pool = Array.of_list (Injection.sites core target) in
     let rng = Stats.Rng.create seed in
@@ -869,14 +809,22 @@ let run_transient ?(sample = 400) ?(seed = 7)
         Stats.Rng.sample_without_replacement rng sample pool
       else pool
     in
-    Array.map (fun site -> (site, Stats.Rng.int rng (max 1 golden.cycles))) chosen
+    Array.map
+      (fun (site : Injection.site) ->
+        let inject_cycle = Stats.Rng.int rng (max 1 golden.cycles) in
+        ( site,
+          C.Bit_flip,
+          { Batch.site = site.Injection.fault_site; model = C.Bit_flip;
+            from_cycle = inject_cycle; duration = Some 1 } ))
+      chosen
   in
   let results =
-    Array.to_list
-      (Array.map
-         (fun (site, inject_cycle) ->
-           run_one ~obs ~plan sys prog golden ~inject_cycle ~duration:1 site C.Bit_flip)
-         chosen)
+    List.concat_map
+      (fun chunk ->
+        Array.to_list
+          (run_lanes ~obs golden sys prog ~compare_reads:false
+             ~hang_factor:default_config.hang_factor (Array.of_list chunk)))
+      (chunk_list C.max_lanes (Array.to_list upsets))
   in
   Leon3.System.set_obs sys Obs.null;
   summarize results

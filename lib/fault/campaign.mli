@@ -12,15 +12,15 @@
     {b Acceleration layers.}  Most injections are redundant work, and
     the engine always skips it: value coverage classifies
     never-activating permanent faults silent without simulating;
-    checkpoints start each run at the last golden state before its
-    injection instant and stop a bounded fault at the first golden
-    state it re-converges with; static analysis prunes faults outside
-    the observation cone and collapses equivalent ones; faulty runs
-    replay differentially against the golden value trace; permanent
-    faults run up to {!Rtl.Circuit.max_lanes} at a time as bit-lanes
-    of one machine, and hang candidates outliving the trace are handed
-    over to the scalar engine at trace end, where cycle proofs decide
-    the periodic ones early.  Every layer is exact: a campaign's verdicts,
+    static analysis prunes faults outside the observation cone and
+    collapses equivalent ones; every simulated fault runs as a lane of
+    a bit-parallel batch ({!Batch.run}, up to {!Rtl.Circuit.max_lanes}
+    at a time) against the golden value trace, paying only for its
+    divergence from golden; a bounded fault's lane retires at the first
+    golden checkpoint where its state has re-converged with the golden
+    run; and hang candidates outliving the trace are handed over to
+    the scalar engine at trace end, where cycle proofs decide the
+    periodic ones early.  Every layer is exact: a campaign's verdicts,
     failure breakdowns and latencies equal the dense reference's —
     {!run_one} without a replay plan, against a {!golden_run} with no
     coverage, trace or checkpoints.  {!summary} reports how much
@@ -50,11 +50,11 @@ type golden = {
       (** value coverage, when recorded — powers the activation
           prefilter *)
   checkpoints : Leon3.System.checkpoint array;
-      (** golden state at increasing cycles, when captured — powers
-          checkpointed starts and early exits *)
+      (** golden off-core state at increasing cycles, when captured —
+          the boundaries at which a bounded fault's lane may converge *)
   trace : C.trace option;
       (** delta-compressed per-cycle value trace, when recorded —
-          powers differential replay of the faulty runs *)
+          powers the batch engine the faulty runs execute on *)
 }
 
 val golden_run :
@@ -69,7 +69,7 @@ val golden_run :
 (** Run fault-free and capture the reference behaviour.  [coverage]
     (default false) records per-bit value coverage for the activation
     prefilter; [trace] (default false) records the per-cycle value
-    trace for differential replay; [checkpoint_every] captures a state
+    trace for the batch engine; [checkpoint_every] captures a
     checkpoint at that cycle interval (the set is thinned to a bounded
     count on long runs).  Raises [Failure] if the golden run itself
     traps or hits the cycle limit (the workload is broken, not the
@@ -88,11 +88,11 @@ type failure_kind = Journal.failure_kind =
 type outcome = Journal.outcome = Silent | Failure of failure_kind
 
 type sim_status = Journal.sim_status =
-  | Simulated  (** the faulty run was executed (possibly from a checkpoint) *)
+  | Simulated  (** the faulty run was executed to its verdict *)
   | Prefiltered  (** provably never activates; no simulation at all *)
   | Converged of int
-      (** simulated until state equality with the golden checkpoint at
-          this cycle proved the rest *)
+      (** simulated until state equality with the golden run at the
+          checkpoint at this cycle proved the rest *)
   | Pruned
       (** outside the backward cone of the observation points —
           statically silent, no simulation *)
@@ -127,19 +127,20 @@ val run_one :
     window (default permanent).  [hang_factor] scales the golden cycle
     count into the watchdog budget (default 4 — cache-degrading faults
     can legitimately run slower without failing).  [compare_reads]
-    extends the lockstep comparison to read addresses (default false,
-    the paper compares writes only).  Trimming follows what [golden]
-    carries: coverage enables the prefilter, checkpoints enable
-    resumed starts and (for bounded faults) convergence early-exit.
-    When [plan] is given {e and} [golden] carries a trace, the run
-    executes in differential replay — only the fanout cone of nodes
-    diverging from golden is re-evaluated each cycle, and convergence
-    checks are O(dirty); verdicts are identical either way.  Replay
-    statistics land on [obs] as [diff.nodes_evaluated] /
-    [diff.golden_evaluated] counters and [diff.dirty_peak] /
-    [diff.divergence_cycles] histograms.  Without [plan], on a golden
-    run with no coverage, trace or checkpoints, this is the dense
-    reference every campaign verdict must equal. *)
+    extends the lockstep comparison to reads (default false, the paper
+    compares writes only).  If [golden] carries coverage, a fault the
+    prefilter proves inactive is classified without simulating.
+
+    When [plan] (the kernel's {!C.compiled_plan}, the schedule the
+    lane engine sweeps) is given {e and} [golden] carries a trace, the
+    run is a one-lane {!Batch.run} from cycle 0, exactly as campaigns
+    run their faults: it converges early at [golden]'s checkpoints
+    once a bounded fault has expired, and continues on the scalar
+    engine if it outlives the trace.  Lane statistics land on [obs] as
+    [diff.nodes_evaluated] / [diff.golden_evaluated] counters.
+    Otherwise the run is a plain dense simulation from reset, with no
+    convergence exit: on a golden run with no coverage this is the
+    dense reference every campaign verdict must equal. *)
 
 type summary = {
   injections : int;
@@ -152,7 +153,9 @@ type summary = {
   max_latency : int;  (** cycles, over detected failures *)
   mean_latency : float;
   skipped : int;  (** injections classified by the prefilter, unsimulated *)
-  early_exits : int;  (** simulated runs cut short by checkpoint convergence *)
+  early_exits : int;
+      (** simulated runs retired early: convergence with the golden run
+          at a checkpoint once a bounded fault expired *)
   pruned : int;  (** injections outside the observation cone, unsimulated *)
   collapsed : int;  (** injections replicated from a collapse-class leader *)
 }
@@ -167,8 +170,6 @@ type config = {
   hang_factor : int;
   compare_reads : bool;
   seed : int;
-  checkpoint_every : int option;
-      (** golden checkpoint interval in cycles; [None] = default *)
   static : bool;
       (** netlist static analysis: cone-of-influence pruning and
           structural fault collapsing ({!Analysis}); verdicts are
@@ -211,15 +212,14 @@ val build_static : ?obs:Obs.t -> ?graph:Analysis.Graph.t -> Leon3.Core.t -> stat
     the post-dominator tree toward those points and the collapse table
     (classic rules plus dominance) keeping those points
     un-collapsible.  [graph] reuses an already-extracted dependency
-    graph (the campaign shares one extraction between this and the
-    replay plan).  Recorded under an [Obs] span named
+    graph.  Recorded under an [Obs] span named
     ["static_analysis"], with per-phase child spans ["static.graph"],
     ["static.dominator"] and ["static.collapse"]. *)
 
 type prepared
 (** Everything shard-independent and expensive about a campaign —
-    golden run (with coverage, checkpoints, trace), static analysis,
-    compiled replay plan, per-task classification — packaged for
+    golden run (with coverage and trace), static analysis, per-task
+    classification — packaged for
     reuse.  This is the value the serve layer's content-addressed
     golden-trace cache stores: any number of {!run}/{!run_parallel}
     invocations (any shard of the same campaign) may consume one
@@ -316,9 +316,10 @@ val run_transient :
   summary
 (** Single-event-upset campaign (the paper's stated future work):
     one-cycle bit inversions at uniformly random instants, one instant
-    per sampled site.  Each run starts at the last golden checkpoint
-    (every [checkpoint_every] cycles, default 512) before its instant,
-    replays differentially against the golden trace and early-exits on
-    state re-convergence — for a 1-cycle upset the dirty set typically
-    collapses to empty within a few cycles, which is also what makes
-    the convergence check O(dirty). *)
+    per sampled site.  The upsets run as lanes of batches of up to
+    {!Rtl.Circuit.max_lanes}, from cycle 0 against the golden trace; a
+    lane retires early at the first golden checkpoint (every
+    [checkpoint_every] cycles, default 512) at which its state has
+    re-converged with the golden run — for a 1-cycle upset that is
+    typically the first one after its instant — and counts in
+    [summary.early_exits]. *)

@@ -148,8 +148,7 @@ let step t = step_with t None
 (* [run_segment] pauses (returns [None]) once the cycle counter
    reaches [until_cycle]; terminal conditions return [Some reason] and
    latch as before.  The pause point is between steps, i.e. at a
-   settled state — exactly the point {!checkpoint} captures, so a
-   paused run can be compared against golden checkpoints.
+   settled state — exactly the point {!checkpoint} captures.
 
    [detect_loops] arms cycle-proof hang detection: a run that is going
    to exhaust its cycle budget almost always spins in a short state
@@ -252,13 +251,10 @@ let run ?on_event ?detect_loops t ~max_cycles =
   | Some r -> r
   | None -> assert false (* until_cycle = max_int never pauses first *)
 
-(* --- checkpoints (trimmed campaign execution) --- *)
+(* --- checkpoints (convergence boundaries) --- *)
 
 type checkpoint = {
   ck_cycle : int;
-  ck_circuit : C.snapshot;
-  ck_mem : Memory.t;
-  ck_hash : int;
   ck_iport : int * bool;  (* countdown, ready_out *)
   ck_dport : int * bool;
   ck_events : int;
@@ -267,39 +263,10 @@ type checkpoint = {
 
 let checkpoint t =
   { ck_cycle = C.cycle (circuit t);
-    ck_circuit = C.snapshot (circuit t);
-    ck_mem = Memory.copy t.mem;
-    ck_hash = C.state_hash (circuit t) lxor Memory.hash t.mem;
     ck_iport = (t.iport.countdown, t.iport.ready_out);
     ck_dport = (t.dport.countdown, t.dport.ready_out);
     ck_events = t.n_events;
     ck_writes = t.n_writes }
-
-let restore_checkpoint t ck =
-  C.restore (circuit t) ck.ck_circuit;
-  t.mem <- Memory.copy ck.ck_mem;
-  t.events_rev <- [];
-  t.n_events <- ck.ck_events;
-  t.n_writes <- ck.ck_writes;
-  t.stopped <- None;
-  t.abort <- false;
-  (let cd, ro = ck.ck_iport in
-   t.iport.countdown <- cd;
-   t.iport.ready_out <- ro);
-  let cd, ro = ck.ck_dport in
-  t.dport.countdown <- cd;
-  t.dport.ready_out <- ro
-
-let matches_checkpoint t ck =
-  C.cycle (circuit t) = ck.ck_cycle
-  && (t.iport.countdown, t.iport.ready_out) = ck.ck_iport
-  && (t.dport.countdown, t.dport.ready_out) = ck.ck_dport
-  && (match C.replay_converged (circuit t) with
-     (* O(dirty): an empty dirty set + empty mem diff against the
-        golden trace the checkpoint came from is exact state equality *)
-     | Some converged -> converged
-     | None -> C.state_equal (circuit t) ck.ck_circuit)
-  && Memory.equal t.mem ck.ck_mem
 
 (* --- lane -> scalar transplant (batch tail hand-off) --- *)
 
@@ -320,7 +287,8 @@ let transplant t tp ~mem ~iport:(icd, iro) ~dport:(dcd, dro) ~events_rev ~n_even
 let checkpoint_cycle ck = ck.ck_cycle
 let checkpoint_events ck = ck.ck_events
 let checkpoint_writes ck = ck.ck_writes
-let checkpoint_hash ck = ck.ck_hash
+let checkpoint_iport ck = ck.ck_iport
+let checkpoint_dport ck = ck.ck_dport
 
 let stop t = t.stopped
 

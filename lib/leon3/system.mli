@@ -64,21 +64,24 @@ val run_segment :
   max_cycles:int -> stop_reason option
 (** Like {!run} but pauses once the cycle counter reaches
     [until_cycle], returning [None]; the run can then be inspected
-    (e.g. compared against a golden {!checkpoint}) and resumed with
-    another [run_segment] or {!run} call.  Terminal outcomes return
+    (e.g. a golden {!checkpoint} taken) and resumed with another
+    [run_segment] or {!run} call.  Terminal outcomes return
     [Some reason] and latch exactly as {!run} does. *)
 
 val stop : t -> stop_reason option
 
 (** {2 Checkpoints}
 
-    A checkpoint freezes everything a resumed run needs: the circuit's
-    sequential state, the main-memory image, the bus-driver state and
-    the event counters.  Golden-run checkpoints let a faulty run (a)
-    start at the last checkpoint before its injection instant instead
-    of cycle 0 and (b) stop as soon as its state re-converges with the
-    golden state after the fault expires — both without changing any
-    verdict.  Checkpoints transfer between systems built with the same
+    A checkpoint records the off-core side of a golden run at a settled
+    cycle: the cycle, the bus-event and write counts, and both
+    bus-driver states.  Campaigns take them at regular intervals and
+    hand them to the batch engine as {e convergence boundaries}: at a
+    boundary, a faulty lane whose fault window has closed, whose
+    circuit and memory state equal the golden machine's and whose
+    off-core state equals the checkpoint's has a provably golden
+    future.  The circuit and memory sides are compared against the
+    batch's own golden machine, so a checkpoint holds no copy of
+    either.  Checkpoints transfer between systems built with the same
     parameters (deterministic elaboration). *)
 
 type checkpoint
@@ -86,23 +89,6 @@ type checkpoint
 val checkpoint : t -> checkpoint
 (** Capture the current state (must be between steps, which is any
     point from the caller's perspective). *)
-
-val restore_checkpoint : t -> checkpoint -> unit
-(** Rewind (or fast-forward) the system to the checkpointed state.
-    The recorded-event list is cleared — {!events} afterwards returns
-    only events recorded since the restore — but the event {e counts}
-    continue from the checkpoint's, so comparator bookkeeping stays
-    aligned with a full run. *)
-
-val matches_checkpoint : t -> checkpoint -> bool
-(** Exact state equality between the live system and a checkpoint:
-    cycle counter, bus drivers, every circuit node and memory word.
-    For a deterministic circuit this implies identical futures.  When
-    the circuit is in differential replay ({!Rtl.Circuit.replay_start})
-    the circuit-state comparison is the O(dirty) convergence check
-    instead of the O(n) sweep — sound only when the checkpoint was
-    taken from the same golden run the armed trace records, which is
-    how the campaign engine uses it. *)
 
 (** {2 Lane → scalar transplant}
 
@@ -130,8 +116,13 @@ val checkpoint_events : checkpoint -> int
 (** Bus events recorded up to the checkpoint (reads and writes). *)
 
 val checkpoint_writes : checkpoint -> int
-val checkpoint_hash : checkpoint -> int
-(** Fingerprint of circuit + memory state (diagnostics). *)
+
+val checkpoint_iport : checkpoint -> int * bool
+(** Instruction-port driver state: countdown ([-1] idle) and whether
+    it presents ready this cycle. *)
+
+val checkpoint_dport : checkpoint -> int * bool
+(** Data-port driver state, as {!checkpoint_iport}. *)
 
 val cycles : t -> int
 

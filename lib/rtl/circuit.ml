@@ -85,21 +85,18 @@ module Vec = struct
   let to_array v = Array.sub v.a 0 v.n
 end
 
-(* --- golden value trace (differential simulation) --- *)
+(* --- golden value trace --- *)
 
 (* A trace is the golden run's complete per-cycle settled state,
    delta-compressed: for every cycle the set of nodes whose value
-   changed (packed [(id << 32) | value]), periodic full keyframes so a
-   replay can position at any cycle, and the stream of memory writes
-   (packed [(mem << 52) | (word << 32) | value]) bucketed by the cycle
-   from which they are visible. *)
+   changed (packed [(id << 32) | value]).  The batch engine starts from
+   the cycle-0 state a fresh [load] settles into, advances its golden
+   machine by these deltas and commits golden memory writes itself, so
+   the deltas are all it needs. *)
 type trace = {
   tr_len : int;  (* settled cycles recorded: 0 .. tr_len-1 *)
   tr_delta : int array;
   tr_dend : int array;  (* per cycle: end offset of its delta run *)
-  tr_keys : (int * int array) array;  (* (cycle, full values), ascending *)
-  tr_wmem : int array;
-  tr_wend : int array;  (* per cycle: writes visible by that cycle (cumulative) *)
   tr_evals : int;  (* comb evaluations performed while recording *)
 }
 
@@ -108,13 +105,8 @@ type trace_builder = {
   tb_delta : int Vec.t;
   tb_dend : int Vec.t;
   mutable tb_upto : int;  (* highest cycle recorded, -1 before the first settle *)
-  mutable tb_keys : (int * int array) list;  (* newest first *)
-  tb_wmem : int Vec.t;
-  tb_wbucket : int Vec.t;  (* visibility cycle per write, nondecreasing *)
   mutable tb_evals : int;
 }
-
-let key_every = 1024
 
 let pack_delta id v = (id lsl 32) lor v
 
@@ -122,56 +114,19 @@ let delta_id p = p lsr 32
 
 let delta_val p = p land 0xFFFFFFFF
 
-let pack_write m idx v = (m lsl 52) lor (idx lsl 32) lor v
 
-let write_mem p = p lsr 52
+(* --- levelized schedule --- *)
 
-let write_idx p = (p lsr 32) land 0xFFFFF
-
-let write_val p = p land 0xFFFFFFFF
-
-(* --- differential replay (event-driven faulty simulation) --- *)
-
-(* The levelized evaluation schedule a replay needs: per-node
+(* The levelized evaluation schedule the lane engine sweeps: per-node
    combinational fanout (deduplicated comb sink ids), per-node comb
-   level, and each memory's read-port nodes.  Built from the elaborated
-   netlist by [Analysis.Graph.replay_plan] (the same edge extraction
-   that powers cone pruning); the circuit only validates shapes. *)
+   level, and each memory's read-port nodes.  Lowered once at
+   elaboration; [Analysis.Graph.replay_plan] derives the same record
+   from the structural views. *)
 type replay_plan = {
   rp_fanout : int array array;
   rp_level : int array;
   rp_max_level : int;
   rp_mem_readers : int array array;
-}
-
-type replay_stats = {
-  rs_evals : int;  (* comb evaluations the differential engine performed *)
-  rs_dense_evals : int;  (* evaluations a full per-cycle sweep would have performed *)
-  rs_dirty_peak : int;  (* largest dirty-node count at any settled state *)
-  rs_divergence_cycles : int;  (* settled states with a non-empty dirty set / mem diff *)
-}
-
-type replay = {
-  rp : replay_plan;
-  tr : trace;
-  g_values : int array;  (* golden settled values at the current cycle *)
-  g_mem : int array array;  (* golden memory contents at the current cycle *)
-  dirty : bool array;  (* node differs from golden *)
-  mutable ndirty : int;
-  mdiff : (int, unit) Hashtbl.t array;  (* per memory: differing word indexes *)
-  mutable nmdiff : int;
-  mutable dcomb : int Vec.t;  (* comb nodes dirty after the last settle *)
-  mutable dnext : int Vec.t;  (* scratch, swapped with [dcomb] per settle *)
-  dsrc : int Vec.t;  (* dirty registers, rebuilt at every clock *)
-  input_ids : int array;
-  buckets : int Vec.t array;  (* worklist, one bucket per comb level *)
-  wl_stamp : int array;  (* membership stamp per node *)
-  mutable stamp : int;
-  mutable exhausted : bool;  (* ran past the end of the golden trace *)
-  mutable evals : int;
-  mutable dense : int;
-  mutable dirty_peak : int;
-  mutable div_cycles : int;
 }
 
 let dummy_node = { nm = ""; width = 1; kind = Input }
@@ -288,7 +243,6 @@ type t = {
   mutable fault : fault option;
   mutable recording : coverage option;
   mutable tracing : trace_builder option;
-  mutable replay : replay option;
   mutable batch : batch option;
   (* observed-cone restriction for recurrence comparison: [||] = no
      cone set, every node and memory compared *)
@@ -303,7 +257,7 @@ let create c_name =
     rport_of = [||]; max_deps = 0; reg_ids = [||]; reg_next = [||]; reg_d = [||];
     reg_en = [||]; input_ids = [||]; compiled = None; by_name = Hashtbl.create 16;
     elaborated = false; cyc = 0; fault = None; recording = None; tracing = None;
-    replay = None; batch = None; cone = [||]; cone_mems = [||] }
+    batch = None; cone = [||]; cone_mems = [||] }
 
 let name t = t.c_name
 
@@ -529,13 +483,12 @@ let elaborate t =
   Array.iteri (fun id nd -> if not (Hashtbl.mem by_name nd.nm) then Hashtbl.add by_name nd.nm id) nodes;
   t.by_name <- by_name;
   (* Compiled levelized evaluator: lower the netlist once, at
-     elaboration, into the dense per-node arrays every event-driven or
-     batched settle wants — positional dependency arrays, read-port
-     memory ids, deduplicated combinational fanout, comb levels and
-     per-memory reader lists.  [compiled_plan] exposes the result in
-     the same shape (and with the same field semantics) as
-     [Analysis.Graph.replay_plan], so campaigns no longer rebuild the
-     dependency graph just to replay. *)
+     elaboration, into the dense per-node arrays the batch settle
+     wants — positional dependency arrays, read-port memory ids,
+     deduplicated combinational fanout, comb levels and per-memory
+     reader lists.  [compiled_plan] exposes the result in the same
+     shape (and with the same field semantics) as
+     [Analysis.Graph.replay_plan]. *)
   t.deps_by_id <-
     Array.map
       (fun nd ->
@@ -625,7 +578,6 @@ let never_activates cov site model =
 
 let reset t =
   check_elab t;
-  if t.replay <> None then invalid_arg "Circuit.reset: replay armed";
   if t.batch <> None then invalid_arg "Circuit.reset: batch armed";
   Array.iteri
     (fun id nd ->
@@ -650,38 +602,13 @@ let reset t =
         t.mem_arr
   | None -> ()
 
-(* --- replay bookkeeping helpers --- *)
-
-let set_dirty r id d =
-  if r.dirty.(id) <> d then begin
-    r.dirty.(id) <- d;
-    r.ndirty <- r.ndirty + (if d then 1 else -1)
-  end
-
-let mark_mem_diff t r m idx =
-  let differs = t.mem_arr.(m).data.(idx) <> r.g_mem.(m).(idx) in
-  let h = r.mdiff.(m) in
-  if differs then begin
-    if not (Hashtbl.mem h idx) then begin
-      Hashtbl.add h idx ();
-      r.nmdiff <- r.nmdiff + 1
-    end
-  end
-  else if Hashtbl.mem h idx then begin
-    Hashtbl.remove h idx;
-    r.nmdiff <- r.nmdiff - 1
-  end
-
 let set_input t s v =
   check_elab t;
   if t.batch <> None then invalid_arg "Circuit.set_input: batch armed";
   (match t.nodes.(s).kind with
   | Input -> ()
   | Const _ | Comb _ | Register _ -> invalid_arg "Circuit.set_input: not an input");
-  t.values.(s) <- v land t.masks.(s);
-  match t.replay with
-  | Some r when not r.exhausted -> set_dirty r s (t.values.(s) <> r.g_values.(s))
-  | Some _ | None -> ()
+  t.values.(s) <- v land t.masks.(s)
 
 (* --- fault machinery --- *)
 
@@ -746,25 +673,12 @@ let cell_force f ~bit cur =
       Some (cur lxor (1 lsl bit))
   | Bit_flip | Open_line -> None
 
-(* The single mutation path for memory content: faulty-side replay
-   accounting and the golden trace's write stream both hook here. *)
-let commit_cell t m idx v =
-  t.mem_arr.(m).data.(idx) <- v;
-  (match t.replay with
-  | Some r when not r.exhausted -> mark_mem_diff t r m idx
-  | Some _ | None -> ());
-  match t.tracing with
-  | Some tb ->
-      Vec.push tb.tb_wmem (pack_write m idx v);
-      Vec.push tb.tb_wbucket (t.cyc + 1)
-  | None -> ()
-
 let write_cell t m idx v =
   let info = t.mem_arr.(m) in
   let v = cell_write t t.fault m idx ~cur:info.data.(idx) v in
   let mask = (1 lsl info.m_width) - 1 in
   let v = v land mask in
-  commit_cell t m idx v;
+  info.data.(idx) <- v;
   match t.recording with
   | Some cov -> record_cell cov m idx ~mask v
   | None -> ()
@@ -775,7 +689,7 @@ let refresh_cell_fault t =
       let info = t.mem_arr.(m) in
       if idx < info.words then
         match cell_force f ~bit info.data.(idx) with
-        | Some v -> commit_cell t m idx v
+        | Some v -> info.data.(idx) <- v
         | None -> ())
   | Some _ | None -> ()
 
@@ -795,7 +709,6 @@ let fault_model_name = function
 
 let trace_start t =
   check_elab t;
-  if t.replay <> None then invalid_arg "Circuit.trace_start: replay armed";
   if t.batch <> None then invalid_arg "Circuit.trace_start: batch armed";
   t.tracing <-
     Some
@@ -803,9 +716,6 @@ let trace_start t =
         tb_delta = Vec.create 0;
         tb_dend = Vec.create 0;
         tb_upto = -1;
-        tb_keys = [];
-        tb_wmem = Vec.create 0;
-        tb_wbucket = Vec.create 0;
         tb_evals = 0 }
 
 let trace_record t tb =
@@ -827,11 +737,7 @@ let trace_record t tb =
       Array.unsafe_set prev id v
     end
   done;
-  Vec.set tb.tb_dend c (Vec.length tb.tb_delta);
-  if c mod key_every = 0 then
-    match tb.tb_keys with
-    | (kc, _) :: rest when kc = c -> tb.tb_keys <- (c, Array.copy values) :: rest
-    | _ -> tb.tb_keys <- (c, Array.copy values) :: tb.tb_keys
+  Vec.set tb.tb_dend c (Vec.length tb.tb_delta)
 
 let trace_stop t =
   check_elab t;
@@ -839,28 +745,9 @@ let trace_stop t =
   | None -> invalid_arg "Circuit.trace_stop: not recording"
   | Some tb ->
       t.tracing <- None;
-      let len = tb.tb_upto + 1 in
-      (* writes arrive in nondecreasing visibility order; cumulative
-         counts per cycle make "all writes visible by c" one slice *)
-      let nw = Vec.length tb.tb_wmem in
-      let visible = ref 0 in
-      while !visible < nw && Vec.get tb.tb_wbucket !visible < len do
-        incr visible
-      done;
-      let wend = Array.make len 0 in
-      let j = ref 0 in
-      for c = 0 to len - 1 do
-        while !j < !visible && Vec.get tb.tb_wbucket !j <= c do
-          incr j
-        done;
-        wend.(c) <- !j
-      done;
-      { tr_len = len;
+      { tr_len = tb.tb_upto + 1;
         tr_delta = Vec.to_array tb.tb_delta;
         tr_dend = Vec.to_array tb.tb_dend;
-        tr_keys = Array.of_list (List.rev tb.tb_keys);
-        tr_wmem = Array.sub (Vec.to_array tb.tb_wmem) 0 !visible;
-        tr_wend = wend;
         tr_evals = tb.tb_evals }
 
 let trace_cycles tr = tr.tr_len
@@ -906,95 +793,14 @@ let dense_settle t =
   (match t.tracing with Some tb -> trace_record t tb | None -> ());
   match t.recording with Some cov -> record_nodes t cov | None -> ()
 
-(* Differential settle: re-evaluate only the fanout cone of nodes that
-   differ from the golden trace; every clean node already holds its
-   golden value (installed when the shadow advanced at [clock]). *)
-let replay_settle t r =
-  r.dense <- r.dense + Array.length t.order;
-  refresh_cell_fault t;
-  (* source-node fault, exactly as in [dense_settle] — plus residual
-     dirt: a faulted const keeps its last transformed value after the
-     window closes, so it must keep seeding while it differs *)
-  let fsrc = ref (-1) in
-  let fnode = ref (-1) in
-  (match t.fault with
-  | Some ({ site = Node (s, bit); _ } as f) -> (
-      match t.nodes.(s).kind with
-      | Comb _ -> if fault_active t f then fnode := s
-      | Input | Const _ | Register _ ->
-          fsrc := s;
-          if fault_active t f then t.values.(s) <- transform_bit f ~bit t.values.(s))
-  | Some { site = Cell _; _ } | None -> ());
-  if !fsrc >= 0 then set_dirty r !fsrc (t.values.(!fsrc) <> r.g_values.(!fsrc));
-  (* seed the levelized worklist *)
-  r.stamp <- r.stamp + 1;
-  let stamp = r.stamp in
-  for l = 0 to r.rp.rp_max_level do
-    Vec.clear r.buckets.(l)
-  done;
-  let push_node id =
-    if r.wl_stamp.(id) <> stamp then begin
-      r.wl_stamp.(id) <- stamp;
-      Vec.push r.buckets.(r.rp.rp_level.(id)) id
-    end
-  in
-  let push_fanout id = Array.iter push_node r.rp.rp_fanout.(id) in
-  for i = 0 to Vec.length r.dcomb - 1 do
-    push_node (Vec.get r.dcomb i)
-  done;
-  for i = 0 to Vec.length r.dsrc - 1 do
-    let id = Vec.get r.dsrc i in
-    if r.dirty.(id) then push_fanout id
-  done;
-  Array.iter (fun id -> if r.dirty.(id) then push_fanout id) r.input_ids;
-  if !fsrc >= 0 && r.dirty.(!fsrc) then push_fanout !fsrc;
-  if !fnode >= 0 then push_node !fnode;
-  Array.iteri
-    (fun m h -> if Hashtbl.length h > 0 then Array.iter push_node r.rp.rp_mem_readers.(m))
-    r.mdiff;
-  (* evaluate the affected cone in level order: an evaluation can only
-     push strictly deeper nodes, so each bucket is complete on arrival *)
-  Vec.clear r.dnext;
-  let values = t.values and g = r.g_values and masks = t.masks in
-  let nev = ref 0 in
-  for l = 1 to r.rp.rp_max_level do
-    let b = r.buckets.(l) in
-    for i = 0 to Vec.length b - 1 do
-      let id = Vec.get b i in
-      let v0 = t.eval_by_id.(id) values land masks.(id) in
-      let v = if id = !fnode then node_fault t t.fault id v0 else v0 in
-      incr nev;
-      values.(id) <- v;
-      let d = v <> g.(id) in
-      set_dirty r id d;
-      if d then begin
-        Vec.push r.dnext id;
-        push_fanout id
-      end
-    done
-  done;
-  r.evals <- r.evals + !nev;
-  let tmp = r.dcomb in
-  r.dcomb <- r.dnext;
-  r.dnext <- tmp;
-  if r.ndirty > r.dirty_peak then r.dirty_peak <- r.ndirty;
-  if r.ndirty > 0 || r.nmdiff > 0 then r.div_cycles <- r.div_cycles + 1
-
 let settle t =
   check_elab t;
   if t.batch <> None then invalid_arg "Circuit.settle: batch armed (use batch_settle)";
-  match t.replay with
-  | Some r when not r.exhausted -> replay_settle t r
-  | Some r ->
-      (* past the end of the golden trace (watchdog territory): the
-         dense sweep is exactly what a full engine would do, so both
-         counters advance together *)
-      r.evals <- r.evals + Array.length t.order;
-      r.dense <- r.dense + Array.length t.order;
-      dense_settle t
-  | None -> dense_settle t
+  dense_settle t
 
-let clock_core t =
+let clock t =
+  check_elab t;
+  if t.batch <> None then invalid_arg "Circuit.clock: batch armed (use batch_clock)";
   let values = t.values in
   (* Phase 1: sample every register input and write port (data/enable
      ids were lowered into flat arrays at elaboration, so the per-cycle
@@ -1021,49 +827,6 @@ let clock_core t =
   Array.iteri (fun k id -> values.(id) <- t.reg_next.(k)) t.reg_ids;
   t.cyc <- t.cyc + 1
 
-(* Advance the golden shadow to the new cycle: apply the value delta,
-   re-derive register dirtiness against it, install golden values into
-   every clean node, and commit the golden memory writes. *)
-let advance_shadow t r =
-  let c = t.cyc in
-  if c >= r.tr.tr_len then r.exhausted <- true
-  else begin
-    let dend = r.tr.tr_dend and delta = r.tr.tr_delta in
-    let d0 = if c = 0 then 0 else dend.(c - 1) in
-    for i = d0 to dend.(c) - 1 do
-      let p = Array.unsafe_get delta i in
-      r.g_values.(delta_id p) <- delta_val p
-    done;
-    Vec.clear r.dsrc;
-    Array.iter
-      (fun id ->
-        let d = t.values.(id) <> r.g_values.(id) in
-        set_dirty r id d;
-        if d then Vec.push r.dsrc id)
-      t.reg_ids;
-    (* non-dirty nodes take their golden values for free *)
-    for i = d0 to dend.(c) - 1 do
-      let p = Array.unsafe_get delta i in
-      let id = delta_id p in
-      if not r.dirty.(id) then t.values.(id) <- delta_val p
-    done;
-    let w0 = if c = 0 then 0 else r.tr.tr_wend.(c - 1) in
-    for i = w0 to r.tr.tr_wend.(c) - 1 do
-      let p = r.tr.tr_wmem.(i) in
-      let m = write_mem p and idx = write_idx p in
-      r.g_mem.(m).(idx) <- write_val p;
-      mark_mem_diff t r m idx
-    done
-  end
-
-let clock t =
-  check_elab t;
-  if t.batch <> None then invalid_arg "Circuit.clock: batch armed (use batch_clock)";
-  clock_core t;
-  match t.replay with
-  | Some r when not r.exhausted -> advance_shadow t r
-  | Some _ | None -> ()
-
 let value t s =
   check_elab t;
   t.values.(s)
@@ -1080,107 +843,6 @@ let mem_write t m idx v =
   if t.batch <> None then invalid_arg "Circuit.mem_write: batch armed";
   let info = t.mem_arr.(m) in
   if idx < info.words then write_cell t m idx v
-
-(* --- differential replay control --- *)
-
-let replay_start t plan tr =
-  check_elab t;
-  if t.replay <> None then invalid_arg "Circuit.replay_start: already replaying";
-  if t.tracing <> None then invalid_arg "Circuit.replay_start: recording a trace";
-  if t.batch <> None then invalid_arg "Circuit.replay_start: batch armed";
-  let n = Array.length t.values in
-  if
-    Array.length plan.rp_fanout <> n
-    || Array.length plan.rp_level <> n
-    || Array.length plan.rp_mem_readers <> Array.length t.mem_arr
-  then invalid_arg "Circuit.replay_start: plan does not match this circuit";
-  let c = t.cyc in
-  let exhausted = c >= tr.tr_len in
-  let g_values = Array.make n 0 in
-  let g_mem = Array.map (fun m -> Array.make m.words 0) t.mem_arr in
-  if not exhausted then begin
-    (* position the node shadow: nearest keyframe at or before [c] *)
-    let kc = ref (-1) and kv = ref [||] in
-    Array.iter (fun (key_c, vals) -> if key_c <= c && key_c > !kc then begin kc := key_c; kv := vals end) tr.tr_keys;
-    if !kc < 0 then invalid_arg "Circuit.replay_start: trace has no keyframe before this cycle";
-    Array.blit !kv 0 g_values 0 n;
-    for cc = !kc + 1 to c do
-      let d0 = if cc = 0 then 0 else tr.tr_dend.(cc - 1) in
-      for i = d0 to tr.tr_dend.(cc) - 1 do
-        let p = tr.tr_delta.(i) in
-        g_values.(delta_id p) <- delta_val p
-      done
-    done;
-    (* memory shadow: every golden write visible by [c] *)
-    for i = 0 to tr.tr_wend.(c) - 1 do
-      let p = tr.tr_wmem.(i) in
-      g_mem.(write_mem p).(write_idx p) <- write_val p
-    done
-  end;
-  let max_level = plan.rp_max_level in
-  let r =
-    { rp = plan;
-      tr;
-      g_values;
-      g_mem;
-      dirty = Array.make n false;
-      ndirty = 0;
-      mdiff = Array.map (fun _ -> Hashtbl.create 8) t.mem_arr;
-      nmdiff = 0;
-      dcomb = Vec.create 0;
-      dnext = Vec.create 0;
-      dsrc = Vec.create 0;
-      input_ids = t.input_ids;
-      buckets = Array.init (max_level + 1) (fun _ -> Vec.create 0);
-      wl_stamp = Array.make n 0;
-      stamp = 0;
-      exhausted;
-      evals = 0;
-      dense = 0;
-      dirty_peak = 0;
-      div_cycles = 0 }
-  in
-  if not exhausted then begin
-    (* initial dirtiness — empty when resumed from a golden state *)
-    Array.iteri
-      (fun id v ->
-        if v <> g_values.(id) then begin
-          r.dirty.(id) <- true;
-          r.ndirty <- r.ndirty + 1;
-          match t.nodes.(id).kind with
-          | Comb _ -> Vec.push r.dcomb id
-          | Register _ -> Vec.push r.dsrc id
-          | Input | Const _ -> ()
-        end)
-      t.values;
-    Array.iteri
-      (fun m info ->
-        for idx = 0 to info.words - 1 do
-          if info.data.(idx) <> g_mem.(m).(idx) then begin
-            Hashtbl.add r.mdiff.(m) idx ();
-            r.nmdiff <- r.nmdiff + 1
-          end
-        done)
-      t.mem_arr
-  end;
-  t.replay <- Some r
-
-let replay_stop t =
-  match t.replay with
-  | None -> invalid_arg "Circuit.replay_stop: not replaying"
-  | Some r ->
-      t.replay <- None;
-      { rs_evals = r.evals;
-        rs_dense_evals = r.dense;
-        rs_dirty_peak = r.dirty_peak;
-        rs_divergence_cycles = r.div_cycles }
-
-let replay_active t = t.replay <> None
-
-let replay_converged t =
-  match t.replay with
-  | Some r when not r.exhausted -> Some (r.ndirty = 0 && r.nmdiff = 0)
-  | Some _ | None -> None
 
 let compiled_plan t =
   check_elab t;
@@ -1281,7 +943,6 @@ let ov_set t bt m idx l v =
 let batch_start t tr =
   check_elab t;
   if t.batch <> None then invalid_arg "Circuit.batch_start: already batching";
-  if t.replay <> None then invalid_arg "Circuit.batch_start: replay armed";
   if t.tracing <> None then invalid_arg "Circuit.batch_start: recording a trace";
   if t.fault <> None then invalid_arg "Circuit.batch_start: scalar fault armed";
   if t.cyc <> 0 then invalid_arg "Circuit.batch_start: not at cycle 0";
@@ -1619,7 +1280,7 @@ let batch_clock t =
   done;
   (* Phase 2: commit memory writes — the golden action goes to the
      base arrays, diverged-lane actions go to the overlays, processed
-     in write-port order exactly like [clock_core]. *)
+     in write-port order exactly like [clock]. *)
   Array.iteri
     (fun m info ->
       let mask = (1 lsl info.m_width) - 1 in
@@ -1719,6 +1380,23 @@ let batch_stop t =
 
 let batch_armed t = t.batch <> None
 
+(* Values are compared, not diff bits: a lane's diff bit can outlive
+   its divergence when the golden machine moves onto the lane's value. *)
+let batch_lane_golden t lane =
+  let bt = get_batch t "batch_lane_golden" in
+  if bt.bt_active land (1 lsl lane) = 0 then
+    invalid_arg "Circuit.batch_lane_golden: lane not active";
+  let rec nodes id = id < 0 || (lane_view t bt id lane = t.values.(id) && nodes (id - 1)) in
+  let rec cells m idx =
+    idx < 0 || (ov_get t bt m idx lane = t.mem_arr.(m).data.(idx) && cells m (idx - 1))
+  in
+  let rec mems m =
+    m < 0
+    || (bt.bt_mem_lanes.(m) land (1 lsl lane) = 0 || cells m (t.mem_arr.(m).words - 1))
+       && mems (m - 1)
+  in
+  nodes (Array.length t.values - 1) && mems (Array.length t.mem_arr - 1)
+
 let batch_active t = match t.batch with Some bt -> bt.bt_active | None -> 0
 
 (* --- state snapshots (campaign checkpointing) --- *)
@@ -1737,7 +1415,6 @@ let snapshot t =
 
 let restore t snap =
   check_elab t;
-  if t.replay <> None then invalid_arg "Circuit.restore: replay armed";
   if t.batch <> None then invalid_arg "Circuit.restore: batch armed";
   Array.blit snap.snap_values 0 t.values 0 (Array.length t.values);
   Array.iteri

@@ -16,10 +16,13 @@
     keeps its previous settled value (for cells: writes to the bit are
     lost).
 
-    The kernel is deliberately cycle-based rather than event-driven —
-    fault-injection campaigns run thousands of full-program
-    simulations, so the per-cycle cost is a flat sweep over a
-    precomputed schedule. *)
+    The kernel has two settle loops.  [settle] is a flat dense sweep
+    over the precomputed schedule: it records golden runs (traces and
+    value coverage), is the reference oracle every accelerated verdict
+    must equal, and continues faulty runs past the end of a golden
+    trace.  {!batch_settle} advances up to {!max_lanes} faulty machines
+    as bit-lanes against a recorded golden trace, paying only for each
+    lane's divergence cone; it runs every other faulty run. *)
 
 type t
 
@@ -246,18 +249,13 @@ val never_activates : coverage -> fault_site -> fault_model -> bool
     never seen 0, open-line on a bit that never toggled.  [Bit_flip]
     always activates. *)
 
-(** {2 Golden value traces (differential simulation)}
+(** {2 Golden value traces}
 
     A golden run can additionally record its complete per-cycle settled
-    state as a {e trace}: per-cycle value deltas (only nodes that
-    changed), periodic full keyframes, and the stream of memory writes.
-    A faulty run on the same netlist then {e replays} against the trace
-    in differential mode — only the fanout cone of {e dirty} nodes
-    (nodes whose value differs from golden) is re-evaluated each cycle,
-    clean nodes take their golden values for free, and memories track a
-    sparse diff map.  An empty dirty set plus an empty memory diff is
-    exact re-convergence with the golden run, making the campaign's
-    convergence check O(dirty) instead of O(n). *)
+    state as a {e trace}: per-cycle value deltas, only the nodes that
+    changed.  The batch engine below advances its golden machine
+    wholesale from the trace, so faulty lanes pay only for the nodes on
+    which they differ from golden. *)
 
 type trace
 (** Delta-compressed golden value trace.  Immutable once built; safe to
@@ -266,8 +264,7 @@ type trace
 val trace_start : t -> unit
 (** Begin recording a trace of every subsequent settled state.  Adds
     one compare sweep per {!settle} (same order of cost as coverage
-    recording); enable it only for the golden run.  Fails if a replay
-    is armed. *)
+    recording); enable it only for the golden run. *)
 
 val trace_stop : t -> trace
 (** Stop recording and freeze the trace. *)
@@ -286,45 +283,9 @@ type replay_plan = {
   rp_max_level : int;
   rp_mem_readers : int array array;  (** per memory: its read-port node ids *)
 }
-(** The levelized schedule a replay evaluates dirty cones with.  Built
-    once per netlist from the elaborated circuit by
-    [Analysis.Graph.replay_plan] (the same edge extraction that powers
-    cone pruning); {!replay_start} only validates its shape. *)
-
-val replay_start : t -> replay_plan -> trace -> unit
-(** Switch the circuit into differential replay against [trace], from
-    the current cycle onwards.  The current state should be a state the
-    trace's golden run actually passed through (a restored golden
-    checkpoint or a fresh golden [load]) — any residual difference is
-    picked up as initial dirt, but golden-identical positioning is what
-    makes the dirty set start empty.  While a replay is armed,
-    {!reset} and {!restore} are rejected.  Past the end of the trace
-    (watchdog territory: the faulty run outlives the golden program)
-    the engine falls back to dense sweeps and {!replay_converged}
-    reports [None]. *)
-
-val replay_active : t -> bool
-
-val replay_converged : t -> bool option
-(** [Some true] iff the faulty state is {e exactly} the golden state at
-    the current cycle — empty dirty set and empty memory diff — which
-    is sound only against checkpoints taken from the same golden run
-    the armed trace records.  [None] when no replay is armed or the
-    trace is exhausted (callers must fall back to {!state_equal}). *)
-
-type replay_stats = {
-  rs_evals : int;
-      (** comb evaluations the differential engine actually performed *)
-  rs_dense_evals : int;
-      (** evaluations a full per-cycle sweep would have performed over
-          the same cycles — the denominator of the saving ratio *)
-  rs_dirty_peak : int;  (** largest dirty-node count at any settle *)
-  rs_divergence_cycles : int;
-      (** settled states at which the run differed from golden *)
-}
-
-val replay_stop : t -> replay_stats
-(** Disarm the replay and return its accumulated statistics. *)
+(** The levelized schedule the batch engine evaluates divergence cones
+    with.  [Analysis.Graph.replay_plan] builds the same record from the
+    structural views (the edge extraction that powers cone pruning). *)
 
 val compiled_plan : t -> replay_plan
 (** The levelized schedule the kernel lowered from the netlist at
@@ -353,8 +314,8 @@ val compiled_plan : t -> replay_plan
     hang detection.
 
     While a batch is armed the scalar entry points ([reset], [settle],
-    [clock], [set_input], [inject], [restore], [mem_write], trace and
-    replay control) are rejected; use the [batch_*] variants.  The
+    [clock], [set_input], [inject], [restore], [mem_write], trace
+    control) are rejected; use the [batch_*] variants.  The
     circuit must sit at cycle 0 in the trace's initial settled state
     when the batch starts (a fresh golden [load]).  Fault semantics are
     the scalar engines' by construction: every engine applies the same
@@ -411,6 +372,14 @@ val batch_active : t -> int
 (** Mask of live lanes (0 when no batch is armed). *)
 
 val batch_armed : t -> bool
+
+val batch_lane_golden : t -> int -> bool
+(** [batch_lane_golden c lane]: the live lane's settled state equals
+    the golden machine's at the current cycle — every node value and
+    every memory cell.  Values are compared (a lane may carry a
+    divergence mark on a node whose golden value has caught up with
+    it).  Together with the off-core state this is exact convergence:
+    once the lane's fault window has closed, its future is golden. *)
 
 val batch_stop : t -> batch_stats
 (** Disarm the batch and return its accumulated statistics.  The

@@ -1,5 +1,5 @@
 (* Content-addressed cache of campaign preparations (golden run +
-   static analysis + replay plan).  The key is the canonical JSON of
+   static analysis).  The key is the canonical JSON of
    every spec field that reaches the preparation — the program hash
    stands in for (workload, iterations, dataset), and the shard count
    is excluded because preparations are shard-independent — so a

@@ -1,12 +1,16 @@
-(* Tests for bit-parallel fault batching (PPSFP): the compiled
-   levelized plan must equal the graph-derived one, a batch of lanes
-   must track independent scalar runs observable-for-observable
-   (write streams, stop reasons, stop and mismatch cycles), and lane
-   arming/retirement must behave per fault model. *)
+(* Tests for bit-parallel fault batching (PPSFP), the one accelerated
+   faulty-run engine: the compiled levelized plan must equal the
+   graph-derived one, a batch of lanes must track independent scalar
+   runs observable-for-observable (event streams, stop reasons, stop
+   and mismatch cycles) with writes or all events compared, a lane
+   must converge exactly when its state equals the golden run's, a
+   single fault run as a one-lane batch must get the dense reference's
+   verdict, and lane arming/retirement must behave per fault model. *)
 
 module A = Sparc.Asm
 module I = Sparc.Isa
 module C = Rtl.Circuit
+module Memory = Sparc.Memory
 module Bus_event = Sparc.Bus_event
 module Campaign = Fault_injection.Campaign
 module Injection = Fault_injection.Injection
@@ -34,16 +38,46 @@ let small_prog =
      A.halt b I.o0;
      A.assemble b)
 
-let golden_setup =
+(* Like [small_prog], but summing a table it loads from memory and
+   storing every partial sum: its data-cache line fills put reads on
+   the bus, which the compare-reads checks below observe. *)
+let reads_prog =
+  lazy
+    (let b = A.create ~name:"reads" () in
+     A.prologue b;
+     A.load_label b "table" I.o3;
+     A.set32 b Sparc.Layout.result_base I.o2;
+     A.mov b (Imm 0) I.o0;
+     A.mov b (Imm 0) I.o1;
+     A.label b "loop";
+     A.ld b I.Ld I.o3 (Imm 0) I.o4;
+     A.op3 b I.Add I.o0 (Reg I.o4) I.o0;
+     A.st b I.St I.o0 I.o2 (Imm 0);
+     A.op3 b I.Add I.o3 (Imm 4) I.o3;
+     A.op3 b I.Add I.o2 (Imm 4) I.o2;
+     A.op3 b I.Add I.o1 (Imm 1) I.o1;
+     A.cmp b I.o1 (Imm 16);
+     A.branch b I.Bne "loop";
+     A.halt b I.o0;
+     A.data_label b "table";
+     A.words b (Array.init 16 (fun i -> (i * 0x01010101) + 7));
+     A.assemble b)
+
+let setup_of prog =
   lazy
     (let sys = Lazy.force shared_sys in
-     let prog = Lazy.force small_prog in
-     let golden = Campaign.golden_run ~trace:true sys prog ~max_cycles:100_000 in
+     let golden =
+       Campaign.golden_run ~trace:true sys (Lazy.force prog) ~max_cycles:100_000
+     in
      let trace = Option.get golden.Campaign.trace in
      let sites =
        Array.of_list (Injection.sites (Leon3.System.core sys) Injection.Iu)
      in
      (golden, trace, sites))
+
+let golden_setup = setup_of small_prog
+
+let reads_setup = setup_of reads_prog
 
 (* ---- the compiled plan is the graph-derived plan ---- *)
 
@@ -70,18 +104,15 @@ type observed = {
   o_events : Bus_event.t list;
 }
 
-(* Scalar reference: the untrimmed [run_one] comparator, exposing the
-   raw observables instead of a classified verdict. *)
-let scalar_observe sys prog (golden : Campaign.golden) ~max_cycles
-    (sp : Batch.spec) =
-  let c = circuit sys in
-  Leon3.System.load sys prog;
-  C.inject c ~from_cycle:sp.Batch.from_cycle ?duration:sp.Batch.duration
-    sp.Batch.site sp.Batch.model;
-  let matched = ref 0 and mismatch = ref None in
-  let reference = golden.Campaign.writes in
-  let on_event ev =
-    if not (Bus_event.is_write ev) then true
+(* The lockstep comparator of the dense reference: each write — each
+   data-side event with [compare_reads] — must equal the next golden
+   one. *)
+let comparator sys (golden : Campaign.golden) ~compare_reads ~matched ~mismatch =
+  let reference =
+    if compare_reads then golden.Campaign.events else golden.Campaign.writes
+  in
+  fun ev ->
+    if not (compare_reads || Bus_event.is_write ev) then true
     else if
       !matched < Array.length reference && Bus_event.equal ev reference.(!matched)
     then begin
@@ -92,7 +123,16 @@ let scalar_observe sys prog (golden : Campaign.golden) ~max_cycles
       mismatch := Some (Leon3.System.cycles sys);
       false
     end
-  in
+
+(* Scalar reference: the dense [run_one] comparator, exposing the raw
+   observables instead of a classified verdict. *)
+let scalar_observe sys prog golden ~compare_reads ~max_cycles (sp : Batch.spec) =
+  let c = circuit sys in
+  Leon3.System.load sys prog;
+  C.inject c ~from_cycle:sp.Batch.from_cycle ?duration:sp.Batch.duration
+    sp.Batch.site sp.Batch.model;
+  let matched = ref 0 and mismatch = ref None in
+  let on_event = comparator sys golden ~compare_reads ~matched ~mismatch in
   let stop = Leon3.System.run ~on_event sys ~max_cycles in
   C.clear_fault c;
   { o_stop = stop;
@@ -118,27 +158,14 @@ let pp_observed o =
    trace-end state, exposing the same raw observables as
    [scalar_observe] — every field must then equal the from-zero scalar
    run's, since the transplant hands over the exact state. *)
-let continue_observe sys (golden : Campaign.golden) ~max_cycles (e : Batch.ejected) =
+let continue_observe sys golden ~compare_reads ~max_cycles (e : Batch.ejected) =
   let c = circuit sys in
   Leon3.System.transplant sys e.Batch.e_tp ~mem:e.Batch.e_mem ~iport:e.Batch.e_iport
     ~dport:e.Batch.e_dport ~events_rev:e.Batch.e_events_rev
     ~n_events:(List.length e.Batch.e_events_rev)
     ~n_writes:e.Batch.e_writes;
   let matched = ref e.Batch.e_matched and mismatch = ref e.Batch.e_mismatch in
-  let reference = golden.Campaign.writes in
-  let on_event ev =
-    if not (Bus_event.is_write ev) then true
-    else if
-      !matched < Array.length reference && Bus_event.equal ev reference.(!matched)
-    then begin
-      incr matched;
-      true
-    end
-    else begin
-      mismatch := Some (Leon3.System.cycles sys);
-      false
-    end
-  in
+  let on_event = comparator sys golden ~compare_reads ~matched ~mismatch in
   let stop = Leon3.System.run ~on_event sys ~max_cycles in
   C.clear_fault c;
   { o_stop = stop;
@@ -152,34 +179,42 @@ let continue_observe sys (golden : Campaign.golden) ~max_cycles (e : Batch.eject
    stream — directly when the batch decided it, through its
    transplanted continuation when it was ejected.  A lane is ejected
    exactly when its run is still undecided at the last cycle the trace
-   covers, and it is ejected at that cycle.  Returns the number of
-   ejected lanes. *)
-let batch_vs_scalar specs =
+   covers, and it is ejected at that cycle.  With [compare_reads] the
+   lanes and the scalar runs compare every data-side event against the
+   golden event stream.  [on] is the program and its golden setup
+   (default [small_prog]).  Returns the number of ejected lanes. *)
+let batch_vs_scalar ?(on = (small_prog, golden_setup)) ~compare_reads specs =
   let sys = Lazy.force shared_sys in
-  let prog = Lazy.force small_prog in
-  let golden, trace, _ = Lazy.force golden_setup in
+  let prog = Lazy.force (fst on) in
+  let golden, trace, _ = Lazy.force (snd on) in
   let max_cycles = (4 * golden.Campaign.cycles) + 2000 in
   let last = C.trace_cycles trace - 1 in
+  let reference =
+    if compare_reads then golden.Campaign.events else golden.Campaign.writes
+  in
   let outcomes, _ =
-    Batch.run ~sys ~prog ~trace ~reference:golden.Campaign.writes ~max_cycles
-      specs
+    Batch.run ~sys ~prog ~trace ~reference ~max_cycles ~compare_reads specs
   in
   let ejected = ref 0 in
   Array.iteri
     (fun i outcome ->
-      let scalar = scalar_observe sys prog golden ~max_cycles specs.(i) in
+      let scalar = scalar_observe sys prog golden ~compare_reads ~max_cycles specs.(i) in
       let b =
         match outcome with
         | Batch.Done r -> observed_of_result r
+        | Batch.Converged cyc ->
+            Alcotest.failf "lane %d: converged at %d with no boundaries" i cyc
         | Batch.Ejected e ->
             incr ejected;
             check_int (Printf.sprintf "lane %d: ejected at the last trace cycle" i) last
               (C.transplant_cycle e.Batch.e_tp);
-            continue_observe sys golden ~max_cycles e
+            continue_observe sys golden ~compare_reads ~max_cycles e
       in
       check_bool (Printf.sprintf "lane %d: ejected iff live at the last trace cycle" i)
         (scalar.o_stop_cycle > last)
-        (match outcome with Batch.Ejected _ -> true | Batch.Done _ -> false);
+        (match outcome with
+        | Batch.Ejected _ -> true
+        | Batch.Done _ | Batch.Converged _ -> false);
       if b <> scalar then
         Alcotest.failf "lane %d: batch %s <> scalar %s" i (pp_observed b)
           (pp_observed scalar))
@@ -189,10 +224,10 @@ let batch_vs_scalar specs =
 let spec ?duration ?(from_cycle = 0) site model =
   { Batch.site; model; from_cycle; duration }
 
-let full_occupancy_specs () =
+let full_occupancy_specs setup =
   (* A mix of sites, models and injection cycles (many silent, some
      failing, some trapping, a few outliving the trace). *)
-  let golden, _, sites = Lazy.force golden_setup in
+  let golden, _, sites = Lazy.force setup in
   let models = [| C.Stuck_at_0; C.Stuck_at_1; C.Open_line; C.Bit_flip |] in
   Array.init C.max_lanes (fun i ->
       let site = sites.(i * 131 mod Array.length sites) in
@@ -202,7 +237,15 @@ let full_occupancy_specs () =
       let duration = if i mod 5 = 4 then Some ((i mod 3) + 1) else None in
       spec ?duration ~from_cycle site.Injection.fault_site models.(i mod 4))
 
-let test_batch_full_occupancy () = ignore (batch_vs_scalar (full_occupancy_specs ()))
+let test_batch_full_occupancy () =
+  ignore (batch_vs_scalar ~compare_reads:false (full_occupancy_specs golden_setup));
+  (* every data-side event compared, on a program that reads *)
+  let golden, _, _ = Lazy.force reads_setup in
+  check_bool "the program puts reads on the bus" true
+    (Array.length golden.Campaign.events > Array.length golden.Campaign.writes);
+  ignore
+    (batch_vs_scalar ~on:(reads_prog, reads_setup) ~compare_reads:true
+       (full_occupancy_specs reads_setup))
 
 let test_batch_past_trace_end () =
   (* Campaign-shaped lanes — permanent faults armed at cycle 0 — are
@@ -212,7 +255,7 @@ let test_batch_past_trace_end () =
   let _, _, sites = Lazy.force golden_setup in
   let models = [| C.Stuck_at_0; C.Stuck_at_1; C.Open_line |] in
   let ejected =
-    batch_vs_scalar
+    batch_vs_scalar ~compare_reads:false
       (Array.init C.max_lanes (fun i ->
            let site = sites.(((i * 97) + 13) mod Array.length sites) in
            spec site.Injection.fault_site models.(i mod 3)))
@@ -239,7 +282,7 @@ let test_batch_cell_faults () =
         in
         spec site.Injection.fault_site model)
   in
-  ignore (batch_vs_scalar specs)
+  ignore (batch_vs_scalar ~compare_reads:false specs)
 
 (* qcheck: random small batches equal per-lane scalar runs. *)
 let gen_specs =
@@ -276,8 +319,156 @@ let prop_batch_matches_scalar =
                  site.Injection.fault_site model)
              l)
       in
-      ignore (batch_vs_scalar specs);
+      ignore (batch_vs_scalar ~compare_reads:false specs);
       true)
+
+(* ---- convergence is exactly state equality ---- *)
+
+let test_convergence_is_state_equality () =
+  (* Eight one-cycle upsets at cycle 40, run as lanes with a boundary
+     at every golden cycle.  A lane must converge at exactly the first
+     boundary at or after its fault expires where a dense stepped run
+     of the same upset equals the golden run in full state — circuit,
+     main memory, both bus drivers — and matched count, and must not
+     converge when there is none: the lane predicate and full state
+     equality are the same predicate. *)
+  let sys = Lazy.force shared_sys in
+  let prog = Lazy.force small_prog in
+  let golden, trace, sites = Lazy.force golden_setup in
+  let c = circuit sys in
+  let n = golden.Campaign.cycles in
+  check_bool "golden run long enough" true (n > 60);
+  (* the golden run, stepped: a checkpoint and the full state at every
+     settled cycle *)
+  Leon3.System.load sys prog;
+  let at = ref [] in
+  let rec step_golden () =
+    let cyc = Leon3.System.cycles sys in
+    at :=
+      (Leon3.System.checkpoint sys, C.snapshot c, Memory.copy (Leon3.System.memory sys))
+      :: !at;
+    match Leon3.System.run_segment sys ~until_cycle:(cyc + 1) ~max_cycles:(n + 1) with
+    | Some _ -> ()
+    | None -> step_golden ()
+  in
+  step_golden ();
+  let at = Array.of_list (List.rev !at) in
+  let boundaries = Array.map (fun (ck, _, _) -> ck) at in
+  let inject_cycle = 40 and expiry = 41 in
+  (* the first cycle >= expiry at which the dense faulty run, past that
+     cycle's terminal checks, equals the golden run *)
+  let dense_convergence site =
+    Leon3.System.load sys prog;
+    C.inject c ~from_cycle:inject_cycle ~duration:1 site C.Bit_flip;
+    let matched = ref 0 and mismatch = ref None in
+    let on_event = comparator sys golden ~compare_reads:false ~matched ~mismatch in
+    let rec go () =
+      let cyc = Leon3.System.cycles sys in
+      if cyc >= Array.length at then None
+      else
+        let ck, snap, mem = at.(cyc) in
+        let faulty = Leon3.System.checkpoint sys in
+        if
+          cyc >= expiry
+          && !matched = Leon3.System.checkpoint_writes ck
+          && Leon3.System.checkpoint_iport faulty = Leon3.System.checkpoint_iport ck
+          && Leon3.System.checkpoint_dport faulty = Leon3.System.checkpoint_dport ck
+          && C.state_equal c snap
+          && Memory.equal (Leon3.System.memory sys) mem
+        then Some cyc
+        else
+          match
+            Leon3.System.run_segment ~on_event sys ~until_cycle:(cyc + 1)
+              ~max_cycles:(n + 1)
+          with
+          | Some _ -> None
+          | None -> go ()
+    in
+    let r = go () in
+    C.clear_fault c;
+    r
+  in
+  let upsets =
+    List.map
+      (fun si -> sites.(si mod Array.length sites))
+      [ 1; 57; 313; 1009; 2203; 3301; 4409; 5507 ]
+  in
+  let outcomes, _ =
+    Batch.run ~sys ~prog ~trace ~reference:golden.Campaign.writes
+      ~max_cycles:((4 * n) + 2000) ~boundaries
+      (Array.of_list
+         (List.map
+            (fun s -> spec ~duration:1 ~from_cycle:inject_cycle s.Injection.fault_site C.Bit_flip)
+            upsets))
+  in
+  let converged = ref 0 in
+  List.iteri
+    (fun i site ->
+      let got =
+        match outcomes.(i) with
+        | Batch.Converged bc ->
+            incr converged;
+            Some bc
+        | Batch.Done _ | Batch.Ejected _ -> None
+      in
+      Alcotest.(check (option int))
+        (site.Injection.site_name ^ ": converged at the first state-equal boundary")
+        (dense_convergence site.Injection.fault_site)
+        got)
+    upsets;
+  check_bool "at least one upset re-converged" true (!converged > 0)
+
+(* ---- a single fault is a one-lane batch ---- *)
+
+(* On [reads_prog], so that comparing reads matters: a traced golden
+   run with boundaries every 16 cycles, and the dense reference's
+   golden run (no coverage, trace or checkpoints). *)
+let goldens =
+  lazy
+    (let sys = Lazy.force shared_sys in
+     let prog = Lazy.force reads_prog in
+     ( Campaign.golden_run ~trace:true ~checkpoint_every:16 sys prog ~max_cycles:100_000,
+       Campaign.golden_run sys prog ~max_cycles:100_000 ))
+
+let gen_fault =
+  let open QCheck2.Gen in
+  let model = oneofl [ C.Stuck_at_0; C.Stuck_at_1; C.Open_line; C.Bit_flip ] in
+  let duration = oneofl [ None; Some 1; Some 4 ] in
+  map3
+    (fun si model (pct, duration, compare_reads) -> (si, model, pct, duration, compare_reads))
+    (int_bound 100_000) model
+    (triple (int_bound 99) duration bool)
+
+let print_fault (si, model, pct, duration, compare_reads) =
+  let _, _, sites = Lazy.force golden_setup in
+  Printf.sprintf "%s %s at %d%% duration %s%s"
+    sites.(si mod Array.length sites).Injection.site_name
+    (C.fault_model_name model) pct
+    (match duration with None -> "permanent" | Some d -> string_of_int d)
+    (if compare_reads then " comparing reads" else "")
+
+(* Everything a verdict holds but [sim], which records the layer that
+   decided it. *)
+let verdict (r : Campaign.run_result) =
+  ( r.Campaign.site_name, r.Campaign.model, r.Campaign.outcome, r.Campaign.detect_cycle,
+    r.Campaign.inject_cycle )
+
+let prop_one_lane_matches_dense =
+  QCheck2.Test.make ~name:"one-lane run_one = dense run_one, verdict for verdict"
+    ~count:50 ~print:print_fault gen_fault
+    (fun (si, model, pct, duration, compare_reads) ->
+      let sys = Lazy.force shared_sys in
+      let prog = Lazy.force reads_prog in
+      let _, _, sites = Lazy.force golden_setup in
+      let traced, dense = Lazy.force goldens in
+      let site = sites.(si mod Array.length sites) in
+      let inject_cycle = dense.Campaign.cycles * pct / 100 in
+      let run ?plan golden =
+        verdict
+          (Campaign.run_one ?plan sys prog golden ~inject_cycle ?duration ~compare_reads
+             site model)
+      in
+      run ~plan:(C.compiled_plan (circuit sys)) traced = run dense)
 
 (* ---- lane arming and early retirement ---- *)
 
@@ -360,8 +551,11 @@ let suite =
         test_batch_past_trace_end;
       Alcotest.test_case "cell-fault lanes = scalar runs" `Slow
         test_batch_cell_faults;
+      Alcotest.test_case "convergence = state equality" `Quick
+        test_convergence_is_state_equality;
       Alcotest.test_case "lane masks per model + retirement" `Quick
         test_lane_masks_and_retirement;
       Alcotest.test_case "scalar API rejected while armed" `Quick
         test_scalar_api_rejected_while_armed ]
-    @ List.map QCheck_alcotest.to_alcotest [ prop_batch_matches_scalar ] )
+    @ List.map QCheck_alcotest.to_alcotest
+        [ prop_batch_matches_scalar; prop_one_lane_matches_dense ] )

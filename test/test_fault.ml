@@ -379,9 +379,9 @@ let core_summary (s : Campaign.summary) =
 (* ---- reference equivalence ----
 
    Every acceleration layer of the campaign engine (activation
-   prefilter, checkpoints, static pruning and collapsing, differential
-   replay, bit-parallel batching and its trace-end hand-over) is always
-   on, so its exactness is checked the way [bench/layers] checks it:
+   prefilter, static pruning and collapsing, bit-parallel batching with
+   its convergence exit and its trace-end hand-over) is always on, so
+   its exactness is checked the way [bench/layers] checks it:
    each campaign verdict is re-derived on the dense reference oracle,
    [Campaign.run_one] without a replay plan against a golden run with
    no coverage, trace or checkpoints. *)
@@ -391,10 +391,11 @@ let rspeed =
 
 let dense_golden sys prog = Campaign.golden_run sys prog ~max_cycles:5_000_000
 
-(* Re-derive each verdict on the oracle; [skip] leaves verdicts out
-   (hangs on the gate-level netlist, where one dense watchdog run costs
-   seconds). *)
-let check_against_oracle ?(skip = fun _ -> false) ~label sys prog results =
+(* Re-derive each verdict on the oracle, comparing reads when the
+   campaign did; [skip] leaves verdicts out (hangs on the gate-level
+   netlist, where one dense watchdog run costs seconds). *)
+let check_against_oracle ?(skip = fun _ -> false) ?(compare_reads = false) ~label sys prog
+    results =
   let dense = dense_golden sys prog in
   let sites = Hashtbl.create 4096 in
   List.iter
@@ -406,7 +407,7 @@ let check_against_oracle ?(skip = fun _ -> false) ~label sys prog results =
       if not (skip r) then begin
         incr checked;
         let got =
-          Campaign.run_one sys prog dense ~inject_cycle:r.Campaign.inject_cycle
+          Campaign.run_one sys prog dense ~inject_cycle:r.Campaign.inject_cycle ~compare_reads
             (Hashtbl.find sites r.Campaign.site_name)
             r.Campaign.model
         in
@@ -468,6 +469,22 @@ let test_behavioural_matches_oracle () =
     (Obs.counter obs "diff.nodes_evaluated" * 2 < Obs.counter obs "diff.golden_evaluated");
   check_int "every ejected lane transplanted" (Obs.counter obs "batch.ejected")
     (Obs.counter obs "tail.transplants")
+
+(* Comparing reads is off in every benchmark workload, and its faults
+   run as batch lanes like any other: a campaign with it on must still
+   equal the oracle with it on, verdict by verdict. *)
+let test_compare_reads_matches_oracle () =
+  let prog = Lazy.force rspeed in
+  let sys = Leon3.System.create () in
+  let config = { (reference_config ~sites:12) with Campaign.compare_reads = true } in
+  let obs = Obs.create () in
+  let _, results = Campaign.run ~config ~obs sys prog Injection.Iu in
+  let checked =
+    check_against_oracle ~compare_reads:true ~label:"compare-reads" sys prog results
+  in
+  check_int "every verdict checked" (List.length results) checked;
+  check_bool "compare-reads faults ran as batch lanes" true
+    (Obs.counter obs "batch.passes" > 0)
 
 let test_gate_level_matches_oracle () =
   let prog = Lazy.force rspeed in
@@ -740,4 +757,6 @@ let suite =
       Alcotest.test_case "cone-pruned faults silent" `Slow
         test_cone_pruned_faults_are_silent;
       Alcotest.test_case "gate-level campaign = dense oracle" `Slow
-        test_gate_level_matches_oracle ] )
+        test_gate_level_matches_oracle;
+      Alcotest.test_case "compare-reads campaign = dense oracle" `Slow
+        test_compare_reads_matches_oracle ] )

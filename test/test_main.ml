@@ -16,7 +16,6 @@ let () =
       Test_fault.suite;
       Test_journal.suite;
       Test_iss_campaign.suite;
-      Test_event.suite;
       Test_batch.suite;
       Test_tail.suite;
       Test_workloads.suite;

@@ -141,7 +141,7 @@ let ejecting_specs =
          (fun i o ->
            match o with
            | Batch.Ejected _ -> pool := specs.(i) :: !pool
-           | Batch.Done _ -> ())
+           | Batch.Done _ | Batch.Converged _ -> ())
          outcomes;
        incr stride
      done;
@@ -153,7 +153,9 @@ let eject_one sys prog golden trace ~max_cycles sp =
   let outcomes, _ =
     Batch.run ~sys ~prog ~trace ~reference:golden.Campaign.writes ~max_cycles [| sp |]
   in
-  match outcomes.(0) with Batch.Ejected e -> Some e | Batch.Done _ -> None
+  match outcomes.(0) with
+  | Batch.Ejected e -> Some e
+  | Batch.Done _ | Batch.Converged _ -> None
 
 let check_transplant_matches_rerun sp =
   let sys = Lazy.force shared_sys in
