@@ -23,10 +23,12 @@ let golden_run ?(obs = Obs.null) ?(coverage = false) ?(trace = false) ?checkpoin
     sys prog ~max_cycles =
   Obs.span obs "golden" @@ fun () ->
   let circuit = (Leon3.System.core sys).Leon3.Core.circuit in
+  let work0 = C.settle_stats circuit in
   C.clear_fault circuit;
   if coverage then C.coverage_start circuit;
-  (* armed before [load] so the cycle-0 settled state is part of the
-     trace — the batch engine starts from it *)
+  (* armed before [load], whose settle primes the trace with the
+     cycle-0 state: the state the batch engine starts from, rebuilt by
+     its own [load] *)
   if trace then C.trace_start circuit;
   Leon3.System.load sys prog;
   let checkpoints = ref [] in
@@ -58,6 +60,11 @@ let golden_run ?(obs = Obs.null) ?(coverage = false) ?(trace = false) ?checkpoin
   in
   let cov = if coverage then Some (C.coverage_stop circuit) else None in
   let tr = if trace then Some (C.trace_stop circuit) else None in
+  (* the golden settles' work, next to the lane engine's
+     [diff.nodes_evaluated]: a count that does not depend on host speed *)
+  let work = C.settle_stats circuit in
+  Obs.incr obs ~by:(work.C.ss_evals - work0.C.ss_evals) "golden.evaluated";
+  Obs.incr obs ~by:(work.C.ss_dense_evals - work0.C.ss_dense_evals) "golden.dense_equiv";
   (match stop with
   | Leon3.System.Exited _ -> ()
   | Leon3.System.Trapped code ->

@@ -73,7 +73,9 @@ val golden_run :
     checkpoint at that cycle interval (the set is thinned to a bounded
     count on long runs).  Raises [Failure] if the golden run itself
     traps or hits the cycle limit (the workload is broken, not the
-    hardware). *)
+    hardware).  Its settles are change-driven; a live [obs] receives
+    [golden.evaluated], the comb evaluations they made, and
+    [golden.dense_equiv], comb nodes × settles. *)
 
 (** Verdict types live in {!Journal} (the persistence layer cannot
     depend on this module); they are re-exported here so existing

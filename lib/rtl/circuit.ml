@@ -53,8 +53,8 @@ type coverage = {
 }
 
 (* Growable array: the construction-side store (so [connect] and
-   [mem_info] are O(1) instead of List.nth over a reversed list) and
-   the delta buffers of the golden value trace. *)
+   [mem_info] are O(1) instead of List.nth over a reversed list), the
+   settle loops' seed lists and a trace's per-cycle offsets. *)
 module Vec = struct
   type 'a t = { mutable a : 'a array; mutable n : int; dummy : 'a }
 
@@ -85,6 +85,35 @@ module Vec = struct
   let to_array v = Array.sub v.a 0 v.n
 end
 
+(* Append-only buffer for the deltas of a trace being recorded, in
+   fixed-size chunks: growing never copies, so a recording leaves no
+   doubled arrays behind for the collector.  A trace is a campaign's
+   largest allocation, recorded once per program; once the golden run
+   allocates little else, the garbage of a doubling buffer is what
+   sets a campaign's peak memory. *)
+module Chunks = struct
+  let size = 1 lsl 16
+
+  type t = { mutable full : int array list; mutable cur : int array; mutable len : int }
+
+  let create () = { full = []; cur = [||]; len = 0 }
+
+  let length c = c.len
+
+  let push c x =
+    let k = c.len land (size - 1) in
+    if k = 0 then begin
+      if c.len > 0 then c.full <- c.cur :: c.full;
+      c.cur <- Array.make size 0
+    end;
+    Array.unsafe_set c.cur k x;
+    c.len <- c.len + 1
+
+  let to_array c =
+    let fill = c.len - (size * List.length c.full) in
+    Array.concat (List.rev (Array.sub c.cur 0 fill :: c.full))
+end
+
 (* --- golden value trace --- *)
 
 (* A trace is the golden run's complete per-cycle settled state,
@@ -92,20 +121,20 @@ end
    changed (packed [(id << 32) | value]).  The batch engine starts from
    the cycle-0 state a fresh [load] settles into, advances its golden
    machine by these deltas and commits golden memory writes itself, so
-   the deltas are all it needs. *)
+   the deltas are all it needs.  The first recorded settle only primes
+   the previous state, so cycle 0 holds no deltas and a recording does
+   not depend on what the circuit ran before. *)
 type trace = {
   tr_len : int;  (* settled cycles recorded: 0 .. tr_len-1 *)
   tr_delta : int array;
   tr_dend : int array;  (* per cycle: end offset of its delta run *)
-  tr_evals : int;  (* comb evaluations performed while recording *)
 }
 
 type trace_builder = {
-  tb_prev : int array;
-  tb_delta : int Vec.t;
+  tb_prev : int array;  (* last recorded value per node, once primed *)
+  tb_delta : Chunks.t;
   tb_dend : int Vec.t;
   mutable tb_upto : int;  (* highest cycle recorded, -1 before the first settle *)
-  mutable tb_evals : int;
 }
 
 let pack_delta id v = (id lsl 32) lor v
@@ -155,6 +184,11 @@ type batch_stats = {
   bs_dense_evals : int;  (* evaluations [lanes] dense sweeps would have cost *)
 }
 
+type settle_stats = {
+  ss_evals : int;  (* comb evaluations scalar settles performed *)
+  ss_dense_evals : int;  (* comb nodes x scalar settles *)
+}
+
 (* Sparse per-memory lane overlay: a cell has an entry only while some
    lane's content differs from the golden (base) content. *)
 type batch = {
@@ -170,10 +204,7 @@ type batch = {
   bt_mem_lanes : int array;  (* per memory: lanes with >= 1 overlay entry *)
   bt_mem_cnt : int array array;  (* per memory, per lane: entry count *)
   bt_cellf : int array;  (* per memory: lanes with an armed cell fault *)
-  bt_buckets : int Vec.t array;  (* worklist, one bucket per comb level *)
   bt_pend : int array;  (* per node: lanes awaiting evaluation this settle *)
-  bt_wl_stamp : int array;
-  mutable bt_stamp : int;
   bt_stamped : int Vec.t;
       (* nodes whose effective value moved since the last settle: trace
          deltas, clock-committed lane registers and lane input changes.
@@ -237,6 +268,7 @@ type t = {
   mutable reg_en : int array;  (* parallel to reg_ids: enable id or -1 *)
   mutable input_ids : int array;
   mutable compiled : replay_plan option;  (* levelized schedule, per elaboration *)
+  mutable wl : Worklist.t;  (* shared by the change-driven settle and batch_settle *)
   mutable by_name : (string, int) Hashtbl.t;
   mutable elaborated : bool;
   mutable cyc : int;
@@ -244,6 +276,19 @@ type t = {
   mutable recording : coverage option;
   mutable tracing : trace_builder option;
   mutable batch : batch option;
+  (* The change-driven settle's seeds, cleared by every settle: source
+     nodes whose value changed since the last settle (an input set or a
+     register committed to a new value; a change-driven settle appends
+     the comb nodes it changes, then records from the list), and
+     memories whose content changed.  [full_sweep] makes the next
+     settle the dense sweep, after a bulk state change the seeds do not
+     describe. *)
+  moved : int Vec.t;
+  marked : int Vec.t;
+  mutable mem_marked : bool array;
+  mutable full_sweep : bool;
+  mutable settle_evals : int;  (* comb evaluations scalar settles made *)
+  mutable settle_dense : int;  (* comb nodes x scalar settles *)
   (* observed-cone restriction for recurrence comparison: [||] = no
      cone set, every node and memory compared *)
   mutable cone : bool array;
@@ -255,9 +300,11 @@ let create c_name =
     rports = []; node_cnt = 0; mem_cnt = 0; nodes = [||]; mem_arr = [||]; values = [||];
     masks = [||]; order = [||]; evals = [||]; eval_by_id = [||]; deps_by_id = [||];
     rport_of = [||]; max_deps = 0; reg_ids = [||]; reg_next = [||]; reg_d = [||];
-    reg_en = [||]; input_ids = [||]; compiled = None; by_name = Hashtbl.create 16;
+    reg_en = [||]; input_ids = [||]; compiled = None;
+    wl = Worklist.create ~level:[||] ~max_level:0; by_name = Hashtbl.create 16;
     elaborated = false; cyc = 0; fault = None; recording = None; tracing = None;
-    batch = None; cone = [||]; cone_mems = [||] }
+    batch = None; moved = Vec.create 0; marked = Vec.create 0; mem_marked = [||];
+    full_sweep = true; settle_evals = 0; settle_dense = 0; cone = [||]; cone_mems = [||] }
 
 let name t = t.c_name
 
@@ -523,6 +570,9 @@ let elaborate t =
         rp_max_level = !max_level;
         rp_mem_readers =
           Array.map (fun l -> Array.of_list (List.sort_uniq compare l)) readers };
+  t.wl <- Worklist.create ~level:levels ~max_level:!max_level;
+  t.mem_marked <- Array.make (Array.length t.mem_arr) false;
+  t.full_sweep <- true;
   t.elaborated <- true
 
 let check_elab t = if not t.elaborated then raise Not_elaborated
@@ -542,6 +592,9 @@ let record_cell cov m idx ~mask v =
   cov.cov_cell_seen1.(m).(idx) <- cov.cov_cell_seen1.(m).(idx) lor v;
   cov.cov_cell_seen0.(m).(idx) <- cov.cov_cell_seen0.(m).(idx) lor (mask land lnot v)
 
+(* The change-driven settle records only the nodes that moved, so the
+   recording of an unchanged node relies on the settle where it last
+   changed: a recording starts with a sweep that records every node. *)
 let coverage_start t =
   check_elab t;
   let n = Array.length t.values in
@@ -551,7 +604,8 @@ let coverage_start t =
       cov_cell_seen0 = Array.map (fun m -> Array.make m.words 0) t.mem_arr;
       cov_cell_seen1 = Array.map (fun m -> Array.make m.words 0) t.mem_arr }
   in
-  t.recording <- Some cov
+  t.recording <- Some cov;
+  t.full_sweep <- true
 
 let coverage_stop t =
   check_elab t;
@@ -589,6 +643,7 @@ let reset t =
     t.nodes;
   Array.iter (fun m -> Array.fill m.data 0 m.words 0) t.mem_arr;
   t.cyc <- 0;
+  t.full_sweep <- true;
   (match t.fault with Some f -> f.frozen <- None | None -> ());
   match t.recording with
   | Some cov ->
@@ -608,7 +663,11 @@ let set_input t s v =
   (match t.nodes.(s).kind with
   | Input -> ()
   | Const _ | Comb _ | Register _ -> invalid_arg "Circuit.set_input: not an input");
-  t.values.(s) <- v land t.masks.(s)
+  let v = v land t.masks.(s) in
+  if v <> t.values.(s) then begin
+    t.values.(s) <- v;
+    Vec.push t.moved s
+  end
 
 (* --- fault machinery --- *)
 
@@ -678,7 +737,13 @@ let write_cell t m idx v =
   let v = cell_write t t.fault m idx ~cur:info.data.(idx) v in
   let mask = (1 lsl info.m_width) - 1 in
   let v = v land mask in
-  info.data.(idx) <- v;
+  if v <> info.data.(idx) then begin
+    info.data.(idx) <- v;
+    if not t.mem_marked.(m) then begin
+      t.mem_marked.(m) <- true;
+      Vec.push t.marked m
+    end
+  end;
   match t.recording with
   | Some cov -> record_cell cov m idx ~mask v
   | None -> ()
@@ -695,9 +760,12 @@ let refresh_cell_fault t =
 
 let inject t ?(from_cycle = 0) ?duration site model =
   if t.batch <> None then invalid_arg "Circuit.inject: batch armed (use batch_arm)";
-  t.fault <- Some { site; model; from_cycle; duration; frozen = None }
+  t.fault <- Some { site; model; from_cycle; duration; frozen = None };
+  t.full_sweep <- true
 
-let clear_fault t = t.fault <- None
+let clear_fault t =
+  t.fault <- None;
+  t.full_sweep <- true
 
 let fault_model_name = function
   | Stuck_at_0 -> "stuck-at-0"
@@ -712,32 +780,40 @@ let trace_start t =
   if t.batch <> None then invalid_arg "Circuit.trace_start: batch armed";
   t.tracing <-
     Some
-      { tb_prev = Array.copy t.values;
-        tb_delta = Vec.create 0;
+      { tb_prev = Array.make (Array.length t.values) 0;
+        tb_delta = Chunks.create ();
         tb_dend = Vec.create 0;
-        tb_upto = -1;
-        tb_evals = 0 }
+        tb_upto = -1 }
 
-let trace_record t tb =
-  tb.tb_evals <- tb.tb_evals + Array.length t.order;
+(* Open the current cycle's delta run.  The first recorded settle only
+   primes the previous state from the settled values: it emits no
+   deltas, whatever the circuit held before. *)
+let trace_open t tb =
   let c = t.cyc in
   if c < tb.tb_upto then
     invalid_arg "Circuit.trace: cycle counter went backwards while recording";
+  if tb.tb_upto < 0 then Array.blit t.values 0 tb.tb_prev 0 (Array.length t.values);
   if c > tb.tb_upto then begin
     for _ = tb.tb_upto + 1 to c do
-      Vec.push tb.tb_dend (Vec.length tb.tb_delta)
+      Vec.push tb.tb_dend (Chunks.length tb.tb_delta)
     done;
     tb.tb_upto <- c
-  end;
+  end
+
+(* The reference recording: compare every node with its last recorded
+   value. *)
+let trace_record t tb =
+  trace_open t tb;
+  let c = t.cyc in
   let values = t.values and prev = tb.tb_prev in
   for id = 0 to Array.length values - 1 do
     let v = Array.unsafe_get values id in
     if v <> Array.unsafe_get prev id then begin
-      Vec.push tb.tb_delta (pack_delta id v);
+      Chunks.push tb.tb_delta (pack_delta id v);
       Array.unsafe_set prev id v
     end
   done;
-  Vec.set tb.tb_dend c (Vec.length tb.tb_delta)
+  Vec.set tb.tb_dend c (Chunks.length tb.tb_delta)
 
 let trace_stop t =
   check_elab t;
@@ -746,13 +822,17 @@ let trace_stop t =
   | Some tb ->
       t.tracing <- None;
       { tr_len = tb.tb_upto + 1;
-        tr_delta = Vec.to_array tb.tb_delta;
-        tr_dend = Vec.to_array tb.tb_dend;
-        tr_evals = tb.tb_evals }
+        tr_delta = Chunks.to_array tb.tb_delta;
+        tr_dend = Vec.to_array tb.tb_dend }
 
 let trace_cycles tr = tr.tr_len
 
-let trace_evals tr = tr.tr_evals
+let trace_deltas tr c =
+  if c < 0 || c >= tr.tr_len then invalid_arg "Circuit.trace_deltas: cycle out of range";
+  let lo = if c = 0 then 0 else tr.tr_dend.(c - 1) in
+  Array.init (tr.tr_dend.(c) - lo) (fun i ->
+      let p = tr.tr_delta.(lo + i) in
+      (delta_id p, delta_val p))
 
 (* --- simulation --- *)
 
@@ -793,39 +873,132 @@ let dense_settle t =
   (match t.tracing with Some tb -> trace_record t tb | None -> ());
   match t.recording with Some cov -> record_nodes t cov | None -> ()
 
+let queue_fanout wl fanout id =
+  let fo = Array.unsafe_get fanout id in
+  for j = 0 to Array.length fo - 1 do
+    ignore (Worklist.push wl (Array.unsafe_get fo j))
+  done
+
+(* The change-driven settle, for a fault-free circuit whose comb values
+   are settled except for the seeds: evaluate, in level order, only the
+   comb nodes with a dependency that moved (a seed, or a node this
+   settle changed) and the read ports of memories whose content changed.
+   Exact because evaluators are pure functions of their dependency
+   values (and, for a read port, of its memory's content).  Each node
+   that moved is appended to [t.moved], so recording afterwards costs
+   per changed node: an unchanged node's value was recorded at the
+   settle where it last changed, or at the full sweep that started the
+   recording. *)
+let event_settle t =
+  let rp = match t.compiled with Some p -> p | None -> raise Not_elaborated in
+  let wl = t.wl and fanout = rp.rp_fanout and moved = t.moved in
+  let values = t.values and masks = t.masks and evals = t.eval_by_id in
+  Worklist.start wl;
+  for i = 0 to Vec.length moved - 1 do
+    queue_fanout wl fanout (Vec.get moved i)
+  done;
+  for i = 0 to Vec.length t.marked - 1 do
+    let rd = rp.rp_mem_readers.(Vec.get t.marked i) in
+    for j = 0 to Array.length rd - 1 do
+      ignore (Worklist.push wl (Array.unsafe_get rd j))
+    done
+  done;
+  let nev = ref 0 in
+  for lvl = 1 to Worklist.max_level wl do
+    let b = Worklist.bucket wl lvl and n = Worklist.length wl lvl in
+    for i = 0 to n - 1 do
+      let id = Array.unsafe_get b i in
+      let v = (Array.unsafe_get evals id) values land Array.unsafe_get masks id in
+      if v <> Array.unsafe_get values id then begin
+        Array.unsafe_set values id v;
+        Vec.push moved id;
+        queue_fanout wl fanout id
+      end
+    done;
+    nev := !nev + n
+  done;
+  t.settle_evals <- t.settle_evals + !nev;
+  (match t.tracing with
+  | Some tb ->
+      trace_open t tb;
+      let prev = tb.tb_prev in
+      for i = 0 to Vec.length moved - 1 do
+        let id = Vec.get moved i in
+        let v = Array.unsafe_get values id in
+        if v <> Array.unsafe_get prev id then begin
+          Chunks.push tb.tb_delta (pack_delta id v);
+          Array.unsafe_set prev id v
+        end
+      done;
+      Vec.set tb.tb_dend t.cyc (Chunks.length tb.tb_delta)
+  | None -> ());
+  match t.recording with
+  | Some cov ->
+      for i = 0 to Vec.length moved - 1 do
+        let id = Vec.get moved i in
+        let v = Array.unsafe_get values id in
+        Array.unsafe_set cov.cov_seen1 id (Array.unsafe_get cov.cov_seen1 id lor v);
+        Array.unsafe_set cov.cov_seen0 id
+          (Array.unsafe_get cov.cov_seen0 id lor (Array.unsafe_get masks id land lnot v))
+      done
+  | None -> ()
+
+(* Dense while a fault is armed (the fault rules live in the dense
+   sweep, and it is the oracle the lanes are checked against) and after
+   a bulk state change; change-driven otherwise. *)
 let settle t =
   check_elab t;
   if t.batch <> None then invalid_arg "Circuit.settle: batch armed (use batch_settle)";
-  dense_settle t
+  (match t.fault with
+  | None when not t.full_sweep -> event_settle t
+  | None | Some _ ->
+      dense_settle t;
+      t.settle_evals <- t.settle_evals + Array.length t.order;
+      t.full_sweep <- false);
+  t.settle_dense <- t.settle_dense + Array.length t.order;
+  Vec.clear t.moved;
+  for i = 0 to Vec.length t.marked - 1 do
+    t.mem_marked.(Vec.get t.marked i) <- false
+  done;
+  Vec.clear t.marked
 
 let clock t =
   check_elab t;
   if t.batch <> None then invalid_arg "Circuit.clock: batch armed (use batch_clock)";
-  let values = t.values in
+  let values = t.values and masks = t.masks in
+  let reg_ids = t.reg_ids and reg_next = t.reg_next in
   (* Phase 1: sample every register input and write port (data/enable
      ids were lowered into flat arrays at elaboration, so the per-cycle
      sweep has no per-node tag dispatch). *)
-  Array.iteri
-    (fun k id ->
-      let en = t.reg_en.(k) in
-      t.reg_next.(k) <-
-        (if en >= 0 && values.(en) = 0 then values.(id)
-         else values.(t.reg_d.(k)) land t.masks.(id)))
-    t.reg_ids;
-  Array.iteri
-    (fun m info ->
-      let wps = info.wp_arr in
-      for i = 0 to Array.length wps - 1 do
-        let { wp_we; wp_addr; wp_data } = wps.(i) in
-        if values.(wp_we) <> 0 then begin
-          let idx = values.(wp_addr) in
-          if idx < info.words then write_cell t m idx values.(wp_data)
-        end
-      done)
-    t.mem_arr;
-  (* Phase 2: commit. *)
-  Array.iteri (fun k id -> values.(id) <- t.reg_next.(k)) t.reg_ids;
+  for k = 0 to Array.length reg_ids - 1 do
+    let id = reg_ids.(k) and en = t.reg_en.(k) in
+    reg_next.(k) <-
+      (if en >= 0 && values.(en) = 0 then values.(id)
+       else values.(t.reg_d.(k)) land masks.(id))
+  done;
+  for m = 0 to Array.length t.mem_arr - 1 do
+    let info = t.mem_arr.(m) in
+    let wps = info.wp_arr in
+    for i = 0 to Array.length wps - 1 do
+      let { wp_we; wp_addr; wp_data } = wps.(i) in
+      if values.(wp_we) <> 0 then begin
+        let idx = values.(wp_addr) in
+        if idx < info.words then write_cell t m idx values.(wp_data)
+      end
+    done
+  done;
+  (* Phase 2: commit; a register that takes a new value seeds the next
+     change-driven settle. *)
+  for k = 0 to Array.length reg_ids - 1 do
+    let id = reg_ids.(k) and v = reg_next.(k) in
+    if v <> values.(id) then begin
+      values.(id) <- v;
+      Vec.push t.moved id
+    end
+  done;
   t.cyc <- t.cyc + 1
+
+let settle_stats t = { ss_evals = t.settle_evals; ss_dense_evals = t.settle_dense }
 
 let value t s =
   check_elab t;
@@ -947,7 +1120,6 @@ let batch_start t tr =
   if t.fault <> None then invalid_arg "Circuit.batch_start: scalar fault armed";
   if t.cyc <> 0 then invalid_arg "Circuit.batch_start: not at cycle 0";
   if tr.tr_len = 0 then invalid_arg "Circuit.batch_start: empty trace";
-  let rp = match t.compiled with Some p -> p | None -> raise Not_elaborated in
   let n = Array.length t.values in
   let nmems = Array.length t.mem_arr in
   let nregs = Array.length t.reg_ids in
@@ -977,10 +1149,7 @@ let batch_start t tr =
         bt_mem_lanes = Array.make nmems 0;
         bt_mem_cnt = Array.init nmems (fun _ -> Array.make max_lanes 0);
         bt_cellf = Array.make nmems 0;
-        bt_buckets = Array.init (rp.rp_max_level + 1) (fun _ -> Vec.create 0);
         bt_pend = Array.make n 0;
-        bt_wl_stamp = Array.make n 0;
-        bt_stamp = 0;
         bt_stamped = Vec.create 0;
         bt_mem_dirty = Array.make nmems 0;
         bt_views = Array.make max_lanes 0;
@@ -1088,20 +1257,12 @@ let batch_settle t =
               ignore (set_lane t bt s l (transform_bit f ~bit (lane_view t bt s l)))
         | Some _ | None -> ());
     (* seed the levelized worklist with per-node lane masks *)
-    bt.bt_stamp <- bt.bt_stamp + 1;
-    let stamp = bt.bt_stamp in
-    for l = 0 to rp.rp_max_level do
-      Vec.clear bt.bt_buckets.(l)
-    done;
+    let wl = t.wl in
+    Worklist.start wl;
     let push_node id lanes =
-      if lanes <> 0 then begin
-        if bt.bt_wl_stamp.(id) <> stamp then begin
-          bt.bt_wl_stamp.(id) <- stamp;
-          bt.bt_pend.(id) <- 0;
-          Vec.push bt.bt_buckets.(rp.rp_level.(id)) id
-        end;
-        bt.bt_pend.(id) <- bt.bt_pend.(id) lor lanes
-      end
+      if lanes <> 0 then
+        if Worklist.push wl id then bt.bt_pend.(id) <- lanes
+        else bt.bt_pend.(id) <- bt.bt_pend.(id) lor lanes
     in
     let push_fanout id lanes =
       if lanes <> 0 then Array.iter (fun s -> push_node s lanes) rp.rp_fanout.(id)
@@ -1137,9 +1298,9 @@ let batch_settle t =
     let nev = ref 0 in
     let diff = bt.bt_diff in
     for lvl = 1 to rp.rp_max_level do
-      let b = bt.bt_buckets.(lvl) in
-      for i = 0 to Vec.length b - 1 do
-        let id = Vec.get b i in
+      let b = Worklist.bucket wl lvl in
+      for i = 0 to Worklist.length wl lvl - 1 do
+        let id = Array.unsafe_get b i in
         let need =
           let rm = t.rport_of.(id) in
           if rm >= 0 then begin
@@ -1376,6 +1537,7 @@ let batch_stop t =
   | None -> invalid_arg "Circuit.batch_stop: no batch armed"
   | Some bt ->
       t.batch <- None;
+      t.full_sweep <- true;
       { bs_evals = bt.bt_evals; bs_dense_evals = bt.bt_dense }
 
 let batch_armed t = t.batch <> None
@@ -1420,7 +1582,8 @@ let restore t snap =
   Array.iteri
     (fun m info -> Array.blit snap.snap_mems.(m) 0 info.data 0 info.words)
     t.mem_arr;
-  t.cyc <- snap.snap_cycle
+  t.cyc <- snap.snap_cycle;
+  t.full_sweep <- true
 
 let int_arrays_equal a b =
   let n = Array.length a in

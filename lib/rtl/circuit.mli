@@ -16,13 +16,33 @@
     keeps its previous settled value (for cells: writes to the bit are
     lost).
 
-    The kernel has two settle loops.  [settle] is a flat dense sweep
-    over the precomputed schedule: it records golden runs (traces and
-    value coverage), is the reference oracle every accelerated verdict
-    must equal, and continues faulty runs past the end of a golden
-    trace.  {!batch_settle} advances up to {!max_lanes} faulty machines
-    as bit-lanes against a recorded golden trace, paying only for each
-    lane's divergence cone; it runs every other faulty run. *)
+    The kernel has three settle loops:
+    - the {e dense sweep} evaluates every comb node in schedule order.
+      {!settle} runs it whenever a fault is armed — it is the reference
+      oracle every accelerated verdict must equal, and it continues
+      faulty runs past the end of a golden trace — and for the first
+      settle after a bulk state change ({!elaborate}, {!reset},
+      {!restore} and so {!transplant}, {!inject}, {!clear_fault},
+      {!batch_stop}, {!coverage_start});
+    - the {e change-driven settle} runs every other {!settle}, which
+      in practice is the golden run: it evaluates, in level order, only
+      the comb nodes with a dependency that changed since the last
+      settle (an input set to a new value, a register committed to a
+      new value, a node this settle changed) and the read ports of
+      memories whose content changed, and records traces and coverage
+      from those changes alone;
+    - {!batch_settle} advances up to {!max_lanes} faulty machines as
+      bit-lanes against a recorded golden trace, paying only for each
+      lane's divergence cone; it runs every faulty run but the dense
+      reference and the continuation of ejected lanes.
+
+    Both change-driven loops share one levelized worklist and rely on
+    one rule: {b a comb evaluator is a pure function of its dependency
+    values}, and a read port's may also read its memory's content.
+    Evaluators given to {!comb1} .. {!combn} must not read any other
+    state (a cycle counter, a mutable cell, the environment); an
+    evaluator that does would be re-run by the dense sweep but not by
+    the change-driven settle.  {!probe_comb} relies on the same rule. *)
 
 type t
 
@@ -127,7 +147,13 @@ val set_input : t -> signal -> int -> unit
 
 val settle : t -> unit
 (** Propagate combinational values from the current register/input
-    state. *)
+    state.  With no fault armed this is the change-driven settle: it
+    evaluates only the fanout of what changed since the previous
+    settle, and the result equals the dense sweep's node for node.
+    While a fault is armed, and on the first settle after a bulk state
+    change, it is the dense sweep (see the loops above).  The
+    change-driven settle allocates nothing beyond the growth of a
+    recorded trace. *)
 
 val clock : t -> unit
 (** Commit register next-values and memory writes from the settled
@@ -139,6 +165,17 @@ val value : t -> signal -> int
 
 val cycle : t -> int
 (** Number of {!clock} calls since reset. *)
+
+type settle_stats = {
+  ss_evals : int;  (** comb evaluations {!settle} performed *)
+  ss_dense_evals : int;
+      (** comb nodes × settles: what dense sweeps would have cost *)
+}
+
+val settle_stats : t -> settle_stats
+(** Cumulative counts over every {!settle} since {!create}; a caller
+    measures a run by the difference of two readings.  {!batch_settle}
+    is counted in {!batch_stats} instead. *)
 
 val mem_read : t -> memory -> int -> int
 (** Direct backdoor read (testing and environment models). *)
@@ -235,9 +272,12 @@ val fault_model_name : fault_model -> string
 type coverage
 
 val coverage_start : t -> unit
-(** Begin recording (clears any previous recording).  Recording adds
-    one sweep over the node array per {!settle}; enable it only for
-    the golden run. *)
+(** Begin recording (clears any previous recording).  The next
+    {!settle} is a dense sweep that records every node; after it, a
+    change-driven settle records only the nodes whose value changed,
+    which is exact because an unchanged value was recorded when it
+    last changed.  So recording costs per changed node, not per node;
+    while a fault is armed each settle records every node. *)
 
 val coverage_stop : t -> coverage
 (** Stop recording and return the accumulated coverage. *)
@@ -262,9 +302,14 @@ type trace
     share read-only across parallel campaign domains. *)
 
 val trace_start : t -> unit
-(** Begin recording a trace of every subsequent settled state.  Adds
-    one compare sweep per {!settle} (same order of cost as coverage
-    recording); enable it only for the golden run. *)
+(** Begin recording a trace of every subsequent settled state.  The
+    first recorded settle only primes the previous state: its cycle
+    holds no deltas, so a trace does not depend on what the circuit ran
+    before.  A change-driven settle then compares only the nodes that
+    changed, emitting a delta where a value differs from its last
+    recorded one (a value set and restored between two settles emits
+    nothing): recording costs per changed node, not per node.  The
+    dense sweep compares every node. *)
 
 val trace_stop : t -> trace
 (** Stop recording and freeze the trace. *)
@@ -272,9 +317,13 @@ val trace_stop : t -> trace
 val trace_cycles : trace -> int
 (** Number of settled cycles recorded (cycles [0 .. n-1]). *)
 
-val trace_evals : trace -> int
-(** Combinational evaluations performed while the trace was recorded
-    (the golden run's dense-sweep cost, for reporting). *)
+val trace_deltas : trace -> int -> (signal * int) array
+(** [trace_deltas tr c]: the (node, value) pairs recorded for cycle [c],
+    each node whose settled value differs from its value at the
+    previous recorded settle.  Within a cycle the order is unspecified
+    (a change-driven settle emits in level order, the dense sweep in
+    node order).  The first recorded cycle, cycle 0 of a golden run,
+    holds none. *)
 
 type replay_plan = {
   rp_fanout : int array array;

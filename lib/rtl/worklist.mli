@@ -1,0 +1,28 @@
+(** The levelized worklist both change-driven settle loops of
+    {!Circuit} share: one bucket per combinational level and a per-node
+    stamp that queues each node at most once per settle.  Evaluating
+    the buckets in level order visits every queued node after all of
+    its queued dependencies, because a node can only queue its fanout,
+    which sits on strictly deeper levels. *)
+
+type t
+
+val create : level:int array -> max_level:int -> t
+(** [create ~level ~max_level] for nodes whose level is [level.(id)]
+    (0 .. [max_level]). *)
+
+val start : t -> unit
+(** Empty every bucket and open a new epoch; call once per settle,
+    before the first {!push}. *)
+
+val push : t -> int -> bool
+(** Queue a node in its level's bucket; [false] (and nothing queued)
+    when it is already queued this epoch. *)
+
+val max_level : t -> int
+
+val length : t -> int -> int
+(** Nodes queued at a level this epoch. *)
+
+val bucket : t -> int -> int array
+(** A level's bucket; entries [0 .. length - 1] are this epoch's. *)

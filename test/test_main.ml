@@ -18,6 +18,7 @@ let () =
       Test_iss_campaign.suite;
       Test_batch.suite;
       Test_tail.suite;
+      Test_settle.suite;
       Test_workloads.suite;
       Test_diversity.suite;
       Test_report.suite;
