@@ -7,21 +7,24 @@
      dune exec bench/main.exe                 -- all experiments
      dune exec bench/main.exe -- figure5      -- one experiment
      dune exec bench/main.exe -- micro        -- Bechamel suite
-     dune exec bench/main.exe -- static       -- figure-5 static on/off A-B
      dune exec bench/main.exe -- journal      -- direct vs resume vs 4-shard-merge A/B
      dune exec bench/main.exe -- iss          -- ISS vs RTL campaign cost ratio
      dune exec bench/main.exe -- serve        -- campaign-service golden-trace cache
    The RICV_SAMPLES environment variable scales campaign sample sizes
-   (default 250); RICV_STATIC=0 disables netlist static analysis
-   (identical results either way).  The [static] selector runs figure 5
-   twice — static pruning+collapsing on, then off — checks the rendered
-   tables are byte-identical and emits a BENCH_static.json line with
-   both wall clocks. *)
+   (default 250); a value that is not a positive integer is a usage
+   error. *)
 
 module Experiments = Correlation.Experiments
 module Context = Correlation.Context
 
 let print_tables tables = List.iter (Report.Table.render Format.std_formatter) tables
+
+let samples () =
+  match Context.default_samples () with
+  | Ok n -> n
+  | Error m ->
+      prerr_endline m;
+      exit 2
 
 let write_csv ~dir ~id tables =
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
@@ -47,7 +50,7 @@ let run_experiments ?csv_dir ids =
     | None -> (None, fun () -> ())
   in
   let obs = match sink with Some sink -> Obs.create ~sink () | None -> Obs.create () in
-  let ctx = Context.create ~obs () in
+  let ctx = Context.create ~samples:(samples ()) ~obs () in
   Format.printf "injection sample size per (workload, block): %d@."
     (Context.samples ctx);
   List.iter
@@ -83,89 +86,6 @@ let run_experiments ?csv_dir ids =
   Obs.flush obs;
   close_sink ()
 
-(* ---- static analysis A/B: figure 5 with cone pruning + fault
-   collapsing on vs. off, same samples and seed.  The rendered tables
-   must be byte-identical (the static passes are exact); the emitted
-   BENCH_static.json line records both wall clocks and how many
-   injections each mechanism classified. ---- *)
-
-let render_tables tables =
-  let buf = Buffer.create 4096 in
-  let fmt = Format.formatter_of_buffer buf in
-  List.iter (Report.Table.render fmt) tables;
-  Format.pp_print_flush fmt ();
-  Buffer.contents buf
-
-let run_static () =
-  let run ~gate ~static =
-    let obs = Obs.create () in
-    let ctx = Context.create ~gate ~static ~obs () in
-    let t0 = Unix.gettimeofday () in
-    let tables = Experiments.run ctx "figure5" in
-    let wall = Unix.gettimeofday () -. t0 in
-    (tables, wall, obs, Context.trim_stats ctx, Context.samples ctx)
-  in
-  (* per-phase breakdown of the static pass itself (graph extraction,
-     post-dominator tree, collapse probing), plus end-to-end injection
-     throughput — a single wall clock hides where the pass spends and
-     what the campaign gets back *)
-  let phases obs =
-    [ ("graph_seconds", Obs.span_total obs "static.graph");
-      ("dominator_seconds", Obs.span_total obs "static.dominator");
-      ("collapse_seconds", Obs.span_total obs "static.collapse") ]
-  in
-  let ab ~gate label =
-    Format.printf "figure 5 (%s), static analysis on:@.@." label;
-    let tables_on, wall_on, obs_on, st_on, samples = run ~gate ~static:true in
-    print_tables tables_on;
-    Format.printf "  [%.1fs]@.@.figure 5 (%s), static analysis off:@.@." wall_on label;
-    let tables_off, wall_off, _, st_off, _ = run ~gate ~static:false in
-    print_tables tables_off;
-    Format.printf "  [%.1fs]@." wall_off;
-    let identical = render_tables tables_on = render_tables tables_off in
-    let ips wall st =
-      if wall > 0. then float_of_int st.Context.injections /. wall else 0.
-    in
-    let open Obs.Json in
-    let json =
-      Obj
-        [ ("samples", Int samples);
-          ( "static",
-            Obj
-              ([ ("wall_seconds", Float wall_on);
-                 ("injections_per_second", Float (ips wall_on st_on));
-                 ("injections", Int st_on.Context.injections);
-                 ("prefiltered", Int st_on.Context.skipped);
-                 ("pruned", Int st_on.Context.pruned);
-                 ("collapsed", Int st_on.Context.collapsed) ]
-              @ List.map (fun (k, v) -> (k, Float v)) (phases obs_on)) );
-          ( "full",
-            Obj
-              [ ("wall_seconds", Float wall_off);
-                ("injections_per_second", Float (ips wall_off st_off));
-                ("injections", Int st_off.Context.injections);
-                ("prefiltered", Int st_off.Context.skipped) ] );
-          ("speedup", Float (if wall_on > 0. then wall_off /. wall_on else 1.));
-          ("tables_identical", Bool identical) ]
-    in
-    if not identical then begin
-      Format.printf "@.";
-      prerr_endline (label ^ ": static/full figure-5 tables differ");
-      exit 1
-    end;
-    json
-  in
-  let behavioural = ab ~gate:false "behavioural" in
-  Format.printf "@.";
-  let gate = ab ~gate:true "gate-level" in
-  let open Obs.Json in
-  Format.printf "@.BENCH_static.json: %s@."
-    (to_string
-       (Obj
-          [ ("experiment", Str "figure5");
-            ("behavioural", behavioural);
-            ("gate_level", gate) ]))
-
 (* ---- journal A/B: one campaign three ways — direct, killed-and-
    resumed, and 4-shard-merged — asserting all three verdict tables
    are byte-identical and emitting BENCH_journal.json with the wall
@@ -176,12 +96,7 @@ let run_static () =
 let run_journal () =
   let module FC = Fault_injection.Campaign in
   let module FJ = Fault_injection.Journal in
-  let samples =
-    match Sys.getenv_opt "RICV_SAMPLES" with
-    | Some s -> (
-        match int_of_string_opt s with Some n when n > 0 -> n | Some _ | None -> 250)
-    | None -> 250
-  in
+  let samples = samples () in
   let entry = Workloads.Suite.find "rspeed" in
   let prog = entry.Workloads.Suite.build ~iterations:1 ~dataset:0 in
   let target = Fault_injection.Injection.Iu in
@@ -286,12 +201,7 @@ let run_journal () =
 let run_iss () =
   let module FC = Fault_injection.Campaign in
   let module IC = Fault_injection.Iss_campaign in
-  let samples =
-    match Sys.getenv_opt "RICV_SAMPLES" with
-    | Some s -> (
-        match int_of_string_opt s with Some n when n > 0 -> n | Some _ | None -> 250)
-    | None -> 250
-  in
+  let samples = samples () in
   let time f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
@@ -394,12 +304,7 @@ let run_serve () =
   let module P = Serve.Protocol in
   let module FC = Fault_injection.Campaign in
   let module Journal = Fault_injection.Journal in
-  let samples =
-    match Sys.getenv_opt "RICV_SAMPLES" with
-    | Some s -> (
-        match int_of_string_opt s with Some n when n > 0 -> n | Some _ | None -> 250)
-    | None -> 250
-  in
+  let samples = samples () in
   let time f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
@@ -555,7 +460,6 @@ let () =
   match args with
   | [] -> run_experiments ?csv_dir Experiments.all_ids
   | [ "micro" ] -> run_micro ()
-  | [ "static" ] -> run_static ()
   | [ "journal" ] -> run_journal ()
   | [ "iss" ] -> run_iss ()
   | [ "serve" ] -> run_serve ()
@@ -563,6 +467,6 @@ let () =
       run_experiments ?csv_dir ids
   | _ ->
       prerr_endline
-        ("usage: main.exe [csv] [micro | static | journal | iss | serve | "
+        ("usage: main.exe [csv] [micro | journal | iss | serve | "
         ^ String.concat " | " Experiments.all_ids ^ " ...]");
       exit 2

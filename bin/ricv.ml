@@ -37,6 +37,17 @@ let dataset_arg =
 
 let or_fail = function Ok v -> v | Error (`Msg m) -> prerr_endline m; exit 1
 
+(* [-s N] when given, else RICV_SAMPLES, else the default: a bad
+   RICV_SAMPLES is a usage error, exactly like a bad [-s]. *)
+let samples_or_env = function
+  | Some n -> n
+  | None -> (
+      match Correlation.Context.default_samples () with
+      | Ok n -> n
+      | Error m ->
+          prerr_endline ("ricv: " ^ m);
+          exit Cmd.Exit.cli_error)
+
 let shard_conv =
   let parse s =
     let fail () =
@@ -279,12 +290,6 @@ let campaign_cmd =
                  them, then continue.  A journal from a different campaign \
                  (workload, config, seed, netlist or shard mismatch) is rejected.")
   in
-  let no_static_arg =
-    Arg.(value & flag & info [ "no-static" ]
-           ~doc:"Disable netlist static analysis (cone-of-influence pruning and \
-                 structural fault collapsing).  Results are identical; only the \
-                 runtime changes.")
-  in
   let hang_arg =
     Arg.(value & opt (positive_int "hang factor") 4 & info [ "hang-factor" ] ~docv:"K"
            ~env:(Cmd.Env.info "RICV_HANG_FACTOR")
@@ -295,8 +300,8 @@ let campaign_cmd =
   let seed_arg =
     Arg.(value & opt int 7 & info [ "seed" ] ~docv:"S" ~doc:"Site-sampling seed.")
   in
-  let run name iterations dataset target samples domains shard journal resume no_static
-      hang_factor seed gate trace metrics =
+  let run name iterations dataset target samples domains shard journal resume hang_factor
+      seed gate trace metrics =
     let prog = or_fail (build_workload name iterations dataset) in
     let params = system_params ~gate:(gate_enabled gate) in
     if resume && journal = None then begin
@@ -306,7 +311,6 @@ let campaign_cmd =
     let config =
       { Fault_injection.Campaign.default_config with
         Fault_injection.Campaign.sample_size = Some samples;
-        static = not no_static;
         hang_factor;
         seed;
         shard }
@@ -343,7 +347,7 @@ let campaign_cmd =
     in
     Printf.printf
       "%d injections in %.1fs: %d prefiltered (%.1f%%), %d cone-pruned, %d collapsed, \
-       %d early-exited%s%s%s\n"
+       %d early-exited%s%s\n"
       injections elapsed skipped
       (if injections = 0 then 0. else 100. *. float_of_int skipped /. float_of_int injections)
       pruned collapsed early
@@ -355,15 +359,14 @@ let campaign_cmd =
       | Some path, true when Obs.enabled obs ->
           Printf.sprintf "  [journal %s, %d replayed]" path (Obs.counter obs "journal.replayed")
       | Some path, true -> Printf.sprintf "  [journal %s, resumed]" path
-      | None, _ -> "")
-      (if config.Fault_injection.Campaign.static then "" else "  [static analysis disabled]");
+      | None, _ -> "");
     finish_obs ()
   in
   Cmd.v
     (Cmd.info "campaign" ~doc:"Run a fault-injection campaign on the RTL model.")
     Term.(const run $ workload_arg $ iterations_arg $ dataset_arg $ target_arg
           $ samples_arg $ domains_arg $ shard_arg $ journal_arg $ resume_arg
-          $ no_static_arg $ hang_arg $ seed_arg $ gate_arg $ trace_arg $ metrics_arg)
+          $ hang_arg $ seed_arg $ gate_arg $ trace_arg $ metrics_arg)
 
 (* ---- iss-campaign ---- *)
 
@@ -472,15 +475,17 @@ let correlate_cmd =
   let samples_arg =
     Arg.(value & opt (some (positive_int "sample size")) None
            & info [ "samples"; "s" ] ~docv:"N"
-           ~doc:"Injection sample size per (workload, block) and per ISS model.")
+           ~doc:"Injection sample size per (workload, block) and per ISS model \
+                 (default: $(b,RICV_SAMPLES), else 250).")
   in
   let run samples gate trace metrics =
     let obs, finish_obs = make_obs ~trace ~metrics in
     let gate = gate_enabled gate in
+    let samples = samples_or_env samples in
     let ctx =
       match (trace, metrics) with
-      | None, false -> Correlation.Context.create ?samples ~gate ()
-      | _ -> Correlation.Context.create ?samples ~gate ~obs ()
+      | None, false -> Correlation.Context.create ~samples ~gate ()
+      | _ -> Correlation.Context.create ~samples ~gate ~obs ()
     in
     List.iter
       (Report.Table.render Format.std_formatter)
@@ -686,15 +691,17 @@ let experiment_cmd =
   let samples_arg =
     Arg.(value & opt (some (positive_int "sample size")) None
            & info [ "samples"; "s" ] ~docv:"N"
-           ~doc:"Injection sample size per (workload, block).")
+           ~doc:"Injection sample size per (workload, block) (default: \
+                 $(b,RICV_SAMPLES), else 250).")
   in
   let run id samples gate trace metrics =
     let obs, finish_obs = make_obs ~trace ~metrics in
     let gate = gate_enabled gate in
+    let samples = samples_or_env samples in
     let ctx =
       match (trace, metrics) with
-      | None, false -> Correlation.Context.create ?samples ~gate ()
-      | _ -> Correlation.Context.create ?samples ~gate ~obs ()
+      | None, false -> Correlation.Context.create ~samples ~gate ()
+      | _ -> Correlation.Context.create ~samples ~gate ~obs ()
     in
     List.iter
       (Report.Table.render Format.std_formatter)

@@ -14,7 +14,6 @@ type t = {
   sys : Leon3.System.t;
   samples_ : int;
   seed : int;
-  static_ : bool;
   gate_ : bool;
   obs_ : Obs.t;
   campaigns :
@@ -25,31 +24,26 @@ type t = {
     (string, (Iss_campaign.model * Campaign.summary) list) Hashtbl.t;
 }
 
+let parse_samples s =
+  match int_of_string_opt s with
+  | Some n when n > 0 -> Ok n
+  | Some n -> Error (Printf.sprintf "sample size must be positive (got %d)" n)
+  | None -> Error (Printf.sprintf "sample size must be positive (got %S)" s)
+
 let default_samples () =
   match Sys.getenv_opt "RICV_SAMPLES" with
-  | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | Some _ | None -> 250)
-  | None -> 250
-
-let default_static () =
-  match Sys.getenv_opt "RICV_STATIC" with
-  | Some ("0" | "false" | "no" | "off") -> false
-  | Some _ | None -> true
+  | None -> Ok 250
+  | Some s -> Result.map_error (fun m -> "RICV_SAMPLES: " ^ m) (parse_samples s)
 
 let default_gate () =
   match Sys.getenv_opt "RICV_GATE" with
   | Some ("0" | "false" | "no" | "off") | None -> false
   | Some _ -> true
 
-let create ?samples ?(seed = 7) ?static ?gate ?obs () =
-  let samples_ =
-    match samples with
-    | Some n when n <= 0 ->
-        invalid_arg
-          (Printf.sprintf "Context.create: sample size must be positive (got %d)" n)
-    | Some n -> n
-    | None -> default_samples ()
-  in
-  let static_ = match static with Some b -> b | None -> default_static () in
+let create ~samples ?(seed = 7) ?gate ?obs () =
+  if samples <= 0 then
+    invalid_arg
+      (Printf.sprintf "Context.create: sample size must be positive (got %d)" samples);
   let gate_ = match gate with Some b -> b | None -> default_gate () in
   let params =
     { Leon3.Core.default_params with Leon3.Core.gate_level = gate_ }
@@ -59,9 +53,8 @@ let create ?samples ?(seed = 7) ?static ?gate ?obs () =
      stream JSONL trace events. *)
   let obs_ = match obs with Some o -> o | None -> Obs.create () in
   { sys = Leon3.System.create ~params ();
-    samples_;
+    samples_ = samples;
     seed;
-    static_;
     gate_;
     obs_;
     campaigns = Hashtbl.create 64;
@@ -69,8 +62,6 @@ let create ?samples ?(seed = 7) ?static ?gate ?obs () =
     iss_campaigns = Hashtbl.create 64 }
 
 let samples t = t.samples_
-
-let static t = t.static_
 
 let gate t = t.gate_
 
@@ -105,8 +96,7 @@ let campaign t ~key ?(models = Campaign.default_config.Campaign.models) prog tar
         { Campaign.default_config with
           Campaign.models;
           sample_size = Some t.samples_;
-          seed = t.seed;
-          static = t.static_ }
+          seed = t.seed }
       in
       let summaries, _ = Campaign.run ~config ~obs:t.obs_ t.sys prog target in
       Hashtbl.add t.campaigns memo_key summaries;

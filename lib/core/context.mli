@@ -20,22 +20,29 @@ type trim_stats = {
     (memoised hits are not double-counted); a projection of the
     context's telemetry counters. *)
 
+val parse_samples : string -> (int, string) result
+(** The one parser of a sample-size setting: [Ok n] for a positive
+    integer, otherwise [Error "sample size must be positive (got ...)"],
+    the message [-s 0] gets on the command line. *)
+
+val default_samples : unit -> (int, string) result
+(** The front ends' default sample size: the [RICV_SAMPLES]
+    environment variable through {!parse_samples}, or 250 when it is
+    unset.  A bad value is an [Error] prefixed with ["RICV_SAMPLES: "],
+    never a silent fallback. *)
+
 val create :
-  ?samples:int ->
+  samples:int ->
   ?seed:int ->
-  ?static:bool ->
   ?gate:bool ->
   ?obs:Obs.t ->
   unit ->
   t
-(** [samples] is the per-(workload, block) injection sample size
-    (default 250; the [RICV_SAMPLES] environment variable, when set,
-    overrides the default); a non-positive value raises
-    [Invalid_argument "Context.create: sample size must be positive
-    (got N)"].  [static] enables netlist static analysis
-    (cone pruning + fault collapsing; default true, [RICV_STATIC=0] to
-    disable — results are identical either way, only the time
-    changes).  [gate] selects the gate-level elaboration of the IU
+(** [samples] is the per-(workload, block) injection sample size; a
+    non-positive value raises [Invalid_argument]
+    (["Context.create: sample size must be positive (got N)"]).  The
+    static layer (cone pruning and fault collapsing) is always on.
+    [gate] selects the gate-level elaboration of the IU
     datapath ({!Leon3.Core.params.gate_level}; default false,
     set [RICV_GATE=1] to opt in — verdicts at the observation
     boundary are identical, but the injection-site population grows
@@ -46,8 +53,6 @@ val create :
     sink to stream JSONL trace events). *)
 
 val samples : t -> int
-
-val static : t -> bool
 
 val gate : t -> bool
 

@@ -144,9 +144,9 @@ let record_run obs golden ~dt ~start_cycle r =
       Obs.incr obs "static.collapsed";
       Obs.incr obs ~by:golden.cycles "cycles.saved"
 
-(* Statically classified injections (cone-pruned or replicated from a
-   collapse-class leader) never touch the simulator; they still count
-   as injections with a full verdict. *)
+(* Statically classified injections (cone-pruned, or copying their
+   collapse leader's verdict) run no lane of their own; they still
+   count as injections with a full verdict. *)
 let record_static obs golden r =
   if Obs.enabled obs then record_run obs golden ~dt:0. ~start_cycle:0 r
 
@@ -215,7 +215,7 @@ let lockstep ?detect_loops sys golden ~compare_reads ~hang_factor ~matched ~mism
    trace end (qcheck-tested) and the comparator resumes at the same
    counters.  [dt] is the lane's share of its batch pass. *)
 let continue_ejected ~obs golden sys ~compare_reads ~hang_factor ~dt e (sp : Batch.spec)
-    (site : Injection.site) model =
+    (site : Injection.site) model ~counted =
   let t_start = if Obs.enabled obs then Obs.now obs else 0. in
   Leon3.System.transplant sys e.Batch.e_tp ~mem:e.Batch.e_mem ~iport:e.Batch.e_iport
     ~dport:e.Batch.e_dport ~events_rev:e.Batch.e_events_rev
@@ -244,14 +244,19 @@ let continue_ejected ~obs golden sys ~compare_reads ~hang_factor ~dt e (sp : Bat
     Obs.incr obs "tail.transplants";
     Obs.incr obs ~by:start_cycle "tail.prefix_saved";
     Obs.add_time obs "tail.watchdog" tail;
-    record_run obs golden ~dt:(dt +. tail) ~start_cycle r
+    if counted then record_run obs golden ~dt:(dt +. tail) ~start_cycle r
+    else Obs.add_time obs "simulate" (dt +. tail)
   end;
   r
 
 (* One batch pass over up to [C.max_lanes] faulty runs.  Each entry is
-   the site and model its verdict is recorded under, plus the fault its
-   lane is armed with (a collapse leader's representative stands in for
-   the member).  Verdicts come back in entry order. *)
+   the site and model its verdict is reported under, the fault its lane
+   is armed with (a collapse-class representative stands in for the
+   task's own), and whether the verdict counts as an injection of this
+   run: a lane whose leader task is not pending here only lends its
+   verdict to collapse followers, and still charges its time to the
+   phase that decided it, so the phases keep adding up to the
+   campaign's time.  Verdicts come back in entry order. *)
 let run_lanes ~obs golden sys prog ~compare_reads ~hang_factor lanes =
   let t_start = if Obs.enabled obs then Obs.now obs else 0. in
   let reference = if compare_reads then golden.events else golden.writes in
@@ -259,7 +264,7 @@ let run_lanes ~obs golden sys prog ~compare_reads ~hang_factor lanes =
   let outcomes, stats =
     Batch.run ~sys ~prog ~trace:(Option.get golden.trace) ~reference ~max_cycles
       ~compare_reads ~boundaries:golden.checkpoints
-      (Array.map (fun (_, _, sp) -> sp) lanes)
+      (Array.map (fun (_, _, sp, _) -> sp) lanes)
   in
   let n = Array.length lanes in
   (* every lane is charged an equal share of the pass, under the phase
@@ -277,14 +282,15 @@ let run_lanes ~obs golden sys prog ~compare_reads ~hang_factor lanes =
     Obs.incr obs ~by:stats.C.bs_dense_evals "diff.golden_evaluated"
   end;
   Array.map2
-    (fun ((site : Injection.site), model, (sp : Batch.spec)) outcome ->
+    (fun ((site : Injection.site), model, (sp : Batch.spec), counted) outcome ->
       let decided outcome detect_cycle sim =
         Obs.incr obs "batch.lanes_retired";
         let r =
           { site_name = site.Injection.site_name; model; outcome; detect_cycle;
             inject_cycle = sp.Batch.from_cycle; sim }
         in
-        if Obs.enabled obs then record_run obs golden ~dt ~start_cycle:0 r;
+        if counted then record_run obs golden ~dt ~start_cycle:0 r
+        else Obs.add_time obs (match sim with Converged _ -> "converge" | _ -> "simulate") dt;
         r
       in
       match outcome with
@@ -298,7 +304,8 @@ let run_lanes ~obs golden sys prog ~compare_reads ~hang_factor lanes =
       | Batch.Converged cyc -> decided Silent None (Converged cyc)
       | Batch.Ejected e ->
           Obs.incr obs "batch.ejected";
-          continue_ejected ~obs golden sys ~compare_reads ~hang_factor ~dt e sp site model)
+          continue_ejected ~obs golden sys ~compare_reads ~hang_factor ~dt e sp site model
+            ~counted)
     lanes outcomes
 
 let run_one ?(obs = Obs.null) ?plan sys prog golden ?(inject_cycle = 0) ?duration
@@ -321,7 +328,8 @@ let run_one ?(obs = Obs.null) ?plan sys prog golden ?(inject_cycle = 0) ?duratio
           { Batch.site = site.Injection.fault_site; model; from_cycle = inject_cycle;
             duration }
         in
-        (run_lanes ~obs golden sys prog ~compare_reads ~hang_factor [| (site, model, sp) |]).(0)
+        (run_lanes ~obs golden sys prog ~compare_reads ~hang_factor
+           [| (site, model, sp, true) |]).(0)
     | (Some _ | None), _ ->
         (* the dense reference: a plain cycle-by-cycle run from reset *)
         let circuit = (Leon3.System.core sys).Leon3.Core.circuit in
@@ -400,7 +408,6 @@ type config = {
   hang_factor : int;
   compare_reads : bool;
   seed : int;
-  static : bool;
   shard : int * int;
 }
 
@@ -412,70 +419,7 @@ let default_config =
     hang_factor = 4;
     compare_reads = false;
     seed = 7;
-    static = true;
     shard = (1, 1) }
-
-(* Static analysis of the netlist, shared by every injection of a
-   campaign: the observation cone decides which sites are silent by
-   construction, the collapse table which (site, model) pairs share a
-   verdict with a representative fault. *)
-type static_info = { cone : Analysis.Graph.cone; collapse : Analysis.Collapse.t }
-
-let build_static ?(obs = Obs.null) ?graph core =
-  Obs.span obs "static_analysis" @@ fun () ->
-  let g =
-    match graph with
-    | Some g -> g
-    | None ->
-        Obs.span obs "static.graph" @@ fun () ->
-        Analysis.Graph.build core.Leon3.Core.circuit
-  in
-  let obs_points = Leon3.Core.observation_points core in
-  let keep =
-    let set = Array.make (Analysis.Graph.signal_count g) false in
-    List.iter (fun s -> set.((s : C.signal :> int)) <- true) obs_points;
-    fun s -> set.((s : C.signal :> int))
-  in
-  let dom =
-    Obs.span obs "static.dominator" @@ fun () ->
-    Analysis.Dominator.build g ~exits:obs_points
-  in
-  { cone = Analysis.Graph.backward_cone g obs_points;
-    collapse =
-      (Obs.span obs "static.collapse" @@ fun () ->
-       Analysis.Collapse.build ~dom g ~keep) }
-
-(* Per-injection classification.  Order matters for byte-identical
-   summaries: the dynamic prefilter is consulted first (so [skipped]
-   is identical with static analysis on or off), then the cone, then
-   the collapse table. *)
-type plan =
-  | P_direct
-  | P_prefiltered
-  | P_pruned
-  | P_class of (C.fault_site * C.fault_model)
-
-let classify static golden (site : Injection.site) model =
-  if prefiltered golden site model then P_prefiltered
-  else
-    match static with
-    | None -> P_direct
-    | Some st ->
-        if not (Analysis.Graph.cone_site st.cone site.Injection.fault_site) then P_pruned
-        else
-          let rsite, rmodel =
-            Analysis.Collapse.resolve st.collapse site.Injection.fault_site model
-          in
-          if rsite = site.Injection.fault_site && rmodel = model then P_direct
-          else P_class (rsite, rmodel)
-
-let pruned_result ~inject_cycle (site : Injection.site) model =
-  { site_name = site.Injection.site_name; model; outcome = Silent; detect_cycle = None;
-    inject_cycle; sim = Pruned }
-
-let follower_result ~inject_cycle (site : Injection.site) model lead =
-  { site_name = site.Injection.site_name; model; outcome = lead.outcome;
-    detect_cycle = lead.detect_cycle; inject_cycle; sim = Collapsed lead.site_name }
 
 (* Site enumeration and sampling, under its own span so campaign time
    decomposes into golden / site_sampling / prefilter / simulate /
@@ -519,60 +463,69 @@ let build_tasks config sample =
   Array.concat
     (List.map (fun model -> Array.map (fun site -> (model, site)) sample) config.models)
 
-(* Per-task classification with globally chosen collapse leaders:
-   leaders are the first class member in global task order, so the
-   assignment is identical for every shard and every domain count. *)
+(* Per-task classification, made once over the global task list.  A
+   task that reaches simulation runs its lane fault: its collapse-class
+   representative, or its own fault when nothing collapses it.  Its
+   leader is the first task in global order with the same lane fault,
+   so every shard, every domain count and every resume agrees on it.
+   The dynamic prefilter is consulted first, then the cone, then the
+   collapse table. *)
 type task_plan =
-  | T_direct
   | T_prefiltered
   | T_pruned
-  | T_lead of Injection.site * C.fault_model
-  | T_follow of int  (* global task index of the class leader *)
+  | T_lane of { fault : C.fault_site * C.fault_model; leader : int }
 
 (* Everything that only exists to classify and simulate: built only
    when something is left to run, so a resume whose journal already
    covers the whole shard skips the golden run and the static analysis
    entirely. *)
-type machinery = {
-  m_golden : golden;
-  m_golden_lead : golden;
-      (* prefilter bypassed for collapse-class leaders: the member
-         reached simulation, so its representative must simulate too *)
-  m_plans : task_plan array;
-}
+type machinery = { m_golden : golden; m_plans : task_plan array }
 
 let build_machinery ~obs ~config sys prog tasks =
-  let core = Leon3.System.core sys in
   (* value coverage powers the permanent-fault prefilter (useless for
      bit-flips, which always activate); no checkpoints, since a fault
      without a duration never converges *)
   let coverage = List.exists (fun m -> m <> C.Bit_flip) config.models in
   let golden = golden_run ~obs ~coverage ~trace:true sys prog ~max_cycles:5_000_000 in
-  let static =
-    if config.static then
-      let graph =
-        Obs.span obs "static.graph" (fun () -> Analysis.Graph.build core.Leon3.Core.circuit)
-      in
-      Some (build_static ~obs ~graph core)
-    else None
+  (* static analysis of the netlist: the observation cone decides which
+     sites are silent by construction, the collapse table which (site,
+     model) pairs share a verdict with a representative fault *)
+  let core = Leon3.System.core sys in
+  let g =
+    Obs.span obs "static.graph" (fun () -> Analysis.Graph.build core.Leon3.Core.circuit)
   in
+  let cone, collapse =
+    Obs.span obs "static_analysis" @@ fun () ->
+    let obs_points = Leon3.Core.observation_points core in
+    let keep =
+      let set = Array.make (Analysis.Graph.signal_count g) false in
+      List.iter (fun s -> set.((s : C.signal :> int)) <- true) obs_points;
+      fun s -> set.((s : C.signal :> int))
+    in
+    let dom =
+      Obs.span obs "static.dominator" @@ fun () ->
+      Analysis.Dominator.build g ~exits:obs_points
+    in
+    ( Analysis.Graph.backward_cone g obs_points,
+      Obs.span obs "static.collapse" @@ fun () -> Analysis.Collapse.build ~dom g ~keep )
+  in
+  let leaders = Hashtbl.create 1024 in
   let plans =
-    let class_leader = Hashtbl.create 64 in
     Array.mapi
-      (fun i (model, site) ->
-        match classify static golden site model with
-        | P_direct -> T_direct
-        | P_prefiltered -> T_prefiltered
-        | P_pruned -> T_pruned
-        | P_class ((rsite, rmodel) as key) -> (
-            match Hashtbl.find_opt class_leader key with
-            | Some j -> T_follow j
-            | None ->
-                Hashtbl.add class_leader key i;
-                T_lead ({ site with Injection.fault_site = rsite }, rmodel)))
+      (fun i (model, (site : Injection.site)) ->
+        if prefiltered golden site model then T_prefiltered
+        else if not (Analysis.Graph.cone_site cone site.Injection.fault_site) then
+          T_pruned
+        else
+          let fault = Analysis.Collapse.resolve collapse site.Injection.fault_site model in
+          match Hashtbl.find_opt leaders fault with
+          | Some leader -> T_lane { fault; leader }
+          | None ->
+              Hashtbl.add leaders fault i;
+              T_lane { fault; leader = i })
       tasks
   in
-  { m_golden = golden; m_golden_lead = { golden with coverage = None }; m_plans = plans }
+  { m_golden = golden; m_plans = plans }
 
 (* ---- reusable campaign preparation (the serve layer's golden-trace
    + static-analysis cache) ----
@@ -615,22 +568,6 @@ let check_prepared fp = function
                              campaign" f)
       | None -> Some p.p_machinery)
 
-(* A collapse leader whose member sits in another shard is simulated
-   on its own, as a one-lane batch. *)
-let simulate_lead ~obs ~config m sys prog tasks j =
-  match m.m_plans.(j) with
-  | T_lead (rep, rmodel) ->
-      let model, _ = tasks.(j) in
-      let r0 =
-        run_one ~obs
-          ~plan:(C.compiled_plan (Leon3.System.core sys).Leon3.Core.circuit)
-          sys prog m.m_golden_lead ~inject_cycle:config.inject_cycle
-          ~hang_factor:config.hang_factor ~compare_reads:config.compare_reads rep rmodel
-      in
-      { r0 with model }
-  | T_direct | T_prefiltered | T_pruned | T_follow _ ->
-      failwith "Campaign: collapse leader reclassified (internal error)"
-
 (* A task decided without simulation: prefiltered or cone-pruned. *)
 let run_decided ~obs ~config m sys prog tasks ti =
   let model, site = tasks.(ti) in
@@ -638,11 +575,13 @@ let run_decided ~obs ~config m sys prog tasks ti =
   | T_prefiltered ->
       run_one ~obs sys prog m.m_golden ~inject_cycle:config.inject_cycle site model
   | T_pruned ->
-      let r = pruned_result ~inject_cycle:config.inject_cycle site model in
+      let r =
+        { site_name = site.Injection.site_name; model; outcome = Silent; detect_cycle = None;
+          inject_cycle = config.inject_cycle; sim = Pruned }
+      in
       record_static obs m.m_golden r;
       r
-  | T_direct | T_lead _ | T_follow _ ->
-      failwith "Campaign: simulated task queued as decided (internal error)"
+  | T_lane _ -> failwith "Campaign: simulated task queued as decided (internal error)"
 
 let chunk_list k l =
   let rec take n acc = function
@@ -657,91 +596,89 @@ let chunk_list k l =
   in
   go l
 
-(* One batch pass over a chunk of simulated tasks (≤ [C.max_lanes]):
-   direct simulations and collapse leaders, the latter armed with the
-   fault the plan resolved to and recorded under the member's site and
-   model, exactly as [simulate_lead] does. *)
-let run_batch_chunk ~obs ~config m sys prog tasks tis =
-  run_lanes ~obs m.m_golden sys prog ~compare_reads:config.compare_reads
-    ~hang_factor:config.hang_factor
-    (Array.map
-       (fun ti ->
-         let model, site = tasks.(ti) in
-         let fsite, fmodel =
-           match m.m_plans.(ti) with
-           | T_lead (rep, rmodel) -> (rep.Injection.fault_site, rmodel)
-           | T_direct -> (site.Injection.fault_site, model)
-           | T_prefiltered | T_pruned | T_follow _ -> assert false
-         in
-         ( site,
-           model,
-           { Batch.site = fsite; model = fmodel; from_cycle = config.inject_cycle;
-             duration = None } ))
-       tis)
+(* One batch pass over a chunk of collapse groups (≤ [C.max_lanes]):
+   each group is a leader's global task index and the group's pending
+   members in task order.  The lane runs the leader's lane fault under
+   the leader's site and model; a pending leader takes its verdict, and
+   every other member copies it as [Collapsed leader]. *)
+let run_groups ~obs ~config m sys prog tasks groups =
+  let lanes =
+    Array.map
+      (fun (leader, members) ->
+        let model, site = tasks.(leader) in
+        let fsite, fmodel =
+          match m.m_plans.(leader) with
+          | T_lane { fault; _ } -> fault
+          | T_prefiltered | T_pruned -> assert false
+        in
+        ( site,
+          model,
+          { Batch.site = fsite; model = fmodel; from_cycle = config.inject_cycle;
+            duration = None },
+          List.hd members = leader ))
+      groups
+  in
+  let leads =
+    run_lanes ~obs m.m_golden sys prog ~compare_reads:config.compare_reads
+      ~hang_factor:config.hang_factor lanes
+  in
+  let follow leader lead ti =
+    if ti = leader then (ti, lead)
+    else begin
+      let model, site = tasks.(ti) in
+      let r =
+        { lead with site_name = site.Injection.site_name; model; sim = Collapsed lead.site_name }
+      in
+      record_static obs m.m_golden r;
+      (ti, r)
+    end
+  in
+  List.concat
+    (Array.to_list
+       (Array.map2 (fun (leader, members) lead -> List.map (follow leader lead) members)
+          groups leads))
 
 (* ---- the campaign driver ---- *)
 
-(* Work units for the executor: simulated tasks fold into ≤ max_lanes
-   wide PPSFP passes, tasks decided without simulation stay
-   single-task; one unit is one queue claim, so a whole batch runs on
-   one worker's system.  Collapse
-   followers copy their leader's verdict after the queue drains:
-   leaders always precede followers in task order, so in-shard leaders
-   are already decided, and a leader whose member sits in another shard
-   is simulated once, on worker 0's system. *)
-let plan_work ~obs ~config m prog tasks pending =
-  let queued, followers =
-    List.partition_map
-      (fun ti ->
+(* Work units for the executor.  The pending tasks that share a lane
+   fault form one group, which runs as one lane; groups enter the queue
+   in the task order of their first pending member and fold into
+   ≤ [C.max_lanes]-wide batch passes, and tasks decided without
+   simulation stay single-task.  One unit is one queue claim, so a
+   whole batch runs on one worker's system.  A group whose leader is
+   not pending (another shard holds it, or the journal already does)
+   still runs its lane, so every simulated fault runs in the queue and
+   each task is recorded once. *)
+let plan_work ~config m prog tasks pending =
+  let members = Hashtbl.create 64 in
+  let leaders, decided =
+    List.fold_left
+      (fun (leaders, decided) ti ->
         match m.m_plans.(ti) with
-        | T_follow j -> Either.Right (ti, j)
-        | T_direct | T_prefiltered | T_pruned | T_lead _ -> Either.Left ti)
-      pending
+        | T_prefiltered | T_pruned -> (leaders, ti :: decided)
+        | T_lane { leader; _ } -> (
+            match Hashtbl.find_opt members leader with
+            | Some tis ->
+                Hashtbl.replace members leader (ti :: tis);
+                (leaders, decided)
+            | None ->
+                Hashtbl.add members leader [ ti ];
+                (leader :: leaders, decided)))
+      ([], []) pending
   in
-  let batched, single =
-    List.partition
-      (fun ti ->
-        match m.m_plans.(ti) with
-        | T_direct | T_lead _ -> true
-        | T_prefiltered | T_pruned | T_follow _ -> false)
-      queued
-  in
+  let group leader = (leader, List.rev (Hashtbl.find members leader)) in
   { Executor.units =
       Array.of_list
-        (List.map (fun c -> `Batch (Array.of_list c)) (chunk_list C.max_lanes batched)
-        @ List.map (fun ti -> `One ti) single);
+        (List.map
+           (fun c -> `Batch (Array.of_list (List.map group c)))
+           (chunk_list C.max_lanes (List.rev leaders))
+        @ List.rev_map (fun ti -> `One ti) decided);
     exec =
       (fun sys o u ->
         Leon3.System.set_obs sys o;
         match u with
         | `One ti -> [ (ti, run_decided ~obs:o ~config m sys prog tasks ti) ]
-        | `Batch tis ->
-            Array.to_list
-              (Array.map2
-                 (fun ti r -> (ti, r))
-                 tis
-                 (run_batch_chunk ~obs:o ~config m sys prog tasks tis)));
-    finish =
-      (fun sys result ->
-        let orphans = Hashtbl.create 8 in
-        List.map
-          (fun (ti, j) ->
-            let lead =
-              match result j with
-              | Some lead -> lead
-              | None -> (
-                  match Hashtbl.find_opt orphans j with
-                  | Some lead -> lead
-                  | None ->
-                      let lead = simulate_lead ~obs ~config m sys prog tasks j in
-                      Hashtbl.add orphans j lead;
-                      lead)
-            in
-            let model, site = tasks.(ti) in
-            let r = follower_result ~inject_cycle:config.inject_cycle site model lead in
-            record_static obs m.m_golden r;
-            (ti, r))
-          followers) }
+        | `Batch groups -> run_groups ~obs:o ~config m sys prog tasks groups) }
 
 let shard_summaries config all =
   List.map
@@ -769,7 +706,7 @@ let run_parallel ?(config = default_config) ?(obs = Obs.null) ?(domains = 4)
       | Some m -> m
       | None -> build_machinery ~obs ~config sys prog tasks
     in
-    plan_work ~obs ~config m prog tasks pending
+    plan_work ~config m prog tasks pending
   in
   let all =
     Executor.run ~obs ~domains:(max 1 domains) ~spawn:sys_factory ?on_progress ?journal
@@ -822,7 +759,8 @@ let run_transient ?(sample = 400) ?(seed = 7)
         ( site,
           C.Bit_flip,
           { Batch.site = site.Injection.fault_site; model = C.Bit_flip;
-            from_cycle = inject_cycle; duration = Some 1 } ))
+            from_cycle = inject_cycle; duration = Some 1 },
+          true ))
       chosen
   in
   let results =

@@ -10,30 +10,35 @@
     write, so failures are cheap and only silent runs pay full cost.
 
     {b Acceleration layers.}  Most injections are redundant work, and
-    the engine always skips it: value coverage classifies
+    the engine always skips it; none of the layers can be switched
+    off.  Each task is classified once: value coverage classifies
     never-activating permanent faults silent without simulating;
-    static analysis prunes faults outside the observation cone and
-    collapses equivalent ones; every simulated fault runs as a lane of
-    a bit-parallel batch ({!Batch.run}, up to {!Rtl.Circuit.max_lanes}
-    at a time) against the golden value trace, paying only for its
-    divergence from golden; a bounded fault's lane retires at the first
-    golden checkpoint where its state has re-converged with the golden
-    run; and hang candidates outliving the trace are handed over to
-    the scalar engine at trace end, where cycle proofs decide the
-    periodic ones early.  Every layer is exact: a campaign's verdicts,
-    failure breakdowns and latencies equal the dense reference's —
-    {!run_one} without a replay plan, against a {!golden_run} with no
-    coverage, trace or checkpoints.  {!summary} reports how much
-    simulation was avoided.
+    static analysis prunes faults outside the observation cone; every
+    other task runs its lane fault — its collapse-class representative,
+    or its own fault — and the tasks sharing a lane fault share one
+    lane, whose first task in global order is their leader.  Each
+    lane runs in a bit-parallel batch ({!Batch.run}, up to
+    {!Rtl.Circuit.max_lanes} lanes at a time) against the golden value
+    trace, paying only for its divergence from golden; a bounded
+    fault's lane retires at the first golden checkpoint where its
+    state has re-converged with the golden run; and hang candidates
+    outliving the trace are handed over to the scalar engine at trace
+    end, where cycle proofs decide the periodic ones early.  Every
+    layer is exact: a campaign's verdicts, failure breakdowns and
+    latencies equal the dense reference's — {!run_one} without a
+    replay plan, against a {!golden_run} with no coverage, trace or
+    checkpoints.  {!summary} reports how much simulation was avoided.
 
     {b Telemetry.}  Every entry point accepts an [?obs] collector
     (default {!Obs.null}, no cost).  A live collector receives
-    per-phase spans ([golden], [site_sampling], [prefilter],
-    [simulate], [converge]), per-injection outcome counters
-    ([injections], [outcome.*], [prefiltered], [early_exits],
-    [simulated], [cycles.saved], plus [rtl.cycles] /
+    per-phase spans ([golden], [site_sampling], [static.graph],
+    [static_analysis], [prefilter], [simulate], [converge]),
+    per-injection outcome counters ([injections], [outcome.*],
+    [prefiltered], [early_exits], [simulated], [static.pruned],
+    [static.collapsed], [cycles.saved], plus [rtl.cycles] /
     [rtl.instructions] from the attached system) and a
-    [detect_latency] histogram.  {!run_parallel} gives each spawned
+    [detect_latency] histogram.  Every task of a campaign counts once
+    in [injections].  {!run_parallel} gives each spawned
     domain a private {!Obs.fork} and merges them in spawn order, so
     counter totals are identical for any domain count. *)
 
@@ -99,8 +104,9 @@ type sim_status = Journal.sim_status =
       (** outside the backward cone of the observation points —
           statically silent, no simulation *)
   | Collapsed of string
-      (** structurally equivalent to the named leader site's fault;
-          verdict replicated from its run, no simulation *)
+      (** shares its lane fault with the leader task at the named site
+          (the first task in global order with that fault); verdict
+          copied from the leader's lane, no lane of its own *)
 
 type run_result = Journal.run_result = {
   site_name : string;
@@ -159,7 +165,7 @@ type summary = {
       (** simulated runs retired early: convergence with the golden run
           at a checkpoint once a bounded fault expired *)
   pruned : int;  (** injections outside the observation cone, unsimulated *)
-  collapsed : int;  (** injections replicated from a collapse-class leader *)
+  collapsed : int;  (** injections that copied a collapse leader's verdict *)
 }
 
 val summarize : run_result list -> summary
@@ -172,11 +178,6 @@ type config = {
   hang_factor : int;
   compare_reads : bool;
   seed : int;
-  static : bool;
-      (** netlist static analysis: cone-of-influence pruning and
-          structural fault collapsing ({!Analysis}); verdicts are
-          byte-identical with it on or off — classification order puts
-          the dynamic prefilter first, so even [skipped] matches *)
   shard : int * int;
       (** [(i, n)]: execute only the sites whose sample index is
           congruent to [i-1 mod n] (1-based, default [(1, 1)] = all).
@@ -190,7 +191,7 @@ type config = {
 val default_config : config
 (** Stuck-at-0/1 + open-line, 400-site sample, cells included,
     injection at cycle 0, watchdog 4x, writes-only compare, seed 7,
-    static analysis on, shard 1/1. *)
+    shard 1/1. *)
 
 val fingerprint :
   config:config ->
@@ -202,21 +203,6 @@ val fingerprint :
     sampled-site-name hash (which pins netlist, target, seed, sample
     size and cell inclusion), the classification-relevant config flags
     and the shard.  Exposed for merge tooling and tests. *)
-
-type static_info = {
-  cone : Analysis.Graph.cone;  (** backward cone of the observation points *)
-  collapse : Analysis.Collapse.t;  (** structural fault equivalences *)
-}
-
-val build_static : ?obs:Obs.t -> ?graph:Analysis.Graph.t -> Leon3.Core.t -> static_info
-(** The per-campaign static analysis (also usable standalone): graph
-    extraction, observation cone from {!Leon3.Core.observation_points},
-    the post-dominator tree toward those points and the collapse table
-    (classic rules plus dominance) keeping those points
-    un-collapsible.  [graph] reuses an already-extracted dependency
-    graph.  Recorded under an [Obs] span named
-    ["static_analysis"], with per-phase child spans ["static.graph"],
-    ["static.dominator"] and ["static.collapse"]. *)
 
 type prepared
 (** Everything shard-independent and expensive about a campaign —
@@ -239,7 +225,9 @@ val prepare :
 (** Run the golden simulation and static analysis up front.  The
     [config.shard] field is ignored (the preparation is
     shard-normalised).  [obs] receives the usual [golden] /
-    [static_analysis] / [site_sampling] spans. *)
+    [site_sampling] spans, [static.graph] for the dependency-graph
+    extraction and [static_analysis] around the observation cone, with
+    [static.dominator] and [static.collapse] inside it. *)
 
 val prepared_fingerprint : prepared -> Journal.fingerprint
 (** The campaign identity the preparation was built for, shard
@@ -280,13 +268,21 @@ val run_parallel :
     (default 4).  The factory builds the first worker's system — which
     also runs the golden run and static analysis — and is called once
     more per spawned domain.  Results are identical for any domain
-    count.  [on_progress] is invoked after every classified injection
-    with an atomically increasing [done_] (callers must tolerate
-    concurrent invocation); the final call reports [done_ = total],
-    the shard's task count.  A worker that raises aborts its peers at
-    the next work unit, and the original exception is re-raised with
-    its backtrace once every domain has joined; verdicts classified
-    before the abort are already journaled.
+    count.  Every simulated fault runs in the executor's queue: the
+    shard's pending tasks that share a lane fault run as one lane.  Its
+    leader, when pending, takes the lane's verdict; every other member
+    copies it as [Collapsed].  A group whose leader sits in another
+    shard, or in the journal, still runs its lane here, but only its
+    members count as injections, so the [injections] counter equals
+    the shard's task count; the lane's time is still charged to the
+    [simulate] or [converge] phase.  [on_progress] is invoked after every
+    classified injection with an atomically increasing [done_]
+    (callers must tolerate concurrent invocation); the final call
+    reports [done_ = total], the shard's task count.  A worker that
+    raises aborts its peers at the next work unit, and the original
+    exception is re-raised with its backtrace once every domain has
+    joined; verdicts classified before the abort are already
+    journaled.
 
     [journal] appends every classified verdict to a crash-safe JSONL
     file ({!Journal}), fsync'd in batches, headed by the campaign

@@ -3,7 +3,6 @@ module C = Rtl.Circuit
 type ('ctx, 'u) work = {
   units : 'u array;
   exec : 'ctx -> Obs.t -> 'u -> (int * Journal.run_result) list;
-  finish : 'ctx -> (int -> Journal.run_result option) -> (int * Journal.run_result) list;
 }
 
 let check_shard ~who (i, n) =
@@ -113,8 +112,7 @@ let run ~obs ~domains ~spawn ?on_progress ?journal ~resume ~fingerprint ~ntasks 
        classified before the abort are already journaled. *)
     Array.iter
       (function Some (e, bt) -> Printexc.raise_with_backtrace e bt | None -> ())
-      errors;
-    List.iter emit (work.finish main (fun j -> results.(j)))
+      errors
   end;
   Array.to_list
     (Array.map

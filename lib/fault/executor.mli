@@ -4,20 +4,16 @@
     A campaign is a fixed global task list; one call executes one shard
     of it.  Journaled verdicts replay first.  The engine then plans the
     remaining tasks into work units, which [domains] workers claim from
-    one atomic queue.  A last sequential pass on worker 0's context
-    settles the tasks whose verdicts depend on other units' (collapse
-    followers).  With [domains = 1] nothing is spawned: the caller's
-    context and collector do all the work. *)
+    one atomic queue; the queue is the only pass, so every verdict
+    comes from some unit.  With [domains = 1] nothing is spawned: the
+    caller's context and collector do all the work. *)
 
 type ('ctx, 'u) work = {
   units : 'u array;  (** one queue claim each *)
   exec : 'ctx -> Obs.t -> 'u -> (int * Journal.run_result) list;
       (** run one unit on a worker's context, reporting into that
-          worker's collector; returns verdicts by global task index *)
-  finish : 'ctx -> (int -> Journal.run_result option) -> (int * Journal.run_result) list;
-      (** after every worker has joined: the verdicts of the planned
-          tasks no unit covered, given the lookup of every verdict so
-          far (by global task index) *)
+          worker's collector; returns verdicts by global task index.
+          Together the units must cover every planned task. *)
 }
 
 val check_shard : who:string -> int * int -> unit

@@ -309,8 +309,7 @@ let run_parallel ?(config = default_config) ?(obs = Obs.null) ?(domains = 4)
     { Executor.units = Array.of_list pending;
       exec =
         (fun () o ti ->
-          [ (ti, run_one ~obs:o prog golden ~hang_factor:config.hang_factor sample.(ti)) ]);
-      finish = (fun () _ -> []) }
+          [ (ti, run_one ~obs:o prog golden ~hang_factor:config.hang_factor sample.(ti)) ]) }
   in
   let all =
     Executor.run ~obs ~domains:(max 1 domains) ~spawn:ignore ?on_progress ?journal ~resume

@@ -1227,10 +1227,6 @@ let batch_value t s lane =
   let bt = get_batch t "batch_value" in
   lane_view t bt s lane
 
-let batch_mem_read t m idx lane =
-  let bt = get_batch t "batch_mem_read" in
-  if idx < t.mem_arr.(m).words then ov_get t bt m idx lane else 0
-
 let batch_settle t =
   check_elab t;
   let bt = get_batch t "batch_settle" in
@@ -1689,17 +1685,10 @@ let mix h x =
   let h = (h lxor x) * 0x100000001B3 in
   h lxor (h lsr 31)
 
-let state_hash t =
-  check_elab t;
-  let h = ref (mix 0x27D4EB2F165667C5 t.cyc) in
-  Array.iter (fun v -> h := mix !h v) t.values;
-  Array.iter (fun info -> Array.iter (fun v -> h := mix !h v) info.data) t.mem_arr;
-  !h
-
-(* Like [state_hash] but ignoring the cycle counter: the fingerprint
-   that pairs with [same_state] the way [state_hash] pairs with
-   [state_equal].  Cycle-proof hang detection compares states at
-   different cycles, so the counter must stay out of the mix. *)
+(* A fingerprint of the machine's state that ignores the cycle counter
+   and pairs with [same_state]: cycle-proof hang detection compares
+   states at different cycles, so the counter must stay out of the
+   mix. *)
 let content_hash t =
   check_elab t;
   let h = ref 0x27D4EB2F165667C5 in

@@ -203,9 +203,8 @@ val restore : t -> snapshot -> unit
     a snapshot.  The armed fault (if any) is left untouched. *)
 
 val state_equal : t -> snapshot -> bool
-(** Exact equality of the live state against a snapshot (stronger than
-    comparing {!state_hash}es: no collision risk, and it short-circuits
-    on the first differing word). *)
+(** Exact equality of the live state against a snapshot; it
+    short-circuits on the first differing word. *)
 
 val same_state : t -> snapshot -> bool
 (** Like {!state_equal} but ignoring the cycle counter: true when the
@@ -225,17 +224,14 @@ val set_observed_cone : t -> signal list -> unit
     ever influencing an observable signal, a relevant memory, or its
     own feed-back into the cone, so a cone-state recurrence still
     proves the observable trajectory is periodic.  Affects
-    {!same_state} and {!content_hash}; {!state_equal},
-    {!snapshot}/{!restore} and {!state_hash} stay full-state. *)
-
-val state_hash : t -> int
-(** Deterministic hash of the full sequential state; cheap fingerprint
-    for logging and cross-checking checkpoints. *)
+    {!same_state} and {!content_hash}; {!state_equal} and
+    {!snapshot}/{!restore} stay full-state. *)
 
 val content_hash : t -> int
-(** Like {!state_hash} but ignoring the cycle counter — the fingerprint
-    that pairs with {!same_state} for cycle-proof hang detection, where
-    states at different cycles must fingerprint equal. *)
+(** Deterministic hash of the sequential state, ignoring the cycle
+    counter — the fingerprint that pairs with {!same_state} for
+    cycle-proof hang detection, where states at different cycles must
+    fingerprint equal. *)
 
 (** {2 Fault injection} *)
 
@@ -408,9 +404,6 @@ val batch_value : t -> signal -> int -> int
 val batch_set_input : t -> signal -> int -> int -> unit
 (** [batch_set_input c s lane v]: drive an input as seen by one lane
     (the golden input value arrives via the trace delta). *)
-
-val batch_mem_read : t -> memory -> int -> int -> int
-(** [batch_mem_read c m idx lane]: lane's view of a memory cell. *)
 
 val batch_retire : t -> int -> unit
 (** Drop a lane from the batch (terminal verdict reached): clears its

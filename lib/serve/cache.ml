@@ -4,7 +4,7 @@
    stands in for (workload, iterations, dataset), and the shard count
    is excluded because preparations are shard-independent — so a
    repeat or concurrent submission of the same campaign never re-runs
-   the golden simulation or [build_static]. *)
+   the golden simulation or the static analysis. *)
 
 module Json = Obs.Json
 

@@ -101,31 +101,3 @@ let iter_nonzero t f =
         (fun i v -> if v <> 0 then f (((key lsl page_shift) lor i) lsl 2) v)
         page)
     t.pages
-
-(* splitmix-style finaliser: every input bit reaches every output bit,
-   so structured (address, value) pairs don't cancel under addition.
-   Multipliers are the splitmix64 constants truncated to OCaml's 63-bit
-   int range (still odd, so still bijective). *)
-let mix x =
-  let x = x * 0x1E3779B97F4A7C15 in
-  let x = (x lxor (x lsr 29)) * 0x3F58476D1CE4E5B9 in
-  let x = (x lxor (x lsr 32)) * 0x14D049BB133111EB in
-  x lxor (x lsr 30)
-
-let hash t =
-  (* Hashtbl iteration order depends on insertion history, so equal
-     contents must combine commutatively: each page folds its nonzero
-     words in index order (deterministic) into a per-page hash keyed by
-     the page index, and pages combine by modular addition.  An
-     all-zero page contributes nothing — the same blindness to
-     first-touch allocation that [equal] has. *)
-  let h = ref 0 in
-  Hashtbl.iter
-    (fun key page ->
-      let ph = ref 0 in
-      Array.iteri
-        (fun i v -> if v <> 0 then ph := mix (!ph lxor mix ((i lsl 32) lor v)))
-        page;
-      if !ph <> 0 then h := !h + mix (!ph lxor mix key))
-    t.pages;
-  !h land max_int

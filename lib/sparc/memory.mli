@@ -18,11 +18,8 @@ val copy : t -> t
 
 val equal : t -> t -> bool
 (** Word-for-word equality of the stored images (an all-zero page
-    equals an absent one); used by the campaign engine to detect a
-    faulty run re-converging with the golden run. *)
-
-val hash : t -> int
-(** Deterministic, page-order-independent fingerprint of the image. *)
+    equals an absent one).  Tests compare the ISS and RTL images with
+    it, and a transplanted lane's image with a scalar run's. *)
 
 val load_word : t -> int -> int
 val store_word : t -> int -> int -> unit

@@ -108,7 +108,20 @@ let test_context_rejects_bad_samples () =
         (Invalid_argument
            (Printf.sprintf "Context.create: sample size must be positive (got %d)" n))
         (fun () -> ignore (Ctx.create ~samples:n ())))
-    [ 0; -3 ]
+    [ 0; -3 ];
+  (* RICV_SAMPLES goes through the same parser: a bad value is an
+     error, never a silent 250 *)
+  List.iter
+    (fun s ->
+      match Ctx.parse_samples s with
+      | Ok n -> Alcotest.failf "RICV_SAMPLES=%S accepted as %d" s n
+      | Error m ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S rejected: %s" s m)
+            true
+            (String.starts_with ~prefix:"sample size must be positive" m))
+    [ "0"; "-3"; "abc"; "" ];
+  Alcotest.(check (result int string)) "positive accepted" (Ok 12) (Ctx.parse_samples "12")
 
 let test_context_memoisation () =
   let ctx = Lazy.force ctx in

@@ -625,18 +625,16 @@ let test_obs_counters_domain_invariant () =
   check_int "one golden per parallel run" 1 (Obs.span_count obs4 "golden");
   check_int "one sampling pass" 1 (Obs.span_count obs4 "site_sampling")
 
-(* ---- static netlist analysis: pruning + collapsing ---- *)
+(* ---- static netlist analysis: pruning + collapsing ----
 
-let full_summary (s : Campaign.summary) =
-  (core_summary s, s.Campaign.skipped, s.Campaign.early_exits)
+   The static layer has no switch, so its classifications are checked
+   against the dense oracle like every other layer's: a pruned or
+   collapsed verdict must equal the verdict a dense run of that very
+   fault reaches. *)
 
 let test_static_matches_full_on_figure5_workloads () =
-  (* The acceptance property of the static passes: on every figure-5
-     workload, campaign results with cone pruning + collapsing on are
-     byte-identical (verdict for verdict, summary for summary — the
-     skipped count included) to full simulation. *)
   let sys = Lazy.force shared_sys in
-  let base =
+  let config =
     { Campaign.default_config with
       Campaign.models = [ C.Stuck_at_0; C.Stuck_at_1; C.Open_line ];
       sample_size = Some 10 }
@@ -644,67 +642,122 @@ let test_static_matches_full_on_figure5_workloads () =
   List.iter
     (fun e ->
       let prog = e.Workloads.Suite.build ~iterations:1 ~dataset:0 in
-      let wl = e.Workloads.Suite.name in
-      let sum_s, res_s =
-        Campaign.run ~config:{ base with Campaign.static = true } sys prog Injection.Iu
-      in
-      let sum_f, res_f =
-        Campaign.run ~config:{ base with Campaign.static = false } sys prog Injection.Iu
-      in
-      check_int (wl ^ ": result count") (List.length res_f) (List.length res_s);
-      List.iter2
-        (fun rs rf ->
-          check_bool (wl ^ ": verdict " ^ rs.Campaign.site_name) true
-            (verdict rs = verdict rf))
-        res_s res_f;
-      List.iter2
-        (fun (m, ss) (m', sf) ->
-          check_bool (wl ^ ": model order") true (m = m');
-          check_bool (wl ^ ": summaries identical") true
-            (full_summary ss = full_summary sf);
-          (* full simulation never classifies statically *)
-          check_int (wl ^ ": full has no pruned") 0 sf.Campaign.pruned;
-          check_int (wl ^ ": full has no collapsed") 0 sf.Campaign.collapsed)
-        sum_s sum_f)
+      let _, results = Campaign.run ~config sys prog Injection.Iu in
+      check_int
+        (e.Workloads.Suite.name ^ ": every verdict checked")
+        (List.length results)
+        (check_against_oracle ~label:e.Workloads.Suite.name sys prog results))
     Workloads.Suite.table1_set
 
-let test_gate_level_campaign_collapses () =
-  (* On the gate-level adder network the collapser must actually take
-     over work: some sampled faults simulate only a class
-     representative, and the verdicts still match full simulation. *)
+(* The gate-level adder network is where collapsing fires: every NAND
+   input pair is an equivalence class. *)
+let adder_campaign () =
   let params = { Leon3.Core.default_params with Leon3.Core.gate_level_adder = true } in
-  let sys = Leon3.System.create ~params () in
-  let prog = Lazy.force small_prog in
-  let base =
+  let config =
     { Campaign.default_config with
       Campaign.models = [ C.Stuck_at_0; C.Stuck_at_1 ];
       sample_size = Some 60 }
   in
-  let sum_s, res_s =
-    Campaign.run ~config:{ base with Campaign.static = true } sys prog
-      (Injection.Unit_of Sparc.Units.Adder)
-  in
-  let sum_f, res_f =
-    Campaign.run ~config:{ base with Campaign.static = false } sys prog
-      (Injection.Unit_of Sparc.Units.Adder)
-  in
-  List.iter2
-    (fun rs rf ->
-      check_bool ("verdict " ^ rs.Campaign.site_name) true (verdict rs = verdict rf))
-    res_s res_f;
-  List.iter2
-    (fun (_, ss) (_, sf) ->
-      check_bool "summaries identical" true (full_summary ss = full_summary sf))
-    sum_s sum_f;
-  let collapsed = List.fold_left (fun a (_, s) -> a + s.Campaign.collapsed) 0 sum_s in
+  ( Leon3.System.create ~params (),
+    Lazy.force small_prog,
+    config,
+    Injection.Unit_of Sparc.Units.Adder )
+
+let is_collapsed (r : Campaign.run_result) =
+  match r.Campaign.sim with
+  | Campaign.Collapsed _ -> true
+  | Campaign.Simulated | Campaign.Prefiltered | Campaign.Converged _ | Campaign.Pruned ->
+      false
+
+let test_gate_level_campaign_collapses () =
+  (* On the gate-level adder network the collapser must actually take
+     over work, and every verdict — collapsed ones included — must
+     still equal the dense oracle's. *)
+  let sys, prog, config, target = adder_campaign () in
+  let summaries, results = Campaign.run ~config sys prog target in
+  check_int "every verdict checked" (List.length results)
+    (check_against_oracle ~label:"gate-level adder" sys prog results);
+  let collapsed = List.fold_left (fun a (_, s) -> a + s.Campaign.collapsed) 0 summaries in
   check_bool
     (Printf.sprintf "collapsing fired (%d)" collapsed)
     true (collapsed > 0);
-  (* a follower result names its class representative *)
-  check_bool "followers reference their leader" true
+  (* a follower result names its class leader *)
+  check_bool "followers reference their leader" true (List.exists is_collapsed results)
+
+let full_verdict (r : Campaign.run_result) = (verdict r, r.Campaign.sim)
+
+let test_collapse_across_shards_and_resume () =
+  (* Collapse leaders are chosen over the global task list, so a shard
+     may hold followers whose leader sits in another shard.  Each shard
+     must still return the unsharded verdicts and count each of its
+     tasks once. *)
+  let sys, prog, config, target = adder_campaign () in
+  let obs = Obs.create () in
+  let _, direct = Campaign.run ~config ~obs sys prog target in
+  let shards =
+    List.init 4 (fun k ->
+        let obs = Obs.create () in
+        let _, results =
+          Campaign.run ~config:{ config with Campaign.shard = (k + 1, 4) } ~obs sys prog
+            target
+        in
+        (obs, results))
+  in
+  let sorted l = List.sort compare (List.map full_verdict l) in
+  check_bool "union of shards = direct run" true
+    (sorted (List.concat_map snd shards) = sorted direct);
+  check_bool "some follower's leader sits in another shard" true
     (List.exists
-       (fun r -> match r.Campaign.sim with Campaign.Collapsed _ -> true | _ -> false)
-       res_s)
+       (fun (_, results) ->
+         List.exists
+           (fun (r : Campaign.run_result) ->
+             match r.Campaign.sim with
+             | Campaign.Collapsed leader ->
+                 not (List.exists (fun r' -> r'.Campaign.site_name = leader) results)
+             | Campaign.Simulated | Campaign.Prefiltered | Campaign.Converged _
+             | Campaign.Pruned ->
+                 false)
+           results)
+       shards);
+  check_int "static.collapsed summed over shards = direct"
+    (Obs.counter obs "static.collapsed")
+    (List.fold_left (fun a (o, _) -> a + Obs.counter o "static.collapsed") 0 shards);
+  List.iteri
+    (fun k (o, results) ->
+      check_int
+        (Printf.sprintf "shard %d/4: injections = its task count" (k + 1))
+        (List.length results) (Obs.counter o "injections");
+      (* every lane charges its time to a phase, also one whose leader
+         is in another shard *)
+      check_int
+        (Printf.sprintf "shard %d/4: every lane timed" (k + 1))
+        (Obs.counter o "batch.lanes")
+        (Obs.span_count o "simulate" + Obs.span_count o "converge"))
+    shards;
+  (* resume with every follower's line dropped and the leaders kept:
+     the followers re-run as groups whose leader is journaled *)
+  let path = Filename.temp_file "ricv_collapse" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  ignore (Campaign.run ~config ~journal:path sys prog target);
+  let fp, entries =
+    match Fault_injection.Journal.load path with
+    | Ok j -> j
+    | Error m -> Alcotest.fail m
+  in
+  let w = Fault_injection.Journal.create path fp in
+  let kept =
+    List.filter (fun e -> not (is_collapsed e.Fault_injection.Journal.result)) entries
+  in
+  List.iter
+    (fun e ->
+      Fault_injection.Journal.append w ~index:e.Fault_injection.Journal.index
+        e.Fault_injection.Journal.result)
+    kept;
+  Fault_injection.Journal.close w;
+  check_bool "followers dropped" true (List.length kept < List.length entries);
+  let _, resumed = Campaign.run ~config ~journal:path ~resume:true sys prog target in
+  check_bool "resumed = direct run" true
+    (List.map full_verdict resumed = List.map full_verdict direct)
 
 let test_cone_pruned_faults_are_silent () =
   (* Sites the cone analysis prunes are reported as their own class
@@ -754,6 +807,8 @@ let suite =
       Alcotest.test_case "static = full on figure-5 workloads" `Slow
         test_static_matches_full_on_figure5_workloads;
       Alcotest.test_case "gate-level collapsing" `Slow test_gate_level_campaign_collapses;
+      Alcotest.test_case "collapse across shards + resume" `Slow
+        test_collapse_across_shards_and_resume;
       Alcotest.test_case "cone-pruned faults silent" `Slow
         test_cone_pruned_faults_are_silent;
       Alcotest.test_case "gate-level campaign = dense oracle" `Slow
