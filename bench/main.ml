@@ -7,9 +7,7 @@
      dune exec bench/main.exe                 -- all experiments
      dune exec bench/main.exe -- figure5      -- one experiment
      dune exec bench/main.exe -- micro        -- Bechamel suite
-     dune exec bench/main.exe -- journal      -- direct vs resume vs 4-shard-merge A/B
      dune exec bench/main.exe -- iss          -- ISS vs RTL campaign cost ratio
-     dune exec bench/main.exe -- serve        -- campaign-service golden-trace cache
    The RICV_SAMPLES environment variable scales campaign sample sizes
    (default 250); a value that is not a positive integer is a usage
    error. *)
@@ -50,7 +48,7 @@ let run_experiments ?csv_dir ids =
     | None -> (None, fun () -> ())
   in
   let obs = match sink with Some sink -> Obs.create ~sink () | None -> Obs.create () in
-  let ctx = Context.create ~samples:(samples ()) ~obs () in
+  let ctx = Context.create ~samples:(samples ()) ~gate:(Context.default_gate ()) ~obs () in
   Format.printf "injection sample size per (workload, block): %d@."
     (Context.samples ctx);
   List.iter
@@ -85,109 +83,6 @@ let run_experiments ?csv_dir ids =
             ("wall_seconds", Obs.Json.Float wall) ]));
   Obs.flush obs;
   close_sink ()
-
-(* ---- journal A/B: one campaign three ways — direct, killed-and-
-   resumed, and 4-shard-merged — asserting all three verdict tables
-   are byte-identical and emitting BENCH_journal.json with the wall
-   clocks.  This is the durability counterpart of the paper's cost
-   table: a 25,478-hour campaign is only realistic if partial work
-   survives pre-emption and distributes over machines. ---- *)
-
-let run_journal () =
-  let module FC = Fault_injection.Campaign in
-  let module FJ = Fault_injection.Journal in
-  let samples = samples () in
-  let entry = Workloads.Suite.find "rspeed" in
-  let prog = entry.Workloads.Suite.build ~iterations:1 ~dataset:0 in
-  let target = Fault_injection.Injection.Iu in
-  let config shard = { FC.default_config with FC.sample_size = Some samples; shard } in
-  let sys = Leon3.System.create () in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let tmp () =
-    let p = Filename.temp_file "ricv_bench_journal" ".jsonl" in
-    Sys.remove p;
-    p
-  in
-  Format.printf "journal A/B: rspeed, %d sites, target iu@." samples;
-  let (_, results0), wall_direct = time (fun () -> FC.run ~config:(config (1, 1)) sys prog target) in
-  Format.printf "direct:         %d verdicts in %.1fs@." (List.length results0) wall_direct;
-  (* kill-and-resume: journal a full run, truncate it to half the
-     verdicts plus a torn tail, resume from the stub *)
-  let jpath = tmp () in
-  let shard_paths = List.init 4 (fun _ -> tmp ()) in
-  Fun.protect ~finally:(fun () ->
-      List.iter (fun p -> if Sys.file_exists p then Sys.remove p) (jpath :: shard_paths))
-  @@ fun () ->
-  ignore (FC.run ~config:(config (1, 1)) ~journal:jpath sys prog target);
-  let lines = In_channel.with_open_text jpath In_channel.input_lines in
-  let keep = 1 + (List.length results0 / 2) in
-  let oc = open_out jpath in
-  List.iteri (fun i l -> if i < keep then (output_string oc l; output_char oc '\n')) lines;
-  output_string oc {|{"type":"verdict","i":0,"site":"torn|};
-  close_out oc;
-  let obs = Obs.create () in
-  let (_, resumed), wall_resume =
-    time (fun () -> FC.run ~config:(config (1, 1)) ~obs ~journal:jpath ~resume:true sys prog target)
-  in
-  let replayed = Obs.counter obs "journal.replayed" in
-  let resume_identical = resumed = results0 in
-  Format.printf "kill-and-resume: %d replayed + %d resimulated in %.1fs (%s)@." replayed
-    (List.length resumed - replayed) wall_resume
-    (if resume_identical then "identical" else "DIFFERS");
-  (* 4 shards, journaled, merged *)
-  let wall_shards =
-    List.fold_left ( +. ) 0.
-      (List.mapi
-         (fun k path ->
-           let _, wall =
-             time (fun () -> FC.run ~config:(config (k + 1, 4)) ~journal:path sys prog target)
-           in
-           wall)
-         shard_paths)
-  in
-  let loaded =
-    List.map
-      (fun p ->
-        match FJ.load p with
-        | Ok j -> j
-        | Error m -> prerr_endline m; exit 1)
-      shard_paths
-  in
-  let merged =
-    match FJ.merge loaded with
-    | Ok (_, merged) -> merged
-    | Error m -> prerr_endline m; exit 1
-  in
-  let merge_identical = merged = results0 in
-  Format.printf "4-shard merge:  %d verdicts in %.1fs total (%s)@." (List.length merged)
-    wall_shards
-    (if merge_identical then "identical" else "DIFFERS");
-  let open Obs.Json in
-  Format.printf "@.BENCH_journal.json: %s@."
-    (to_string
-       (Obj
-          [ ("workload", Str "rspeed");
-            ("samples", Int samples);
-            ("verdicts", Int (List.length results0));
-            ("direct", Obj [ ("wall_seconds", Float wall_direct) ]);
-            ( "resume",
-              Obj
-                [ ("wall_seconds", Float wall_resume);
-                  ("replayed", Int replayed);
-                  ("identical", Bool resume_identical) ] );
-            ( "shards",
-              Obj
-                [ ("count", Int 4);
-                  ("wall_seconds_total", Float wall_shards);
-                  ("identical", Bool merge_identical) ] ) ]));
-  if not (resume_identical && merge_identical) then begin
-    prerr_endline "journaled/sharded verdict tables differ from the direct run";
-    exit 1
-  end
 
 (* ---- ISS vs RTL campaign cost: the paper's 85x argument, measured.
    Runs the figure-5 suite through both engines at the same sample
@@ -293,97 +188,6 @@ let run_iss () =
                 "RTL side runs with every acceleration layer on; the ratio is a \
                  floor on the paper's ISS-vs-plain-RTL 85x" ) ]))
 
-(* ---- Campaign service: golden-trace cache economics.  A repeat
-   submission to `ricv serve` must pay a hash lookup instead of the
-   golden RTL simulation + static analysis a cold preparation costs,
-   and must run zero further golden cycles.  Measures both sides and
-   the warm-vs-cold campaign wall clock, asserting the warm verdict
-   table stays byte-identical. ---- *)
-
-let run_serve () =
-  let module P = Serve.Protocol in
-  let module FC = Fault_injection.Campaign in
-  let module Journal = Fault_injection.Journal in
-  let samples = samples () in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let spec =
-    { (P.default_spec ~engine:P.Rtl ~workload:"rspeed") with
-      P.iterations = Some 1;
-      samples }
-  in
-  let prog =
-    (Workloads.Suite.find "rspeed").Workloads.Suite.build ~iterations:1 ~dataset:0
-  in
-  let config = { FC.default_config with FC.sample_size = Some samples } in
-  let target = Fault_injection.Injection.Iu in
-  let sys = Leon3.System.create () in
-  let obs = Obs.create () in
-  let cache = Serve.Cache.create ~obs () in
-  let key = Serve.Cache.key ~prog_hash:(Journal.hash_program prog) spec in
-  let build () = Serve.Cache.Rtl_prepared (FC.prepare ~config ~obs sys prog target) in
-  Format.printf "campaign service golden-trace cache: rspeed, %d sites@.@." samples;
-  let (_, hit0), wall_miss = time (fun () -> Serve.Cache.find_or_build cache ~key ~build) in
-  let golden_miss = Obs.span_count obs "golden" in
-  (* one lookup is sub-microsecond: average over a batch *)
-  let lookups = 1000 in
-  let (v, hit1), wall_hits = time (fun () ->
-      let r = ref (Serve.Cache.find_or_build cache ~key ~build) in
-      for _ = 2 to lookups do
-        r := Serve.Cache.find_or_build cache ~key ~build
-      done;
-      !r)
-  in
-  let wall_hit = wall_hits /. float_of_int lookups in
-  let golden_hit = Obs.span_count obs "golden" - golden_miss in
-  let prepared =
-    match v with Serve.Cache.Rtl_prepared p -> p | Serve.Cache.Iss_prepared _ -> assert false
-  in
-  Format.printf
-    "prepare (miss)  %8.3fs  (%d golden run%s)@.lookup  (hit)   %8.2fus per lookup \
-     (%d golden runs over %d lookups)@."
-    wall_miss golden_miss
-    (if golden_miss = 1 then "" else "s")
-    (1e6 *. wall_hit) golden_hit lookups;
-  let (cold_summaries, _), wall_cold = time (fun () -> FC.run ~config sys prog target) in
-  let (warm_summaries, _), wall_warm =
-    time (fun () -> FC.run ~config ~prepared sys prog target)
-  in
-  let identical = cold_summaries = warm_summaries in
-  Format.printf
-    "campaign cold   %8.3fs@.campaign warm   %8.3fs  (prepared from cache, identical %b)@."
-    wall_cold wall_warm identical;
-  let open Obs.Json in
-  Format.printf "@.BENCH_serve.json: %s@."
-    (to_string
-       (Obj
-          [ ("experiment", Str "serve-cache");
-            ("workload", Str "rspeed");
-            ("samples", Int samples);
-            ( "prepare",
-              Obj
-                [ ("wall_seconds", Float wall_miss);
-                  ("golden_runs", Int golden_miss) ] );
-            ( "cache_hit",
-              Obj
-                [ ("wall_seconds", Float wall_hit); ("golden_runs", Int golden_hit) ] );
-            ( "campaign",
-              Obj
-                [ ("cold_wall_seconds", Float wall_cold);
-                  ("warm_wall_seconds", Float wall_warm);
-                  ("identical", Bool identical) ] );
-            ( "prepare_speedup",
-              Float (if wall_hit > 0. then wall_miss /. wall_hit else 0.) ) ]));
-  if hit0 || not hit1 || golden_hit <> 0 || not identical then begin
-    prerr_endline
-      "serve cache invariants violated (miss/hit sequence, golden-run count or \
-       warm-table identity)";
-    exit 1
-  end
-
 (* ---- Bechamel microbenchmarks: one per table/figure, measuring the
    dominant engine primitive behind that experiment. ---- *)
 
@@ -460,13 +264,11 @@ let () =
   match args with
   | [] -> run_experiments ?csv_dir Experiments.all_ids
   | [ "micro" ] -> run_micro ()
-  | [ "journal" ] -> run_journal ()
   | [ "iss" ] -> run_iss ()
-  | [ "serve" ] -> run_serve ()
   | ids when List.for_all (fun id -> List.mem id Experiments.all_ids) ids ->
       run_experiments ?csv_dir ids
   | _ ->
       prerr_endline
-        ("usage: main.exe [csv] [micro | journal | iss | serve | "
+        ("usage: main.exe [csv] [micro | iss | "
         ^ String.concat " | " Experiments.all_ids ^ " ...]");
       exit 2

@@ -74,11 +74,7 @@ let gate_arg =
                boundary are identical; the injection-site population is an order \
                of magnitude larger.  $(b,RICV_GATE=1) selects it without a flag.")
 
-let gate_enabled flag =
-  flag
-  || (match Sys.getenv_opt "RICV_GATE" with
-     | Some ("0" | "false" | "no" | "off") | None -> false
-     | Some _ -> true)
+let gate_enabled flag = flag || Correlation.Context.default_gate ()
 
 let system_params ~gate =
   { Leon3.Core.default_params with Leon3.Core.gate_level = gate }
@@ -559,17 +555,9 @@ let lint_cmd =
     Arg.(value & opt int 32 & info [ "depth-limit" ] ~docv:"N"
            ~doc:"Combinational-depth threshold for the comb-depth rule.")
   in
-  let validate_arg =
-    Arg.(value & opt int 0 & info [ "validate" ] ~docv:"N"
-           ~doc:"Additionally inject $(docv) sampled faults (rspeed workload) and \
-                 report the Spearman correlation between the static detectability \
-                 ranking and the observed verdicts — a working predictor is \
-                 negative.  0 (the default) skips the campaign.")
-  in
-  let run json gate_level depth_limit validate =
+  let run json gate_level depth_limit =
     let gate = gate_enabled gate_level in
-    let params = system_params ~gate in
-    let core = Leon3.Core.build ~params () in
+    let core = Leon3.Core.build ~params:(system_params ~gate) () in
     let report =
       Analysis.Lint.run
         ~observed:(Leon3.Core.observation_points core)
@@ -577,8 +565,7 @@ let lint_cmd =
         ~depth_limit core.Leon3.Core.circuit
     in
     (* the static fault-analysis pass over the same netlist: dominator
-       tree, collapse classes (classic vs dominance share), SCOAP
-       detectability distribution over the IU injection sites *)
+       tree and collapse classes (classic vs dominance share) *)
     let g = Analysis.Graph.build core.Leon3.Core.circuit in
     let obs_points = Leon3.Core.observation_points core in
     let keep =
@@ -591,83 +578,24 @@ let lint_cmd =
     let dom = Analysis.Dominator.build g ~exits:obs_points in
     let classic = Analysis.Collapse.mapped (Analysis.Collapse.build g ~keep) in
     let mapped = Analysis.Collapse.mapped (Analysis.Collapse.build ~dom g ~keep) in
-    let ranked =
-      Fault_injection.Predict.rank core Fault_injection.Injection.Iu
-    in
-    let scores =
-      Array.of_list
-        (List.map (fun r -> r.Fault_injection.Predict.score) ranked)
-    in
-    let n_scored = Array.length scores in
-    let finite =
-      Array.fold_left
-        (fun acc s -> if s < Analysis.Scoap.inf then acc + 1 else acc)
-        0 scores
-    in
-    (* [ranked] is ascending, so quantiles are direct lookups *)
-    let q p = if n_scored = 0 then 0 else scores.(min (n_scored - 1) (p * (n_scored - 1) / 100)) in
-    let validation =
-      if validate <= 0 then None
-      else begin
-        let sys = Leon3.System.create ~params () in
-        let prog =
-          let e =
-            List.find (fun e -> e.Workloads.Suite.name = "rspeed") Workloads.Suite.all
-          in
-          e.Workloads.Suite.build ~iterations:1 ~dataset:0
-        in
-        Some
-          (Fault_injection.Predict.validate ~samples:validate sys prog
-             Fault_injection.Injection.Iu)
-      end
-    in
+    let elaboration = if gate then "gate-level" else "behavioural" in
+    let reachable = Analysis.Dominator.tree_size dom in
     if json then begin
       (* splice the static section into the lint object so the output
          stays one JSON value with the established top-level keys *)
       let lint_json = Analysis.Lint.to_json report in
-      let buf = Buffer.create 512 in
-      Buffer.add_string buf (String.sub lint_json 0 (String.length lint_json - 1));
-      Buffer.add_string buf
-        (Printf.sprintf
-           ",\"static\":{\"elaboration\":%S,\"dominator_reachable\":%d,\
-            \"collapse\":{\"mapped\":%d,\"classic\":%d,\"dominance\":%d},\
-            \"detectability\":{\"sites\":%d,\"finite\":%d,\"score_q25\":%d,\
-            \"score_median\":%d,\"score_q75\":%d}"
-           (if gate then "gate-level" else "behavioural")
-           (Analysis.Dominator.tree_size dom)
-           mapped classic (mapped - classic) n_scored finite (q 25) (q 50) (q 75));
-      (match validation with
-      | None -> ()
-      | Some v ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               ",\"validation\":{\"samples\":%d,\"detected\":%d,\
-                \"rank_correlation\":%.4f}"
-               v.Fault_injection.Predict.samples v.Fault_injection.Predict.detected
-               v.Fault_injection.Predict.rank_correlation));
-      Buffer.add_string buf "}}";
-      print_endline (Buffer.contents buf)
+      Printf.printf
+        "%s,\"static\":{\"elaboration\":%S,\"dominator_reachable\":%d,\
+         \"collapse\":{\"mapped\":%d,\"classic\":%d,\"dominance\":%d}}}\n"
+        (String.sub lint_json 0 (String.length lint_json - 1))
+        elaboration reachable mapped classic (mapped - classic)
     end
     else begin
       Analysis.Lint.pp Format.std_formatter report;
       Printf.printf
         "static: %s elaboration, dominator over %d vertices, collapse mapped %d \
          pairs (%d classic + %d dominance)\n"
-        (if gate then "gate-level" else "behavioural")
-        (Analysis.Dominator.tree_size dom)
-        mapped classic (mapped - classic);
-      Printf.printf
-        "detectability: %d (site, model) pairs scored, %d finite, score \
-         q25/median/q75 = %d/%d/%d\n"
-        n_scored finite (q 25) (q 50) (q 75);
-      match validation with
-      | None -> ()
-      | Some v ->
-          Printf.printf
-            "validation: %d injections, %d detected, rank correlation %+.3f \
-             (negative = ranking predicts)\n"
-            v.Fault_injection.Predict.samples v.Fault_injection.Predict.detected
-            v.Fault_injection.Predict.rank_correlation
+        elaboration reachable mapped classic (mapped - classic)
     end;
     if Analysis.Lint.errors report > 0 then exit 1
   in
@@ -675,11 +603,9 @@ let lint_cmd =
     (Cmd.info "lint"
        ~doc:"Statically lint the Leon3 netlist (dead/unobservable nodes, undriven \
              inputs, constant combs, width truncation, depth outliers) and \
-             summarise the static fault-analysis pass: dominator tree, fault-\
-             collapse classes, SCOAP detectability distribution, and (with \
-             $(b,--validate)) the ranking's correlation with real verdicts.  \
-             Exits non-zero on any error-severity finding.")
-    Term.(const run $ json_arg $ gate_arg $ depth_arg $ validate_arg)
+             summarise the static fault-analysis pass: dominator tree and fault-\
+             collapse classes.  Exits non-zero on any error-severity finding.")
+    Term.(const run $ json_arg $ gate_arg $ depth_arg)
 
 (* ---- experiment ---- *)
 

@@ -87,7 +87,9 @@ let () =
   (* Compare with the diversity fit from the built-in suite (a small
      sample keeps this example quick; expect a loose but same-ballpark
      agreement). *)
-  let ctx = Correlation.Context.create ~samples:120 () in
+  let ctx =
+    Correlation.Context.create ~samples:120 ~gate:(Correlation.Context.default_gate ()) ()
+  in
   let f7, _ = Correlation.Experiments.figure7 ctx in
   let predicted =
     Stats.Regression.predict_log f7.Correlation.Experiments.f7_fit

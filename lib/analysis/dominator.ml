@@ -115,15 +115,6 @@ let ipdom t v =
     let d = t.idom.(i) in
     if d < 0 || d >= t.nverts then None else Some (Graph.vertex_of_index t.graph d)
 
-let dominated_counts t =
-  (* Children counts of the post-dominator tree: for every reachable
-     non-root vertex, credit its immediate post-dominator. *)
-  let counts = Array.make t.nverts 0 in
-  Array.iteri
-    (fun i d -> if t.reach.(i) && d >= 0 && d < t.nverts then counts.(d) <- counts.(d) + 1)
-    (Array.sub t.idom 0 t.nverts);
-  counts
-
 let tree_size t =
   let n = ref 0 in
   Array.iter (fun b -> if b then incr n) t.reach;

@@ -29,11 +29,6 @@ val ipdom : t -> Graph.vertex -> Graph.vertex option
     or when its only post-dominator is the virtual root (its fault
     effects can reach the boundary along disjoint exits). *)
 
-val dominated_counts : t -> int array
-(** Per dense vertex index ({!Graph.vertex_index}): number of vertices
-    whose immediate post-dominator it is — the fan-in of the
-    post-dominator tree, a cheap collapsing-potential estimate. *)
-
 val tree_size : t -> int
 (** Reachable vertices (the tree's vertex count, virtual root
     excluded). *)

@@ -92,8 +92,6 @@ let memory_count g = g.nmems
 
 let signal_handles g = g.sig_handles
 
-let memory_handles g = g.mem_handles
-
 let edge_count g = Array.fold_left (fun n l -> n + List.length l) 0 g.pred
 
 let edges_of g arr v =

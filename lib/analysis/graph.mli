@@ -30,8 +30,7 @@ val build : C.t -> t
 val vertex_index : t -> vertex -> int
 (** Dense packing of the vertex space: signals first (at their
     creation index), memories after.  Stable for the lifetime of the
-    graph; passes that sweep flat arrays (dominators, SCOAP) key on
-    it. *)
+    graph; passes that sweep flat arrays (dominators) key on it. *)
 
 val vertex_of_index : t -> int -> vertex
 
@@ -42,8 +41,6 @@ val memory_count : t -> int
 val signal_handles : t -> C.signal array
 (** Handle of every node, indexed by [(signal :> int)] — the reverse
     of the coercion, for passes that sweep dense arrays. *)
-
-val memory_handles : t -> C.memory array
 
 val edge_count : t -> int
 (** Total dependency edges (dependency slots, register inputs, memory

@@ -35,18 +35,16 @@ let default_samples () =
   | None -> Ok 250
   | Some s -> Result.map_error (fun m -> "RICV_SAMPLES: " ^ m) (parse_samples s)
 
-let default_gate () =
-  match Sys.getenv_opt "RICV_GATE" with
-  | Some ("0" | "false" | "no" | "off") | None -> false
-  | Some _ -> true
+let parse_gate = function "0" | "false" | "no" | "off" -> false | _ -> true
 
-let create ~samples ?(seed = 7) ?gate ?obs () =
+let default_gate () = Option.fold ~none:false ~some:parse_gate (Sys.getenv_opt "RICV_GATE")
+
+let create ~samples ?(seed = 7) ~gate ?obs () =
   if samples <= 0 then
     invalid_arg
       (Printf.sprintf "Context.create: sample size must be positive (got %d)" samples);
-  let gate_ = match gate with Some b -> b | None -> default_gate () in
   let params =
-    { Leon3.Core.default_params with Leon3.Core.gate_level = gate_ }
+    { Leon3.Core.default_params with Leon3.Core.gate_level = gate }
   in
   (* The context always aggregates (counters replace the old bespoke
      trim_stats plumbing); pass a sink-equipped collector to also
@@ -55,7 +53,7 @@ let create ~samples ?(seed = 7) ?gate ?obs () =
   { sys = Leon3.System.create ~params ();
     samples_ = samples;
     seed;
-    gate_;
+    gate_ = gate;
     obs_;
     campaigns = Hashtbl.create 64;
     goldens = Hashtbl.create 64;

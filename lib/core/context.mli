@@ -31,10 +31,19 @@ val default_samples : unit -> (int, string) result
     unset.  A bad value is an [Error] prefixed with ["RICV_SAMPLES: "],
     never a silent fallback. *)
 
+val parse_gate : string -> bool
+(** The one parser of a gate-level setting: ["0"], ["false"], ["no"]
+    and ["off"] select the behavioural elaboration, any other value
+    the gate-level one. *)
+
+val default_gate : unit -> bool
+(** The front ends' default elaboration: the [RICV_GATE] environment
+    variable through {!parse_gate}, or behavioural when it is unset. *)
+
 val create :
   samples:int ->
   ?seed:int ->
-  ?gate:bool ->
+  gate:bool ->
   ?obs:Obs.t ->
   unit ->
   t
@@ -43,11 +52,10 @@ val create :
     (["Context.create: sample size must be positive (got N)"]).  The
     static layer (cone pruning and fault collapsing) is always on.
     [gate] selects the gate-level elaboration of the IU
-    datapath ({!Leon3.Core.params.gate_level}; default false,
-    set [RICV_GATE=1] to opt in — verdicts at the observation
-    boundary are identical, but the injection-site population grows
-    by an order of magnitude, so sampled campaigns draw from a
-    different pool).  [obs]
+    datapath ({!Leon3.Core.params.gate_level}) — verdicts at the
+    observation boundary are identical, but the injection-site
+    population grows by an order of magnitude, so sampled campaigns
+    draw from a different pool.  [obs]
     is the telemetry collector every campaign reports into; the
     default is a fresh in-memory aggregator (pass one built with a
     sink to stream JSONL trace events). *)

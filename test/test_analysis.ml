@@ -332,61 +332,48 @@ let test_collapse_dominance_is_behaviourally_exact () =
     (run_faulted (C.Node (x, 0)) C.Stuck_at_0)
     (run_faulted rep_site rep_model)
 
-(* ---- SCOAP testability metrics ---- *)
+(* ---- each static rule pays ---- *)
 
-(* a, b -> and -> not -> reg(init 0) -> out, observed at out.  Small
-   enough to hand-compute every metric under the implementation's cost
-   model (assignment cost sums the controllabilities of ALL dep bits,
-   plus one per traversed level). *)
-let test_scoap_hand_computed () =
-  let c = C.create "scoap" in
-  let m = C.memory c "m" ~words:2 ~width:1 in
-  let a = C.input c "a" 1 in
-  let b = C.input c "b" 1 in
-  let g_and = C.comb2 c "and" 1 a b (fun u v -> u land v) in
-  let n = C.comb1 c "not" 1 g_and (fun v -> lnot v land 1) in
-  let r = C.reg c "r" ~width:1 () in
-  C.connect c r ~d:n ();
-  let out = C.comb1 c "out" 1 r (fun v -> v) in
-  C.elaborate c;
-  let g = Graph.build c in
-  let s = Analysis.Scoap.build g ~obs:[ out ] in
-  let cc0 x = Analysis.Scoap.cc0 s x 0
-  and cc1 x = Analysis.Scoap.cc1 s x 0
-  and co x = Analysis.Scoap.co s x 0 in
-  (* inputs cost 1 either way *)
-  check_int "cc0 a" 1 (cc0 a);
-  check_int "cc1 a" 1 (cc1 a);
-  (* and: cheapest 0-assignment (00/01/10) and the only 1-assignment
-     (11) both cost 2, plus one level *)
-  check_int "cc0 and" 3 (cc0 g_and);
-  check_int "cc1 and" 3 (cc1 g_and);
-  (* the inverter swaps polarities, one more level *)
-  check_int "cc0 not" 4 (cc0 n);
-  check_int "cc1 not" 4 (cc1 n);
-  (* register: reset already provides 0; a 1 must come through d *)
-  check_int "cc0 r" 1 (cc0 r);
-  check_int "cc1 r" 5 (cc1 r);
-  (* observability walks back from out: one level per node, plus the
-     side-input controllability at the and gate (b must hold 1) *)
-  check_int "co out" 0 (co out);
-  check_int "co r" 1 (co r);
-  check_int "co not" 2 (co n);
-  check_int "co and" 3 (co g_and);
-  check_int "co a" 5 (co a);
-  check_int "co b" 5 (co b);
-  (* detectability: log-damped controllability plus observability *)
-  let det site model =
-    match Analysis.Scoap.detectability s site model with
-    | Some v -> v
-    | None -> Alcotest.fail "expected a score"
+(* The campaign's classification over the full gate-level IU task list
+   of rspeed: value prefilter first, then the cone, then the distinct
+   lane faults left after collapsing.  Each rule must remove work the
+   rules before it left, or it does not earn its place in the static
+   layer. *)
+let test_static_rules_pay_on_gate_level () =
+  let module Campaign = Fault_injection.Campaign in
+  let module Injection = Fault_injection.Injection in
+  let params = { Leon3.Core.default_params with Leon3.Core.gate_level = true } in
+  let sys = Leon3.System.create ~params () in
+  let core = Leon3.System.core sys in
+  let prog = (Workloads.Suite.find "rspeed").Workloads.Suite.build ~iterations:1 ~dataset:0 in
+  let golden = Campaign.golden_run ~coverage:true sys prog ~max_cycles:5_000_000 in
+  let cov = Option.get golden.Campaign.coverage in
+  let g = Graph.build core.Leon3.Core.circuit in
+  let obs_points = Leon3.Core.observation_points core in
+  let keep s = List.mem s obs_points in
+  let cone = Graph.backward_cone g obs_points in
+  let classic = Collapse.build g ~keep in
+  let dominance =
+    Collapse.build ~dom:(Analysis.Dominator.build g ~exits:obs_points) g ~keep
   in
-  check_int "sa0 on a = damp(cc1)+co" 6 (det (C.Node (a, 0)) C.Stuck_at_0);
-  check_int "bit flip on and = co+1" 4 (det (C.Node (g_and, 0)) C.Bit_flip);
-  check_int "open line on a" 7 (det (C.Node (a, 0)) C.Open_line);
-  (* memory cells carry no metric *)
-  check_bool "cell unscored" true
-    (Analysis.Scoap.detectability s (C.Cell (m, 0, 0)) C.Stuck_at_0 = None)
+  let pruned = ref 0 and tasks = ref [] in
+  List.iter
+    (fun model ->
+      List.iter
+        (fun (site : Injection.site) ->
+          let f = site.Injection.fault_site in
+          if not (C.never_activates cov f model) then
+            if Graph.cone_site cone f then tasks := (f, model) :: !tasks else incr pruned)
+        (Injection.sites core Injection.Iu))
+    Campaign.default_config.Campaign.models;
+  let lanes col =
+    List.length
+      (List.sort_uniq compare (List.map (fun (f, m) -> Collapse.resolve col f m) !tasks))
+  in
+  let classic_lanes = lanes classic in
+  check_bool "the cone prunes an unprefiltered task" true (!pruned > 0);
+  check_bool "classic collapsing merges lanes" true (classic_lanes < List.length !tasks);
+  check_bool "dominance collapsing merges more" true (lanes dominance < classic_lanes)
 
 (* ---- lint ---- *)
 
@@ -496,7 +483,8 @@ let suite =
       Alcotest.test_case "collapse dominance rule" `Quick test_collapse_dominance_rule;
       Alcotest.test_case "collapse dominance exact" `Quick
         test_collapse_dominance_is_behaviourally_exact;
-      Alcotest.test_case "scoap hand-computed" `Quick test_scoap_hand_computed;
+      Alcotest.test_case "static rules pay on gate-level" `Quick
+        test_static_rules_pay_on_gate_level;
       Alcotest.test_case "lint broken circuit" `Quick test_lint_broken_circuit_fires_every_rule;
       Alcotest.test_case "lint json" `Quick test_lint_json_shape;
       Alcotest.test_case "lint leon3 clean" `Quick test_lint_leon3_clean ] )

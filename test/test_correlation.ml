@@ -10,7 +10,7 @@ let check_bool = Alcotest.(check bool)
 
 (* One small-sample context shared by all experiment tests; campaign
    results are memoised inside. *)
-let ctx = lazy (Ctx.create ~samples:60 ())
+let ctx = lazy (Ctx.create ~samples:60 ~gate:false ())
 
 let test_table1_shape () =
   let rows, table = X.table1 ~iterations_factor:5 () in
@@ -107,7 +107,7 @@ let test_context_rejects_bad_samples () =
         (Printf.sprintf "samples %d" n)
         (Invalid_argument
            (Printf.sprintf "Context.create: sample size must be positive (got %d)" n))
-        (fun () -> ignore (Ctx.create ~samples:n ())))
+        (fun () -> ignore (Ctx.create ~samples:n ~gate:false ())))
     [ 0; -3 ];
   (* RICV_SAMPLES goes through the same parser: a bad value is an
      error, never a silent 250 *)
@@ -121,7 +121,13 @@ let test_context_rejects_bad_samples () =
             true
             (String.starts_with ~prefix:"sample size must be positive" m))
     [ "0"; "-3"; "abc"; "" ];
-  Alcotest.(check (result int string)) "positive accepted" (Ok 12) (Ctx.parse_samples "12")
+  Alcotest.(check (result int string)) "positive accepted" (Ok 12) (Ctx.parse_samples "12");
+  (* RICV_GATE has one parser too: four spellings of "off", and any
+     other value selects the gate-level elaboration *)
+  List.iter
+    (fun (s, want) -> check_bool (Printf.sprintf "RICV_GATE=%S" s) want (Ctx.parse_gate s))
+    [ ("0", false); ("false", false); ("no", false); ("off", false); ("1", true);
+      ("yes", true); ("on", true); ("", true) ]
 
 let test_context_memoisation () =
   let ctx = Lazy.force ctx in
