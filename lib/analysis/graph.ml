@@ -142,26 +142,3 @@ let cone_site cone = function
   | C.Cell (m, _, _) -> cone_memory cone m
 
 let cone_size cone = cone.size
-
-(* The batch engine's schedule: per-node comb fanout, comb levels, and
-   each memory's read ports — straight projections of the edge lists
-   above into the dense arrays the lane settle wants. *)
-let replay_plan g =
-  let comb_sinks succs =
-    Array.of_list
-      (List.sort_uniq compare
-         (List.filter_map
-            (fun (j, k) -> match k with Comb_dep -> Some j | _ -> None)
-            succs))
-  in
-  let read_ports succs =
-    Array.of_list
-      (List.sort_uniq compare
-         (List.filter_map
-            (fun (j, k) -> match k with Mem_read -> Some j | _ -> None)
-            succs))
-  in
-  { C.rp_fanout = Array.init g.nsigs (fun i -> comb_sinks g.succ.(i));
-    rp_level = Array.copy g.levels;
-    rp_max_level = g.max_level;
-    rp_mem_readers = Array.init g.nmems (fun j -> read_ports g.succ.(g.nsigs + j)) }

@@ -88,13 +88,3 @@ val cone_site : cone -> C.fault_site -> bool
 
 val cone_size : cone -> int
 (** Vertices inside the cone (signals + memories). *)
-
-(** {2 Levelized schedule} *)
-
-val replay_plan : t -> C.replay_plan
-(** Project the graph into the levelized schedule the batch engine
-    evaluates divergence cones with: per-node combinational fanout
-    ([Comb_dep] sinks, deduplicated), combinational levels, and each
-    memory's read-port nodes — an independent derivation of
-    {!Rtl.Circuit.compiled_plan}, which it must equal.  Valid for any
-    circuit built by the same deterministic construction. *)

@@ -1,4 +1,5 @@
 module C = Rtl.Circuit
+module Lanes = Rtl.Lanes
 module System = Leon3.System
 module Core = Leon3.Core
 module Cache_block = Leon3.Cache_block
@@ -110,11 +111,10 @@ let run ~sys ~prog ~trace ~reference ~max_cycles ?(compare_reads = false)
   let nref = Array.length reference in
   System.load sys prog;
   let base = System.memory sys in
-  C.batch_start circuit trace;
+  let pass = Lanes.start circuit trace in
   Array.iteri
     (fun i sp ->
-      C.batch_arm circuit i ~from_cycle:sp.from_cycle ?duration:sp.duration sp.site
-        sp.model)
+      Lanes.arm pass i ~from_cycle:sp.from_cycle ?duration:sp.duration sp.site sp.model)
     specs;
   let lanes = Array.init n mk_lane in
   let outcomes = Array.make n None in
@@ -128,14 +128,14 @@ let run ~sys ~prog ~trace ~reference ~max_cycles ?(compare_reads = false)
         ln.matched <- ln.matched + 1
       else begin
         (match ln.mismatch with
-        | None -> ln.mismatch <- Some (C.cycle circuit)
+        | None -> ln.mismatch <- Some (Lanes.cycle pass)
         | Some _ -> ());
         ln.abort <- true
       end
   in
   let retire ln outcome =
     outcomes.(ln.idx) <- Some outcome;
-    C.batch_retire circuit ln.idx;
+    Lanes.retire pass ln.idx;
     ln.finished <- true;
     decr live
   in
@@ -144,7 +144,7 @@ let run ~sys ~prog ~trace ~reference ~max_cycles ?(compare_reads = false)
       (Done
          { stop;
            matched = ln.matched;
-           stop_cycle = C.cycle circuit;
+           stop_cycle = Lanes.cycle pass;
            mismatch_cycle = ln.mismatch;
            events = List.rev ln.events_rev })
   in
@@ -155,7 +155,7 @@ let run ~sys ~prog ~trace ~reference ~max_cycles ?(compare_reads = false)
     Hashtbl.iter (fun wa v -> Memory.store_word mem wa v) ln.mem;
     retire ln
       (Ejected
-         { e_tp = C.batch_eject circuit ln.idx;
+         { e_tp = Lanes.eject pass ln.idx;
            e_mem = mem;
            e_iport = (ln.cd.(0), ln.rdy.(0));
            e_dport = (ln.cd.(1), ln.rdy.(1));
@@ -172,7 +172,7 @@ let run ~sys ~prog ~trace ~reference ~max_cycles ?(compare_reads = false)
   let drive_lane ln pi =
     let ports = if pi = 0 then ic else dc in
     let read_only = pi = 0 in
-    let get s = C.batch_value circuit s ln.idx in
+    let get s = Lanes.value pass s ln.idx in
     if ln.rdy.(pi) then begin
       ln.rdy.(pi) <- false;
       ln.cd.(pi) <- -1;
@@ -229,27 +229,28 @@ let run ~sys ~prog ~trace ~reference ~max_cycles ?(compare_reads = false)
   in
   (* The golden machine's data-port driver, replicated so base-memory
      writes land on the same cycles the golden run produced them.  The
-     golden request signals are the circuit's own settled values; the
-     (ready, rdata) answers are not needed — golden inputs arrive via
-     the trace deltas. *)
+     golden request signals are the lanes' golden machine's settled
+     values; the (ready, rdata) answers are not needed — golden inputs
+     arrive via the trace deltas. *)
   let g_cd = ref (-1) and g_rdy = ref false in
+  let golden = Lanes.golden pass in
   let golden_drive () =
     if !g_rdy then begin
       g_rdy := false;
       g_cd := -1
     end
-    else if C.value circuit dc.Cache_block.bus_req = 0 then g_cd := -1
+    else if golden dc.Cache_block.bus_req = 0 then g_cd := -1
     else begin
       if !g_cd < 0 then g_cd := latency;
       decr g_cd;
       if !g_cd <= 0 then begin
         g_rdy := true;
-        let we = C.value circuit dc.Cache_block.bus_we in
+        let we = golden dc.Cache_block.bus_we in
         if we <> 0 then begin
-          let addr = C.value circuit dc.Cache_block.bus_addr in
+          let addr = golden dc.Cache_block.bus_addr in
           if not (Layout.is_exit_store addr) then begin
-            let size = size_of_code (C.value circuit dc.Cache_block.bus_size) in
-            let value = C.value circuit dc.Cache_block.bus_wdata in
+            let size = size_of_code (golden dc.Cache_block.bus_size) in
+            let value = golden dc.Cache_block.bus_wdata in
             let wa = (addr land 0xFFFF_FFFF) land lnot 3 in
             (* Preserve each live lane's view of the word the golden
                write is about to change — except lanes overwriting that
@@ -295,17 +296,17 @@ let run ~sys ~prog ~trace ~reference ~max_cycles ?(compare_reads = false)
     Array.iter
       (fun ln -> if (not ln.finished) && ln.pw >= 0 then lv_set base ln ln.pw ln.pwv)
       lanes;
-    C.batch_clock circuit;
+    Lanes.clock pass;
     Array.iter
       (fun ln ->
         if not ln.finished then begin
-          C.batch_set_input circuit ic.Cache_block.bus_ready ln.idx ln.in_ir;
-          C.batch_set_input circuit ic.Cache_block.bus_rdata ln.idx ln.in_ird;
-          C.batch_set_input circuit dc.Cache_block.bus_ready ln.idx ln.in_dr;
-          C.batch_set_input circuit dc.Cache_block.bus_rdata ln.idx ln.in_drd
+          Lanes.set_input pass ic.Cache_block.bus_ready ln.idx ln.in_ir;
+          Lanes.set_input pass ic.Cache_block.bus_rdata ln.idx ln.in_ird;
+          Lanes.set_input pass dc.Cache_block.bus_ready ln.idx ln.in_dr;
+          Lanes.set_input pass dc.Cache_block.bus_rdata ln.idx ln.in_drd
         end)
       lanes;
-    C.batch_settle circuit
+    Lanes.settle pass
   in
   (* Convergence at a golden boundary: a lane whose fault window has
      closed and whose complete state — circuit, main memory, both bus
@@ -321,7 +322,7 @@ let run ~sys ~prog ~trace ~reference ~max_cycles ?(compare_reads = false)
     && (ln.cd.(1), ln.rdy.(1)) = System.checkpoint_dport ck
     && ln.matched
        = (if compare_reads then System.checkpoint_events ck else System.checkpoint_writes ck)
-    && C.batch_lane_golden circuit ln.idx
+    && Lanes.lane_golden pass ln.idx
   in
   let next_boundary = ref 0 in
   let boundary_at cyc =
@@ -343,21 +344,20 @@ let run ~sys ~prog ~trace ~reference ~max_cycles ?(compare_reads = false)
           | Some r -> finish ln r
           | None ->
               if ln.abort then finish ln System.Aborted
-              else if C.batch_value circuit core.Core.halted ln.idx <> 0 then
-                finish ln
-                  (System.Trapped (C.batch_value circuit core.Core.trap_code ln.idx))
-              else if C.cycle circuit >= max_cycles then finish ln System.Cycle_limit)
+              else if Lanes.value pass core.Core.halted ln.idx <> 0 then
+                finish ln (System.Trapped (Lanes.value pass core.Core.trap_code ln.idx))
+              else if Lanes.cycle pass >= max_cycles then finish ln System.Cycle_limit)
       lanes;
-    (match boundary_at (C.cycle circuit) with
+    (match boundary_at (Lanes.cycle pass) with
     | Some ck ->
         Array.iter
           (fun ln ->
             if (not ln.finished) && converged ln ck then
-              retire ln (Converged (C.cycle circuit)))
+              retire ln (Converged (Lanes.cycle pass)))
           lanes
     | None -> ());
     if !live > 0 then
-      if C.cycle circuit < last then begin
+      if Lanes.cycle pass < last then begin
         step ();
         loop ()
       end
@@ -368,5 +368,4 @@ let run ~sys ~prog ~trace ~reference ~max_cycles ?(compare_reads = false)
         Array.iter (fun ln -> if not ln.finished then eject ln) lanes
   in
   loop ();
-  let stats = C.batch_stop circuit in
-  (Array.map Option.get outcomes, stats)
+  (Array.map Option.get outcomes, Lanes.stats pass)

@@ -2,12 +2,15 @@
     accelerated faulty-run engine.
 
     [run] packs up to {!Rtl.Circuit.max_lanes} single-fault machines
-    into the lanes of one {!Leon3.System} circuit and advances them all
-    from cycle 0 against one golden trace: the golden machine's values
-    come straight from the trace deltas, each lane pays only for its
-    divergence cone (a lane whose fault has not fired yet costs next to
-    nothing), and the off-core world (bus drivers, main memory) is
-    replicated per lane as cheap sparse overlays above the golden image.
+    into one {!Rtl.Lanes} pass, started from a {!Leon3.System}'s loaded
+    circuit, and advances them all from cycle 0 against one golden
+    trace: the golden machine's values come straight from the trace
+    deltas, each lane pays only for its divergence cone (a lane whose
+    fault has not fired yet costs next to nothing), and the off-core
+    world (bus drivers, main memory) is replicated per lane as cheap
+    sparse overlays above the golden image.  The pass drives the golden
+    bus from the lanes' golden machine and never writes the circuit,
+    which stays in its loaded state.
     Permanent faults, bounded and one-cycle faults, write-only and
     read-comparing observation all run here; a single fault is a
     one-lane batch.
@@ -87,7 +90,7 @@ val run :
     ascending cycle order (default none).  At a boundary cycle, after
     that cycle's terminal checks, a live lane retires as [Converged]
     when its fault window has closed by then, its circuit state equals
-    the golden machine's ({!Rtl.Circuit.batch_lane_golden}), its main
+    the golden machine's ({!Rtl.Lanes.lane_golden}), its main
     memory has no overlay, both its bus drivers equal the boundary's
     and its matched count equals the boundary's write count (event
     count with [compare_reads]).  Permanent faults never converge.

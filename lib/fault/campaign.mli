@@ -120,7 +120,7 @@ type run_result = Journal.run_result = {
 
 val run_one :
   ?obs:Obs.t ->
-  ?plan:C.replay_plan ->
+  ?plan:C.lowering ->
   Leon3.System.t ->
   Sparc.Asm.program ->
   golden ->
@@ -139,8 +139,8 @@ val run_one :
     compares writes only).  If [golden] carries coverage, a fault the
     prefilter proves inactive is classified without simulating.
 
-    When [plan] (the kernel's {!C.compiled_plan}, the schedule the
-    lane engine sweeps) is given {e and} [golden] carries a trace, the
+    When [plan] (the kernel's lowering, {!C.compiled_plan}, which the
+    lane engine reads) is given {e and} [golden] carries a trace, the
     run is a one-lane {!Batch.run} from cycle 0, exactly as campaigns
     run their faults: it converges early at [golden]'s checkpoints
     once a bounded fault has expired, and continues on the scalar

@@ -16,29 +16,31 @@
     keeps its previous settled value (for cells: writes to the bit are
     lost).
 
-    The kernel has three settle loops:
+    The kernel has two settle loops:
     - the {e dense sweep} evaluates every comb node in schedule order.
       {!settle} runs it whenever a fault is armed — it is the reference
       oracle every accelerated verdict must equal, and it continues
       faulty runs past the end of a golden trace — and for the first
       settle after a bulk state change ({!elaborate}, {!reset},
       {!restore} and so {!transplant}, {!inject}, {!clear_fault},
-      {!batch_stop}, {!coverage_start});
+      {!coverage_start});
     - the {e change-driven settle} runs every other {!settle}, which
       in practice is the golden run: it evaluates, in level order, only
       the comb nodes with a dependency that changed since the last
       settle (an input set to a new value, a register committed to a
       new value, a node this settle changed) and the read ports of
       memories whose content changed, and records traces and coverage
-      from those changes alone;
-    - {!batch_settle} advances up to {!max_lanes} faulty machines as
-      bit-lanes against a recorded golden trace, paying only for each
-      lane's divergence cone; it runs every faulty run but the dense
-      reference and the continuation of ejected lanes.
+      from those changes alone.
 
-    Both change-driven loops share one levelized worklist and rely on
-    one rule: {b a comb evaluator is a pure function of its dependency
-    values}, and a read port's may also read its memory's content.
+    Every other faulty run goes to {!Lanes}, which advances up to
+    {!max_lanes} faulty machines as bit-lanes against a golden trace,
+    on its own copy of the golden machine: a lanes pass never writes
+    the circuit it starts from.  Both engines read one lowering
+    ({!compiled_plan}) and one definition of the fault rules.
+
+    The change-driven loops of both engines rely on one rule: {b a comb
+    evaluator is a pure function of its dependency values}, and a read
+    port's may also read its memory's content.
     Evaluators given to {!comb1} .. {!combn} must not read any other
     state (a cycle counter, a mutable cell, the environment); an
     evaluator that does would be re-run by the dense sweep but not by
@@ -100,7 +102,7 @@ val combn : t -> string -> int -> signal array -> (int array -> int) -> signal
     One-bit NAND / NOR / NOT / MUX cells (plus an identity buffer) —
     the cell library of the gate-level elaboration.  Each is an
     ordinary comb node, so every fault model, the coverage prefilter,
-    probing, and the batch engine apply per gate output with no
+    probing, and the lane engine apply per gate output with no
     special cases.  All operands must be 1 bit wide ([Invalid_argument]
     otherwise). *)
 
@@ -174,8 +176,8 @@ type settle_stats = {
 
 val settle_stats : t -> settle_stats
 (** Cumulative counts over every {!settle} since {!create}; a caller
-    measures a run by the difference of two readings.  {!batch_settle}
-    is counted in {!batch_stats} instead. *)
+    measures a run by the difference of two readings.  {!Lanes}
+    settles are counted in {!batch_stats} instead. *)
 
 val mem_read : t -> memory -> int -> int
 (** Direct backdoor read (testing and environment models). *)
@@ -193,7 +195,7 @@ val mem_write : t -> memory -> int -> int -> unit
     which is what lets parallel campaign domains share golden
     checkpoints. *)
 
-type snapshot
+type snapshot = Machine.snapshot
 
 val snapshot : t -> snapshot
 (** Copy the current settled state. *)
@@ -263,7 +265,9 @@ val fault_model_name : fault_model -> string
     cells, at every content change).  A permanent fault whose forced
     value was always the observed value provably never activates: the
     faulty run's trajectory is identical to the recorded one, so a
-    campaign can classify it silent without simulating it. *)
+    campaign can classify it silent without simulating it.  Nodes are
+    recorded at settled states only; memory cells also at {!reset},
+    which clears them. *)
 
 type coverage
 
@@ -289,11 +293,11 @@ val never_activates : coverage -> fault_site -> fault_model -> bool
 
     A golden run can additionally record its complete per-cycle settled
     state as a {e trace}: per-cycle value deltas, only the nodes that
-    changed.  The batch engine below advances its golden machine
-    wholesale from the trace, so faulty lanes pay only for the nodes on
-    which they differ from golden. *)
+    changed.  {!Lanes} advances its golden machine wholesale from the
+    trace, so faulty lanes pay only for the nodes on which they differ
+    from golden. *)
 
-type trace
+type trace = Machine.trace
 (** Delta-compressed golden value trace.  Immutable once built; safe to
     share read-only across parallel campaign domains. *)
 
@@ -321,50 +325,36 @@ val trace_deltas : trace -> int -> (signal * int) array
     node order).  The first recorded cycle, cycle 0 of a golden run,
     holds none. *)
 
-type replay_plan = {
-  rp_fanout : int array array;
-      (** per node: deduplicated combinational sink ids *)
-  rp_level : int array;  (** per node: combinational level (sources = 0) *)
-  rp_max_level : int;
-  rp_mem_readers : int array array;  (** per memory: its read-port node ids *)
+type write_port = { wp_we : int; wp_addr : int; wp_data : int }
+
+type lowering = private {
+  masks : int array;  (** per node: [2^width - 1] *)
+  order : int array;  (** comb node ids in dependency order: the dense sweep *)
+  order_eval : (int array -> int) array;  (** evaluator per [order] entry *)
+  eval : (int array -> int) array;  (** per node: comb evaluator, [0] otherwise *)
+  deps : int array array;  (** per node: comb dependencies, [[||]] otherwise *)
+  max_deps : int;  (** longest [deps], at least 1 *)
+  input : bool array;  (** per node: an external input *)
+  rport_of : int array;  (** per node: the memory a read port reads, -1 *)
+  fanout : int array array;  (** per node: deduplicated comb sink ids *)
+  level : int array;  (** per node: comb level; sources 0, comb nodes >= 1 *)
+  max_level : int;
+  mem_readers : int array array;  (** per memory: its read-port node ids *)
+  regs : int array;  (** register node ids *)
+  reg_d : int array;  (** parallel to [regs]: data input *)
+  reg_en : int array;  (** parallel to [regs]: enable, -1 when none *)
+  mem_masks : int array;  (** per memory: word mask *)
+  mem_ports : write_port array array;  (** per memory: write ports, creation order *)
 }
-(** The levelized schedule the batch engine evaluates divergence cones
-    with.  [Analysis.Graph.replay_plan] builds the same record from the
-    structural views (the edge extraction that powers cone pruning). *)
+(** The netlist lowered into dense arrays indexed by [(signal :> int)]
+    and [(memory :> int)]: what {!settle}, {!clock} and {!Lanes}
+    evaluate. *)
 
-val compiled_plan : t -> replay_plan
-(** The levelized schedule the kernel lowered from the netlist at
-    {!elaborate} — field-for-field identical to what
-    [Analysis.Graph.replay_plan] builds from the structural views, but
-    available without constructing the dependency graph.  Built once
-    per elaboration; do not mutate. *)
+val compiled_plan : t -> lowering
+(** The lowering, built once per elaboration; both engines read it.
+    Do not mutate. *)
 
-(** {2 Bit-parallel fault batching (PPSFP)}
-
-    The batch engine packs up to {!max_lanes} faulty machines next to
-    the golden machine and advances them all against one golden trace:
-    the golden state lives in the circuit's own values (advanced
-    wholesale from the trace deltas, never re-evaluated), and each
-    {e lane} stores only the nodes on which it currently diverges — a
-    per-node 63-bit divergence mask plus a dense lane-value store.  A
-    batch settle propagates lane sets through the levelized schedule
-    with bitwise ORs, so a clean (node, lane) pair costs nothing and a
-    campaign of thousands of mostly-convergent faulty runs becomes
-    dozens of passes.  Memory divergence is tracked per lane with
-    sparse overlays above the golden (base) arrays.
-
-    A batch only runs where the golden trace does: lanes still live at
-    the trace's last settled cycle are handed over to the scalar engine
-    ({!batch_eject}/{!transplant}), which decides them with its own
-    hang detection.
-
-    While a batch is armed the scalar entry points ([reset], [settle],
-    [clock], [set_input], [inject], [restore], [mem_write], trace
-    control) are rejected; use the [batch_*] variants.  The
-    circuit must sit at cycle 0 in the trace's initial settled state
-    when the batch starts (a fresh golden [load]).  Fault semantics are
-    the scalar engines' by construction: every engine applies the same
-    node and cell fault rules. *)
+(** {2 Lane engine width and work counters (see {!Lanes})} *)
 
 val max_lanes : int
 (** 63: one native [int] keeps 63 usable lane bits next to the
@@ -377,74 +367,19 @@ type batch_stats = {
           over the same cycles *)
 }
 
-val batch_start : t -> trace -> unit
-(** Arm the batch engine against a golden trace.  No lanes are active
-    until {!batch_arm}. *)
-
-val batch_arm :
-  t -> int -> ?from_cycle:int -> ?duration:int -> fault_site -> fault_model -> unit
-(** [batch_arm c lane site model] puts one faulty machine into [lane]
-    (0 .. [max_lanes - 1]); same fault semantics as {!inject}.  The
-    lane starts as an exact copy of the golden machine. *)
-
-val batch_settle : t -> unit
-(** Propagate every active lane's divergence cone (the golden values
-    are already settled, straight from the trace). *)
-
-val batch_clock : t -> unit
-(** Commit registers and memory writes for every active lane, then
-    advance the golden machine one cycle from the trace.  Raises
-    [Invalid_argument] from the trace's last settled cycle
-    ([trace_cycles - 1]): there is no golden state to advance to, so
-    the remaining lanes must be ejected to scalar runs instead. *)
-
-val batch_value : t -> signal -> int -> int
-(** [batch_value c s lane]: lane's settled view of a node. *)
-
-val batch_set_input : t -> signal -> int -> int -> unit
-(** [batch_set_input c s lane v]: drive an input as seen by one lane
-    (the golden input value arrives via the trace delta). *)
-
-val batch_retire : t -> int -> unit
-(** Drop a lane from the batch (terminal verdict reached): clears its
-    divergence bits and memory overlays so the remaining lanes' settles
-    no longer pay for it. *)
-
-val batch_active : t -> int
-(** Mask of live lanes (0 when no batch is armed). *)
-
-val batch_armed : t -> bool
-
-val batch_lane_golden : t -> int -> bool
-(** [batch_lane_golden c lane]: the live lane's settled state equals
-    the golden machine's at the current cycle — every node value and
-    every memory cell.  Values are compared (a lane may carry a
-    divergence mark on a node whose golden value has caught up with
-    it).  Together with the off-core state this is exact convergence:
-    once the lane's fault window has closed, its future is golden. *)
-
-val batch_stop : t -> batch_stats
-(** Disarm the batch and return its accumulated statistics.  The
-    circuit is left mid-trace (golden values at the current cycle);
-    callers re-[load] before the next use. *)
-
 (** {2 Lane → scalar transplant} *)
 
-type transplant
-(** A lane's extracted state — node values, memory contents (base plus
-    overlay), cycle counter — together with a private copy of its armed
-    fault (so transient-window bookkeeping such as an applied SEU or a
-    captured open-line bit carries over instead of re-triggering). *)
-
-val batch_eject : t -> int -> transplant
-(** Extract a live lane's complete settled state for scalar
-    continuation.  The lane is not retired; callers typically
-    {!batch_retire} or {!batch_stop} afterwards. *)
+type transplant = Machine.transplant
+(** A lane's extracted state — node values, memory contents, cycle
+    counter — together with a private copy of its armed fault (so
+    transient-window bookkeeping such as an applied SEU or a captured
+    open-line bit carries over instead of re-triggering); see
+    {!Lanes.eject}. *)
 
 val transplant : t -> transplant -> unit
 (** Overwrite a scalar circuit's state and armed fault from a
     transplant.  The circuit must come from the same deterministic
-    construction (same netlist) as the batch it was ejected from; the
+    construction (same netlist) as the lanes it was ejected from; the
     resulting state is already settled — do not re-[settle]. *)
 
 val transplant_cycle : transplant -> int
@@ -461,7 +396,6 @@ val memories : t -> (string * memory * int * int) list
 
 val signal_width : t -> signal -> int
 val signal_name : t -> signal -> string
-val find_signal : t -> string -> signal option
 val node_count : t -> int
 (** Total number of signal nodes (netlist size proxy for area). *)
 

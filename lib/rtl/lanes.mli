@@ -1,0 +1,86 @@
+(** Bit-parallel fault lanes (PPSFP): up to {!Circuit.max_lanes}
+    faulty machines advanced together against one golden trace.
+
+    A lanes pass copies the golden machine — node values, memory
+    contents, cycle counter — from a circuit a fresh golden [load] has
+    settled at cycle 0, the state the trace was recorded from, and
+    advances that copy wholesale from the trace deltas, never
+    re-evaluating it.  Each {e lane} stores only the nodes on which it
+    currently diverges from golden: a per-node 63-bit divergence mask
+    plus a dense lane-value store.  A settle propagates lane sets
+    through the levelized schedule with bitwise ORs, so a clean (node,
+    lane) pair costs nothing and a campaign of thousands of
+    mostly-convergent faulty runs becomes dozens of passes.  Memory
+    divergence is tracked per lane with sparse overlays above the
+    golden (base) arrays.
+
+    The pass never writes the circuit it started from: the circuit
+    stays in its loaded state, usable by the scalar engine throughout.
+    Both engines read the circuit's one lowering
+    ({!Circuit.compiled_plan}) and apply the same node and cell fault
+    rules, so fault semantics are the scalar engine's by construction.
+
+    Lanes only run where the golden trace does: lanes still live at the
+    trace's last settled cycle are handed over to the scalar engine
+    ({!eject}, {!Circuit.transplant}), which decides them with its own
+    hang detection. *)
+
+type t
+
+val start : Circuit.t -> Circuit.trace -> t
+(** [start c trace] copies [c]'s golden machine; [c] must sit at cycle
+    0 in the trace's initial settled state (a fresh golden [load]), with
+    no fault armed.  No lanes are active until {!arm}. *)
+
+val arm :
+  t -> int -> ?from_cycle:int -> ?duration:int -> Circuit.fault_site -> Circuit.fault_model -> unit
+(** [arm t lane site model] puts one faulty machine into [lane]
+    (0 .. [Circuit.max_lanes - 1]); same fault semantics as
+    {!Circuit.inject}.  The lane starts as an exact copy of the golden
+    machine. *)
+
+val settle : t -> unit
+(** Propagate every active lane's divergence cone (the golden values
+    are already settled, straight from the trace). *)
+
+val clock : t -> unit
+(** Commit registers and memory writes for every active lane, then
+    advance the golden machine one cycle from the trace.  Raises
+    [Invalid_argument] from the trace's last settled cycle
+    ([trace_cycles - 1]): there is no golden state to advance to, so
+    the remaining lanes must be ejected to scalar runs instead. *)
+
+val value : t -> Circuit.signal -> int -> int
+(** [value t s lane]: lane's settled view of a node. *)
+
+val golden : t -> Circuit.signal -> int
+(** The golden machine's settled value of a node at {!cycle}. *)
+
+val cycle : t -> int
+(** Cycles clocked since {!start}. *)
+
+val set_input : t -> Circuit.signal -> int -> int -> unit
+(** [set_input t s lane v]: drive an input as seen by one lane (the
+    golden input value arrives via the trace delta). *)
+
+val retire : t -> int -> unit
+(** Drop a lane (terminal verdict reached): clears its divergence bits
+    and memory overlays so the remaining lanes' settles no longer pay
+    for it. *)
+
+val lane_golden : t -> int -> bool
+(** [lane_golden t lane]: the live lane's settled state equals the
+    golden machine's at the current cycle — every node value and every
+    memory cell.  Values are compared (a lane may carry a divergence
+    mark on a node whose golden value has caught up with it).  Together
+    with the off-core state this is exact convergence: once the lane's
+    fault window has closed, its future is golden. *)
+
+val eject : t -> int -> Circuit.transplant
+(** Extract a live lane's complete settled state for scalar
+    continuation ({!Circuit.transplant}).  The lane is not retired;
+    callers typically {!retire} it afterwards. *)
+
+val stats : t -> Circuit.batch_stats
+(** Lane evaluations performed so far, against what dense sweeps would
+    have cost. *)

@@ -1,0 +1,114 @@
+(* The representation {!Circuit} and {!Lanes} share: a machine state
+   (node values, memory contents, cycle counter), the golden trace one
+   records and the other replays, a lane's transplant into a scalar
+   circuit, and the fault record with the one definition of its rules.
+   Both engines read the same lowered netlist, {!Circuit.lowering}. *)
+
+(* --- machine state --- *)
+
+type snapshot = {
+  snap_values : int array;
+  snap_mems : int array array;
+  snap_cycle : int;
+}
+
+(* --- golden value trace --- *)
+
+(* A trace is the golden run's complete per-cycle settled state,
+   delta-compressed: for every cycle the set of nodes whose value
+   changed (packed [(id << 32) | value]).  The lane engine starts from
+   the cycle-0 state a fresh [load] settles into, advances its golden
+   machine by these deltas and commits golden memory writes itself, so
+   the deltas are all it needs.  The first recorded settle only primes
+   the previous state, so cycle 0 holds no deltas and a recording does
+   not depend on what the circuit ran before. *)
+type trace = {
+  tr_len : int;  (* settled cycles recorded: 0 .. tr_len-1 *)
+  tr_delta : int array;
+  tr_dend : int array;  (* per cycle: end offset of its delta run *)
+}
+
+(* --- fault record and rules --- *)
+
+type fault_model = Stuck_at_0 | Stuck_at_1 | Open_line | Bit_flip
+
+type fault_site = Node of int * int | Cell of int * int * int
+
+type fault = {
+  site : fault_site;
+  model : fault_model;
+  from_cycle : int;
+  duration : int option;  (** [None] = permanent *)
+  mutable frozen : int option;
+      (** open-line: captured bit value; bit-flip cells: applied marker *)
+}
+
+(* The rules below are defined once and called by both engines — the
+   scalar circuit through its armed fault, the lane engine through each
+   lane's own — so the dense oracle and the lanes agree on fault
+   semantics by construction.  [cyc] is the calling engine's cycle
+   counter. *)
+
+let fault_active ~cyc f =
+  cyc >= f.from_cycle && match f.duration with None -> true | Some d -> cyc < f.from_cycle + d
+
+let transform_bit f ~bit v =
+  match f.model with
+  | Stuck_at_0 -> Bitops.clear_bit bit v
+  | Stuck_at_1 -> Bitops.set_bit bit v
+  | Bit_flip -> v lxor (1 lsl bit)
+  | Open_line -> (
+      match f.frozen with
+      | Some frozen -> Bitops.update_bit bit (frozen <> 0) v
+      | None ->
+          (* Capture the floating value at activation. *)
+          let b = Bitops.bit bit v in
+          f.frozen <- Some b;
+          v)
+
+(* A freshly evaluated value of node [id] under [fault]. *)
+let node_fault ~cyc fault id v =
+  match fault with
+  | Some ({ site = Node (s, bit); _ } as f) when s = id && fault_active ~cyc f ->
+      transform_bit f ~bit v
+  | Some _ | None -> v
+
+(* The value a write of [v] to cell [(m, idx)] stores under [fault],
+   given the cell's pre-write content [cur]. *)
+let cell_write ~cyc fault m idx ~cur v =
+  match fault with
+  | Some ({ site = Cell (fm, fidx, bit); _ } as f)
+    when fm = m && fidx = idx && fault_active ~cyc f -> (
+      match f.model with
+      | Stuck_at_0 -> Bitops.clear_bit bit v
+      | Stuck_at_1 -> Bitops.set_bit bit v
+      | Bit_flip -> v
+      (* an SEU corrupts content once, not the write path *)
+      | Open_line ->
+          (* The cell bit is disconnected: the write does not change it. *)
+          Bitops.update_bit bit (Bitops.bit bit cur <> 0) v)
+  | Some _ | None -> v
+
+(* The content an active cell fault [f] forces into its cell at a
+   settle, given the current content [cur], or [None] when it forces
+   nothing: stuck-at bits are forced so reads observe them even without
+   an intervening write; a single-event upset inverts the content
+   exactly once (the fault's [frozen] marker records that it has); an
+   open line acts on writes only. *)
+let cell_force f ~bit cur =
+  match f.model with
+  | Stuck_at_0 -> Some (Bitops.clear_bit bit cur)
+  | Stuck_at_1 -> Some (Bitops.set_bit bit cur)
+  | Bit_flip when f.frozen = None ->
+      f.frozen <- Some 1;
+      Some (cur lxor (1 lsl bit))
+  | Bit_flip | Open_line -> None
+
+(* --- lane -> scalar transplant --- *)
+
+(* A lane's settled state with a private copy of its fault, so
+   transient-window bookkeeping (an applied SEU, a captured open-line
+   bit) carries over instead of re-triggering. *)
+type transplant = { tp_snap : snapshot; tp_fault : fault option }
+
+let copy_fault f = { f with frozen = f.frozen }

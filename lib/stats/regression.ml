@@ -77,47 +77,3 @@ let leave_one_out ?(log = false) points =
   let r_squared = if ss_tot < 1e-12 then 0. else 1. -. (ss_res /. ss_tot) in
   let rmse = sqrt (ss_res /. float_of_int n) in
   { predictions; residuals; r_squared; rmse }
-
-let pearson points =
-  let n, sx, sy, sxx, sxy, syy = sums points in
-  if n < 2 then invalid_arg "Regression.pearson: need at least two points";
-  let nf = float_of_int n in
-  let cov = sxy -. (sx *. sy /. nf) in
-  let vx = sxx -. (sx *. sx /. nf) in
-  let vy = syy -. (sy *. sy /. nf) in
-  if vx < 1e-12 || vy < 1e-12 then 0. else cov /. sqrt (vx *. vy)
-
-let ranks values =
-  (* NaN admits no rank: polymorphic sort would leave it wherever the
-     comparison happened to place it and [=] tie-detection never
-     matches it, silently scrambling the permutation — the same class
-     of bug [Summary.percentile] already rejects. *)
-  if Array.exists Float.is_nan values then
-    invalid_arg "Regression.ranks: NaN in input";
-  let n = Array.length values in
-  let order = Array.init n (fun i -> i) in
-  Array.sort (fun i j -> Float.compare values.(i) values.(j)) order;
-  let r = Array.make n 0. in
-  (* ties share the average of the positions they span (fractional
-     ranks), so equal values contribute identically *)
-  let i = ref 0 in
-  while !i < n do
-    let j = ref !i in
-    while
-      !j + 1 < n && Float.compare values.(order.(!j + 1)) values.(order.(!i)) = 0
-    do
-      incr j
-    done;
-    let avg = float_of_int (!i + !j + 2) /. 2. in
-    for k = !i to !j do r.(order.(k)) <- avg done;
-    i := !j + 1
-  done;
-  r
-
-let spearman points =
-  if List.length points < 2 then
-    invalid_arg "Regression.spearman: need at least two points";
-  let xs = Array.of_list (List.map fst points) in
-  let ys = Array.of_list (List.map snd points) in
-  let rx = ranks xs and ry = ranks ys in
-  pearson (Array.to_list (Array.map2 (fun a b -> (a, b)) rx ry))

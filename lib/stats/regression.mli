@@ -26,20 +26,6 @@ val predict : fit -> float -> float
 val predict_log : fit -> float -> float
 (** [predict_log fit x] evaluates a {!log_fit} at [x > 0]. *)
 
-val pearson : (float * float) list -> float
-(** [pearson points] is the sample correlation coefficient. *)
-
-val ranks : float array -> float array
-(** Fractional ranks (1-based); ties receive the average of the
-    positions they span. *)
-
-val spearman : (float * float) list -> float
-(** Spearman rank correlation: {!pearson} over the {!ranks} of each
-    coordinate.  Robust to monotone-but-nonlinear relationships —
-    exactly the claim a static detectability predictor makes about
-    measured failure behaviour.  Returns [0.] when either coordinate
-    is constant (all tied). *)
-
 (** {2 Cross-validation} *)
 
 type loo = {

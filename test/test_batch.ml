@@ -1,15 +1,18 @@
 (* Tests for bit-parallel fault batching (PPSFP), the one accelerated
-   faulty-run engine: the compiled levelized plan must equal the
-   graph-derived one, a batch of lanes must track independent scalar
-   runs observable-for-observable (event streams, stop reasons, stop
-   and mismatch cycles) with writes or all events compared, a lane
-   must converge exactly when its state equals the golden run's, a
-   single fault run as a one-lane batch must get the dense reference's
-   verdict, and lane arming/retirement must behave per fault model. *)
+   faulty-run engine: the lowered levelized schedule must equal the
+   one the dependency graph implies, a batch of lanes must track
+   independent scalar runs observable-for-observable (event streams,
+   stop reasons, stop and mismatch cycles) with writes or all events
+   compared, a lane must converge exactly when its state equals the
+   golden run's, a single fault run as a one-lane batch must get the
+   dense reference's verdict, lane arming/retirement must behave per
+   fault model, and a lanes pass must leave its circuit untouched. *)
 
 module A = Sparc.Asm
 module I = Sparc.Isa
 module C = Rtl.Circuit
+module G = Analysis.Graph
+module Lanes = Rtl.Lanes
 module Memory = Sparc.Memory
 module Bus_event = Sparc.Bus_event
 module Campaign = Fault_injection.Campaign
@@ -79,19 +82,30 @@ let golden_setup = setup_of small_prog
 
 let reads_setup = setup_of reads_prog
 
-(* ---- the compiled plan is the graph-derived plan ---- *)
+(* ---- the lowered schedule is the graph's ---- *)
 
 let test_compiled_plan_matches_graph () =
   let sys = Lazy.force shared_sys in
   let c = circuit sys in
-  let compiled = C.compiled_plan c in
-  let from_graph = Analysis.Graph.replay_plan (Analysis.Graph.build c) in
-  check_int "node count" (Array.length from_graph.C.rp_fanout)
-    (Array.length compiled.C.rp_fanout);
-  check_int "max level" from_graph.C.rp_max_level compiled.C.rp_max_level;
-  check_bool "levels" true (from_graph.C.rp_level = compiled.C.rp_level);
-  check_bool "fanout" true (from_graph.C.rp_fanout = compiled.C.rp_fanout);
-  check_bool "mem readers" true (from_graph.C.rp_mem_readers = compiled.C.rp_mem_readers)
+  let low = C.compiled_plan c in
+  let g = G.build c in
+  (* a vertex's deduplicated signal successors over edges of [kind] *)
+  let sinks kind v =
+    Array.of_list
+      (List.sort_uniq compare
+         (List.filter_map
+            (fun (w, k) ->
+              match w with G.Sig s when k = kind -> Some (s :> int) | G.Sig _ | G.Mem _ -> None)
+            (G.succs g v)))
+  in
+  let sigs = List.map (fun (_, s, _) -> s) (C.signals c) in
+  let mems = List.map (fun (_, m, _, _) -> m) (C.memories c) in
+  check_int "max level" (G.max_level g) low.C.max_level;
+  check_bool "levels" true (List.map (G.level g) sigs = Array.to_list low.C.level);
+  check_bool "fanout" true
+    (List.map (fun s -> sinks G.Comb_dep (G.Sig s)) sigs = Array.to_list low.C.fanout);
+  check_bool "mem readers" true
+    (List.map (fun m -> sinks G.Mem_read (G.Mem m)) mems = Array.to_list low.C.mem_readers)
 
 (* ---- batch runs track independent scalar runs ---- *)
 
@@ -472,6 +486,12 @@ let prop_one_lane_matches_dense =
 
 (* ---- lane arming and early retirement ---- *)
 
+let rejected f =
+  try
+    f ();
+    false
+  with Invalid_argument _ -> true
+
 let test_lane_masks_and_retirement () =
   (* Stuck-at/open-line/bit-flip lanes armed on one node diverge (or
      not) exactly per model semantics, and retiring a lane clears its
@@ -491,55 +511,74 @@ let test_lane_masks_and_retirement () =
   in
   let node, bit = match site with C.Node (s, b) -> (s, b) | C.Cell _ -> assert false in
   Leon3.System.load sys prog;
-  C.batch_start c trace;
-  check_bool "armed" true (C.batch_armed c);
-  check_int "no lanes yet" 0 (C.batch_active c);
-  C.batch_arm c 0 site C.Stuck_at_0;
-  C.batch_arm c 1 site C.Stuck_at_1;
-  C.batch_arm c 2 site C.Open_line;
-  C.batch_arm c 3 site C.Bit_flip;
-  check_int "four lanes" 0b1111 (C.batch_active c);
-  C.batch_settle c;
-  let g = C.value c node in
-  check_int "stuck-at-0 lane view" (g land lnot (1 lsl bit)) (C.batch_value c node 0);
-  check_int "stuck-at-1 lane view" (g lor (1 lsl bit)) (C.batch_value c node 1);
-  check_int "open-line lane view" (g land lnot (1 lsl bit)) (C.batch_value c node 2);
-  check_int "bit-flip lane view" (g lxor (1 lsl bit)) (C.batch_value c node 3);
-  (* scalar injection agrees on the transformed view *)
-  C.batch_retire c 1;
-  check_int "lane 1 retired" 0b1101 (C.batch_active c);
-  check_int "retired lane reads golden" g (C.batch_value c node 1);
-  check_int "lane 3 untouched by retirement" (g lxor (1 lsl bit))
-    (C.batch_value c node 3);
-  C.batch_retire c 0;
-  C.batch_retire c 2;
-  C.batch_retire c 3;
-  check_int "all retired" 0 (C.batch_active c);
-  let stats = C.batch_stop c in
-  check_bool "disarmed" false (C.batch_armed c);
-  check_bool "some lane evaluations happened" true (stats.C.bs_evals > 0)
+  let pass = Lanes.start c trace in
+  check_int "golden copied from the circuit" (C.value c node) (Lanes.golden pass node);
+  Lanes.arm pass 0 site C.Stuck_at_0;
+  Lanes.arm pass 1 site C.Stuck_at_1;
+  Lanes.arm pass 2 site C.Open_line;
+  Lanes.arm pass 3 site C.Bit_flip;
+  check_bool "arming a live lane rejected" true
+    (rejected (fun () -> Lanes.arm pass 3 site C.Bit_flip));
+  Lanes.settle pass;
+  let g = Lanes.golden pass node in
+  check_int "stuck-at-0 lane view" (g land lnot (1 lsl bit)) (Lanes.value pass node 0);
+  check_int "stuck-at-1 lane view" (g lor (1 lsl bit)) (Lanes.value pass node 1);
+  check_int "open-line lane view" (g land lnot (1 lsl bit)) (Lanes.value pass node 2);
+  check_int "bit-flip lane view" (g lxor (1 lsl bit)) (Lanes.value pass node 3);
+  Lanes.retire pass 1;
+  check_bool "retiring a retired lane rejected" true (rejected (fun () -> Lanes.retire pass 1));
+  check_int "retired lane reads golden" g (Lanes.value pass node 1);
+  check_int "lane 3 untouched by retirement" (g lxor (1 lsl bit)) (Lanes.value pass node 3);
+  Lanes.retire pass 0;
+  Lanes.retire pass 2;
+  Lanes.retire pass 3;
+  check_bool "some lane evaluations happened" true ((Lanes.stats pass).C.bs_evals > 0)
 
-let test_scalar_api_rejected_while_armed () =
+let test_lanes_leave_circuit_untouched () =
+  (* A lanes pass runs on its own copy of the golden machine: a full
+     [Batch.run] whose lanes diverge, retire and are ejected leaves the
+     circuit in the state [load] left, and the scalar engine can settle
+     it in the middle of a pass. *)
   let sys = Lazy.force shared_sys in
   let prog = Lazy.force small_prog in
-  let _, trace, _ = Lazy.force golden_setup in
+  let golden, trace, sites = Lazy.force golden_setup in
   let c = circuit sys in
   Leon3.System.load sys prog;
-  C.batch_start c trace;
-  let rejected f = try f (); false with Invalid_argument _ -> true in
-  check_bool "settle rejected" true (rejected (fun () -> C.settle c));
-  check_bool "clock rejected" true (rejected (fun () -> C.clock c));
-  check_bool "reset rejected" true (rejected (fun () -> C.reset c));
-  (* the batch clock itself stops where the trace does *)
-  while C.cycle c < C.trace_cycles trace - 1 do
-    C.batch_clock c;
-    C.batch_settle c
+  let loaded = C.snapshot c in
+  let models = [| C.Stuck_at_0; C.Stuck_at_1; C.Open_line |] in
+  let specs =
+    Array.init C.max_lanes (fun i ->
+        spec sites.(((i * 97) + 13) mod Array.length sites).Injection.fault_site
+          models.(i mod 3))
+  in
+  let outcomes, _ =
+    Batch.run ~sys ~prog ~trace ~reference:golden.Campaign.writes
+      ~max_cycles:((4 * golden.Campaign.cycles) + 2000)
+      specs
+  in
+  let count p = Array.fold_left (fun n o -> if p o then n + 1 else n) 0 outcomes in
+  check_bool "some lanes retired" true
+    (count (function Batch.Done _ -> true | Batch.Converged _ | Batch.Ejected _ -> false) > 0);
+  check_bool "some lanes ejected" true
+    (count (function Batch.Ejected _ -> true | Batch.Done _ | Batch.Converged _ -> false) > 0);
+  check_bool "circuit in its loaded state after a pass" true (C.state_equal c loaded);
+  (* in the middle of a pass *)
+  let pass = Lanes.start c trace in
+  Lanes.arm pass 0 specs.(0).Batch.site specs.(0).Batch.model;
+  Lanes.settle pass;
+  for _ = 1 to 20 do
+    Lanes.clock pass;
+    Lanes.settle pass
   done;
-  check_bool "clock past the trace rejected" true (rejected (fun () -> C.batch_clock c));
-  ignore (C.batch_stop c);
-  (* and the circuit is usable again after batch_stop + reload *)
-  Leon3.System.load sys prog;
-  C.settle c
+  C.settle c;
+  check_bool "scalar settle mid-pass" true (C.state_equal c loaded);
+  (* the lanes' clock stops where the trace does *)
+  while Lanes.cycle pass < C.trace_cycles trace - 1 do
+    Lanes.clock pass;
+    Lanes.settle pass
+  done;
+  check_bool "clock past the trace rejected" true (rejected (fun () -> Lanes.clock pass));
+  check_bool "circuit in its loaded state at trace end" true (C.state_equal c loaded)
 
 let suite =
   ( "batch",
@@ -555,7 +594,7 @@ let suite =
         test_convergence_is_state_equality;
       Alcotest.test_case "lane masks per model + retirement" `Quick
         test_lane_masks_and_retirement;
-      Alcotest.test_case "scalar API rejected while armed" `Quick
-        test_scalar_api_rejected_while_armed ]
+      Alcotest.test_case "lanes leave the circuit untouched" `Quick
+        test_lanes_leave_circuit_untouched ]
     @ List.map QCheck_alcotest.to_alcotest
         [ prop_batch_matches_scalar; prop_one_lane_matches_dense ] )

@@ -189,6 +189,46 @@ let test_verdicts_match_across_elaborations () =
         rb rg)
     vb vg
 
+(* ---- the value prefilter on gate outputs ---- *)
+
+let test_always_one_gates_silent () =
+  (* Coverage records settled states only, so a comb bit that is 1 in
+     every settled golden state is never seen 0 (its reset value is not
+     a settled state): stuck-at-1 and open line on it are prefiltered.
+     A spread of those verdicts, run on the dense engine, are silent. *)
+  let sys = Lazy.force gate_sys in
+  let prog = Lazy.force small_prog in
+  let c = (Leon3.System.core sys).Leon3.Core.circuit in
+  let cov =
+    Option.get (Campaign.golden_run ~coverage:true sys prog ~max_cycles:200_000).Campaign.coverage
+  in
+  let dense = Campaign.golden_run sys prog ~max_cycles:200_000 in
+  let always_one =
+    Array.of_list
+      (List.filter
+         (fun s ->
+           match s.Injection.fault_site with
+           | C.Node (n, _) ->
+               (match C.node_view c n with C.V_comb _ -> true | _ -> false)
+               && C.never_activates cov s.Injection.fault_site C.Stuck_at_1
+           | C.Cell _ -> false)
+         (Injection.sites ~include_cells:false (Leon3.System.core sys) Injection.Iu))
+  in
+  let n = Array.length always_one in
+  check_bool (Printf.sprintf "always-1 gate outputs exist (%d)" n) true (n >= 6);
+  List.iter
+    (fun i ->
+      let site = always_one.(i * n / 6) in
+      List.iter
+        (fun model ->
+          let r = Campaign.run_one sys prog dense site model in
+          check_bool
+            (Printf.sprintf "%s/%s silent" site.Injection.site_name (C.fault_model_name model))
+            true
+            (r.Campaign.outcome = Campaign.Silent))
+        [ C.Stuck_at_1; C.Open_line ])
+    [ 0; 1; 2; 3; 4; 5 ]
+
 (* ---- injection-site population density ---- *)
 
 let lowered_names =
@@ -240,6 +280,8 @@ let suite =
     [ Alcotest.test_case "decode PLA field sweep" `Quick test_decode_pla_field_sweep;
       QCheck_alcotest.to_alcotest prop_decode_pla_random_words;
       Alcotest.test_case "population density" `Quick test_population_density;
+      Alcotest.test_case "always-1 gate outputs prefiltered exactly" `Quick
+        test_always_one_gates_silent;
       Alcotest.test_case "figure-5 workloads state-for-state" `Slow
         test_figure5_workloads_equivalent;
       Alcotest.test_case "verdicts match across elaborations" `Slow

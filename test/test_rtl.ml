@@ -181,9 +181,8 @@ let test_fault_from_cycle () =
   check_int "active at instant" 0x01 (C.value c out)
 
 let test_transient_bit_flip () =
-  let c, inp, _, out = build_pass () in
+  let c, inp, r, out = build_pass () in
   (* flip bit 0 of the register during cycle 1 only *)
-  let r = match C.find_signal c "r" with Some s -> s | None -> Alcotest.fail "no r" in
   C.inject c ~from_cycle:1 ~duration:1 (C.Node (r, 0)) C.Bit_flip;
   step c 0x10 inp;
   (* cycle 1: register holds 0x10, flip makes 0x11 and the corruption
@@ -255,7 +254,9 @@ let test_cell_fault () =
 let test_introspection () =
   let c, _, _, out = build_pass () in
   check_bool "has nodes" true (C.node_count c >= 3);
-  check_bool "find by name" true (C.find_signal c "out" = Some out);
+  check_bool "find by name" true
+    (List.find_map (fun (nm, s, _) -> if nm = "out" then Some s else None) (C.signals c)
+    = Some out);
   check_int "width" 8 (C.signal_width c out);
   Alcotest.(check string) "name" "out" (C.signal_name c out);
   let sites = C.injection_bits c ~prefix:"" in
@@ -428,9 +429,7 @@ let test_coverage_prefilter () =
     (C.never_activates cov (C.Node (count, 0)) C.Stuck_at_1);
   check_bool "toggled bit: open activates" false
     (C.never_activates cov (C.Node (count, 0)) C.Open_line);
-  (* [en] was constant 1 after reset, but reset observed it at 0, so
-     only models forcing a third value are excludable; bit flips never
-     are *)
+  (* bit flips are never excludable *)
   check_bool "bit flip never excluded" false
     (C.never_activates cov (C.Node (count, 0)) C.Bit_flip)
 
@@ -466,6 +465,26 @@ let test_coverage_constant_node_excluded () =
   C.settle c;
   check_int "excluded fault provably invisible" 0 (C.value c out)
 
+let test_coverage_settled_states_only () =
+  (* n = not a, with a held at 0: n is 1 in every settled state.  Its
+     reset value 0 is not a settled state, so a stuck-at-1 on it never
+     activates. *)
+  let c = C.create "not" in
+  let a = C.input c "a" 1 in
+  let n = C.gate_not c "n" a in
+  C.elaborate c;
+  C.coverage_start c;
+  C.reset c;
+  C.set_input c a 0;
+  C.settle c;
+  C.clock c;
+  C.settle c;
+  let cov = C.coverage_stop c in
+  check_bool "always-1 gate: sa1 never activates" true
+    (C.never_activates cov (C.Node (n, 0)) C.Stuck_at_1);
+  check_bool "always-1 gate: sa0 activates" false
+    (C.never_activates cov (C.Node (n, 0)) C.Stuck_at_0)
+
 let test_scoped_names () =
   let c = C.create "scoped" in
   let s =
@@ -499,4 +518,6 @@ let suite =
       Alcotest.test_case "snapshot covers memories" `Quick test_snapshot_covers_memories;
       Alcotest.test_case "coverage prefilter" `Quick test_coverage_prefilter;
       Alcotest.test_case "constant node excluded" `Quick test_coverage_constant_node_excluded;
+      Alcotest.test_case "coverage records settled states only" `Quick
+        test_coverage_settled_states_only;
       Alcotest.test_case "scoped names" `Quick test_scoped_names ] )

@@ -86,50 +86,6 @@ let test_log_fit_filters_nonpositive () =
   check_float "slope" clean.Stats.Regression.slope fit.Stats.Regression.slope;
   check_float "intercept" clean.Stats.Regression.intercept fit.Stats.Regression.intercept
 
-let test_pearson () =
-  let r = Stats.Regression.pearson [ (1., 2.); (2., 4.); (3., 6.) ] in
-  check_float "perfect correlation" 1. r;
-  let r = Stats.Regression.pearson [ (1., 6.); (2., 4.); (3., 2.) ] in
-  check_float "perfect anticorrelation" (-1.) r
-
-let test_ranks_and_spearman () =
-  (* fractional ranks: ties share the average of the positions they
-     span *)
-  Alcotest.(check (array (float 1e-9)))
-    "ties average" [| 1.5; 1.5; 3.; 4. |]
-    (Stats.Regression.ranks [| 5.; 5.; 7.; 9. |]);
-  (* monotone but non-linear: pearson < 1, spearman exactly 1 *)
-  let curved = List.map (fun x -> (x, x *. x *. x)) [ 1.; 2.; 3.; 4.; 5. ] in
-  check_float "monotone gives rho=1" 1. (Stats.Regression.spearman curved);
-  check_float "reversed gives rho=-1" (-1.)
-    (Stats.Regression.spearman (List.map (fun (x, y) -> (x, -.y)) curved));
-  (* a constant coordinate carries no ordering information *)
-  check_float "constant y" 0. (Stats.Regression.spearman [ (1., 2.); (3., 2.); (5., 2.) ]);
-  (* binary outcome against a score, the predictor-validation shape:
-     scores [1;2;3;4], outcomes [1;1;0;0] — low score = detected *)
-  let r = Stats.Regression.spearman [ (1., 1.); (2., 1.); (3., 0.); (4., 0.) ] in
-  Alcotest.(check bool) "binary outcome anticorrelates" true (r < -0.8)
-
-let test_ranks_nan () =
-  (* NaN admits no rank: polymorphic sort used to place it arbitrarily
-     and silently skew every downstream rho; now it is rejected *)
-  Alcotest.check_raises "ranks rejects NaN" (Invalid_argument "Regression.ranks: NaN in input")
-    (fun () -> ignore (Stats.Regression.ranks [| 1.; Float.nan; 3. |]));
-  Alcotest.check_raises "spearman rejects NaN x"
-    (Invalid_argument "Regression.ranks: NaN in input") (fun () ->
-      ignore (Stats.Regression.spearman [ (1., 1.); (Float.nan, 2.); (3., 3.) ]));
-  Alcotest.check_raises "spearman rejects NaN y"
-    (Invalid_argument "Regression.ranks: NaN in input") (fun () ->
-      ignore (Stats.Regression.spearman [ (1., 1.); (2., Float.nan); (3., 3.) ]));
-  (* signed zeros are equal, not adjacent distinct values *)
-  Alcotest.(check (array (float 1e-9)))
-    "signed zeros tie" [| 1.5; 1.5; 3. |]
-    (Stats.Regression.ranks [| 0.; -0.; 1. |]);
-  (* infinities order correctly under Float.compare *)
-  Alcotest.(check (array (float 1e-9)))
-    "infinities ranked" [| 2.; 1.; 3. |]
-    (Stats.Regression.ranks [| 0.; Float.neg_infinity; Float.infinity |])
-
 let test_summary () =
   let s = Stats.Summary.of_list [ 1.; 2.; 3.; 4. ] in
   check_int "n" 4 s.Stats.Summary.n;
@@ -291,9 +247,6 @@ let suite =
       Alcotest.test_case "regression errors" `Quick test_regression_errors;
       Alcotest.test_case "degenerate r2" `Quick test_degenerate_r2;
       Alcotest.test_case "log fit filters" `Quick test_log_fit_filters_nonpositive;
-      Alcotest.test_case "pearson" `Quick test_pearson;
-      Alcotest.test_case "ranks and spearman" `Quick test_ranks_and_spearman;
-      Alcotest.test_case "ranks reject NaN" `Quick test_ranks_nan;
       Alcotest.test_case "summary" `Quick test_summary;
       Alcotest.test_case "percentile" `Quick test_percentile;
       Alcotest.test_case "percentile nan" `Quick test_percentile_nan;
