@@ -42,7 +42,9 @@ type outcome = Done of result | Converged of int | Ejected of ejected
 
 (* Per-lane off-core state.  The main-memory image is the golden base
    plus a sparse word-addressed overlay; bus-port drivers mirror
-   [System.drive_port]'s countdown/ready machine per lane. *)
+   [System.drive_port]'s countdown/ready machine per lane.  While the
+   lane is in the pass's follow set, [cd] and [rdy] are stale: the
+   lane's drivers are the golden ones. *)
 type lane = {
   idx : int;
   cd : int array;  (* countdown per port: [|iport; dport|] *)
@@ -54,7 +56,6 @@ type lane = {
   mutable abort : bool;
   mutable events_rev : Bus_event.t list;
   mutable nw : int;  (* write events among events_rev *)
-  mutable finished : bool;
   mutable pw : int;  (* this cycle's pending dport write: word addr, -1 none *)
   mutable pwv : int;  (* ... and the lane's merged word value *)
   mutable sv : int;  (* preserve scratch around a golden base write *)
@@ -76,7 +77,6 @@ let mk_lane idx =
     abort = false;
     events_rev = [];
     nw = 0;
-    finished = false;
     pw = -1;
     pwv = 0;
     sv = 0;
@@ -100,6 +100,21 @@ let lv_set base ln wa v =
 
 let size_of_code = function 0 -> Bus_event.Byte | 1 -> Bus_event.Half | _ -> Bus_event.Word
 
+(* [f] on the lane of every set bit of [mask], lowest first. *)
+let iter_mask lanes mask f =
+  let m = ref mask and l = ref 0 in
+  while !m <> 0 do
+    if !m land 0xFF = 0 then begin
+      m := !m lsr 8;
+      l := !l + 8
+    end
+    else begin
+      if !m land 1 <> 0 then f lanes.(!l);
+      m := !m lsr 1;
+      incr l
+    end
+  done
+
 let run ~sys ~prog ~trace ~reference ~max_cycles ?(compare_reads = false)
     ?(boundaries = [||]) specs =
   let n = Array.length specs in
@@ -118,7 +133,17 @@ let run ~sys ~prog ~trace ~reference ~max_cycles ?(compare_reads = false)
     specs;
   let lanes = Array.init n mk_lane in
   let outcomes = Array.make n None in
-  let live = ref n in
+  (* Lane masks: [alive] the undecided lanes; [follow] the lanes whose
+     off-core state — both ports' bus request and answer signals, both
+     port drivers, main memory — equals golden's, so that they take
+     the golden bus step instead of one of their own; [flagged] the
+     lanes with a stop or a comparator mismatch recorded. *)
+  let alive = ref 0 in
+  for i = 0 to n - 1 do
+    alive := !alive lor (1 lsl i)
+  done;
+  let follow = ref !alive and flagged = ref 0 in
+  let driven_cycles = ref 0 in
   let record ln ev =
     ln.events_rev <- ev :: ln.events_rev;
     let write = Bus_event.is_write ev in
@@ -130,14 +155,32 @@ let run ~sys ~prog ~trace ~reference ~max_cycles ?(compare_reads = false)
         (match ln.mismatch with
         | None -> ln.mismatch <- Some (Lanes.cycle pass)
         | Some _ -> ());
-        ln.abort <- true
+        ln.abort <- true;
+        flagged := !flagged lor (1 lsl ln.idx)
       end
   in
+  let stop ln r =
+    ln.stopped <- Some r;
+    flagged := !flagged lor (1 lsl ln.idx)
+  in
+  (* The golden machine's bus drivers, replicated: the data port's so
+     that base-memory writes land on the cycles the golden run produced
+     them, both so that followers can take the golden bus step.  The
+     golden request signals are the lanes' golden machine's settled
+     values; the (ready, rdata) answers are not needed — golden inputs
+     arrive via the trace deltas. *)
+  let g_cd = [| -1; -1 |] and g_rdy = [| false; false |] in
+  let golden = Lanes.golden pass in
+  (* A lane's port-driver state: its own, or golden's while it follows. *)
+  let port ln pi =
+    if !follow land (1 lsl ln.idx) <> 0 then (g_cd.(pi), g_rdy.(pi)) else (ln.cd.(pi), ln.rdy.(pi))
+  in
   let retire ln outcome =
+    let bit = 1 lsl ln.idx in
     outcomes.(ln.idx) <- Some outcome;
     Lanes.retire pass ln.idx;
-    ln.finished <- true;
-    decr live
+    alive := !alive land lnot bit;
+    follow := !follow land lnot bit
   in
   let finish ln stop =
     retire ln
@@ -153,12 +196,13 @@ let run ~sys ~prog ~trace ~reference ~max_cycles ?(compare_reads = false)
   let eject ln =
     let mem = Memory.copy base in
     Hashtbl.iter (fun wa v -> Memory.store_word mem wa v) ln.mem;
+    let e_iport = port ln 0 and e_dport = port ln 1 in
     retire ln
       (Ejected
          { e_tp = Lanes.eject pass ln.idx;
            e_mem = mem;
-           e_iport = (ln.cd.(0), ln.rdy.(0));
-           e_dport = (ln.cd.(1), ln.rdy.(1));
+           e_iport;
+           e_dport;
            e_matched = ln.matched;
            e_mismatch = ln.mismatch;
            e_events_rev = ln.events_rev;
@@ -194,7 +238,7 @@ let run ~sys ~prog ~trace ~reference ~max_cycles ?(compare_reads = false)
           let size = size_of_code (get ports.Cache_block.bus_size) in
           let value = get ports.Cache_block.bus_wdata in
           record ln (Bus_event.Write { addr; size; value });
-          if Layout.is_exit_store addr then ln.stopped <- Some (System.Exited value)
+          if Layout.is_exit_store addr then stop ln (System.Exited value)
           else begin
             (* Merge into the lane's current word now (read-modify-write
                against the pre-write view), apply after the golden
@@ -227,85 +271,128 @@ let run ~sys ~prog ~trace ~reference ~max_cycles ?(compare_reads = false)
       end
     end
   in
-  (* The golden machine's data-port driver, replicated so base-memory
-     writes land on the same cycles the golden run produced them.  The
-     golden request signals are the lanes' golden machine's settled
-     values; the (ready, rdata) answers are not needed — golden inputs
-     arrive via the trace deltas. *)
-  let g_cd = ref (-1) and g_rdy = ref false in
-  let golden = Lanes.golden pass in
-  let golden_drive () =
-    if !g_rdy then begin
-      g_rdy := false;
-      g_cd := -1
+  (* The golden step of port [pi]'s driver: advance its countdown and
+     ready state; when it fires, return true. *)
+  let golden_fires pi ports =
+    if g_rdy.(pi) then begin
+      g_rdy.(pi) <- false;
+      g_cd.(pi) <- -1;
+      false
     end
-    else if golden dc.Cache_block.bus_req = 0 then g_cd := -1
+    else if golden ports.Cache_block.bus_req = 0 then begin
+      g_cd.(pi) <- -1;
+      false
+    end
     else begin
-      if !g_cd < 0 then g_cd := latency;
-      decr g_cd;
-      if !g_cd <= 0 then begin
-        g_rdy := true;
-        let we = golden dc.Cache_block.bus_we in
-        if we <> 0 then begin
-          let addr = golden dc.Cache_block.bus_addr in
-          if not (Layout.is_exit_store addr) then begin
-            let size = size_of_code (golden dc.Cache_block.bus_size) in
-            let value = golden dc.Cache_block.bus_wdata in
-            let wa = (addr land 0xFFFF_FFFF) land lnot 3 in
-            (* Preserve each live lane's view of the word the golden
-               write is about to change — except lanes overwriting that
-               same word themselves this cycle. *)
-            Array.iter
-              (fun ln ->
-                if (not ln.finished) && ln.pw <> wa then begin
-                  ln.sv <- lv_load base ln wa;
-                  ln.sv_set <- true
-                end
-                else ln.sv_set <- false)
-              lanes;
-            (match size with
-            | Bus_event.Byte -> Memory.store_byte base addr value
-            | Bus_event.Half -> Memory.store_half base (addr land lnot 1) value
-            | Bus_event.Word -> Memory.store_word base (addr land lnot 3) value);
-            Array.iter
-              (fun ln -> if ln.sv_set then lv_set base ln wa ln.sv)
-              lanes
-          end
+      if g_cd.(pi) < 0 then g_cd.(pi) <- latency;
+      g_cd.(pi) <- g_cd.(pi) - 1;
+      g_rdy.(pi) <- g_cd.(pi) <= 0;
+      g_rdy.(pi)
+    end
+  in
+  (* Golden's step on both ports.  Every follower takes golden's
+     data-port event through its own comparator, exactly as its own
+     drive would have produced it. *)
+  let golden_drive driven =
+    ignore (golden_fires 0 ic);
+    if golden_fires 1 dc then begin
+      let addr = golden dc.Cache_block.bus_addr in
+      if golden dc.Cache_block.bus_we <> 0 then begin
+        let size = size_of_code (golden dc.Cache_block.bus_size) in
+        let value = golden dc.Cache_block.bus_wdata in
+        let ev = Bus_event.Write { addr; size; value } in
+        iter_mask lanes !follow (fun ln -> record ln ev);
+        if Layout.is_exit_store addr then
+          iter_mask lanes !follow (fun ln -> stop ln (System.Exited value))
+        else begin
+          let wa = (addr land 0xFFFF_FFFF) land lnot 3 in
+          (* Preserve each driven lane's view of the word the golden
+             write is about to change — except lanes overwriting that
+             same word themselves this cycle.  A follower wrote the
+             golden word itself and holds no overlay. *)
+          iter_mask lanes driven (fun ln ->
+              ln.sv_set <- ln.pw <> wa;
+              if ln.sv_set then ln.sv <- lv_load base ln wa);
+          (match size with
+          | Bus_event.Byte -> Memory.store_byte base addr value
+          | Bus_event.Half -> Memory.store_half base (addr land lnot 1) value
+          | Bus_event.Word -> Memory.store_word base (addr land lnot 3) value);
+          iter_mask lanes driven (fun ln -> if ln.sv_set then lv_set base ln wa ln.sv)
         end
+      end
+      else begin
+        let ev = Bus_event.Read { addr; size = Bus_event.Word } in
+        iter_mask lanes !follow (fun ln -> record ln ev)
       end
     end
   in
+  (* The bus signals a follower shares with golden: a lane marked
+     diverged on any of them is driven on its own. *)
+  let bus_signals =
+    Array.concat
+      (List.map
+         (fun (p : Cache_block.ports) ->
+           [| p.bus_req; p.bus_we; p.bus_addr; p.bus_wdata; p.bus_size; p.bus_ready; p.bus_rdata |])
+         [ ic; dc ])
+  in
+  (* Update the follow set at a settled loop top.  A lane leaves when a
+     bus signal diverges, taking over golden's driver states; a driven
+     lane rejoins once its bus signals, both drivers and its main
+     memory equal golden's again.  Returns the driven lanes. *)
+  let leave ln =
+    for pi = 0 to 1 do
+      ln.cd.(pi) <- g_cd.(pi);
+      ln.rdy.(pi) <- g_rdy.(pi)
+    done
+  in
+  let rejoin ln =
+    if
+      ln.cd.(0) = g_cd.(0) && ln.cd.(1) = g_cd.(1) && ln.rdy.(0) = g_rdy.(0)
+      && ln.rdy.(1) = g_rdy.(1) && Hashtbl.length ln.mem = 0
+    then
+      follow := !follow lor (1 lsl ln.idx)
+  in
+  let refollow () =
+    let div = ref 0 in
+    for i = 0 to Array.length bus_signals - 1 do
+      div := !div lor Lanes.diverged pass bus_signals.(i)
+    done;
+    let div = !div land !alive in
+    iter_mask lanes (!follow land div) leave;
+    follow := !follow land lnot div;
+    iter_mask lanes (!alive land lnot !follow land lnot div) rejoin;
+    !alive land lnot !follow
+  in
   (* One cycle, in [System.step]'s order: port drives read the settled
-     state (lane writes are parked), the golden driver commits its base
-     write, parked lane writes land over it, then the batch clocks and
-     the bus answers settle in as next-cycle inputs. *)
+     state (lane writes are parked), the golden drivers commit the
+     golden base write, parked lane writes land over it, then the batch
+     clocks and the driven lanes' bus answers settle in as next-cycle
+     inputs.  A follower's answers are golden's: the trace brings
+     them. *)
+  let drive ln =
+    incr driven_cycles;
+    ln.pw <- -1;
+    let ir, ird = drive_lane ln 0 in
+    let dr, drd = drive_lane ln 1 in
+    ln.in_ir <- ir;
+    ln.in_ird <- ird;
+    ln.in_dr <- dr;
+    ln.in_drd <- drd
+  in
+  let land_write ln = if ln.pw >= 0 then lv_set base ln ln.pw ln.pwv in
+  let answer ln =
+    Lanes.set_input pass ic.Cache_block.bus_ready ln.idx ln.in_ir;
+    Lanes.set_input pass ic.Cache_block.bus_rdata ln.idx ln.in_ird;
+    Lanes.set_input pass dc.Cache_block.bus_ready ln.idx ln.in_dr;
+    Lanes.set_input pass dc.Cache_block.bus_rdata ln.idx ln.in_drd
+  in
   let step () =
-    Array.iter
-      (fun ln ->
-        if not ln.finished then begin
-          ln.pw <- -1;
-          let ir, ird = drive_lane ln 0 in
-          let dr, drd = drive_lane ln 1 in
-          ln.in_ir <- ir;
-          ln.in_ird <- ird;
-          ln.in_dr <- dr;
-          ln.in_drd <- drd
-        end)
-      lanes;
-    golden_drive ();
-    Array.iter
-      (fun ln -> if (not ln.finished) && ln.pw >= 0 then lv_set base ln ln.pw ln.pwv)
-      lanes;
+    let driven = refollow () in
+    iter_mask lanes driven drive;
+    golden_drive driven;
+    iter_mask lanes driven land_write;
     Lanes.clock pass;
-    Array.iter
-      (fun ln ->
-        if not ln.finished then begin
-          Lanes.set_input pass ic.Cache_block.bus_ready ln.idx ln.in_ir;
-          Lanes.set_input pass ic.Cache_block.bus_rdata ln.idx ln.in_ird;
-          Lanes.set_input pass dc.Cache_block.bus_ready ln.idx ln.in_dr;
-          Lanes.set_input pass dc.Cache_block.bus_rdata ln.idx ln.in_drd
-        end)
-      lanes;
+    iter_mask lanes driven answer;
     Lanes.settle pass
   in
   (* Convergence at a golden boundary: a lane whose fault window has
@@ -318,8 +405,8 @@ let run ~sys ~prog ~trace ~reference ~max_cycles ?(compare_reads = false)
     | Some d -> sp.from_cycle + d <= System.checkpoint_cycle ck
     | None -> false)
     && Hashtbl.length ln.mem = 0
-    && (ln.cd.(0), ln.rdy.(0)) = System.checkpoint_iport ck
-    && (ln.cd.(1), ln.rdy.(1)) = System.checkpoint_dport ck
+    && port ln 0 = System.checkpoint_iport ck
+    && port ln 1 = System.checkpoint_dport ck
     && ln.matched
        = (if compare_reads then System.checkpoint_events ck else System.checkpoint_writes ck)
     && Lanes.lane_golden pass ln.idx
@@ -334,29 +421,31 @@ let run ~sys ~prog ~trace ~reference ~max_cycles ?(compare_reads = false)
       Some boundaries.(!next_boundary)
     else None
   in
+  let terminal ln =
+    match ln.stopped with
+    | Some r -> finish ln r
+    | None ->
+        if ln.abort then finish ln System.Aborted
+        else if Lanes.value pass core.Core.halted ln.idx <> 0 then
+          finish ln (System.Trapped (Lanes.value pass core.Core.trap_code ln.idx))
+        else if Lanes.cycle pass >= max_cycles then finish ln System.Cycle_limit
+  in
   let last = C.trace_cycles trace - 1 in
   let rec loop () =
-    (* Terminal checks in the scalar run loop's order. *)
-    Array.iter
-      (fun ln ->
-        if not ln.finished then
-          match ln.stopped with
-          | Some r -> finish ln r
-          | None ->
-              if ln.abort then finish ln System.Aborted
-              else if Lanes.value pass core.Core.halted ln.idx <> 0 then
-                finish ln (System.Trapped (Lanes.value pass core.Core.trap_code ln.idx))
-              else if Lanes.cycle pass >= max_cycles then finish ln System.Cycle_limit)
-      lanes;
+    (* Terminal checks in the scalar run loop's order.  Only a lane
+       with a stop or mismatch recorded, or one diverged on [halted],
+       can end here — unless golden itself has halted or the cycle
+       limit is reached, when every lane is checked. *)
+    iter_mask lanes
+      (if Lanes.cycle pass >= max_cycles || golden core.Core.halted <> 0 then !alive
+       else (!flagged lor Lanes.diverged pass core.Core.halted) land !alive)
+      terminal;
     (match boundary_at (Lanes.cycle pass) with
     | Some ck ->
-        Array.iter
-          (fun ln ->
-            if (not ln.finished) && converged ln ck then
-              retire ln (Converged (Lanes.cycle pass)))
-          lanes
+        iter_mask lanes !alive (fun ln ->
+            if converged ln ck then retire ln (Converged (Lanes.cycle pass)))
     | None -> ());
-    if !live > 0 then
+    if !alive <> 0 then
       if Lanes.cycle pass < last then begin
         step ();
         loop ()
@@ -365,7 +454,8 @@ let run ~sys ~prog ~trace ~reference ~max_cycles ?(compare_reads = false)
         (* The trace ends here: there is no golden state to clock
            towards, and the scalar engine, with its cycle-proof
            detector, decides the survivors from this settled state. *)
-        Array.iter (fun ln -> if not ln.finished then eject ln) lanes
+        iter_mask lanes !alive eject
   in
   loop ();
-  (Array.map Option.get outcomes, Lanes.stats pass)
+  ( Array.map Option.get outcomes,
+    { (Lanes.stats pass) with C.bs_driven_lane_cycles = !driven_cycles } )

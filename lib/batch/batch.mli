@@ -15,6 +15,21 @@
     read-comparing observation all run here; a single fault is a
     one-lane batch.
 
+    A lane whose off-core state equals golden's is a {e follower}: it
+    shares golden's bus request and answer signals on both ports (no
+    divergence mark on any of them, {!Rtl.Lanes.diverged}), both port
+    drivers' countdown and ready states, and main memory (an empty
+    overlay).  A follower costs nothing per cycle off-core: it takes
+    the golden drivers' step, records golden's bus event through its
+    own comparator, and its bus answers arrive with the golden trace.
+    A lane leaves the follow set at a cycle where one of those signals
+    carries a divergence mark, taking over golden's driver states, and
+    is then driven lane by lane; it rejoins at the first cycle where
+    its signals, drivers and memory equal golden's again.  Terminal
+    checks visit only lanes with a stop or a mismatch recorded and
+    lanes diverged on [halted], unless golden has halted or the cycle
+    limit is reached.
+
     Verdict-relevant behaviour — event streams, stop reasons, stop and
     mismatch cycles — is identical to running each fault through
     {!Leon3.System.run} on its own machine.  Two things end a lane
@@ -97,4 +112,8 @@ val run :
 
     Every lane still live at cycle [C.trace_cycles trace - 1], after
     that cycle's terminal checks, comes back [Ejected] with
-    [C.transplant_cycle] equal to that cycle. *)
+    [C.transplant_cycle] equal to that cycle.
+
+    The stats count the pass's lane evaluations, its lane-cycles and,
+    in [bs_driven_lane_cycles], the lane-cycles spent outside the
+    follow set. *)

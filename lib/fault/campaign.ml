@@ -279,7 +279,11 @@ let run_lanes ~obs golden sys prog ~compare_reads ~hang_factor lanes =
     (* lane evaluations actually performed vs what dense per-lane
        sweeps would cost *)
     Obs.incr obs ~by:stats.C.bs_evals "diff.nodes_evaluated";
-    Obs.incr obs ~by:stats.C.bs_dense_evals "diff.golden_evaluated"
+    Obs.incr obs ~by:stats.C.bs_dense_evals "diff.golden_evaluated";
+    (* live lanes summed over clocked cycles, and those of them driven
+       lane by lane (outside the follow set) *)
+    Obs.incr obs ~by:stats.C.bs_lane_cycles "batch.lane_cycles";
+    Obs.incr obs ~by:stats.C.bs_driven_lane_cycles "batch.driven_lane_cycles"
   end;
   Array.map2
     (fun ((site : Injection.site), model, (sp : Batch.spec), counted) outcome ->

@@ -73,13 +73,14 @@ module Vec = struct
 end
 
 (* Append-only buffer for the deltas of a trace being recorded, in
-   fixed-size chunks: growing never copies, so a recording leaves no
-   doubled arrays behind for the collector.  A trace is a campaign's
-   largest allocation, recorded once per program; once the golden run
-   allocates little else, the garbage of a doubling buffer is what
-   sets a campaign's peak memory. *)
+   fixed-size chunks: growing never copies, and the finished trace
+   keeps the chunks, so a recording leaves no doubled or flattened
+   arrays behind for the collector.  A trace is a campaign's largest
+   allocation, recorded once per program; once the golden run
+   allocates little else, a second copy of it is what sets a
+   campaign's peak memory. *)
 module Chunks = struct
-  let size = 1 lsl 16
+  let size = trace_chunk
 
   type t = { mutable full : int array list; mutable cur : int array; mutable len : int }
 
@@ -96,9 +97,9 @@ module Chunks = struct
     Array.unsafe_set c.cur k x;
     c.len <- c.len + 1
 
-  let to_array c =
-    let fill = c.len - (size * List.length c.full) in
-    Array.concat (List.rev (Array.sub c.cur 0 fill :: c.full))
+  (* The last chunk is handed over as allocated: its entries past
+     [len] are never read. *)
+  let chunks c = Array.of_list (List.rev (if c.len > 0 then c.cur :: c.full else c.full))
 end
 
 type trace = Machine.trace
@@ -161,6 +162,8 @@ let max_lanes = 63
 type batch_stats = {
   bs_evals : int;  (* per-lane comb evaluations performed *)
   bs_dense_evals : int;  (* evaluations [lanes] dense sweeps would have cost *)
+  bs_lane_cycles : int;  (* live lanes summed over clocked cycles *)
+  bs_driven_lane_cycles : int;  (* ... of them with a per-lane off-core drive *)
 }
 
 type settle_stats = {
@@ -641,7 +644,7 @@ let trace_stop t =
   | Some tb ->
       t.tracing <- None;
       { tr_len = tb.tb_upto + 1;
-        tr_delta = Chunks.to_array tb.tb_delta;
+        tr_delta = Chunks.chunks tb.tb_delta;
         tr_dend = Vec.to_array tb.tb_dend }
 
 let trace_cycles tr = tr.tr_len
@@ -650,7 +653,8 @@ let trace_deltas tr c =
   if c < 0 || c >= tr.tr_len then invalid_arg "Circuit.trace_deltas: cycle out of range";
   let lo = if c = 0 then 0 else tr.tr_dend.(c - 1) in
   Array.init (tr.tr_dend.(c) - lo) (fun i ->
-      let p = tr.tr_delta.(lo + i) in
+      let i = lo + i in
+      let p = tr.tr_delta.(i lsr trace_chunk_bits).(i land (trace_chunk - 1)) in
       (delta_id p, delta_val p))
 
 (* --- simulation --- *)

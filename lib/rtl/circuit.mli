@@ -365,6 +365,13 @@ type batch_stats = {
   bs_dense_evals : int;
       (** evaluations [lanes] independent dense sweeps would have cost
           over the same cycles *)
+  bs_lane_cycles : int;  (** live lanes summed over clocked cycles *)
+  bs_driven_lane_cycles : int;
+      (** the lane-cycles whose off-core world (bus drivers, main
+          memory, bus inputs) was driven lane by lane.  {!Lanes.stats}
+          counts every lane-cycle; [Batch.run] counts only lanes
+          outside its follow set, whose off-core state differs from
+          golden's. *)
 }
 
 (** {2 Lane → scalar transplant} *)

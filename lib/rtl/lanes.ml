@@ -64,12 +64,20 @@ type t = {
   lane : int array;  (* (id lsl lane_shift) lor lane -> lane value *)
   faults : fault option array;  (* per lane *)
   fnode : int array;  (* per lane: faulted node id (Node sites), -1 *)
-  fsrc : bool array;  (* per lane: faulted node is a source (non-comb) *)
+  mutable srcm : int;  (* lanes armed with a fault on a source (non-comb) node *)
+  mutable combm : int;  (* ... with a fault on a comb node *)
+  mutable cellpend : int;
+      (* lanes armed with a memory-cell fault whose cell content may
+         have moved since the fault last forced it (or whose window has
+         not opened yet): the only cell lanes a settle visits *)
   ov : int array array;  (* per memory: lane values, [(idx lsl lane_shift) lor l] *)
   ovl : int array array;  (* per memory: per-cell diverged-lane mask *)
   mem_lanes : int array;  (* per memory: lanes with >= 1 overlay entry *)
   mem_cnt : int array array;  (* per memory, per lane: entry count *)
-  cellf : int array;  (* per memory: lanes with an armed cell fault *)
+  cellw : int array array;
+      (* per memory, per word: lanes with a cell fault armed on it —
+         a golden write of the word takes their per-lane write path,
+         and their force is due again when their view of it moves *)
   pend : int array;  (* per node: lanes awaiting evaluation this settle *)
   stamped : int Vec.t;
       (* nodes whose effective value moved since the last settle: trace
@@ -78,9 +86,11 @@ type t = {
          members moved contributes nothing to the next settle. *)
   mem_dirty : int array;
       (* per memory: lanes whose view of some cell moved since the last
-         settle (overlay set/drop, golden base write, forced cell
-         fault) — the only lanes whose read ports must re-derive when
-         their address input is quiet *)
+         settle — every overlay set or drop ([ov_set], [ov_drop_bit]:
+         lane writes, forced cell faults, preserves) and, on a golden
+         base write, the written cell's overlay holders and the
+         diverged-address readers — the only lanes whose read ports
+         must re-derive when their address input is quiet *)
   views : int array;  (* write-commit scratch, per lane *)
   regnext : int array;  (* (k lsl lane_shift) lor lane *)
   regpend : int array;  (* per register slot: lanes sampled this clock *)
@@ -106,28 +116,25 @@ type t = {
   regactive : int Vec.t;  (* slots sampled by this clock's phase 1 *)
   mutable evals : int;
   mutable dense : int;
+  mutable lane_cycles : int;
 }
 
 let lane_popcount m =
   let rec go acc m = if m = 0 then acc else go (acc + 1) (m land (m - 1)) in
   go 0 m
 
-(* Call [f] on every set lane index of [lanes], lowest first.  Lane
-   masks are up to 63 bits, so [Bitops] (32-bit) helpers do not apply. *)
-let iter_lanes lanes f =
-  let m = ref lanes in
-  let l = ref 0 in
-  while !m <> 0 do
-    if !m land 0xFF = 0 then begin
-      m := !m lsr 8;
-      l := !l + 8
-    end
-    else begin
-      if !m land 1 <> 0 then f !l;
-      m := !m lsr 1;
-      incr l
-    end
-  done
+(* Index of the lowest set lane of a nonzero lane mask, in six steps
+   whatever the lane.  Loops over a mask clear that lane with
+   [m land (m - 1)] and need no closure.  Lane masks are up to 63 bits,
+   so [Bitops] (32-bit) helpers do not apply. *)
+let lowest_lane m =
+  let b = ref (m land -m) and n = ref 0 in
+  if !b land 0xFFFF_FFFF = 0 then begin n := 32; b := !b lsr 32 end;
+  if !b land 0xFFFF = 0 then begin n := !n + 16; b := !b lsr 16 end;
+  if !b land 0xFF = 0 then begin n := !n + 8; b := !b lsr 8 end;
+  if !b land 0xF = 0 then begin n := !n + 4; b := !b lsr 4 end;
+  if !b land 0x3 = 0 then begin n := !n + 2; b := !b lsr 2 end;
+  if !b land 0x1 = 0 then !n + 1 else !n
 
 let start c tr =
   if C.cycle c <> 0 then invalid_arg "Lanes.start: not at cycle 0";
@@ -160,12 +167,14 @@ let start c tr =
     lane = Array.make (n lsl lane_shift) 0;
     faults = Array.make C.max_lanes None;
     fnode = Array.make C.max_lanes (-1);
-    fsrc = Array.make C.max_lanes false;
+    srcm = 0;
+    combm = 0;
+    cellpend = 0;
     ov = Array.init nmems (fun m -> Array.make (words m lsl lane_shift) 0);
     ovl = Array.init nmems (fun m -> Array.make (words m) 0);
     mem_lanes = Array.make nmems 0;
     mem_cnt = Array.init nmems (fun _ -> Array.make C.max_lanes 0);
-    cellf = Array.make nmems 0;
+    cellw = Array.init nmems (fun m -> Array.make (words m) 0);
     pend = Array.make n 0;
     stamped = Vec.create 0;
     mem_dirty = Array.make nmems 0;
@@ -184,7 +193,8 @@ let start c tr =
     regmem = Array.make (max nregs 1) false;
     regactive = Vec.create 0;
     evals = 0;
-    dense = 0 }
+    dense = 0;
+    lane_cycles = 0 }
 
 let lane_view t id l =
   if t.diff.(id) land (1 lsl l) <> 0 then t.lane.((id lsl lane_shift) lor l) else t.values.(id)
@@ -225,8 +235,16 @@ let ov_get t m idx l =
     Array.unsafe_get t.ov.(m) ((idx lsl lane_shift) lor l)
   else Array.unsafe_get t.base.(m) idx
 
+(* Lane [l]'s view of cell [(m, idx)] moved: its read ports re-derive
+   at the next settle, and a cell fault armed on the cell forces it
+   again. *)
+let view_moved t m idx l =
+  let bit = 1 lsl l in
+  t.mem_dirty.(m) <- t.mem_dirty.(m) lor bit;
+  t.cellpend <- t.cellpend lor (t.cellw.(m).(idx) land bit)
+
 let ov_drop_bit t m idx l =
-  t.mem_dirty.(m) <- t.mem_dirty.(m) lor (1 lsl l);
+  view_moved t m idx l;
   t.ovl.(m).(idx) <- t.ovl.(m).(idx) land lnot (1 lsl l);
   let c = t.mem_cnt.(m).(l) - 1 in
   t.mem_cnt.(m).(l) <- c;
@@ -242,10 +260,9 @@ let ov_set t m idx l v =
       t.ovl.(m).(idx) <- lm lor (1 lsl l);
       t.mem_cnt.(m).(l) <- t.mem_cnt.(m).(l) + 1;
       t.mem_lanes.(m) <- t.mem_lanes.(m) lor (1 lsl l);
-      t.mem_dirty.(m) <- t.mem_dirty.(m) lor (1 lsl l)
+      view_moved t m idx l
     end
-    else if t.ov.(m).((idx lsl lane_shift) lor l) <> v then
-      t.mem_dirty.(m) <- t.mem_dirty.(m) lor (1 lsl l);
+    else if t.ov.(m).((idx lsl lane_shift) lor l) <> v then view_moved t m idx l;
     t.ov.(m).((idx lsl lane_shift) lor l) <- v
   end
 
@@ -264,35 +281,41 @@ let arm t lane ?(from_cycle = 0) ?duration site model =
     | C.Bit_flip -> Bit_flip
   in
   t.faults.(lane) <- Some { site; model; from_cycle; duration; frozen = None };
-  t.active <- t.active lor (1 lsl lane);
+  let bit = 1 lsl lane in
+  t.active <- t.active lor bit;
   match site with
   | Node (s, _) ->
       t.fnode.(lane) <- s;
-      let src = t.low.C.level.(s) = 0 in
-      t.fsrc.(lane) <- src;
-      if not src then t.fsite.(s) <- t.fsite.(s) lor (1 lsl lane)
-  | Cell (m, _, _) ->
+      if t.low.C.level.(s) = 0 then t.srcm <- t.srcm lor bit
+      else begin
+        t.combm <- t.combm lor bit;
+        t.fsite.(s) <- t.fsite.(s) lor bit
+      end
+  | Cell (m, idx, _) ->
       t.fnode.(lane) <- -1;
-      t.fsrc.(lane) <- false;
-      t.cellf.(m) <- t.cellf.(m) lor (1 lsl lane)
+      t.cellpend <- t.cellpend lor bit;
+      if idx < Array.length t.cellw.(m) then t.cellw.(m).(idx) <- t.cellw.(m).(idx) lor bit
 
 let retire t lane =
   let bit = 1 lsl lane in
   if t.active land bit = 0 then invalid_arg "Lanes.retire: lane not active";
   t.active <- t.active land lnot bit;
+  (match t.faults.(lane) with
+  | Some { site = Node (s, _); _ } -> t.fsite.(s) <- t.fsite.(s) land lnot bit
+  | Some { site = Cell (m, idx, _); _ } when idx < Array.length t.cellw.(m) ->
+      t.cellw.(m).(idx) <- t.cellw.(m).(idx) land lnot bit
+  | Some _ | None -> ());
   t.faults.(lane) <- None;
-  (if t.fnode.(lane) >= 0 && not t.fsrc.(lane) then
-     let s = t.fnode.(lane) in
-     t.fsite.(s) <- t.fsite.(s) land lnot bit);
   t.fnode.(lane) <- -1;
-  t.fsrc.(lane) <- false;
+  t.srcm <- t.srcm land lnot bit;
+  t.combm <- t.combm land lnot bit;
+  t.cellpend <- t.cellpend land lnot bit;
   let diff = t.diff in
   for id = 0 to Array.length diff - 1 do
     diff.(id) <- diff.(id) land lnot bit
   done;
   Array.iteri
     (fun m ovl ->
-      t.cellf.(m) <- t.cellf.(m) land lnot bit;
       if t.mem_cnt.(m).(lane) > 0 then
         for idx = 0 to Array.length ovl - 1 do
           if ovl.(idx) land bit <> 0 then ov_drop_bit t m idx lane
@@ -306,9 +329,34 @@ let set_input t s lane v =
 
 let value t s lane = lane_view t (s : C.signal :> int) lane
 
+let diverged t s = t.diff.((s : C.signal :> int)) land t.active
+
 let golden t s = t.values.((s : C.signal :> int))
 
 let cycle t = t.cyc
+
+(* Queue node [id] for [lanes] this settle: {!Worklist.push} inlined
+   over the worklist's fields (a call into another module is indirect
+   in a build without cross-module optimisation), merged into the
+   node's pending lane mask. *)
+let push t id lanes =
+  let wl = t.wl in
+  if Array.unsafe_get wl.Worklist.stamp id = wl.Worklist.epoch then
+    Array.unsafe_set t.pend id (Array.unsafe_get t.pend id lor lanes)
+  else begin
+    Array.unsafe_set wl.Worklist.stamp id wl.Worklist.epoch;
+    let lv = Array.unsafe_get wl.Worklist.level id in
+    let k = Array.unsafe_get wl.Worklist.fill lv in
+    Array.unsafe_set (Array.unsafe_get wl.Worklist.bucket lv) k id;
+    Array.unsafe_set wl.Worklist.fill lv (k + 1);
+    Array.unsafe_set t.pend id lanes
+  end
+
+let push_fanout t id lanes =
+  let fo = Array.unsafe_get t.low.C.fanout id in
+  for j = 0 to Array.length fo - 1 do
+    push t (Array.unsafe_get fo j) lanes
+  done
 
 let settle t =
   let low = t.low in
@@ -316,35 +364,40 @@ let settle t =
   if active <> 0 then begin
     let cyc = t.cyc in
     t.dense <- t.dense + (lane_popcount active * Array.length low.C.order);
-    (* forced cell faults, per lane, as the scalar dense sweep forces them *)
-    iter_lanes active (fun l ->
-        match t.faults.(l) with
-        | Some ({ site = Cell (m, idx, bit); _ } as f)
-          when fault_active ~cyc f && idx < Array.length t.base.(m) -> (
-            match cell_force f ~bit (ov_get t m idx l) with
-            | Some v -> ov_set t m idx l v
-            | None -> ())
-        | Some _ | None -> ());
+    (* forced cell faults, as the scalar dense sweep forces them at
+       every settle while active.  Forcing is idempotent until the
+       cell's content moves, so only lanes in [cellpend] force; a
+       forced value that moves the lane's content lands in [mem_dirty]
+       through [ov_set]. *)
+    let m = ref t.cellpend in
+    while !m <> 0 do
+      let l = lowest_lane !m in
+      m := !m land (!m - 1);
+      match t.faults.(l) with
+      | Some ({ site = Cell (mi, idx, bit); _ } as f) when cyc >= f.from_cycle ->
+          (if fault_active ~cyc f && idx < Array.length t.base.(mi) then
+             match cell_force f ~bit (ov_get t mi idx l) with
+             | Some v -> ov_set t mi idx l v
+             | None -> ());
+          t.cellpend <- t.cellpend land lnot (1 lsl l)
+      | Some _ | None -> ()
+    done;
     (* transform faulted sources before seeding: the resulting value
        changes (divergence, toggle or heal) land in [stamped] and seed
        the sweep exactly like any other change *)
-    iter_lanes active (fun l ->
-        match t.faults.(l) with
-        | Some ({ site = Node (s, bit); _ } as f) when t.fsrc.(l) ->
-            if fault_active ~cyc f then
-              ignore (set_lane t s l (transform_bit f ~bit (lane_view t s l)))
-        | Some _ | None -> ());
+    let m = ref t.srcm in
+    while !m <> 0 do
+      let l = lowest_lane !m in
+      m := !m land (!m - 1);
+      match t.faults.(l) with
+      | Some ({ site = Node (s, bit); _ } as f) when fault_active ~cyc f ->
+          ignore (set_lane t s l (transform_bit f ~bit (lane_view t s l)))
+      | Some _ | None -> ()
+    done;
     (* seed the levelized worklist with per-node lane masks *)
     let wl = t.wl in
-    Worklist.start wl;
-    let push_node id lanes =
-      if lanes <> 0 then
-        if Worklist.push wl id then t.pend.(id) <- lanes
-        else t.pend.(id) <- t.pend.(id) lor lanes
-    in
-    let push_fanout id lanes =
-      if lanes <> 0 then Array.iter (fun s -> push_node s lanes) low.C.fanout.(id)
-    in
+    wl.Worklist.epoch <- wl.Worklist.epoch + 1;
+    Array.fill wl.Worklist.fill 0 (Array.length wl.Worklist.fill) 0;
     let nstamp = t.nstamp in
     (* Change-driven seeding: between two settles a lane's view of a
        node can only move through a node in [stamped] (a golden trace
@@ -352,46 +405,64 @@ let settle t =
        through memory content, tracked per memory in [mem_dirty].  A
        divergence cone none of whose members moved seeds nothing and
        costs nothing this cycle. *)
-    let nseed = Vec.length t.stamped in
-    for i = 0 to nseed - 1 do
+    for i = 0 to Vec.length t.stamped - 1 do
       let id = Vec.get t.stamped i in
-      if Array.unsafe_get nstamp id = cyc then push_fanout id active
+      if Array.unsafe_get nstamp id = cyc then push_fanout t id active
     done;
     (* combinational fault sites evaluate every settle while armed —
        the injection window tracks the cycle counter, not the inputs,
        and a closed window heals its residual on the next evaluation *)
-    iter_lanes active (fun l ->
-        match t.faults.(l) with
-        | Some { site = Node (s, _); _ } when not t.fsrc.(l) -> push_node s (1 lsl l)
-        | Some _ | None -> ());
-    Array.iteri
-      (fun m readers ->
-        let lanes = (t.mem_dirty.(m) lor t.cellf.(m)) land active in
-        if lanes <> 0 then Array.iter (fun id -> push_node id lanes) readers)
-      low.C.mem_readers;
+    let m = ref t.combm in
+    while !m <> 0 do
+      let l = lowest_lane !m in
+      m := !m land (!m - 1);
+      push t t.fnode.(l) (1 lsl l)
+    done;
+    let mem_dirty = t.mem_dirty in
+    for mi = 0 to Array.length mem_dirty - 1 do
+      let lanes = mem_dirty.(mi) land active in
+      if lanes <> 0 then begin
+        let readers = low.C.mem_readers.(mi) in
+        for j = 0 to Array.length readers - 1 do
+          push t readers.(j) lanes
+        done
+      end
+    done;
     (* evaluate the affected (node, lane) pairs in level order: an
-       evaluation can only push strictly deeper nodes *)
+       evaluation can only push strictly deeper nodes, and pushes the
+       node's fanout once, for the lanes whose value it changed *)
     let nev = ref 0 in
-    let diff = t.diff in
+    let diff = t.diff and values = t.values and pend = t.pend and fsite = t.fsite in
     for lvl = 1 to low.C.max_level do
-      let b = Worklist.bucket wl lvl in
-      for i = 0 to Worklist.length wl lvl - 1 do
+      let b = Array.unsafe_get wl.Worklist.bucket lvl in
+      for i = 0 to Array.unsafe_get wl.Worklist.fill lvl - 1 do
         let id = Array.unsafe_get b i in
+        let rm = low.C.rport_of.(id) in
+        let deps = low.C.deps.(id) in
         let need =
-          let rm = low.C.rport_of.(id) in
           if rm >= 0 then begin
-            (* a read port re-derives when its address input moved
-               (golden delta or lane change) or when some lane's view
-               of the array content did; a port with a diverged but
-               quiet address over quiet content is exact as stored *)
-            let dirty = t.mem_dirty.(rm) lor t.cellf.(rm) in
-            let addr = low.C.deps.(id).(0) in
-            (if Array.unsafe_get nstamp addr = cyc then
-               t.pend.(id) land (diff.(id) lor diff.(addr) lor t.mem_lanes.(rm) lor dirty)
-             else t.pend.(id) land dirty)
+            (* A read port re-derives a lane whose view of the array
+               moved, and, when its address was stamped, a lane that
+               diverges on the address or the port or holds an overlay
+               entry at the golden address.  Any other lane reads the
+               golden cell through the golden address: its value is
+               the golden trace's.  An armed cell fault re-derives
+               nothing by itself — a forced or written value that
+               moves the lane's content marks [mem_dirty]. *)
+            let addr = Array.unsafe_get deps 0 in
+            let lanes =
+              if Array.unsafe_get nstamp addr = cyc then begin
+                let ga = Array.unsafe_get values addr and ovl = t.ovl.(rm) in
+                Array.unsafe_get diff id
+                lor Array.unsafe_get diff addr
+                lor mem_dirty.(rm)
+                lor if ga < Array.length ovl then Array.unsafe_get ovl ga else 0
+              end
+              else mem_dirty.(rm)
+            in
             (* a faulted read port transforms on the cycle counter, not
                on its inputs: evaluate its lane unconditionally *)
-            lor (t.pend.(id) land t.fsite.(id))
+            Array.unsafe_get pend id land (lanes lor Array.unsafe_get fsite id)
           end
           else begin
             (* change-driven pruning: with no dependency stamped this
@@ -399,7 +470,6 @@ let settle t =
                the relevance mask restricts evaluation to lanes that
                diverge somewhere across the node's cut (clean lanes
                track the golden trace for free) *)
-            let deps = low.C.deps.(id) in
             let fresh = ref false in
             let rel = ref (Array.unsafe_get diff id) in
             for j = 0 to Array.length deps - 1 do
@@ -407,70 +477,60 @@ let settle t =
               if Array.unsafe_get nstamp d = cyc then fresh := true;
               rel := !rel lor Array.unsafe_get diff d
             done;
-            (if !fresh then t.pend.(id) land !rel else 0) lor (t.pend.(id) land t.fsite.(id))
+            Array.unsafe_get pend id
+            land ((if !fresh then !rel else 0) lor Array.unsafe_get fsite id)
           end
         in
         let need = need land active in
         if need <> 0 then begin
-          let rm = low.C.rport_of.(id) in
-          let values = t.values in
-          let deps = low.C.deps.(id) in
           (* group the lanes of one node: deps diverged in any needed
              lane are saved once, written per lane, restored once *)
           let nov = ref 0 in
           if rm < 0 then
-            for i = 0 to Array.length deps - 1 do
-              let d = Array.unsafe_get deps i in
+            for j = 0 to Array.length deps - 1 do
+              let d = Array.unsafe_get deps j in
               if Array.unsafe_get diff d land need <> 0 then begin
                 t.ov_ids.(!nov) <- d;
                 t.ov_vals.(!nov) <- Array.unsafe_get values d;
                 incr nov
               end
             done;
+          let changed = ref 0 in
           let m = ref need in
-          let l = ref 0 in
           while !m <> 0 do
-            if !m land 0xFF = 0 then begin
-              m := !m lsr 8;
-              l := !l + 8
-            end
-            else begin
-              (if !m land 1 <> 0 then begin
-                 let l = !l in
-                 let v0 =
-                   if rm >= 0 then begin
-                     let a = lane_view t (Array.unsafe_get deps 0) l in
-                     (if a < Array.length t.base.(rm) then ov_get t rm a l else 0)
-                     land low.C.masks.(id)
-                   end
-                   else begin
-                     let bitl = 1 lsl l in
-                     for j = 0 to !nov - 1 do
-                       let d = Array.unsafe_get t.ov_ids j in
-                       Array.unsafe_set values d
-                         (if Array.unsafe_get diff d land bitl <> 0 then
-                            Array.unsafe_get t.lane ((d lsl lane_shift) lor l)
-                          else Array.unsafe_get t.ov_vals j)
-                     done;
-                     low.C.eval.(id) values land low.C.masks.(id)
-                   end
-                 in
-                 let v = if t.fnode.(l) = id then node_fault ~cyc t.faults.(l) id v0 else v0 in
-                 incr nev;
-                 if set_lane t id l v then push_fanout id (1 lsl l)
-               end);
-              m := !m lsr 1;
-              incr l
-            end
+            let l = lowest_lane !m in
+            m := !m land (!m - 1);
+            let v0 =
+              if rm >= 0 then begin
+                let a = lane_view t (Array.unsafe_get deps 0) l in
+                (if a < Array.length t.base.(rm) then ov_get t rm a l else 0)
+                land low.C.masks.(id)
+              end
+              else begin
+                let bitl = 1 lsl l in
+                for j = 0 to !nov - 1 do
+                  let d = Array.unsafe_get t.ov_ids j in
+                  Array.unsafe_set values d
+                    (if Array.unsafe_get diff d land bitl <> 0 then
+                       Array.unsafe_get t.lane ((d lsl lane_shift) lor l)
+                     else Array.unsafe_get t.ov_vals j)
+                done;
+                low.C.eval.(id) values land low.C.masks.(id)
+              end
+            in
+            let v = if t.fnode.(l) = id then node_fault ~cyc t.faults.(l) id v0 else v0 in
+            incr nev;
+            if set_lane t id l v then changed := !changed lor (1 lsl l)
           done;
           for j = !nov - 1 downto 0 do
             Array.unsafe_set values t.ov_ids.(j) t.ov_vals.(j)
-          done
+          done;
+          if !changed <> 0 then push_fanout t id !changed
         end
       done
     done;
     t.evals <- t.evals + !nev;
-    Array.fill t.mem_dirty 0 (Array.length t.mem_dirty) 0
+    Array.fill mem_dirty 0 (Array.length mem_dirty) 0
   end
 
 let clock t =
@@ -499,10 +559,14 @@ let clock t =
       if lanes <> 0 then begin
         t.regpend.(k) <- lanes;
         Vec.push t.regactive k;
-        iter_lanes lanes (fun l ->
-            t.regnext.((k lsl lane_shift) lor l) <-
-              (if en >= 0 && lane_view t en l = 0 then lane_view t id l
-               else lane_view t d l land low.C.masks.(id)))
+        let m = ref lanes in
+        while !m <> 0 do
+          let l = lowest_lane !m in
+          m := !m land (!m - 1);
+          t.regnext.((k lsl lane_shift) lor l) <-
+            (if en >= 0 && lane_view t en l = 0 then lane_view t id l
+             else lane_view t d l land low.C.masks.(id))
+        done
       end;
       incr i
     end
@@ -510,76 +574,105 @@ let clock t =
   (* Phase 2: commit memory writes — the golden action goes to the
      base arrays, diverged-lane actions go to the overlays, processed
      in write-port order exactly like the scalar clock. *)
-  Array.iteri
-    (fun m wps ->
-      let mask = low.C.mem_masks.(m) and base = t.base.(m) in
-      let words = Array.length base in
-      for p = 0 to Array.length wps - 1 do
-        let { C.wp_we; wp_addr; wp_data } = wps.(p) in
-        let special =
-          (t.diff.(wp_we) lor t.diff.(wp_addr) lor t.diff.(wp_data) lor t.cellf.(m)) land active
-        in
-        (* lane write actions; value transforms (cell faults on the
-           write path) read the pre-write view, like the scalar clock *)
-        let wrl = ref 0 in
-        iter_lanes special (fun l ->
-            t.sc_fire.(l) <- 0;
-            if lane_view t wp_we l <> 0 then begin
-              let idx = lane_view t wp_addr l in
-              if idx < words then begin
-                let v =
-                  cell_write ~cyc:t.cyc t.faults.(l) m idx ~cur:(ov_get t m idx l)
-                    (lane_view t wp_data l)
-                in
-                t.sc_fire.(l) <- 1;
-                t.sc_idx.(l) <- idx;
-                t.sc_val.(l) <- v land mask;
-                wrl := !wrl lor (1 lsl l)
-              end
-            end);
-        if values.(wp_we) <> 0 then begin
-          let gidx = values.(wp_addr) in
-          if gidx < words then begin
-            let gv = values.(wp_data) land mask in
-            (* diverged lanes not writing this cell keep their view
-               across the base change; clean lanes wrote [gv] to it
-               themselves, so any stale overlay they held here heals *)
-            let preserve = ref 0 in
-            let views = t.views in
-            iter_lanes special (fun l ->
-                if not (t.sc_fire.(l) = 1 && t.sc_idx.(l) = gidx) then begin
-                  views.(l) <- ov_get t m gidx l;
-                  preserve := !preserve lor (1 lsl l)
-                end);
-            (if base.(gidx) <> gv then begin
-               (* base content moved: lanes that bypass the golden
-                  read-port value — overlay holders and lanes reading
-                  through a diverged address — must re-derive *)
-               let d = ref t.mem_lanes.(m) in
-               Array.iter
-                 (fun rid -> d := !d lor t.diff.(low.C.deps.(rid).(0)))
-                 low.C.mem_readers.(m);
-               t.mem_dirty.(m) <- t.mem_dirty.(m) lor !d
-             end);
-            base.(gidx) <- gv;
-            (let drop = t.ovl.(m).(gidx) land active land lnot special in
-             if drop <> 0 then iter_lanes drop (fun l -> ov_drop_bit t m gidx l));
-            iter_lanes !preserve (fun l -> ov_set t m gidx l views.(l))
+  for m = 0 to Array.length low.C.mem_ports - 1 do
+    let wps = low.C.mem_ports.(m) in
+    let mask = low.C.mem_masks.(m) and base = t.base.(m) in
+    let words = Array.length base in
+    for p = 0 to Array.length wps - 1 do
+      let { C.wp_we; wp_addr; wp_data } = wps.(p) in
+      let gidx = if values.(wp_we) <> 0 then values.(wp_addr) else words in
+      (* lanes whose write action may differ from golden's: diverged
+         on the port, or with a cell fault on the word golden writes
+         (a lane clean on the port writes golden's word, and a cell
+         fault elsewhere does not transform that write) *)
+      let special =
+        (t.diff.(wp_we) lor t.diff.(wp_addr) lor t.diff.(wp_data)
+        lor if gidx < words then t.cellw.(m).(gidx) else 0)
+        land active
+      in
+      (* lane write actions; value transforms (cell faults on the
+         write path) read the pre-write view, like the scalar clock *)
+      let wrl = ref 0 in
+      let sm = ref special in
+      while !sm <> 0 do
+        let l = lowest_lane !sm in
+        sm := !sm land (!sm - 1);
+        t.sc_fire.(l) <- 0;
+        if lane_view t wp_we l <> 0 then begin
+          let idx = lane_view t wp_addr l in
+          if idx < words then begin
+            let v =
+              cell_write ~cyc:t.cyc t.faults.(l) m idx ~cur:(ov_get t m idx l)
+                (lane_view t wp_data l)
+            in
+            t.sc_fire.(l) <- 1;
+            t.sc_idx.(l) <- idx;
+            t.sc_val.(l) <- v land mask;
+            wrl := !wrl lor (1 lsl l)
           end
-        end;
-        iter_lanes !wrl (fun l -> ov_set t m t.sc_idx.(l) l t.sc_val.(l))
-      done)
-    low.C.mem_ports;
+        end
+      done;
+      if gidx < words then begin
+        let gv = values.(wp_data) land mask in
+        (* diverged lanes not writing this cell keep their view
+           across the base change; clean lanes wrote [gv] to it
+           themselves, so any stale overlay they held here heals *)
+        let preserve = ref 0 in
+        let views = t.views in
+        let sm = ref special in
+        while !sm <> 0 do
+          let l = lowest_lane !sm in
+          sm := !sm land (!sm - 1);
+          if not (t.sc_fire.(l) = 1 && t.sc_idx.(l) = gidx) then begin
+            views.(l) <- ov_get t m gidx l;
+            preserve := !preserve lor (1 lsl l)
+          end
+        done;
+        (if base.(gidx) <> gv then begin
+           (* base content moved: lanes that bypass the golden read-port
+              value on this cell — its overlay holders and lanes reading
+              through a diverged address — must re-derive *)
+           let d = ref t.ovl.(m).(gidx) in
+           let readers = low.C.mem_readers.(m) in
+           for j = 0 to Array.length readers - 1 do
+             d := !d lor t.diff.(low.C.deps.(readers.(j)).(0))
+           done;
+           t.mem_dirty.(m) <- t.mem_dirty.(m) lor !d
+         end);
+        base.(gidx) <- gv;
+        let sm = ref (t.ovl.(m).(gidx) land active land lnot special) in
+        while !sm <> 0 do
+          let l = lowest_lane !sm in
+          sm := !sm land (!sm - 1);
+          ov_drop_bit t m gidx l
+        done;
+        let sm = ref !preserve in
+        while !sm <> 0 do
+          let l = lowest_lane !sm in
+          sm := !sm land (!sm - 1);
+          ov_set t m gidx l views.(l)
+        done
+      end;
+      let sm = ref !wrl in
+      while !sm <> 0 do
+        let l = lowest_lane !sm in
+        sm := !sm land (!sm - 1);
+        ov_set t m t.sc_idx.(l) l t.sc_val.(l)
+      done
+    done
+  done;
   (* Phase 3: advance the golden machine wholesale from the trace *)
+  t.lane_cycles <- t.lane_cycles + lane_popcount active;
   t.cyc <- t.cyc + 1;
   let c = t.cyc in
   let dend = t.tr.tr_dend and delta = t.tr.tr_delta in
+  let cbits = trace_chunk_bits and cmask = trace_chunk - 1 in
   let nstamp = t.nstamp in
   (* the seed set restarts here: stale entries from the settle that
      just ran describe changes its sweep already propagated *)
   Vec.clear t.stamped;
   for i = dend.(c - 1) to dend.(c) - 1 do
-    let p = Array.unsafe_get delta i in
+    let p = Array.unsafe_get (Array.unsafe_get delta (i lsr cbits)) (i land cmask) in
     let id = delta_id p in
     Array.unsafe_set values id (delta_val p);
     (* a delta is by definition an effective-value change for every
@@ -591,8 +684,12 @@ let clock t =
   for i = 0 to Vec.length t.regactive - 1 do
     let k = Vec.get t.regactive i in
     let id = low.C.regs.(k) in
-    iter_lanes t.regpend.(k) (fun l ->
-        ignore (set_lane t id l t.regnext.((k lsl lane_shift) lor l)))
+    let m = ref t.regpend.(k) in
+    while !m <> 0 do
+      let l = lowest_lane !m in
+      m := !m land (!m - 1);
+      ignore (set_lane t id l t.regnext.((k lsl lane_shift) lor l))
+    done
   done
 
 (* Values are compared, not diff bits: a lane's diff bit can outlive
@@ -618,4 +715,8 @@ let eject t lane =
         snap_cycle = t.cyc };
     tp_fault = Option.map copy_fault t.faults.(lane) }
 
-let stats t = { C.bs_evals = t.evals; bs_dense_evals = t.dense }
+let stats t =
+  { C.bs_evals = t.evals;
+    bs_dense_evals = t.dense;
+    bs_lane_cycles = t.lane_cycles;
+    bs_driven_lane_cycles = t.lane_cycles }

@@ -41,7 +41,25 @@ val arm :
 
 val settle : t -> unit
 (** Propagate every active lane's divergence cone (the golden values
-    are already settled, straight from the trace). *)
+    are already settled, straight from the trace).  Work is paid per
+    diverged (node, lane) pair: a node is evaluated for a lane only
+    when one of its dependencies moved this cycle and the lane diverges
+    somewhere across the node's cut, or when the lane has a fault armed
+    on it.
+
+    A memory read port re-derives a lane's value only when
+    - the lane's view of the array moved since the last settle: an
+      overlay entry set, changed or dropped (lane writes, forced cell
+      faults, preserved views), or a golden write to a cell the lane
+      holds an overlay entry for or while the lane reads through a
+      diverged address; or
+    - the port's address moved this cycle and the lane diverges on the
+      address or on the port, or holds an overlay entry at the golden
+      address.
+    Every other lane reads the golden cell through the golden address,
+    so its value is the golden trace's.  An armed cell fault alone
+    triggers no re-derivation: a stuck-at cell that is never read, or
+    whose forced value equals its content, costs no read-port work. *)
 
 val clock : t -> unit
 (** Commit registers and memory writes for every active lane, then
@@ -55,6 +73,12 @@ val value : t -> Circuit.signal -> int -> int
 
 val golden : t -> Circuit.signal -> int
 (** The golden machine's settled value of a node at {!cycle}. *)
+
+val diverged : t -> Circuit.signal -> int
+(** [diverged t s]: the mask of active lanes (bit [l] for lane [l])
+    carrying a divergence mark on node [s].  A lane outside the mask
+    sees the golden value; a lane inside it may have healed onto the
+    golden value since it was marked. *)
 
 val cycle : t -> int
 (** Cycles clocked since {!start}. *)
@@ -83,4 +107,6 @@ val eject : t -> int -> Circuit.transplant
 
 val stats : t -> Circuit.batch_stats
 (** Lane evaluations performed so far, against what dense sweeps would
-    have cost. *)
+    have cost, and the lane-cycles clocked ([bs_driven_lane_cycles] =
+    [bs_lane_cycles]: the pass does not know which lanes its caller
+    drove). *)

@@ -21,10 +21,17 @@ type snapshot = {
    machine by these deltas and commits golden memory writes itself, so
    the deltas are all it needs.  The first recorded settle only primes
    the previous state, so cycle 0 holds no deltas and a recording does
-   not depend on what the circuit ran before. *)
+   not depend on what the circuit ran before.  The deltas stay in the
+   fixed-size chunks they were recorded into (delta [i] is
+   [tr_delta.(i lsr trace_chunk_bits).(i land (trace_chunk - 1))]): a
+   recording is never copied into one flat array. *)
+let trace_chunk_bits = 16
+
+let trace_chunk = 1 lsl trace_chunk_bits
+
 type trace = {
   tr_len : int;  (* settled cycles recorded: 0 .. tr_len-1 *)
-  tr_delta : int array;
+  tr_delta : int array array;  (* chunks of [trace_chunk] deltas *)
   tr_dend : int array;  (* per cycle: end offset of its delta run *)
 }
 

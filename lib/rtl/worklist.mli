@@ -1,11 +1,22 @@
 (** The levelized worklist both change-driven settle loops of
-    {!Circuit} share: one bucket per combinational level and a per-node
-    stamp that queues each node at most once per settle.  Evaluating
-    the buckets in level order visits every queued node after all of
-    its queued dependencies, because a node can only queue its fanout,
-    which sits on strictly deeper levels. *)
+    {!Circuit} and {!Lanes} share: one bucket per combinational level
+    and a per-node stamp that queues each node at most once per settle.
+    Evaluating the buckets in level order visits every queued node
+    after all of its queued dependencies, because a node can only queue
+    its fanout, which sits on strictly deeper levels.
 
-type t
+    The fields are visible so that a settle loop can inline {!push}:
+    in a build without cross-module optimisation (dune's default
+    profile passes [-opaque]) a call into this module is an indirect
+    call, once per queued node. *)
+
+type t = {
+  level : int array;  (** per node: its level, the bucket it queues in *)
+  bucket : int array array;  (** per level: queued nodes, [0 .. fill - 1] *)
+  fill : int array;  (** per level: nodes queued this epoch *)
+  stamp : int array;  (** per node: the epoch it was last queued in *)
+  mutable epoch : int;
+}
 
 val create : level:int array -> max_level:int -> t
 (** [create ~level ~max_level] for nodes whose level is [level.(id)]

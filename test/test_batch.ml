@@ -196,7 +196,8 @@ let continue_observe sys golden ~compare_reads ~max_cycles (e : Batch.ejected) =
    covers, and it is ejected at that cycle.  With [compare_reads] the
    lanes and the scalar runs compare every data-side event against the
    golden event stream.  [on] is the program and its golden setup
-   (default [small_prog]).  Returns the number of ejected lanes. *)
+   (default [small_prog]).  Returns the number of ejected lanes and the
+   pass's work counters. *)
 let batch_vs_scalar ?(on = (small_prog, golden_setup)) ~compare_reads specs =
   let sys = Lazy.force shared_sys in
   let prog = Lazy.force (fst on) in
@@ -206,7 +207,7 @@ let batch_vs_scalar ?(on = (small_prog, golden_setup)) ~compare_reads specs =
   let reference =
     if compare_reads then golden.Campaign.events else golden.Campaign.writes
   in
-  let outcomes, _ =
+  let outcomes, stats =
     Batch.run ~sys ~prog ~trace ~reference ~max_cycles ~compare_reads specs
   in
   let ejected = ref 0 in
@@ -233,7 +234,7 @@ let batch_vs_scalar ?(on = (small_prog, golden_setup)) ~compare_reads specs =
         Alcotest.failf "lane %d: batch %s <> scalar %s" i (pp_observed b)
           (pp_observed scalar))
     outcomes;
-  !ejected
+  (!ejected, stats)
 
 let spec ?duration ?(from_cycle = 0) site model =
   { Batch.site; model; from_cycle; duration }
@@ -268,7 +269,7 @@ let test_batch_past_trace_end () =
      byte-matches the from-zero run. *)
   let _, _, sites = Lazy.force golden_setup in
   let models = [| C.Stuck_at_0; C.Stuck_at_1; C.Open_line |] in
-  let ejected =
+  let ejected, _ =
     batch_vs_scalar ~compare_reads:false
       (Array.init C.max_lanes (fun i ->
            let site = sites.(((i * 97) + 13) mod Array.length sites) in
@@ -580,6 +581,63 @@ let test_lanes_leave_circuit_untouched () =
   check_bool "clock past the trace rejected" true (rejected (fun () -> Lanes.clock pass));
   check_bool "circuit in its loaded state at trace end" true (C.state_equal c loaded)
 
+(* ---- a never-read register-file cell costs no read-port work ----
+
+   A lane's read port re-derives only when the lane's view of the
+   array or the port's address moved for it, never because a cell
+   fault is armed.  Stuck-at-1 lanes on register-file words that no
+   read port addresses and no write port writes over the whole golden
+   run force their cell once; that moves the lane's view, so each read
+   port of the register file re-derives once per lane, and nothing else
+   is ever evaluated. *)
+
+let test_never_read_cells_cost_nothing () =
+  let sys = Lazy.force shared_sys in
+  let prog = Lazy.force small_prog in
+  let c = circuit sys in
+  let low = C.compiled_plan c in
+  let rf = (Leon3.System.core sys).Leon3.Core.regfile in
+  let m = (rf :> int) in
+  let words =
+    List.find_map (fun (_, mm, words, _) -> if mm = rf then Some words else None) (C.memories c)
+    |> Option.get
+  in
+  let signal = Hashtbl.create 1024 in
+  List.iter (fun (_, (s : C.signal), _) -> Hashtbl.replace signal (s :> int) s) (C.signals c);
+  let value id = C.value c (Hashtbl.find signal id) in
+  (* the golden run, stepped: every word a read port addresses or a
+     write port writes at some settled cycle *)
+  let touched = Array.make words false in
+  let touch a = if a < words then touched.(a) <- true in
+  let observe () =
+    Array.iter (fun rid -> touch (value low.C.deps.(rid).(0))) low.C.mem_readers.(m);
+    Array.iter
+      (fun wp -> if value wp.C.wp_we <> 0 then touch (value wp.C.wp_addr))
+      low.C.mem_ports.(m)
+  in
+  Leon3.System.load sys prog;
+  let rec step_golden () =
+    observe ();
+    let cyc = Leon3.System.cycles sys in
+    match Leon3.System.run_segment sys ~until_cycle:(cyc + 1) ~max_cycles:100_000 with
+    | Some _ -> observe ()
+    | None -> step_golden ()
+  in
+  step_golden ();
+  let never = Array.of_list (List.filter (fun i -> not touched.(i)) (List.init words Fun.id)) in
+  check_bool "some register-file words are never read or written" true
+    (Array.length never > 0);
+  let specs =
+    Array.init C.max_lanes (fun i ->
+        spec (C.Cell (rf, never.(i mod Array.length never), i * 7 mod 32)) C.Stuck_at_1)
+  in
+  let _, stats = batch_vs_scalar ~compare_reads:false specs in
+  let bound = Array.length low.C.mem_readers.(m) * Array.length specs in
+  check_bool
+    (Printf.sprintf "lane evaluations (%d) <= read ports x lanes (%d)" stats.C.bs_evals bound)
+    true
+    (stats.C.bs_evals <= bound)
+
 let suite =
   ( "batch",
     [ Alcotest.test_case "compiled plan = graph replay plan" `Quick
@@ -595,6 +653,8 @@ let suite =
       Alcotest.test_case "lane masks per model + retirement" `Quick
         test_lane_masks_and_retirement;
       Alcotest.test_case "lanes leave the circuit untouched" `Quick
-        test_lanes_leave_circuit_untouched ]
+        test_lanes_leave_circuit_untouched;
+      Alcotest.test_case "never-read cells cost no read-port work" `Quick
+        test_never_read_cells_cost_nothing ]
     @ List.map QCheck_alcotest.to_alcotest
         [ prop_batch_matches_scalar; prop_one_lane_matches_dense ] )

@@ -391,16 +391,17 @@ let rspeed =
 
 let dense_golden sys prog = Campaign.golden_run sys prog ~max_cycles:5_000_000
 
-(* Re-derive each verdict on the oracle, comparing reads when the
-   campaign did; [skip] leaves verdicts out (hangs on the gate-level
-   netlist, where one dense watchdog run costs seconds). *)
-let check_against_oracle ?(skip = fun _ -> false) ?(compare_reads = false) ~label sys prog
-    results =
+(* Re-derive each verdict of a campaign over [target] on the oracle,
+   comparing reads when the campaign did; [skip] leaves verdicts out
+   (hangs on the gate-level netlist, where one dense watchdog run costs
+   seconds). *)
+let check_against_oracle ?(skip = fun _ -> false) ?(compare_reads = false) ~label ~target sys
+    prog results =
   let dense = dense_golden sys prog in
   let sites = Hashtbl.create 4096 in
   List.iter
     (fun s -> Hashtbl.replace sites s.Injection.site_name s)
-    (Injection.sites (Leon3.System.core sys) Injection.Iu);
+    (Injection.sites (Leon3.System.core sys) target);
   let checked = ref 0 in
   List.iter
     (fun (r : Campaign.run_result) ->
@@ -431,7 +432,7 @@ let test_behavioural_matches_oracle () =
   let config = reference_config ~sites:16 in
   let obs = Obs.create () in
   let summaries, seq = Campaign.run ~config ~obs sys prog Injection.Iu in
-  let checked = check_against_oracle ~label:"run" sys prog seq in
+  let checked = check_against_oracle ~label:"run" ~target:Injection.Iu sys prog seq in
   check_int "every verdict checked" (List.length seq) checked;
   List.iter
     (fun (m, s) ->
@@ -480,11 +481,37 @@ let test_compare_reads_matches_oracle () =
   let obs = Obs.create () in
   let _, results = Campaign.run ~config ~obs sys prog Injection.Iu in
   let checked =
-    check_against_oracle ~compare_reads:true ~label:"compare-reads" sys prog results
+    check_against_oracle ~compare_reads:true ~label:"compare-reads" ~target:Injection.Iu sys
+      prog results
   in
   check_int "every verdict checked" (List.length results) checked;
   check_bool "compare-reads faults ran as batch lanes" true
     (Obs.counter obs "batch.passes" > 0)
+
+(* The cache block is where a lane's bus request logic and port
+   drivers leave golden's: a cache-cell or tag fault changes which
+   lines miss, so the lane's bus traffic differs and it runs outside
+   the batch's follow set.  A CMEM campaign must equal the oracle
+   verdict by verdict, comparing reads or not, and must drive some but
+   not all of its lane-cycles per lane. *)
+let test_cmem_matches_oracle () =
+  let prog = Lazy.force rspeed in
+  let sys = Leon3.System.create () in
+  List.iter
+    (fun compare_reads ->
+      let config = { (reference_config ~sites:24) with Campaign.compare_reads } in
+      let obs = Obs.create () in
+      let _, results = Campaign.run ~config ~obs sys prog Injection.Cmem in
+      let label = if compare_reads then "cmem compare-reads" else "cmem" in
+      check_int (label ^ ": every verdict checked") (List.length results)
+        (check_against_oracle ~compare_reads ~label ~target:Injection.Cmem sys prog results);
+      let total = Obs.counter obs "batch.lane_cycles"
+      and driven = Obs.counter obs "batch.driven_lane_cycles" in
+      check_bool
+        (Printf.sprintf "%s: 0 < driven lane-cycles (%d) < lane-cycles (%d)" label driven total)
+        true
+        (0 < driven && driven < total))
+    [ false; true ]
 
 let test_gate_level_matches_oracle () =
   let prog = Lazy.force rspeed in
@@ -492,7 +519,7 @@ let test_gate_level_matches_oracle () =
   let sys = Leon3.System.create ~params () in
   let _, results = Campaign.run ~config:(reference_config ~sites:4) sys prog Injection.Iu in
   let checked =
-    check_against_oracle ~label:"gate-level"
+    check_against_oracle ~label:"gate-level" ~target:Injection.Iu
       ~skip:(fun r -> r.Campaign.outcome = Campaign.Failure Campaign.Hang)
       sys prog results
   in
@@ -646,7 +673,8 @@ let test_static_matches_full_on_figure5_workloads () =
       check_int
         (e.Workloads.Suite.name ^ ": every verdict checked")
         (List.length results)
-        (check_against_oracle ~label:e.Workloads.Suite.name sys prog results))
+        (check_against_oracle ~label:e.Workloads.Suite.name ~target:Injection.Iu sys prog
+           results))
     Workloads.Suite.table1_set
 
 (* The gate-level adder network is where collapsing fires: every NAND
@@ -676,7 +704,7 @@ let test_gate_level_campaign_collapses () =
   let sys, prog, config, target = adder_campaign () in
   let summaries, results = Campaign.run ~config sys prog target in
   check_int "every verdict checked" (List.length results)
-    (check_against_oracle ~label:"gate-level adder" sys prog results);
+    (check_against_oracle ~label:"gate-level adder" ~target sys prog results);
   let collapsed = List.fold_left (fun a (_, s) -> a + s.Campaign.collapsed) 0 summaries in
   check_bool
     (Printf.sprintf "collapsing fired (%d)" collapsed)
@@ -814,4 +842,5 @@ let suite =
       Alcotest.test_case "gate-level campaign = dense oracle" `Slow
         test_gate_level_matches_oracle;
       Alcotest.test_case "compare-reads campaign = dense oracle" `Slow
-        test_compare_reads_matches_oracle ] )
+        test_compare_reads_matches_oracle;
+      Alcotest.test_case "CMEM campaign = dense oracle" `Slow test_cmem_matches_oracle ] )
