@@ -465,39 +465,6 @@ let iss_campaign_cmd =
           $ domains_arg $ shard_arg $ journal_arg $ resume_arg $ hang_arg $ seed_arg
           $ trace_arg $ metrics_arg)
 
-(* ---- correlate ---- *)
-
-let correlate_cmd =
-  let samples_arg =
-    Arg.(value & opt (some (positive_int "sample size")) None
-           & info [ "samples"; "s" ] ~docv:"N"
-           ~doc:"Injection sample size per (workload, block) and per ISS model \
-                 (default: $(b,RICV_SAMPLES), else 250).")
-  in
-  let run samples gate trace metrics =
-    let obs, finish_obs = make_obs ~trace ~metrics in
-    let gate = gate_enabled gate in
-    let samples = samples_or_env samples in
-    let ctx =
-      match (trace, metrics) with
-      | None, false -> Correlation.Context.create ~samples ~gate ()
-      | _ -> Correlation.Context.create ~samples ~gate ~obs ()
-    in
-    List.iter
-      (Report.Table.render Format.std_formatter)
-      (Obs.span obs "experiment.correlate" (fun () ->
-           Correlation.Experiments.run ctx "correlate"));
-    finish_obs ()
-  in
-  Cmd.v
-    (Cmd.info "correlate"
-       ~doc:"Correlate ISS-level campaign predictions against RTL-measured failure \
-             probabilities: Wilson confidence intervals on every Pf, \
-             leave-one-workload-out cross-validated fits, and an explicit fit-break \
-             flag where the measured and predicted intervals are disjoint.  Alias \
-             for `ricv experiment correlate`.")
-    Term.(const run $ samples_arg $ gate_arg $ trace_arg $ metrics_arg)
-
 (* ---- merge ---- *)
 
 let merge_cmd =
@@ -607,35 +574,62 @@ let lint_cmd =
              collapse classes.  Exits non-zero on any error-severity finding.")
     Term.(const run $ json_arg $ gate_arg $ depth_arg)
 
-(* ---- experiment ---- *)
+(* ---- experiment / correlate ---- *)
+
+let experiment_samples_arg =
+  Arg.(value & opt (some (positive_int "sample size")) None
+         & info [ "samples"; "s" ] ~docv:"N"
+         ~doc:"Injection sample size per (workload, block) and per ISS model \
+               (default: $(b,RICV_SAMPLES), else 250).")
+
+(* One context serves every id, so a campaign two experiments share
+   (figure 5 and figure 7, say) runs once. *)
+let run_experiments ids samples gate trace metrics =
+  let obs, finish_obs = make_obs ~trace ~metrics in
+  let ctx =
+    Correlation.Context.create ~samples:(samples_or_env samples) ~gate:(gate_enabled gate)
+      ~obs ()
+  in
+  List.iteri
+    (fun i id ->
+      if i > 0 then print_newline ();
+      List.iter
+        (Report.Table.render Format.std_formatter)
+        (Obs.span obs ("experiment." ^ id) (fun () -> Correlation.Experiments.run ctx id)))
+    ids;
+  finish_obs ()
 
 let experiment_cmd =
-  let id_arg =
-    Arg.(required & pos 0 (some (Arg.enum (List.map (fun id -> (id, id)) Correlation.Experiments.all_ids))) None
-           & info [] ~docv:"ID" ~doc:"Experiment id (see `ricv list`).")
+  let ids_arg =
+    let ids = "all" :: Correlation.Experiments.all_ids in
+    Arg.(non_empty & pos_all (enum (List.map (fun id -> (id, id)) ids)) []
+           & info [] ~docv:"ID"
+           ~doc:"Experiment ids (see `ricv list`), run in order on one context; \
+                 $(b,all) runs every experiment.")
   in
-  let samples_arg =
-    Arg.(value & opt (some (positive_int "sample size")) None
-           & info [ "samples"; "s" ] ~docv:"N"
-           ~doc:"Injection sample size per (workload, block) (default: \
-                 $(b,RICV_SAMPLES), else 250).")
+  let run ids =
+    run_experiments
+      (List.concat_map
+         (function "all" -> Correlation.Experiments.all_ids | id -> [ id ])
+         ids)
   in
-  let run id samples gate trace metrics =
-    let obs, finish_obs = make_obs ~trace ~metrics in
-    let gate = gate_enabled gate in
-    let samples = samples_or_env samples in
-    let ctx =
-      match (trace, metrics) with
-      | None, false -> Correlation.Context.create ~samples ~gate ()
-      | _ -> Correlation.Context.create ~samples ~gate ~obs ()
-    in
-    List.iter
-      (Report.Table.render Format.std_formatter)
-      (Obs.span obs ("experiment." ^ id) (fun () -> Correlation.Experiments.run ctx id));
-    finish_obs ()
-  in
-  Cmd.v (Cmd.info "experiment" ~doc:"Reproduce one of the paper's tables/figures.")
-    Term.(const run $ id_arg $ samples_arg $ gate_arg $ trace_arg $ metrics_arg)
+  Cmd.v
+    (Cmd.info "experiment"
+       ~doc:"Reproduce the paper's tables and figures: the one command that \
+             regenerates every experiment.")
+    Term.(const run $ ids_arg $ experiment_samples_arg $ gate_arg $ trace_arg
+          $ metrics_arg)
+
+let correlate_cmd =
+  Cmd.v
+    (Cmd.info "correlate"
+       ~doc:"Correlate ISS-level campaign predictions against RTL-measured failure \
+             probabilities: Wilson confidence intervals on every Pf, \
+             leave-one-workload-out cross-validated fits, and an explicit fit-break \
+             flag where the measured and predicted intervals are disjoint.  Alias \
+             for `ricv experiment correlate`.")
+    Term.(const (run_experiments [ "correlate" ]) $ experiment_samples_arg $ gate_arg
+          $ trace_arg $ metrics_arg)
 
 (* ---- serve / submit / status ---- *)
 

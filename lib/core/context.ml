@@ -2,14 +2,6 @@ module Campaign = Fault_injection.Campaign
 module Injection = Fault_injection.Injection
 module Iss_campaign = Fault_injection.Iss_campaign
 
-type trim_stats = {
-  injections : int;
-  skipped : int;
-  early_exits : int;
-  pruned : int;
-  collapsed : int;
-}
-
 type t = {
   sys : Leon3.System.t;
   samples_ : int;
@@ -17,11 +9,10 @@ type t = {
   gate_ : bool;
   obs_ : Obs.t;
   campaigns :
-    (string * string * string, (Rtl.Circuit.fault_model * Campaign.summary) list)
+    (Sparc.Asm.program * Injection.target * Rtl.Circuit.fault_model, Campaign.summary)
     Hashtbl.t;
-  goldens : (string, Campaign.golden) Hashtbl.t;
   iss_campaigns :
-    (string, (Iss_campaign.model * Campaign.summary) list) Hashtbl.t;
+    (Sparc.Asm.program, (Iss_campaign.model * Campaign.summary) list) Hashtbl.t;
 }
 
 let parse_samples s =
@@ -46,9 +37,6 @@ let create ~samples ?(seed = 7) ~gate ?obs () =
   let params =
     { Leon3.Core.default_params with Leon3.Core.gate_level = gate }
   in
-  (* The context always aggregates (counters replace the old bespoke
-     trim_stats plumbing); pass a sink-equipped collector to also
-     stream JSONL trace events. *)
   let obs_ = match obs with Some o -> o | None -> Obs.create () in
   { sys = Leon3.System.create ~params ();
     samples_ = samples;
@@ -56,7 +44,6 @@ let create ~samples ?(seed = 7) ~gate ?obs () =
     gate_ = gate;
     obs_;
     campaigns = Hashtbl.create 64;
-    goldens = Hashtbl.create 64;
     iss_campaigns = Hashtbl.create 64 }
 
 let samples t = t.samples_
@@ -64,13 +51,6 @@ let samples t = t.samples_
 let gate t = t.gate_
 
 let obs t = t.obs_
-
-let trim_stats t =
-  { injections = Obs.counter t.obs_ "injections";
-    skipped = Obs.counter t.obs_ "prefiltered";
-    early_exits = Obs.counter t.obs_ "early_exits";
-    pruned = Obs.counter t.obs_ "static.pruned";
-    collapsed = Obs.counter t.obs_ "static.collapsed" }
 
 let system t = t.sys
 
@@ -80,28 +60,23 @@ let clock_mhz = 50
 
 let us_of_cycles cycles = float_of_int cycles /. float_of_int clock_mhz
 
-let target_key = Injection.target_name
-
-let models_key models =
-  String.concat "+" (List.map Rtl.Circuit.fault_model_name models)
-
-let campaign t ~key ?(models = Campaign.default_config.Campaign.models) prog target =
-  let memo_key = (key, target_key target, models_key models) in
-  match Hashtbl.find_opt t.campaigns memo_key with
-  | Some r -> r
-  | None ->
+let campaign t ?(models = Campaign.default_config.Campaign.models) prog target =
+  let key model = (prog, target, model) in
+  (match List.filter (fun m -> not (Hashtbl.mem t.campaigns (key m))) models with
+  | [] -> ()
+  | missing ->
       let config =
         { Campaign.default_config with
-          Campaign.models;
+          Campaign.models = missing;
           sample_size = Some t.samples_;
           seed = t.seed }
       in
       let summaries, _ = Campaign.run ~config ~obs:t.obs_ t.sys prog target in
-      Hashtbl.add t.campaigns memo_key summaries;
-      summaries
+      List.iter (fun (m, s) -> Hashtbl.replace t.campaigns (key m) s) summaries);
+  List.map (fun m -> (m, Hashtbl.find t.campaigns (key m))) models
 
-let iss_campaign t ~key prog =
-  match Hashtbl.find_opt t.iss_campaigns key with
+let iss_campaign t prog =
+  match Hashtbl.find_opt t.iss_campaigns prog with
   | Some r -> r
   | None ->
       let config =
@@ -110,13 +85,5 @@ let iss_campaign t ~key prog =
           seed = t.seed }
       in
       let summaries, _ = Iss_campaign.run ~config ~obs:t.obs_ prog in
-      Hashtbl.add t.iss_campaigns key summaries;
+      Hashtbl.add t.iss_campaigns prog summaries;
       summaries
-
-let golden t ~key prog =
-  match Hashtbl.find_opt t.goldens key with
-  | Some g -> g
-  | None ->
-      let g = Campaign.golden_run ~obs:t.obs_ t.sys prog ~max_cycles:5_000_000 in
-      Hashtbl.add t.goldens key g;
-      g

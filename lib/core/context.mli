@@ -1,7 +1,7 @@
 (** Shared experiment context: one elaborated RTL system, one ISS
     configuration, campaign settings, and a memo of campaign results so
-    experiments that need the same (workload, block) pair — e.g.
-    Fig. 5 and Fig. 7 — pay for it once. *)
+    experiments that need the same (program, block, fault model) — e.g.
+    Fig. 5 and Fig. 7, or Fig. 3 and Fig. 7 — pay for it once. *)
 
 module Campaign = Fault_injection.Campaign
 module Injection = Fault_injection.Injection
@@ -9,24 +9,13 @@ module Iss_campaign = Fault_injection.Iss_campaign
 
 type t
 
-type trim_stats = {
-  injections : int;
-  skipped : int;  (** dynamic activation prefilter *)
-  early_exits : int;  (** convergence early exits *)
-  pruned : int;  (** cone-of-influence static pruning *)
-  collapsed : int;  (** collapse-class verdict replication *)
-}
-(** Running totals over every campaign this context has executed
-    (memoised hits are not double-counted); a projection of the
-    context's telemetry counters. *)
-
 val parse_samples : string -> (int, string) result
 (** The one parser of a sample-size setting: [Ok n] for a positive
     integer, otherwise [Error "sample size must be positive (got ...)"],
     the message [-s 0] gets on the command line. *)
 
 val default_samples : unit -> (int, string) result
-(** The front ends' default sample size: the [RICV_SAMPLES]
+(** The front end's default sample size: the [RICV_SAMPLES]
     environment variable through {!parse_samples}, or 250 when it is
     unset.  A bad value is an [Error] prefixed with ["RICV_SAMPLES: "],
     never a silent fallback. *)
@@ -37,7 +26,7 @@ val parse_gate : string -> bool
     the gate-level one. *)
 
 val default_gate : unit -> bool
-(** The front ends' default elaboration: the [RICV_GATE] environment
+(** The front end's default elaboration: the [RICV_GATE] environment
     variable through {!parse_gate}, or behavioural when it is unset. *)
 
 val create :
@@ -68,8 +57,6 @@ val obs : t -> Obs.t
 (** The context's collector: per-phase span totals, injection/outcome
     counters and latency histograms accumulated across campaigns. *)
 
-val trim_stats : t -> trim_stats
-
 val system : t -> Leon3.System.t
 
 val core : t -> Leon3.Core.t
@@ -81,22 +68,22 @@ val us_of_cycles : int -> float
 
 val campaign :
   t ->
-  key:string ->
   ?models:Rtl.Circuit.fault_model list ->
   Sparc.Asm.program ->
   Injection.target ->
   (Rtl.Circuit.fault_model * Campaign.summary) list
-(** Memoised campaign run.  [key] must uniquely identify the workload
-    variant (name, iterations, dataset); results are cached per
-    (key, target, models). *)
+(** Memoised campaign run, one summary per model in [models] order.
+    Results are cached per (program, target, model): the program is
+    plain data, so two builds of the same workload variant share an
+    entry whichever experiment built them.  A call runs one campaign
+    over the models not cached yet, and none when all are.  This is
+    exact: sites are sampled independently of the model list, and a
+    model's verdicts — so its Pf, failure breakdown and latencies — do
+    not depend on which models share its campaign (only its trim
+    counts, such as [collapsed], may). *)
 
 val iss_campaign :
-  t ->
-  key:string ->
-  Sparc.Asm.program ->
-  (Iss_campaign.model * Campaign.summary) list
-(** Memoised ISS-level campaign ({!Iss_campaign.run}) with the
-    context's sample size (per ISS model) and seed. *)
-
-val golden : t -> key:string -> Sparc.Asm.program -> Campaign.golden
-(** Memoised fault-free RTL run. *)
+  t -> Sparc.Asm.program -> (Iss_campaign.model * Campaign.summary) list
+(** Memoised ISS-level campaign ({!Iss_campaign.run}) over every ISS
+    model, with the context's sample size (per ISS model) and seed;
+    cached per program. *)

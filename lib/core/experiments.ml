@@ -1,14 +1,12 @@
 module T = Report.Table
 module Campaign = Fault_injection.Campaign
 module Injection = Fault_injection.Injection
+module Iss_campaign = Fault_injection.Iss_campaign
 module Suite = Workloads.Suite
 module C = Rtl.Circuit
 
 let prog_of (e : Suite.entry) ~iterations ~dataset =
   e.Suite.build ~iterations ~dataset
-
-let key_of (e : Suite.entry) ~iterations ~dataset =
-  Printf.sprintf "%s#i%d#d%d" e.Suite.name iterations dataset
 
 let pf_of model summaries = Campaign.pf_percent (List.assoc model summaries)
 
@@ -61,10 +59,8 @@ let figure3 ctx =
   let run_subset subset_name build members =
     List.map
       (fun member ->
-        let prog = build member in
-        let key = Printf.sprintf "excerpt-%s-%s" subset_name member in
         let summaries =
-          Context.campaign ctx ~key ~models:[ C.Stuck_at_1 ] prog Injection.Iu
+          Context.campaign ctx ~models:[ C.Stuck_at_1 ] (build member) Injection.Iu
         in
         { f3_subset = subset_name; f3_member = member; f3_pf = pf_of C.Stuck_at_1 summaries })
       members
@@ -99,10 +95,7 @@ let figure4 ctx =
     List.map
       (fun iterations ->
         let prog = prog_of e ~iterations ~dataset:0 in
-        let key = key_of e ~iterations ~dataset:0 in
-        let summaries =
-          Context.campaign ctx ~key ~models:[ C.Stuck_at_1 ] prog Injection.Iu
-        in
+        let summaries = Context.campaign ctx ~models:[ C.Stuck_at_1 ] prog Injection.Iu in
         let s = List.assoc C.Stuck_at_1 summaries in
         { f4_iterations = iterations;
           f4_pf = Campaign.pf_percent s;
@@ -133,8 +126,7 @@ let figure56 ctx target =
     (fun e ->
       let iterations = e.Suite.default_iterations in
       let prog = prog_of e ~iterations ~dataset:0 in
-      let key = key_of e ~iterations ~dataset:0 in
-      let summaries = Context.campaign ctx ~key prog target in
+      let summaries = Context.campaign ctx prog target in
       { f5_name = e.Suite.name;
         f5_sa1 = pf_of C.Stuck_at_1 summaries;
         f5_sa0 = pf_of C.Stuck_at_0 summaries;
@@ -171,11 +163,8 @@ let figure7 ctx =
       (fun e ->
         let iterations = e.Suite.default_iterations in
         let prog = prog_of e ~iterations ~dataset:0 in
-        let key = key_of e ~iterations ~dataset:0 in
         let info = Diversity.Metric.of_program prog in
-        let summaries =
-          Context.campaign ctx ~key ~models:[ C.Stuck_at_1 ] prog Injection.Iu
-        in
+        let summaries = Context.campaign ctx ~models:[ C.Stuck_at_1 ] prog Injection.Iu in
         (e.Suite.name, info.Diversity.Metric.diversity, pf_of C.Stuck_at_1 summaries))
       Suite.all
   in
@@ -185,12 +174,8 @@ let figure7 ctx =
     let pfs =
       List.map
         (fun member ->
-          let prog = build member in
-          let key = Printf.sprintf "excerpt-%s-%s" name member in
-          let summaries =
-            Context.campaign ctx ~key ~models:[ C.Stuck_at_1 ] prog Injection.Iu
-          in
-          pf_of C.Stuck_at_1 summaries)
+          pf_of C.Stuck_at_1
+            (Context.campaign ctx ~models:[ C.Stuck_at_1 ] (build member) Injection.Iu))
         members
     in
     let diversity =
@@ -249,13 +234,12 @@ let correlate ctx =
       (fun e ->
         let iterations = e.Suite.default_iterations in
         let prog = prog_of e ~iterations ~dataset:0 in
-        let key = key_of e ~iterations ~dataset:0 in
         let info = Diversity.Metric.of_program prog in
         let rtl =
           List.assoc C.Stuck_at_1
-            (Context.campaign ctx ~key ~models:[ C.Stuck_at_1 ] prog Injection.Iu)
+            (Context.campaign ctx ~models:[ C.Stuck_at_1 ] prog Injection.Iu)
         in
-        let iss = Context.iss_campaign ctx ~key prog in
+        let iss = Context.iss_campaign ctx prog in
         let iss_k =
           List.fold_left (fun a (_, s) -> a + s.Campaign.failures) 0 iss
         in
@@ -415,6 +399,79 @@ let sim_time ?(repeats = 3) () =
   in
   (result, table)
 
+(* ---- Campaign cost: the paper's 85x, per injection ---- *)
+
+type cost_row = {
+  c_name : string;
+  c_iss_injections : int;
+  c_iss_seconds : float;
+  c_rtl_injections : int;
+  c_rtl_seconds : float;
+}
+
+let campaign_cost ctx =
+  let obs = Context.obs ctx in
+  let samples = Context.samples ctx in
+  (* Timed and never memoised: a campaign the context already ran
+     would cost nothing here. *)
+  let timed run =
+    let t0 = Unix.gettimeofday () in
+    let summaries, _ = run () in
+    ( List.fold_left (fun a (_, s) -> a + s.Campaign.injections) 0 summaries,
+      Unix.gettimeofday () -. t0 )
+  in
+  let rows =
+    List.map
+      (fun e ->
+        let prog = prog_of e ~iterations:e.Suite.default_iterations ~dataset:0 in
+        let iss_config =
+          { Iss_campaign.default_config with Iss_campaign.samples_per_model = samples }
+        in
+        let iss_n, iss_s = timed (fun () -> Iss_campaign.run ~config:iss_config ~obs prog) in
+        let rtl_config = { Campaign.default_config with Campaign.sample_size = Some samples } in
+        let rtl_n, rtl_s =
+          timed (fun () ->
+              Campaign.run ~config:rtl_config ~obs (Context.system ctx) prog Injection.Iu)
+        in
+        { c_name = e.Suite.name;
+          c_iss_injections = iss_n;
+          c_iss_seconds = iss_s;
+          c_rtl_injections = rtl_n;
+          c_rtl_seconds = rtl_s })
+      Suite.table1_set
+  in
+  let sum f = List.fold_left (fun a r -> a + f r) 0 rows in
+  let sumf f = List.fold_left (fun a r -> a +. f r) 0. rows in
+  let total =
+    { c_name = "total";
+      c_iss_injections = sum (fun r -> r.c_iss_injections);
+      c_iss_seconds = sumf (fun r -> r.c_iss_seconds);
+      c_rtl_injections = sum (fun r -> r.c_rtl_injections);
+      c_rtl_seconds = sumf (fun r -> r.c_rtl_seconds) }
+  in
+  let ms_per seconds n = 1000. *. seconds /. float_of_int n in
+  let line r =
+    let iss = ms_per r.c_iss_seconds r.c_iss_injections in
+    let rtl = ms_per r.c_rtl_seconds r.c_rtl_injections in
+    [ r.c_name; string_of_int r.c_iss_injections; T.cell_float iss;
+      string_of_int r.c_rtl_injections; T.cell_float rtl; Printf.sprintf "%.1fx" (rtl /. iss) ]
+  in
+  let table =
+    T.make ~title:"Campaign cost: ISS vs RTL wall clock per injection (figure-5 suite)"
+      ~header:[ "benchmark"; "ISS inj"; "ISS ms/inj"; "RTL inj"; "RTL ms/inj"; "RTL/ISS" ]
+      ~notes:
+        [ Printf.sprintf
+            "%d sites per model: reg/mem/op bit flips on the ISS, stuck-at-0/1 and \
+             open line at IU nodes on the RTL"
+            samples;
+          "each campaign is timed whole: golden run, site sampling and static \
+           analysis included";
+          "paper: 25,478 h of RTL campaigns vs <300 h on an ISS (~85x); the RTL side \
+           keeps every acceleration layer on, so its ratio is a floor on the paper's" ]
+      (List.map line (rows @ [ total ]))
+  in
+  (rows, table)
+
 (* ---- Ablations (DESIGN.md section 5) ---- *)
 
 let ablation_observation ctx =
@@ -427,7 +484,9 @@ let ablation_observation ctx =
         sample_size = Some (Context.samples ctx);
         compare_reads }
     in
-    let summaries, _ = Campaign.run ~config (Context.system ctx) prog Injection.Iu in
+    let summaries, _ =
+      Campaign.run ~config ~obs:(Context.obs ctx) (Context.system ctx) prog Injection.Iu
+    in
     Campaign.pf_percent (List.assoc C.Stuck_at_1 summaries)
   in
   let writes_only = run ~compare_reads:false in
@@ -450,7 +509,9 @@ let ablation_sampling ctx =
         sample_size = Some n;
         seed }
     in
-    let summaries, _ = Campaign.run ~config (Context.system ctx) prog Injection.Iu in
+    let summaries, _ =
+      Campaign.run ~config ~obs:(Context.obs ctx) (Context.system ctx) prog Injection.Iu
+    in
     Campaign.pf_percent (List.assoc C.Stuck_at_1 summaries)
   in
   let sizes = [ 50; 100; 200; 400 ] in
@@ -546,7 +607,8 @@ let units ctx =
           sample_size = Some sample }
       in
       let summaries, _ =
-        Campaign.run ~config (Context.system ctx) prog (Injection.Unit_of u)
+        Campaign.run ~config ~obs:(Context.obs ctx) (Context.system ctx) prog
+          (Injection.Unit_of u)
       in
       Campaign.pf_percent (List.assoc C.Stuck_at_1 summaries)
     in
@@ -601,15 +663,13 @@ let units ctx =
 let ablation_transient ctx =
   let e = Suite.find "ttsprk" in
   let prog = prog_of e ~iterations:e.Suite.default_iterations ~dataset:0 in
-  let key = key_of e ~iterations:e.Suite.default_iterations ~dataset:0 in
   let permanent =
-    pf_of C.Stuck_at_1
-      (Context.campaign ctx ~key ~models:[ C.Stuck_at_1 ] prog Injection.Iu)
+    pf_of C.Stuck_at_1 (Context.campaign ctx ~models:[ C.Stuck_at_1 ] prog Injection.Iu)
   in
   let transient =
     Campaign.pf_percent
-      (Campaign.run_transient ~sample:(Context.samples ctx) (Context.system ctx) prog
-         Injection.Iu)
+      (Campaign.run_transient ~sample:(Context.samples ctx) ~obs:(Context.obs ctx)
+         (Context.system ctx) prog Injection.Iu)
   in
   T.make ~title:"Extension: transient faults (ttsprk @ IU) — the paper's future work"
     ~header:[ "fault class"; "% propagated faults" ]
@@ -634,7 +694,9 @@ let ablation_gate_level ctx =
         Campaign.models = [ C.Stuck_at_1 ];
         sample_size = Some sample }
     in
-    let summaries, _ = Campaign.run ~config sys prog (Injection.Prefix target_prefix) in
+    let summaries, _ =
+      Campaign.run ~config ~obs:(Context.obs ctx) sys prog (Injection.Prefix target_prefix)
+    in
     (* The simulation-cost axis: fault-free wall time per run (faulty
        runs abort early on mismatch, which would hide the gate tax). *)
     let t0 = Unix.gettimeofday () in
@@ -665,39 +727,27 @@ let ablation_gate_level ctx =
       [ "gate-level (ripple-carry)"; string_of_int gate_pool; T.cell_pct gate_pf;
         Printf.sprintf "%.0f ms" (1000. *. gate_dt) ] ]
 
-let all_ids =
-  [ "table1"; "figure3"; "figure4"; "figure5"; "figure6"; "figure7"; "correlate";
-    "units"; "simtime"; "ablation" ]
+let experiments =
+  [ ("table1", fun _ -> [ snd (table1 ()) ]);
+    ("figure3", fun ctx -> [ snd (figure3 ctx) ]);
+    ("figure4", fun ctx -> [ snd (figure4 ctx) ]);
+    ("figure5", fun ctx -> [ snd (figure5 ctx) ]);
+    ("figure6", fun ctx -> [ snd (figure6 ctx) ]);
+    ("figure7", fun ctx -> [ snd (figure7 ctx) ]);
+    ("correlate", fun ctx -> snd (correlate ctx));
+    ("units", fun ctx -> [ snd (units ctx) ]);
+    ( "simtime",
+      fun ctx ->
+        let _, rates = sim_time () in
+        [ rates; snd (campaign_cost ctx) ] );
+    ( "ablation",
+      fun ctx ->
+        [ ablation_observation ctx; ablation_sampling ctx; ablation_predictor ctx;
+          ablation_transient ctx; ablation_gate_level ctx ] ) ]
 
-let run ctx = function
-  | "table1" ->
-      let _, t = table1 () in
-      [ t ]
-  | "figure3" ->
-      let _, t = figure3 ctx in
-      [ t ]
-  | "figure4" ->
-      let _, t = figure4 ctx in
-      [ t ]
-  | "figure5" ->
-      let _, t = figure5 ctx in
-      [ t ]
-  | "figure6" ->
-      let _, t = figure6 ctx in
-      [ t ]
-  | "figure7" ->
-      let _, t = figure7 ctx in
-      [ t ]
-  | "correlate" ->
-      let _, ts = correlate ctx in
-      ts
-  | "units" ->
-      let _, t = units ctx in
-      [ t ]
-  | "simtime" ->
-      let _, t = sim_time () in
-      [ t ]
-  | "ablation" ->
-      [ ablation_observation ctx; ablation_sampling ctx; ablation_predictor ctx;
-        ablation_transient ctx; ablation_gate_level ctx ]
-  | id -> invalid_arg ("Experiments.run: unknown experiment " ^ id)
+let all_ids = List.map fst experiments
+
+let run ctx id =
+  match List.assoc_opt id experiments with
+  | Some tables -> tables ctx
+  | None -> invalid_arg ("Experiments.run: unknown experiment " ^ id)

@@ -10,7 +10,8 @@
     - {!figure5}/{!figure6}: Pf per fault model at IU/CMEM nodes —
       automotive benchmarks cluster, synthetics sit lower;
     - {!figure7}: Pf correlates with diversity, log fit with high R²;
-    - {!sim_time}: the ISS-vs-RTL simulation-cost gap;
+    - {!sim_time} and {!campaign_cost}: the ISS-vs-RTL simulation-cost
+      gap, per instruction and per injection;
     - the [ablation_*] functions cover DESIGN.md §5. *)
 
 module T = Report.Table
@@ -115,6 +116,22 @@ val sim_time : ?repeats:int -> unit -> sim_time_result * T.t
 (** Measure both engines on the same workload and extrapolate the
     paper's 25,478-hour RTL campaign to ISS cost. *)
 
+type cost_row = {
+  c_name : string;
+  c_iss_injections : int;
+  c_iss_seconds : float;  (** wall clock of the whole ISS campaign *)
+  c_rtl_injections : int;
+  c_rtl_seconds : float;  (** wall clock of the whole RTL campaign *)
+}
+
+val campaign_cost : Context.t -> cost_row list * T.t
+(** The paper's ~85x cost argument, measured: every figure-5 workload
+    runs an ISS campaign (all three ISS models) and an RTL campaign
+    (the three permanent models at IU nodes) at the context's sample
+    size per model, the RTL one on the context's system.  Campaigns
+    are timed whole and never memoised.  The table adds a total row
+    and the per-injection RTL/ISS ratio. *)
+
 val ablation_observation : Context.t -> T.t
 (** Failure-observation point: writes-only (the paper's light-lockstep)
     vs writes+reads. *)
@@ -139,5 +156,6 @@ val all_ids : string list
     ...; "simtime"; "ablation"]. *)
 
 val run : Context.t -> string -> T.t list
-(** Run one experiment by id and return its tables.  Raises
+(** Run one experiment by id and return its tables ([simtime] returns
+    {!sim_time}'s and then {!campaign_cost}'s).  Raises
     [Invalid_argument] on an unknown id. *)

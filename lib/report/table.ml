@@ -36,15 +36,6 @@ let render fmt t =
 
 let to_string t = Format.asprintf "%a" render t
 
-let quote s =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-  else s
-
-let to_csv t =
-  let line cells = String.concat "," (List.map quote cells) in
-  String.concat "\n" (line t.header :: List.map line t.rows) ^ "\n"
-
 let cell_float f = Printf.sprintf "%.2f" f
 
 let cell_pct f = Printf.sprintf "%.1f%%" f

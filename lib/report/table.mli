@@ -1,4 +1,4 @@
-(** Plain-text tables for experiment output (and CSV for plotting). *)
+(** Plain-text tables for experiment output. *)
 
 type t = {
   title : string;
@@ -13,9 +13,6 @@ val render : Format.formatter -> t -> unit
 (** Boxed, column-aligned ASCII rendering. *)
 
 val to_string : t -> string
-
-val to_csv : t -> string
-(** Header + rows, comma-separated with minimal quoting. *)
 
 val cell_float : float -> string
 (** Two-decimal rendering used across experiment tables. *)

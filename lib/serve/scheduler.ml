@@ -256,7 +256,12 @@ let write_summary t job lines =
   let path = Jobqueue.summary_path t.queue job.id in
   let tmp = path ^ ".tmp" in
   Out_channel.with_open_bin tmp (fun oc ->
-      List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) lines);
+      List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) lines;
+      (* the contents must be durable before the rename publishes them:
+         otherwise a power loss can leave an empty summary that
+         [recover] serves as the finished job's table *)
+      Out_channel.flush oc;
+      Unix.fsync (Unix.descr_of_out_channel oc));
   Sys.rename tmp path;
   Journal.fsync_dir (Filename.dirname path)
 

@@ -129,24 +129,66 @@ let test_context_rejects_bad_samples () =
     [ ("0", false); ("false", false); ("no", false); ("off", false); ("1", true);
       ("yes", true); ("on", true); ("", true) ]
 
+let golden_runs ctx = Obs.span_count (Ctx.obs ctx) "golden"
+
 let test_context_memoisation () =
   let ctx = Lazy.force ctx in
   let e = Workloads.Suite.find "intbench" in
-  let prog = e.Workloads.Suite.build ~iterations:2 ~dataset:0 in
-  let t0 = Unix.gettimeofday () in
-  let a =
-    Ctx.campaign ctx ~key:"memo-test" ~models:[ Rtl.Circuit.Stuck_at_1 ] prog
+  (* each call builds its own copy: the memo is keyed by the program's
+     value, not by who built it *)
+  let campaign models =
+    Ctx.campaign ctx ~models (e.Workloads.Suite.build ~iterations:1 ~dataset:0)
       Fault_injection.Injection.Iu
   in
-  let t_first = Unix.gettimeofday () -. t0 in
-  let t1 = Unix.gettimeofday () in
-  let b =
-    Ctx.campaign ctx ~key:"memo-test" ~models:[ Rtl.Circuit.Stuck_at_1 ] prog
-      Fault_injection.Injection.Iu
-  in
-  let t_second = Unix.gettimeofday () -. t1 in
-  check_bool "same result" true (a == b);
-  check_bool "second call instant" true (t_second < t_first /. 10.)
+  let a = campaign [ Rtl.Circuit.Stuck_at_1 ] in
+  let g = golden_runs ctx in
+  let b = campaign [ Rtl.Circuit.Stuck_at_1 ] in
+  check_bool "same result" true (a = b);
+  check_int "a hit starts no golden run" g (golden_runs ctx);
+  (* a wider request runs one campaign over the uncached model only *)
+  let c = campaign [ Rtl.Circuit.Stuck_at_0; Rtl.Circuit.Stuck_at_1 ] in
+  check_int "one golden run for the missing model" (g + 1) (golden_runs ctx);
+  check_bool "cached model kept" true
+    (List.assoc Rtl.Circuit.Stuck_at_1 c == List.assoc Rtl.Circuit.Stuck_at_1 a);
+  check_bool "requested order" true
+    (List.map fst c = [ Rtl.Circuit.Stuck_at_0; Rtl.Circuit.Stuck_at_1 ])
+
+(* Figure 7 needs SA1 @ IU on every workload and excerpt; after figures
+   3-5 only the eight workloads outside the figure-5 suite are new, and
+   the shared entries change nothing in its table. *)
+let test_figure7_reuses_campaigns () =
+  let warm = Ctx.create ~samples:3 ~gate:false () in
+  ignore (X.figure3 warm);
+  ignore (X.figure4 warm);
+  ignore (X.figure5 warm);
+  let g = golden_runs warm in
+  let _, table = X.figure7 warm in
+  check_int "golden runs for figure 7" 8 (golden_runs warm - g);
+  let _, fresh = X.figure7 (Ctx.create ~samples:3 ~gate:false ()) in
+  Alcotest.(check string) "same table" (Report.Table.to_string fresh)
+    (Report.Table.to_string table)
+
+let test_units_report_to_context () =
+  let ctx = Ctx.create ~samples:3 ~gate:false () in
+  let rows, _ = X.units ctx in
+  check_bool "rows" true (rows <> []);
+  check_bool "injections counted" true (Obs.counter (Ctx.obs ctx) "injections" > 0);
+  check_bool "golden runs recorded" true (golden_runs ctx > 0)
+
+let test_campaign_cost_counts () =
+  let ctx = Ctx.create ~samples:3 ~gate:false () in
+  let rows, table = X.campaign_cost ctx in
+  check_int "six workloads" 6 (List.length rows);
+  List.iter
+    (fun r ->
+      check_int (r.X.c_name ^ " ISS injections") 9 r.X.c_iss_injections;
+      check_int (r.X.c_name ^ " RTL injections") 9 r.X.c_rtl_injections)
+    rows;
+  (match List.rev table.Report.Table.rows with
+  | ("total" :: "54" :: _ :: "54" :: _) :: _ -> ()
+  | _ -> Alcotest.fail "expected a total row of 54 ISS and 54 RTL injections");
+  (* timed, never memoised: every campaign reports to the collector *)
+  check_int "injections counted" 108 (Obs.counter (Ctx.obs ctx) "injections")
 
 let suite =
   ( "correlation",
@@ -159,4 +201,7 @@ let suite =
       Alcotest.test_case "sim time" `Slow test_sim_time_shape;
       Alcotest.test_case "dispatch" `Quick test_run_dispatch;
       Alcotest.test_case "sample size validated" `Quick test_context_rejects_bad_samples;
-      Alcotest.test_case "memoisation" `Quick test_context_memoisation ] )
+      Alcotest.test_case "memoisation" `Quick test_context_memoisation;
+      Alcotest.test_case "figure 7 reuses figures 3-5" `Slow test_figure7_reuses_campaigns;
+      Alcotest.test_case "units report to the context" `Slow test_units_report_to_context;
+      Alcotest.test_case "campaign cost counts" `Slow test_campaign_cost_counts ] )

@@ -31,11 +31,6 @@ let test_columns_aligned () =
     (fun l -> Alcotest.(check int) "equal widths" width (String.length l))
     pipe_lines
 
-let test_csv () =
-  check_string "csv quoting"
-    "name,value\nalpha,1\n\"beta, with comma\",2\n"
-    (T.to_csv sample)
-
 let test_cells () =
   check_string "float" "3.14" (T.cell_float 3.14159);
   check_string "pct" "12.3%" (T.cell_pct 12.34)
@@ -49,6 +44,5 @@ let suite =
   ( "report",
     [ Alcotest.test_case "render" `Quick test_render_contains_cells;
       Alcotest.test_case "alignment" `Quick test_columns_aligned;
-      Alcotest.test_case "csv" `Quick test_csv;
       Alcotest.test_case "cells" `Quick test_cells;
       Alcotest.test_case "bad row" `Quick test_mismatched_row_rejected ] )
