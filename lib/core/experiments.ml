@@ -349,25 +349,33 @@ type sim_time_result = {
   st_extrapolated_iss_hours : float;
 }
 
-let sim_time ?(repeats = 3) () =
+(* Each engine runs the program over and over for at least
+   [min_seconds], and its rate is the median of the per-run rates: one
+   short run per engine is at the mercy of whatever else the machine
+   does during it. *)
+let sim_time ?(min_seconds = 1.0) () =
   let e = Suite.find "ttsprk" in
   let prog = prog_of e ~iterations:e.Suite.default_iterations ~dataset:0 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let units = ref 0 in
-    for _ = 1 to repeats do
-      units := !units + f ()
-    done;
-    (float_of_int !units, Unix.gettimeofday () -. t0)
+  let rate f =
+    let t_end = Unix.gettimeofday () +. min_seconds in
+    let rec go acc =
+      let t0 = Unix.gettimeofday () in
+      let units = f () in
+      let t1 = Unix.gettimeofday () in
+      let acc = (float_of_int units /. (t1 -. t0)) :: acc in
+      if t1 < t_end then go acc else acc
+    in
+    let rates = Array.of_list (go []) in
+    (Stats.Summary.percentile rates 50., Array.length rates)
   in
-  let iss_instrs, iss_dt =
-    time (fun () ->
+  let iss_ips, iss_runs =
+    rate (fun () ->
         let r = Iss.Emulator.execute prog in
         r.Iss.Emulator.instructions)
   in
   let sys = Leon3.System.create () in
-  let rtl_instrs, rtl_dt =
-    time (fun () ->
+  let rtl_ips, rtl_runs =
+    rate (fun () ->
         Leon3.System.load sys prog;
         (match Leon3.System.run sys ~max_cycles:5_000_000 with
         | Leon3.System.Exited _ -> ()
@@ -375,8 +383,6 @@ let sim_time ?(repeats = 3) () =
             failwith "sim_time: RTL run did not exit");
         Leon3.System.instructions sys)
   in
-  let iss_ips = iss_instrs /. iss_dt in
-  let rtl_ips = rtl_instrs /. rtl_dt in
   let speedup = iss_ips /. rtl_ips in
   let paper_hours = 25_478. in
   let result =
@@ -393,7 +399,11 @@ let sim_time ?(repeats = 3) () =
         [ Printf.sprintf
             "paper: 25,478 h of RTL campaigns vs <300 h on an ISS (~85x); \
              extrapolating our ratio, the same RTL campaign costs %.0f ISS-hours"
-            result.st_extrapolated_iss_hours ]
+            result.st_extrapolated_iss_hours;
+          Printf.sprintf
+            "rates: median of %d ISS and %d RTL runs of ttsprk, each engine repeated \
+             for at least %.1f s"
+            iss_runs rtl_runs min_seconds ]
       [ [ "ISS (functional)"; Printf.sprintf "%.0f" iss_ips; T.cell_float speedup ];
         [ "RTL (netlist)"; Printf.sprintf "%.0f" rtl_ips; "1.00" ] ]
   in

@@ -112,9 +112,11 @@ type sim_time_result = {
   st_extrapolated_iss_hours : float;
 }
 
-val sim_time : ?repeats:int -> unit -> sim_time_result * T.t
+val sim_time : ?min_seconds:float -> unit -> sim_time_result * T.t
 (** Measure both engines on the same workload and extrapolate the
-    paper's 25,478-hour RTL campaign to ISS cost. *)
+    paper's 25,478-hour RTL campaign to ISS cost.  Each engine runs the
+    ttsprk program repeatedly for at least [min_seconds] (default 1 s)
+    and reports the median of its per-run rates. *)
 
 type cost_row = {
   c_name : string;

@@ -279,6 +279,9 @@ let run_lanes ~obs golden sys prog ~compare_reads ~hang_factor lanes =
     (* lane evaluations actually performed vs what dense per-lane
        sweeps would cost *)
     Obs.incr obs ~by:stats.C.bs_evals "diff.nodes_evaluated";
+    (* ... and how many node evaluations made them bit-sliced, for all
+       of a one-bit node's lanes at once *)
+    Obs.incr obs ~by:stats.C.bs_sliced_evals "batch.sliced_evals";
     Obs.incr obs ~by:stats.C.bs_dense_evals "diff.golden_evaluated";
     (* live lanes summed over clocked cycles, and those of them driven
        lane by lane (outside the follow set) *)

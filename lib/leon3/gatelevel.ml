@@ -65,8 +65,7 @@ let and_tree c name xs = tree and2 c name xs
    one bit of a word-level node; a packer is the behavioural-named
    word rebuilt from its gate bits. *)
 
-let taps c base w s =
-  Array.init w (fun i -> C.comb1 c (sp "%s%d" base i) 1 s (fun v -> (v lsr i) land 1))
+let taps c base w s = Array.init w (fun i -> C.tap c (sp "%s%d" base i) s i)
 
 let pack c name bits =
   C.combn c name (Array.length bits) bits (fun vs ->

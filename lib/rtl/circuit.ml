@@ -132,6 +132,7 @@ type lowering = {
   eval : (int array -> int) array;
   deps : int array array;
   max_deps : int;
+  shape : int array;
   input : bool array;
   rport_of : int array;
   fanout : int array array;
@@ -147,7 +148,7 @@ type lowering = {
 
 let unlowered =
   { masks = [||]; order = [||]; order_eval = [||]; eval = [||]; deps = [||]; max_deps = 1;
-    input = [||]; rport_of = [||]; fanout = [||]; level = [||]; max_level = 0;
+    shape = [||]; input = [||]; rport_of = [||]; fanout = [||]; level = [||]; max_level = 0;
     mem_readers = [||]; regs = [||]; reg_d = [||]; reg_en = [||]; mem_masks = [||];
     mem_ports = [||] }
 
@@ -161,6 +162,7 @@ let max_lanes = 63
 
 type batch_stats = {
   bs_evals : int;  (* per-lane comb evaluations performed *)
+  bs_sliced_evals : int;  (* node evaluations made for all their lanes at once *)
   bs_dense_evals : int;  (* evaluations [lanes] dense sweeps would have cost *)
   bs_lane_cycles : int;  (* live lanes summed over clocked cycles *)
   bs_driven_lane_cycles : int;  (* ... of them with a per-lane off-core drive *)
@@ -177,6 +179,7 @@ type t = {
   mutable scopes : string list;
   mems : mem_info Vec.t;
   mutable rports : (int * int) list;  (* read-port node id -> memory id *)
+  mutable taps : (int * int) list;  (* tap node id -> bit index *)
   mutable node_cnt : int;
   mutable mem_cnt : int;
   (* elaboration products *)
@@ -212,8 +215,9 @@ type t = {
 
 let create c_name =
   { c_name; building = Vec.create dummy_node; scopes = []; mems = Vec.create dummy_mem;
-    rports = []; node_cnt = 0; mem_cnt = 0; nodes = [||]; mem_arr = [||]; low = unlowered;
-    values = [||]; reg_next = [||]; wl = Worklist.create ~level:[||] ~max_level:0;
+    rports = []; taps = []; node_cnt = 0; mem_cnt = 0; nodes = [||]; mem_arr = [||];
+    low = unlowered; values = [||]; reg_next = [||];
+    wl = Worklist.create ~level:[||] ~max_level:0;
     elaborated = false; cyc = 0; fault = None; recording = None; tracing = None;
     moved = Vec.create 0; marked = Vec.create 0; mem_marked = [||]; full_sweep = true;
     settle_evals = 0; settle_dense = 0; cone = [||]; cone_mems = [||] }
@@ -306,6 +310,16 @@ let gate_mux t nm ~sel a b =
   check_bit t nm a;
   check_bit t nm b;
   comb3 t nm 1 sel a b (fun s x y -> if s <> 0 then x else y)
+
+(* A tap is an ordinary comb node; the recorded bit index is what lets
+   the lanes evaluate it bit-sliced, which probing a 32-bit dependency
+   cannot establish. *)
+let tap t nm word i =
+  if i < 0 || i >= (Vec.get t.building word).width then
+    invalid_arg (Printf.sprintf "Circuit.tap %s: bit %d outside the word" nm i);
+  let id = comb1 t nm 1 word (fun v -> (v lsr i) land 1) in
+  t.taps <- (id, i) :: t.taps;
+  id
 
 let reg t nm ~width ?(init = 0) () =
   add_node t nm width (Register { init; d = -1; en = -1 })
@@ -424,6 +438,37 @@ let elaborate t =
     deps;
   let readers = Array.make (Array.length mem_arr) [] in
   List.iter (fun (id, m) -> readers.(m) <- id :: readers.(m)) t.rports;
+  (* Shapes: a tap of a wider word by its recorded bit; a one-bit node
+     over 1..3 distinct one-bit dependencies by the truth table its
+     evaluator yields on every input, exact by the purity rule.  An
+     evaluator that raises on some probe stays unshaped. *)
+  let shape = Array.make n shape_none in
+  List.iter
+    (fun (id, i) -> if nodes.(deps.(id).(0)).width > 1 then shape.(id) <- shape_tap_of i)
+    t.taps;
+  let probe = Array.make n 0 in
+  for id = 0 to n - 1 do
+    let ds = deps.(id) in
+    let k = Array.length ds in
+    match nodes.(id).kind with
+    | Comb { eval; _ }
+      when nodes.(id).width = 1 && rport_of.(id) < 0 && k >= 1 && k <= 3
+           && Array.for_all (fun d -> nodes.(d).width = 1) ds
+           && (k < 2 || ds.(0) <> ds.(1))
+           && (k < 3 || (ds.(2) <> ds.(0) && ds.(2) <> ds.(1))) -> (
+        let tt = ref 0 in
+        match
+          for ix = 0 to (1 lsl k) - 1 do
+            for j = 0 to k - 1 do
+              probe.(ds.(j)) <- (ix lsr j) land 1
+            done;
+            tt := !tt lor ((eval probe land 1) lsl ix)
+          done
+        with
+        | () -> shape.(id) <- shape_table k !tt
+        | exception _ -> ())
+    | Comb _ | Input | Const _ | Register _ -> ()
+  done;
   let sorted l = Array.of_list (List.sort_uniq compare l) in
   t.low <-
     { masks = Array.map (fun nd -> (1 lsl nd.width) - 1) nodes;
@@ -432,6 +477,7 @@ let elaborate t =
       eval;
       deps;
       max_deps = Array.fold_left (fun acc ds -> max acc (Array.length ds)) 1 deps;
+      shape;
       input =
         Array.map
           (fun nd -> match nd.kind with Input -> true | Const _ | Comb _ | Register _ -> false)
@@ -697,26 +743,58 @@ let dense_settle t =
   (match t.tracing with Some tb -> trace_record t tb | None -> ());
   match t.recording with Some cov -> record_nodes t cov | None -> ()
 
+(* Queue node [id]: the worklist's steps inlined over its fields, as
+   is the bucket walk below (a call into another module is indirect in
+   a build without cross-module optimisation). *)
+let push wl id =
+  if Array.unsafe_get wl.Worklist.stamp id <> wl.Worklist.epoch then begin
+    Array.unsafe_set wl.Worklist.stamp id wl.Worklist.epoch;
+    let l = Array.unsafe_get wl.Worklist.level id in
+    let k = Array.unsafe_get wl.Worklist.fill l in
+    Array.unsafe_set (Array.unsafe_get wl.Worklist.bucket l) k id;
+    Array.unsafe_set wl.Worklist.fill l (k + 1)
+  end
+
 let queue_fanout wl fanout id =
   let fo = Array.unsafe_get fanout id in
   for j = 0 to Array.length fo - 1 do
-    ignore (Worklist.push wl (Array.unsafe_get fo j))
+    push wl (Array.unsafe_get fo j)
   done
+
+(* A shaped node's value, read off its shape instead of calling its
+   evaluator: the tapped bit of its word, or its truth table's entry
+   for its dependencies' values. *)
+let eval_shaped values ds sh =
+  let x = Array.unsafe_get values (Array.unsafe_get ds 0) in
+  if sh >= shape_tap then (x lsr (sh land shape_tap_bits)) land 1
+  else
+    let ix =
+      match Array.length ds with
+      | 1 -> x
+      | 2 -> x lor (Array.unsafe_get values (Array.unsafe_get ds 1) lsl 1)
+      | _ ->
+          x
+          lor (Array.unsafe_get values (Array.unsafe_get ds 1) lsl 1)
+          lor (Array.unsafe_get values (Array.unsafe_get ds 2) lsl 2)
+    in
+    (sh lsr ix) land 1
 
 (* The change-driven settle, for a fault-free circuit whose comb values
    are settled except for the seeds: evaluate, in level order, only the
    comb nodes with a dependency that moved (a seed, or a node this
    settle changed) and the read ports of memories whose content changed.
    Exact because evaluators are pure functions of their dependency
-   values (and, for a read port, of its memory's content).  Each node
-   that moved is appended to [t.moved], so recording afterwards costs
-   per changed node: an unchanged node's value was recorded at the
-   settle where it last changed, or at the full sweep that started the
+   values (and, for a read port, of its memory's content), which is
+   also what lets a shaped node skip its evaluator.  Each node that
+   moved is appended to [t.moved], so recording afterwards costs per
+   changed node: an unchanged node's value was recorded at the settle
+   where it last changed, or at the full sweep that started the
    recording. *)
 let event_settle t =
   let low = t.low in
   let wl = t.wl and fanout = low.fanout and moved = t.moved in
   let values = t.values and masks = low.masks and evals = low.eval in
+  let shape = low.shape and deps = low.deps in
   Worklist.start wl;
   for i = 0 to Vec.length moved - 1 do
     queue_fanout wl fanout (Vec.get moved i)
@@ -724,15 +802,20 @@ let event_settle t =
   for i = 0 to Vec.length t.marked - 1 do
     let rd = low.mem_readers.(Vec.get t.marked i) in
     for j = 0 to Array.length rd - 1 do
-      ignore (Worklist.push wl (Array.unsafe_get rd j))
+      push wl (Array.unsafe_get rd j)
     done
   done;
   let nev = ref 0 in
-  for lvl = 1 to Worklist.max_level wl do
-    let b = Worklist.bucket wl lvl and n = Worklist.length wl lvl in
+  for lvl = 1 to Array.length wl.Worklist.fill - 1 do
+    let b = Array.unsafe_get wl.Worklist.bucket lvl in
+    let n = Array.unsafe_get wl.Worklist.fill lvl in
     for i = 0 to n - 1 do
       let id = Array.unsafe_get b i in
-      let v = (Array.unsafe_get evals id) values land Array.unsafe_get masks id in
+      let sh = Array.unsafe_get shape id in
+      let v =
+        if sh <> shape_none then eval_shaped values (Array.unsafe_get deps id) sh
+        else (Array.unsafe_get evals id) values land Array.unsafe_get masks id
+      in
       if v <> Array.unsafe_get values id then begin
         Array.unsafe_set values id v;
         Vec.push moved id;
@@ -843,6 +926,18 @@ let mem_write t m idx v =
 let compiled_plan t =
   check_elab t;
   t.low
+
+let shape_none = shape_none
+
+let shape_not = shape_not
+
+let shape_buf = shape_buf
+
+let shape_nand = shape_nand
+
+let shape_nor = shape_nor
+
+let shape_mux = shape_mux
 
 (* --- state snapshots (campaign checkpointing) --- *)
 

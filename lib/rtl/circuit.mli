@@ -44,7 +44,13 @@
     Evaluators given to {!comb1} .. {!combn} must not read any other
     state (a cycle counter, a mutable cell, the environment); an
     evaluator that does would be re-run by the dense sweep but not by
-    the change-driven settle.  {!probe_comb} relies on the same rule. *)
+    the change-driven settle.  {!probe_comb} relies on the same rule,
+    and so do the node shapes ([lowering.shape]): {!elaborate} reads a
+    one-bit node's truth table off its evaluator once, and both
+    change-driven loops evaluate the node from that table, never
+    calling the evaluator again.  Only the dense sweep calls every
+    evaluator, so it stays the reference the shapes are checked
+    against. *)
 
 type t
 
@@ -113,6 +119,15 @@ val gate_nor : t -> string -> signal -> signal -> signal
 
 val gate_mux : t -> string -> sel:signal -> signal -> signal -> signal
 (** [gate_mux c name ~sel a b] is [a] when [sel] is 1, else [b]. *)
+
+val tap : t -> string -> signal -> int -> signal
+(** [tap c name word i] is the one-bit node [(word lsr i) land 1]: an
+    ordinary comb node over [word] (so its name, id, dependencies and
+    evaluator are those of the equivalent {!comb1}), which the lowering
+    also records as a tap of bit [i] ([lowering.shape]).  That record
+    is what lets the lanes evaluate it for every lane at once: probing
+    cannot prove that a function of a 32-bit word reads one bit of it.
+    [Invalid_argument] unless [0 <= i < width word]. *)
 
 val reg : t -> string -> width:int -> ?init:int -> unit -> signal
 (** Declare a clocked register; its data input is attached later with
@@ -334,6 +349,22 @@ type lowering = private {
   eval : (int array -> int) array;  (** per node: comb evaluator, [0] otherwise *)
   deps : int array array;  (** per node: comb dependencies, [[||]] otherwise *)
   max_deps : int;  (** longest [deps], at least 1 *)
+  shape : int array;
+      (** per node: how a one-bit node is evaluated without its
+          evaluator, for the golden machine and for every lane at once
+          (bit [l] of a word is lane [l]'s value), or {!shape_none}.
+          - A truth table, for every one-bit comb node that is not a
+            read port and has 1..3 dependencies, all distinct and one
+            bit wide: bit [i] of the table is the value for dependency
+            values [i = v0 + 2 v1 + 4 v2], in [deps] order.
+            {!elaborate} derives it by probing the evaluator on all
+            [2^k] inputs: exact by the purity rule.  The gate
+            primitives' tables are {!shape_not} .. {!shape_mux}.
+          - A {!tap}'s bit index, for a tap of a wider word (the only
+            shaped nodes whose dependency is wider than one bit).
+          The gate primitives and the taps of the gate-level netlist
+          are shaped; packers, read ports and word-wide nodes are
+          not. *)
   input : bool array;  (** per node: an external input *)
   rport_of : int array;  (** per node: the memory a read port reads, -1 *)
   fanout : int array array;  (** per node: deduplicated comb sink ids *)
@@ -354,6 +385,22 @@ val compiled_plan : t -> lowering
 (** The lowering, built once per elaboration; both engines read it.
     Do not mutate. *)
 
+val shape_none : int
+(** [lowering.shape] of a node evaluated only through its evaluator. *)
+
+val shape_not : int
+(** [lowering.shape] of a {!gate_not}; likewise {!shape_buf},
+    {!shape_nand}, {!shape_nor} and {!shape_mux} ([~sel], then the two
+    data inputs). *)
+
+val shape_buf : int
+
+val shape_nand : int
+
+val shape_nor : int
+
+val shape_mux : int
+
 (** {2 Lane engine width and work counters (see {!Lanes})} *)
 
 val max_lanes : int
@@ -362,6 +409,10 @@ val max_lanes : int
 
 type batch_stats = {
   bs_evals : int;  (** per-lane comb evaluations actually performed *)
+  bs_sliced_evals : int;
+      (** shaped-node evaluations, each made for all of the node's
+          needed lanes at once with bitwise operations; their lanes
+          are counted in [bs_evals] *)
   bs_dense_evals : int;
       (** evaluations [lanes] independent dense sweeps would have cost
           over the same cycles *)

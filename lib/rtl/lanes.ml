@@ -4,12 +4,16 @@ module C = Circuit
 (* One native int per node packs up to 63 faulty machines: bit [l] of
    [diff.(id)] says lane [l]'s value of node [id] differs from the
    golden machine (whose values live in [values], advanced from the
-   golden trace).  Lane values are stored densely at
-   [(id lsl lane_shift) lor l] and are only meaningful where the diff
-   bit is set, so a settle propagates "needs evaluation" lane sets with
-   bitwise ORs and every clean (node, lane) pair costs nothing.  Memory
-   divergence is a sparse per-memory overlay: a cell has an entry only
-   while some lane's content differs from the golden (base) content. *)
+   golden trace).  A one-bit node keeps its lane values in one word,
+   [bits.(id)], bit [l] for lane [l]; a wider node stores them densely
+   at [(id lsl lane_shift) lor l] in [lane] (whose rows for one-bit
+   nodes go unused).  Either is only meaningful where the diff bit is
+   set, so a settle propagates "needs evaluation" lane sets with
+   bitwise ORs and every clean (node, lane) pair costs nothing; a
+   shaped node ([C.lowering.shape]) is evaluated for all of its needed
+   lanes in a few bitwise operations on such words.  Memory divergence
+   is a sparse per-memory overlay: a cell has an entry only while some
+   lane's content differs from the golden (base) content. *)
 
 let lane_shift = 6
 
@@ -61,7 +65,14 @@ type t = {
   wl : Worklist.t;
   mutable active : int;  (* mask of live lanes *)
   diff : int array;  (* per node: diverged-lane mask *)
-  lane : int array;  (* (id lsl lane_shift) lor lane -> lane value *)
+  bits : int array;  (* per one-bit node: bit l = lane l's value *)
+  lane : int array;  (* (id lsl lane_shift) lor lane -> lane value, wider nodes *)
+  cut : int array;
+      (* per node: how many of the node and its dependencies have a
+         nonzero [diff] — the divergence frontier.  A golden move of a
+         dependency can change a lane's value of the node only where
+         this is nonzero (or, for a read port, where its memory holds
+         an overlay), so the settle seeds nothing else. *)
   faults : fault option array;  (* per lane *)
   fnode : int array;  (* per lane: faulted node id (Node sites), -1 *)
   mutable srcm : int;  (* lanes armed with a fault on a source (non-comb) node *)
@@ -101,11 +112,12 @@ type t = {
   sc_val : int array;
   nstamp : int array;
       (* per node: cycle of the last effective-value change (a golden
-         trace delta, or a lane value / diff-bit change).  A pending
-         node none of whose dependencies carry the current cycle's
-         stamp would recompute exactly what it computed last settle, so
-         the evaluator skips it — the change-driven pruning that makes
-         a quiescent divergence cone cost nothing per cycle. *)
+         trace delta, or a lane value / diff-bit change), -1 before
+         the first.  A pending node none of whose dependencies carry
+         the current cycle's stamp would recompute exactly what it
+         computed last settle, so the evaluator skips it — the
+         change-driven pruning that makes a quiescent divergence cone
+         cost nothing per cycle. *)
   fsite : int array;
       (* per node: lanes with a combinational fault site here — exempt
          from stamp skipping (the fault window opens and closes on the
@@ -115,6 +127,7 @@ type t = {
   regmem : bool array;  (* per slot: member of [regset] *)
   regactive : int Vec.t;  (* slots sampled by this clock's phase 1 *)
   mutable evals : int;
+  mutable sliced : int;
   mutable dense : int;
   mutable lane_cycles : int;
 }
@@ -164,7 +177,9 @@ let start c tr =
     wl = Worklist.create ~level:low.C.level ~max_level:low.C.max_level;
     active = 0;
     diff = Array.make n 0;
+    bits = Array.make n 0;
     lane = Array.make (n lsl lane_shift) 0;
+    cut = Array.make n 0;
     faults = Array.make C.max_lanes None;
     fnode = Array.make C.max_lanes (-1);
     srcm = 0;
@@ -186,45 +201,79 @@ let start c tr =
     sc_fire = Array.make C.max_lanes 0;
     sc_idx = Array.make C.max_lanes 0;
     sc_val = Array.make C.max_lanes 0;
-    nstamp = Array.make n 0;
+    nstamp = Array.make n (-1);
     fsite = Array.make n 0;
     regof;
     regset = Vec.create 0;
     regmem = Array.make (max nregs 1) false;
     regactive = Vec.create 0;
     evals = 0;
+    sliced = 0;
     dense = 0;
     lane_cycles = 0 }
 
 let lane_view t id l =
-  if t.diff.(id) land (1 lsl l) <> 0 then t.lane.((id lsl lane_shift) lor l) else t.values.(id)
+  if t.diff.(id) land (1 lsl l) = 0 then t.values.(id)
+  else if t.low.C.masks.(id) = 1 then (t.bits.(id) lsr l) land 1
+  else t.lane.((id lsl lane_shift) lor l)
 
-let set_lane t id l v =
+(* Node [id]'s diff mask goes from [d0] to [d1] (they differ).  A first
+   divergence wakes the register slots that sample the node, so the
+   clock's phase 1 starts visiting them; a mask that turns nonzero or
+   zero moves the cut counts of the node and of its comb sinks. *)
+let set_diff t id d0 d1 =
+  t.diff.(id) <- d1;
+  if d0 = 0 || d1 = 0 then begin
+    let delta = if d0 = 0 then 1 else -1 in
+    t.cut.(id) <- t.cut.(id) + delta;
+    let fo = t.low.C.fanout.(id) in
+    for j = 0 to Array.length fo - 1 do
+      let s = Array.unsafe_get fo j in
+      t.cut.(s) <- t.cut.(s) + delta
+    done
+  end;
+  if d0 = 0 then begin
+    let ws = t.regof.(id) in
+    for i = 0 to Array.length ws - 1 do
+      let k = Array.unsafe_get ws i in
+      if not t.regmem.(k) then begin
+        t.regmem.(k) <- true;
+        Vec.push t.regset k
+      end
+    done
+  end
+
+(* Store lane [l]'s new value [v] of node [id]; true when the lane's
+   view moved, which stamps the node with the current cycle. *)
+let store_lane t id l v =
   let bit = 1 lsl l in
-  let d0 = t.diff.(id) in
-  let old = if d0 land bit <> 0 then t.lane.((id lsl lane_shift) lor l) else t.values.(id) in
-  if v = t.values.(id) then t.diff.(id) <- d0 land lnot bit
-  else begin
-    t.diff.(id) <- d0 lor bit;
-    t.lane.((id lsl lane_shift) lor l) <- v;
-    if d0 = 0 then begin
-      (* first divergence on this node: wake the register slots that
-         sample it, so the clock's phase 1 starts visiting them *)
-      let ws = t.regof.(id) in
-      for i = 0 to Array.length ws - 1 do
-        let k = Array.unsafe_get ws i in
-        if not t.regmem.(k) then begin
-          t.regmem.(k) <- true;
-          Vec.push t.regset k
-        end
-      done
+  let d0 = t.diff.(id) and g = t.values.(id) in
+  let one = t.low.C.masks.(id) = 1 in
+  let old =
+    if d0 land bit = 0 then g
+    else if one then (t.bits.(id) lsr l) land 1
+    else t.lane.((id lsl lane_shift) lor l)
+  in
+  let d1 =
+    if v = g then d0 land lnot bit
+    else begin
+      if one then t.bits.(id) <- (t.bits.(id) land lnot bit) lor (v lsl l)
+      else t.lane.((id lsl lane_shift) lor l) <- v;
+      d0 lor bit
     end
-  end;
+  in
+  if d1 <> d0 then set_diff t id d0 d1;
   let changed = old <> v in
-  if changed then begin
-    t.nstamp.(id) <- t.cyc;
-    Vec.push t.stamped id
-  end;
+  if changed then t.nstamp.(id) <- t.cyc;
+  changed
+
+(* [store_lane] for a change the next settle must seed from — a lane
+   register commit, a lane input, a faulted source: the node enters
+   [stamped] on its first change of the cycle. *)
+let set_lane t id l v =
+  let first = t.nstamp.(id) <> t.cyc in
+  let changed = store_lane t id l v in
+  if changed && first then Vec.push t.stamped id;
   changed
 
 (* Lane [l]'s view of memory cell [(m, idx)]: its overlay entry while
@@ -312,7 +361,8 @@ let retire t lane =
   t.cellpend <- t.cellpend land lnot bit;
   let diff = t.diff in
   for id = 0 to Array.length diff - 1 do
-    diff.(id) <- diff.(id) land lnot bit
+    let d0 = diff.(id) in
+    if d0 land bit <> 0 then set_diff t id d0 (d0 land lnot bit)
   done;
   Array.iteri
     (fun m ovl ->
@@ -335,10 +385,10 @@ let golden t s = t.values.((s : C.signal :> int))
 
 let cycle t = t.cyc
 
-(* Queue node [id] for [lanes] this settle: {!Worklist.push} inlined
-   over the worklist's fields (a call into another module is indirect
-   in a build without cross-module optimisation), merged into the
-   node's pending lane mask. *)
+(* Queue node [id] for [lanes] this settle, merged into the node's
+   pending lane mask: the queueing steps worklist.mli describes,
+   inlined over the worklist's fields (a call into another module is
+   indirect in a build without cross-module optimisation). *)
 let push t id lanes =
   let wl = t.wl in
   if Array.unsafe_get wl.Worklist.stamp id = wl.Worklist.epoch then
@@ -357,6 +407,79 @@ let push_fanout t id lanes =
   for j = 0 to Array.length fo - 1 do
     push t (Array.unsafe_get fo j) lanes
   done
+
+(* The lane word of one-bit node [d]: bit [l] is lane [l]'s value, its
+   stored bit where it diverges and golden's elsewhere. *)
+let input_word t d =
+  let dd = Array.unsafe_get t.diff d in
+  (-Array.unsafe_get t.values d land lnot dd) lor (Array.unsafe_get t.bits d land dd)
+
+(* Per bit, [a] where [s] is set and [b] elsewhere. *)
+let sel s a b = b lxor ((a lxor b) land s)
+
+(* A truth table of 1..3 inputs applied bitwise to lane words, by
+   Shannon expansion on the last input: bit [i] of [tt] is the output
+   for input index [i = x + 2 y + 4 z].  A table shape can be passed
+   as is: only its low [2^k] bits are read. *)
+let lut1 tt x = sel x (-((tt lsr 1) land 1)) (-(tt land 1))
+
+let lut2 tt x y = sel y (lut1 (tt lsr 2) x) (lut1 tt x)
+
+let lut3 tt x y z = sel z (lut2 (tt lsr 4) x y) (lut2 tt x y)
+
+(* Evaluate shaped node [id] (shape [sh]) for the lanes of [need] at
+   once: a truth table through [lut1]..[lut3] (its arity is the number
+   of dependencies), a tap by collecting its bit from each lane
+   diverged on its word.  A lane with a fault on the node is fixed up
+   bit by bit through the one fault rule.  Commits the needed lanes'
+   values and queues the fanout for the lanes whose value changed. *)
+let eval_sliced t id deps sh need =
+  t.sliced <- t.sliced + 1;
+  let r =
+    if sh >= shape_tap then begin
+      let w = Array.unsafe_get deps 0 and i = sh land shape_tap_bits in
+      let dw = Array.unsafe_get t.diff w land need in
+      let x = ref (-((Array.unsafe_get t.values w lsr i) land 1) land lnot dw) in
+      let m = ref dw in
+      while !m <> 0 do
+        let l = lowest_lane !m in
+        m := !m land (!m - 1);
+        let v = Array.unsafe_get t.lane ((w lsl lane_shift) lor l) in
+        x := !x lor (((v lsr i) land 1) lsl l)
+      done;
+      !x
+    end
+    else begin
+      let x = input_word t (Array.unsafe_get deps 0) in
+      match Array.length deps with
+      | 1 -> lut1 sh x
+      | 2 -> lut2 sh x (input_word t (Array.unsafe_get deps 1))
+      | _ ->
+          lut3 sh x
+            (input_word t (Array.unsafe_get deps 1))
+            (input_word t (Array.unsafe_get deps 2))
+    end
+  in
+  let r = ref r in
+  let m = ref (need land Array.unsafe_get t.fsite id) in
+  while !m <> 0 do
+    let l = lowest_lane !m in
+    m := !m land (!m - 1);
+    let v = node_fault ~cyc:t.cyc t.faults.(l) id ((!r lsr l) land 1) in
+    r := (!r land lnot (1 lsl l)) lor ((v land 1) lsl l)
+  done;
+  let r = !r in
+  let g = -Array.unsafe_get t.values id and d0 = Array.unsafe_get t.diff id in
+  let b = Array.unsafe_get t.bits id in
+  let old = (g land lnot d0) lor (b land d0) in
+  Array.unsafe_set t.bits id ((b land lnot need) lor (r land need));
+  let d1 = (d0 land lnot need) lor ((r lxor g) land need) in
+  if d1 <> d0 then set_diff t id d0 d1;
+  let changed = (old lxor r) land need in
+  if changed <> 0 then begin
+    Array.unsafe_set t.nstamp id t.cyc;
+    push_fanout t id changed
+  end
 
 let settle t =
   let low = t.low in
@@ -398,16 +521,31 @@ let settle t =
     let wl = t.wl in
     wl.Worklist.epoch <- wl.Worklist.epoch + 1;
     Array.fill wl.Worklist.fill 0 (Array.length wl.Worklist.fill) 0;
-    let nstamp = t.nstamp in
-    (* Change-driven seeding: between two settles a lane's view of a
-       node can only move through a node in [stamped] (a golden trace
-       delta, a clock-committed lane register, a lane input change) or
-       through memory content, tracked per memory in [mem_dirty].  A
-       divergence cone none of whose members moved seeds nothing and
-       costs nothing this cycle. *)
+    let nstamp = t.nstamp and cut = t.cut and rport_of = low.C.rport_of in
+    (* Change-driven seeding at the divergence frontier: between two
+       settles a lane's view of a node can only move through a node in
+       [stamped] (a golden trace delta, a clock-committed lane
+       register, a lane input change) or through memory content,
+       tracked per memory in [mem_dirty].  A node none of whose cut
+       diverges in any lane computes golden's value in every lane
+       whatever moved, so a move queues only the sinks with a nonzero
+       cut count, and the read ports of memories holding an overlay
+       (a lane reading golden's address may read its own cell).  Lanes
+       that diverge during the settle queue their own fanout. *)
     for i = 0 to Vec.length t.stamped - 1 do
       let id = Vec.get t.stamped i in
-      if Array.unsafe_get nstamp id = cyc then push_fanout t id active
+      if Array.unsafe_get nstamp id = cyc then begin
+        let fo = Array.unsafe_get low.C.fanout id in
+        for j = 0 to Array.length fo - 1 do
+          let s = Array.unsafe_get fo j in
+          if
+            Array.unsafe_get cut s > 0
+            ||
+            let rm = Array.unsafe_get rport_of s in
+            rm >= 0 && t.mem_lanes.(rm) <> 0
+          then push t s active
+        done
+      end
     done;
     (* combinational fault sites evaluate every settle while armed —
        the injection window tracks the cycle counter, not the inputs,
@@ -433,11 +571,12 @@ let settle t =
        node's fanout once, for the lanes whose value it changed *)
     let nev = ref 0 in
     let diff = t.diff and values = t.values and pend = t.pend and fsite = t.fsite in
+    let masks = low.C.masks and shape = low.C.shape in
     for lvl = 1 to low.C.max_level do
       let b = Array.unsafe_get wl.Worklist.bucket lvl in
       for i = 0 to Array.unsafe_get wl.Worklist.fill lvl - 1 do
         let id = Array.unsafe_get b i in
-        let rm = low.C.rport_of.(id) in
+        let rm = Array.unsafe_get rport_of id in
         let deps = low.C.deps.(id) in
         let need =
           if rm >= 0 then begin
@@ -483,49 +622,55 @@ let settle t =
         in
         let need = need land active in
         if need <> 0 then begin
-          (* group the lanes of one node: deps diverged in any needed
-             lane are saved once, written per lane, restored once *)
-          let nov = ref 0 in
-          if rm < 0 then
-            for j = 0 to Array.length deps - 1 do
-              let d = Array.unsafe_get deps j in
-              if Array.unsafe_get diff d land need <> 0 then begin
-                t.ov_ids.(!nov) <- d;
-                t.ov_vals.(!nov) <- Array.unsafe_get values d;
-                incr nov
-              end
+          nev := !nev + lane_popcount need;
+          let sh = Array.unsafe_get shape id in
+          if sh <> shape_none then eval_sliced t id deps sh need
+          else begin
+            (* group the lanes of one node: deps diverged in any needed
+               lane are saved once, written per lane, restored once *)
+            let nov = ref 0 in
+            if rm < 0 then
+              for j = 0 to Array.length deps - 1 do
+                let d = Array.unsafe_get deps j in
+                if Array.unsafe_get diff d land need <> 0 then begin
+                  t.ov_ids.(!nov) <- d;
+                  t.ov_vals.(!nov) <- Array.unsafe_get values d;
+                  incr nov
+                end
+              done;
+            let changed = ref 0 in
+            let m = ref need in
+            while !m <> 0 do
+              let l = lowest_lane !m in
+              m := !m land (!m - 1);
+              let v0 =
+                if rm >= 0 then begin
+                  let a = lane_view t (Array.unsafe_get deps 0) l in
+                  (if a < Array.length t.base.(rm) then ov_get t rm a l else 0)
+                  land Array.unsafe_get masks id
+                end
+                else begin
+                  let bitl = 1 lsl l in
+                  for j = 0 to !nov - 1 do
+                    let d = Array.unsafe_get t.ov_ids j in
+                    Array.unsafe_set values d
+                      (if Array.unsafe_get diff d land bitl = 0 then
+                         Array.unsafe_get t.ov_vals j
+                       else if Array.unsafe_get masks d = 1 then
+                         (Array.unsafe_get t.bits d lsr l) land 1
+                       else Array.unsafe_get t.lane ((d lsl lane_shift) lor l))
+                  done;
+                  low.C.eval.(id) values land Array.unsafe_get masks id
+                end
+              in
+              let v = if t.fnode.(l) = id then node_fault ~cyc t.faults.(l) id v0 else v0 in
+              if store_lane t id l v then changed := !changed lor (1 lsl l)
             done;
-          let changed = ref 0 in
-          let m = ref need in
-          while !m <> 0 do
-            let l = lowest_lane !m in
-            m := !m land (!m - 1);
-            let v0 =
-              if rm >= 0 then begin
-                let a = lane_view t (Array.unsafe_get deps 0) l in
-                (if a < Array.length t.base.(rm) then ov_get t rm a l else 0)
-                land low.C.masks.(id)
-              end
-              else begin
-                let bitl = 1 lsl l in
-                for j = 0 to !nov - 1 do
-                  let d = Array.unsafe_get t.ov_ids j in
-                  Array.unsafe_set values d
-                    (if Array.unsafe_get diff d land bitl <> 0 then
-                       Array.unsafe_get t.lane ((d lsl lane_shift) lor l)
-                     else Array.unsafe_get t.ov_vals j)
-                done;
-                low.C.eval.(id) values land low.C.masks.(id)
-              end
-            in
-            let v = if t.fnode.(l) = id then node_fault ~cyc t.faults.(l) id v0 else v0 in
-            incr nev;
-            if set_lane t id l v then changed := !changed lor (1 lsl l)
-          done;
-          for j = !nov - 1 downto 0 do
-            Array.unsafe_set values t.ov_ids.(j) t.ov_vals.(j)
-          done;
-          if !changed <> 0 then push_fanout t id !changed
+            for j = !nov - 1 downto 0 do
+              Array.unsafe_set values t.ov_ids.(j) t.ov_vals.(j)
+            done;
+            if !changed <> 0 then push_fanout t id !changed
+          end
         end
       done
     done;
@@ -715,8 +860,18 @@ let eject t lane =
         snap_cycle = t.cyc };
     tp_fault = Option.map copy_fault t.faults.(lane) }
 
+let cut_exact t =
+  let nz id = if t.diff.(id) <> 0 then 1 else 0 in
+  let count id =
+    List.fold_left (fun acc d -> acc + nz d) (nz id)
+      (List.sort_uniq compare (Array.to_list t.low.C.deps.(id)))
+  in
+  let rec go id = id < 0 || (t.cut.(id) = count id && go (id - 1)) in
+  go (Array.length t.cut - 1)
+
 let stats t =
   { C.bs_evals = t.evals;
+    bs_sliced_evals = t.sliced;
     bs_dense_evals = t.dense;
     bs_lane_cycles = t.lane_cycles;
     bs_driven_lane_cycles = t.lane_cycles }

@@ -7,10 +7,15 @@
     advances that copy wholesale from the trace deltas, never
     re-evaluating it.  Each {e lane} stores only the nodes on which it
     currently diverges from golden: a per-node 63-bit divergence mask
-    plus a dense lane-value store.  A settle propagates lane sets
-    through the levelized schedule with bitwise ORs, so a clean (node,
-    lane) pair costs nothing and a campaign of thousands of
-    mostly-convergent faulty runs becomes dozens of passes.  Memory
+    plus lane values — one word per one-bit node (bit [l] is lane
+    [l]'s value), a dense per-lane store for wider nodes.  A settle
+    propagates lane sets through the levelized schedule with bitwise
+    ORs, so a clean (node, lane) pair costs nothing and a campaign of
+    thousands of mostly-convergent faulty runs becomes dozens of
+    passes.  A one-bit node with a shape ([Circuit.lowering.shape]: the
+    gate cells and taps of the gate-level netlist) is evaluated for all
+    of its lanes at once in a few bitwise operations, PPSFP-style; any
+    other node one lane at a time through its evaluator.  Memory
     divergence is tracked per lane with sparse overlays above the
     golden (base) arrays.
 
@@ -45,7 +50,12 @@ val settle : t -> unit
     diverged (node, lane) pair: a node is evaluated for a lane only
     when one of its dependencies moved this cycle and the lane diverges
     somewhere across the node's cut, or when the lane has a fault armed
-    on it.
+    on it.  The settle is seeded at the divergence frontier: a move
+    queues only the sinks whose cut (the node and its dependencies)
+    holds some diverged lane, and the read ports of memories that hold
+    an overlay; a lane that diverges during the settle queues its own
+    fanout.  A lane with a fault on a shaped node has its bit fixed up
+    by the same fault rule as the scalar engine's.
 
     A memory read port re-derives a lane's value only when
     - the lane's view of the array moved since the last settle: an
@@ -105,8 +115,17 @@ val eject : t -> int -> Circuit.transplant
     continuation ({!Circuit.transplant}).  The lane is not retired;
     callers typically {!retire} it afterwards. *)
 
+val cut_exact : t -> bool
+(** A consistency check for tests: every node's divergence-frontier
+    count — how many of the node and its dependencies carry a nonzero
+    divergence mask, which decides whether a move of a dependency seeds
+    the node at the next {!settle} — equals a recount.  A count that
+    drifts up only wastes work; one that drifts down would skip
+    evaluations. *)
+
 val stats : t -> Circuit.batch_stats
-(** Lane evaluations performed so far, against what dense sweeps would
-    have cost, and the lane-cycles clocked ([bs_driven_lane_cycles] =
+(** Lane evaluations performed so far, how many node evaluations made
+    them bit-sliced, what dense sweeps would have cost, and the
+    lane-cycles clocked ([bs_driven_lane_cycles] =
     [bs_lane_cycles]: the pass does not know which lanes its caller
     drove). *)

@@ -35,6 +35,43 @@ type trace = {
   tr_dend : int array;  (* per cycle: end offset of its delta run *)
 }
 
+(* --- bit-sliced node shapes --- *)
+
+(* [Circuit.lowering]'s per-node [shape]: how a one-bit node can be
+   evaluated without its evaluator, for the golden machine and for
+   every lane at once (bitwise operations on a word whose bit [l] is
+   lane [l]'s value).  [shape_none] for a node that cannot;
+   [shape_table k tt] for a node over [k] (1..3) distinct one-bit
+   dependencies, where bit [i] of [tt] is the output for dependency
+   values [i = d0 + 2 d1 + 4 d2]; [shape_tap_of i] for a tap of bit [i]
+   of a wider word.  The layout is defined here alone.  The settle loops
+   decode it with the constants below rather than with calls (a call
+   into another module is indirect in a build without cross-module
+   optimisation): a shape is a tap when it is at least [shape_tap], and
+   its low bits are then the bit index; a table's low bits are [tt],
+   its arity sits above them. *)
+let shape_none = -1
+
+let shape_tap = 1 lsl 10
+
+let shape_tap_bits = shape_tap - 1
+
+let shape_table k tt = (k lsl 8) lor tt
+
+let shape_tap_of i = shape_tap lor i
+
+(* The gate cells' tables, deps in builder order: NOT a, BUF a,
+   NAND a b, NOR a b, MUX (sel, a, b) = sel ? a : b. *)
+let shape_not = shape_table 1 0b01
+
+let shape_buf = shape_table 1 0b10
+
+let shape_nand = shape_table 2 0b0111
+
+let shape_nor = shape_table 2 0b0001
+
+let shape_mux = shape_table 3 0b1101_1000
+
 (* --- fault record and rules --- *)
 
 type fault_model = Stuck_at_0 | Stuck_at_1 | Open_line | Bit_flip

@@ -21,20 +21,3 @@ let create ~level ~max_level =
 let start wl =
   wl.epoch <- wl.epoch + 1;
   Array.fill wl.fill 0 (Array.length wl.fill) 0
-
-let push wl id =
-  if Array.unsafe_get wl.stamp id = wl.epoch then false
-  else begin
-    Array.unsafe_set wl.stamp id wl.epoch;
-    let l = Array.unsafe_get wl.level id in
-    let k = Array.unsafe_get wl.fill l in
-    Array.unsafe_set (Array.unsafe_get wl.bucket l) k id;
-    Array.unsafe_set wl.fill l (k + 1);
-    true
-  end
-
-let max_level wl = Array.length wl.fill - 1
-
-let length wl l = Array.unsafe_get wl.fill l
-
-let bucket wl l = Array.unsafe_get wl.bucket l

@@ -5,10 +5,13 @@
     after all of its queued dependencies, because a node can only queue
     its fanout, which sits on strictly deeper levels.
 
-    The fields are visible so that a settle loop can inline {!push}:
-    in a build without cross-module optimisation (dune's default
-    profile passes [-opaque]) a call into this module is an indirect
-    call, once per queued node. *)
+    Both loops queue a node by inlining the same steps over the fields
+    — skip it when its stamp holds the current epoch, else stamp it and
+    append it to its level's bucket — and walk the buckets over the
+    fields too.  The fields are visible for that reason: in a build
+    without cross-module optimisation (dune's default profile passes
+    [-opaque]) a call into this module is an indirect call, once per
+    queued node or visited level. *)
 
 type t = {
   level : int array;  (** per node: its level, the bucket it queues in *)
@@ -24,16 +27,4 @@ val create : level:int array -> max_level:int -> t
 
 val start : t -> unit
 (** Empty every bucket and open a new epoch; call once per settle,
-    before the first {!push}. *)
-
-val push : t -> int -> bool
-(** Queue a node in its level's bucket; [false] (and nothing queued)
-    when it is already queued this epoch. *)
-
-val max_level : t -> int
-
-val length : t -> int -> int
-(** Nodes queued at a level this epoch. *)
-
-val bucket : t -> int -> int array
-(** A level's bucket; entries [0 .. length - 1] are this epoch's. *)
+    before the first node is queued. *)

@@ -6,7 +6,10 @@
    compared, a lane must converge exactly when its state equals the
    golden run's, a single fault run as a one-lane batch must get the
    dense reference's verdict, lane arming/retirement must behave per
-   fault model, and a lanes pass must leave its circuit untouched. *)
+   fault model, and a lanes pass must leave its circuit untouched.
+   The batch and one-lane checks run on both elaborations: the
+   gate-level netlist is where the lanes evaluate one-bit nodes
+   bit-sliced. *)
 
 module A = Sparc.Asm
 module I = Sparc.Isa
@@ -22,6 +25,12 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let shared_sys = lazy (Leon3.System.create ())
+
+let gate_sys =
+  lazy
+    (Leon3.System.create
+       ~params:{ Leon3.Core.default_params with Leon3.Core.gate_level = true }
+       ())
 
 let circuit sys = (Leon3.System.core sys).Leon3.Core.circuit
 
@@ -66,11 +75,12 @@ let reads_prog =
      A.words b (Array.init 16 (fun i -> (i * 0x01010101) + 7));
      A.assemble b)
 
-let setup_of prog =
+let setup_of ?(sys = shared_sys) prog =
   lazy
-    (let sys = Lazy.force shared_sys in
+    (let sys = Lazy.force sys in
      let golden =
-       Campaign.golden_run ~trace:true sys (Lazy.force prog) ~max_cycles:100_000
+       Campaign.golden_run ~coverage:true ~trace:true sys (Lazy.force prog)
+         ~max_cycles:100_000
      in
      let trace = Option.get golden.Campaign.trace in
      let sites =
@@ -81,6 +91,8 @@ let setup_of prog =
 let golden_setup = setup_of small_prog
 
 let reads_setup = setup_of reads_prog
+
+let gate_setup = setup_of ~sys:gate_sys small_prog
 
 (* ---- the lowered schedule is the graph's ---- *)
 
@@ -196,10 +208,12 @@ let continue_observe sys golden ~compare_reads ~max_cycles (e : Batch.ejected) =
    covers, and it is ejected at that cycle.  With [compare_reads] the
    lanes and the scalar runs compare every data-side event against the
    golden event stream.  [on] is the program and its golden setup
-   (default [small_prog]).  Returns the number of ejected lanes and the
+   (default [small_prog]) on [sys] (default the behavioural system).
+   Returns the number of ejected lanes and the
    pass's work counters. *)
-let batch_vs_scalar ?(on = (small_prog, golden_setup)) ~compare_reads specs =
-  let sys = Lazy.force shared_sys in
+let batch_vs_scalar ?(sys = shared_sys) ?(on = (small_prog, golden_setup)) ~compare_reads
+    specs =
+  let sys = Lazy.force sys in
   let prog = Lazy.force (fst on) in
   let golden, trace, _ = Lazy.force (snd on) in
   let max_cycles = (4 * golden.Campaign.cycles) + 2000 in
@@ -298,6 +312,73 @@ let test_batch_cell_faults () =
         spec site.Injection.fault_site model)
   in
   ignore (batch_vs_scalar ~compare_reads:false specs)
+
+(* The gate-level node classes a lane can sit on: the gate cells and
+   taps the lanes evaluate bit-sliced, and the packers and registers
+   they evaluate lane by lane. *)
+let gate_classes =
+  [ ("NOT", fun low id -> low.C.shape.(id) = C.shape_not);
+    ("BUF", fun low id -> low.C.shape.(id) = C.shape_buf);
+    ("NAND", fun low id -> low.C.shape.(id) = C.shape_nand);
+    ("NOR", fun low id -> low.C.shape.(id) = C.shape_nor);
+    ("MUX", fun low id -> low.C.shape.(id) = C.shape_mux);
+    ( "tap",
+      fun low id ->
+        low.C.shape.(id) <> C.shape_none && low.C.masks.(low.C.deps.(id).(0)) > 1 );
+    ( "packer",
+      fun low id ->
+        low.C.masks.(id) > 1
+        && Array.length low.C.deps.(id) > 1
+        && Array.for_all (fun d -> low.C.masks.(d) = 1) low.C.deps.(id) );
+    ("register", fun low id -> Array.mem id low.C.regs) ]
+
+let test_gate_level_batch () =
+  (* 63 lanes on the gate-level netlist, each class above under
+     stuck-at-0, stuck-at-1, open-line and a one-cycle bit flip, on
+     sites whose bit the golden run toggles (so every fault
+     activates): each lane must equal its dense scalar run. *)
+  let sys = Lazy.force gate_sys in
+  let golden, _, sites = Lazy.force gate_setup in
+  let low = C.compiled_plan (circuit sys) in
+  let cov = Option.get golden.Campaign.coverage in
+  let toggled cls =
+    Array.of_list
+      (List.filter
+         (fun s ->
+           match s.Injection.fault_site with
+           | C.Node (n, _) ->
+               cls low (n :> int)
+               && not (C.never_activates cov s.Injection.fault_site C.Open_line)
+           | C.Cell _ -> false)
+         (Array.to_list sites))
+  in
+  let pools =
+    Array.of_list
+      (List.map
+         (fun (name, cls) ->
+           let pool = toggled cls in
+           check_bool (name ^ " sites toggle in the golden run") true
+             (Array.length pool > 0);
+           pool)
+         gate_classes)
+  in
+  let models = [| C.Stuck_at_0; C.Stuck_at_1; C.Open_line; C.Bit_flip |] in
+  let specs =
+    Array.init C.max_lanes (fun i ->
+        let pool = pools.(i mod Array.length pools) in
+        let k = i / Array.length pools in
+        let site = pool.(k * 53 mod Array.length pool) in
+        match models.(k mod 4) with
+        | C.Bit_flip ->
+            spec ~duration:1
+              ~from_cycle:(golden.Campaign.cycles * (1 + (k mod 7)) / 9)
+              site.Injection.fault_site C.Bit_flip
+        | model -> spec ~from_cycle:(k mod 3 * 20) site.Injection.fault_site model)
+  in
+  let _, stats =
+    batch_vs_scalar ~sys:gate_sys ~on:(small_prog, gate_setup) ~compare_reads:false specs
+  in
+  check_bool "lanes evaluated bit-sliced" true (stats.C.bs_sliced_evals > 0)
 
 (* qcheck: random small batches equal per-lane scalar runs. *)
 let gen_specs =
@@ -438,12 +519,16 @@ let test_convergence_is_state_equality () =
 (* On [reads_prog], so that comparing reads matters: a traced golden
    run with boundaries every 16 cycles, and the dense reference's
    golden run (no coverage, trace or checkpoints). *)
-let goldens =
+let goldens_of sys =
   lazy
-    (let sys = Lazy.force shared_sys in
+    (let sys = Lazy.force sys in
      let prog = Lazy.force reads_prog in
      ( Campaign.golden_run ~trace:true ~checkpoint_every:16 sys prog ~max_cycles:100_000,
        Campaign.golden_run sys prog ~max_cycles:100_000 ))
+
+let goldens = goldens_of shared_sys
+
+let gate_goldens = goldens_of gate_sys
 
 let gen_fault =
   let open QCheck2.Gen in
@@ -454,8 +539,8 @@ let gen_fault =
     (int_bound 100_000) model
     (triple (int_bound 99) duration bool)
 
-let print_fault (si, model, pct, duration, compare_reads) =
-  let _, _, sites = Lazy.force golden_setup in
+let print_fault setup (si, model, pct, duration, compare_reads) =
+  let _, _, sites = Lazy.force setup in
   Printf.sprintf "%s %s at %d%% duration %s%s"
     sites.(si mod Array.length sites).Injection.site_name
     (C.fault_model_name model) pct
@@ -468,13 +553,14 @@ let verdict (r : Campaign.run_result) =
   ( r.Campaign.site_name, r.Campaign.model, r.Campaign.outcome, r.Campaign.detect_cycle,
     r.Campaign.inject_cycle )
 
-let prop_one_lane_matches_dense =
-  QCheck2.Test.make ~name:"one-lane run_one = dense run_one, verdict for verdict"
-    ~count:50 ~print:print_fault gen_fault
+(* A fault on a site of [setup]'s pool, run on [sys] as a one-lane
+   batch and densely, on [reads_prog]. *)
+let one_lane_matches_dense ~name ~count sys setup goldens =
+  QCheck2.Test.make ~name ~count ~print:(print_fault setup) gen_fault
     (fun (si, model, pct, duration, compare_reads) ->
-      let sys = Lazy.force shared_sys in
+      let sys = Lazy.force sys in
       let prog = Lazy.force reads_prog in
-      let _, _, sites = Lazy.force golden_setup in
+      let _, _, sites = Lazy.force setup in
       let traced, dense = Lazy.force goldens in
       let site = sites.(si mod Array.length sites) in
       let inject_cycle = dense.Campaign.cycles * pct / 100 in
@@ -484,6 +570,14 @@ let prop_one_lane_matches_dense =
              site model)
       in
       run ~plan:(C.compiled_plan (circuit sys)) traced = run dense)
+
+let prop_one_lane_matches_dense =
+  one_lane_matches_dense ~name:"one-lane run_one = dense run_one, verdict for verdict"
+    ~count:50 shared_sys golden_setup goldens
+
+let prop_one_lane_matches_dense_gate =
+  one_lane_matches_dense ~name:"one-lane run_one = dense run_one at gate level" ~count:25
+    gate_sys gate_setup gate_goldens
 
 (* ---- lane arming and early retirement ---- *)
 
@@ -648,6 +742,8 @@ let suite =
         test_batch_past_trace_end;
       Alcotest.test_case "cell-fault lanes = scalar runs" `Slow
         test_batch_cell_faults;
+      Alcotest.test_case "gate-level 63-lane batch = scalar runs" `Slow
+        test_gate_level_batch;
       Alcotest.test_case "convergence = state equality" `Quick
         test_convergence_is_state_equality;
       Alcotest.test_case "lane masks per model + retirement" `Quick
@@ -657,4 +753,5 @@ let suite =
       Alcotest.test_case "never-read cells cost no read-port work" `Quick
         test_never_read_cells_cost_nothing ]
     @ List.map QCheck_alcotest.to_alcotest
-        [ prop_batch_matches_scalar; prop_one_lane_matches_dense ] )
+        [ prop_batch_matches_scalar; prop_one_lane_matches_dense;
+          prop_one_lane_matches_dense_gate ] )

@@ -5,9 +5,13 @@
    (armed, never active) keeps a run on the dense sweep without moving
    any value, so each check below runs a circuit next to a dense twin:
    the real Leon3 netlists for recording, small random netlists for
-   values. *)
+   values.  The random netlists mix word-level operators with gate
+   cells, one-bit tables and taps — the nodes both change-driven loops
+   evaluate from their shape instead of their evaluator — and also run
+   as lanes ({!Rtl.Lanes}) next to one dense faulty twin per lane. *)
 
 module C = Rtl.Circuit
+module Lanes = Rtl.Lanes
 module Campaign = Fault_injection.Campaign
 module Injection = Fault_injection.Injection
 module Suite = Workloads.Suite
@@ -158,7 +162,9 @@ type netlist = {
   regs : (int * int * int * int option) list;  (* width, init, d, enable *)
   words : int;
   mem_width : int;
-  combs : (int * int list * int) list;  (* op, dependencies, width *)
+  combs : (int * int list * int) list;
+      (* op, dependencies, width; an op past the named ones is a
+         three-input one-bit table *)
   reads : (int * int) list;  (* read ports: position among the combs, address *)
   write : int * int * int;  (* write port: we, addr, data *)
 }
@@ -175,13 +181,34 @@ type action =
       (** site, bit, model, cycles from now, duration *)
   | Clear_fault
 
-let op_names = [| "add"; "sub"; "xor"; "and"; "or"; "not"; "mux"; "shl"; "eq" |]
+let op_names =
+  [| "add"; "sub"; "xor"; "and"; "or"; "not"; "mux"; "shl"; "eq"; "gate_not"; "gate_buf";
+     "gate_nand"; "gate_nor"; "gate_mux"; "tap" |]
 
-(* Pure evaluators only: the settle relies on it. *)
-let add_comb c name width op deps =
+let op_name op =
+  if op < Array.length op_names then op_names.(op)
+  else Printf.sprintf "table %#x" ((op - Array.length op_names) land 0xFF)
+
+(* Pure evaluators only: the settle relies on it.  A gate cell or table
+   reads one bit of each wider dependency through a tap, which [tap]
+   adds to the netlist (so faults can land on it too). *)
+let add_comb ~tap c name width op deps =
   let a = deps.(0) and b = deps.(1 mod Array.length deps) in
   let d = deps.(2 mod Array.length deps) in
+  let bit1 j s =
+    if C.signal_width c s = 1 then s else tap (Printf.sprintf "%s_b%d" name j) s
+  in
   match op with
+  | 9 -> C.gate_not c name (bit1 0 a)
+  | 10 -> C.gate_buf c name (bit1 0 a)
+  | 11 -> C.gate_nand c name (bit1 0 a) (bit1 1 b)
+  | 12 -> C.gate_nor c name (bit1 0 a) (bit1 1 b)
+  | 13 -> C.gate_mux c name ~sel:(bit1 0 a) (bit1 1 b) (bit1 2 d)
+  | 14 -> C.tap c name a ((width - 1) mod C.signal_width c a)
+  | op when op > 14 ->
+      let tt = (op - 15) land 0xFF in
+      C.comb3 c name 1 (bit1 0 a) (bit1 1 b) (bit1 2 d) (fun x y z ->
+          (tt lsr (x + (2 * y) + (4 * z))) land 1)
   | 0 -> C.comb2 c name width a b ( + )
   | 1 -> C.comb2 c name width a b ( - )
   | 2 -> C.comb2 c name width a b ( lxor )
@@ -222,11 +249,16 @@ let build nl =
           add (C.read_port c (Printf.sprintf "rd%d" i) mem (pick addr)))
       nl.reads
   in
+  let tap name s =
+    let t = C.tap c name s (C.signal_width c s - 1) in
+    add t;
+    t
+  in
   List.iteri
     (fun k (op, deps, w) ->
       read_ports_at k;
       let deps = Array.of_list (List.map pick deps) in
-      add (add_comb c (Printf.sprintf "n%d" k) w op deps))
+      add (add_comb ~tap c (Printf.sprintf "n%d" k) w op deps))
     nl.combs;
   read_ports_at ncomb;
   List.iter2
@@ -326,24 +358,39 @@ let agrees (nl, actions) =
   && same_coverage a (C.coverage_stop a.c) (C.coverage_stop b.c)
   && stats.C.ss_evals = stats.C.ss_dense_evals
 
+let raw = QCheck2.Gen.int_bound 1000
+
+(* Mostly bytes, sometimes any 32-bit word. *)
+let byte = QCheck2.Gen.(frequency [ (3, int_bound 255); (1, int_bound 0xFFFF_FFFF) ])
+
+let model = QCheck2.Gen.oneofl [ C.Stuck_at_0; C.Stuck_at_1; C.Open_line; C.Bit_flip ]
+
+(* Random netlists where about half of the comb nodes are one-bit
+   nodes with a shape: gate cells, taps and tables.  Most words are
+   narrow, some full width, so taps read high bits too. *)
+let gen_netlist =
+  let open QCheck2.Gen in
+  let width = frequency [ (4, int_range 1 8); (1, int_range 9 32) ] in
+  let op =
+    frequency
+      [ (9, int_bound 8);
+        (6, int_range 9 14);
+        (3, map (fun tt -> Array.length op_names + tt) (int_bound 255)) ]
+  in
+  let* inputs = list_size (int_range 1 3) width in
+  let* consts = list_size (int_range 0 2) (pair width byte) in
+  let* regs = list_size (int_range 1 4) (quad width byte raw (opt raw)) in
+  let* words = int_range 2 8 in
+  let* mem_width = width in
+  let* combs =
+    list_size (int_range 1 12) (triple op (list_size (int_range 1 3) raw) width)
+  in
+  let* reads = list_repeat 2 (pair raw raw) in
+  let+ write = triple raw raw raw in
+  { inputs; consts; regs; words; mem_width; combs; reads; write }
+
 let gen_case =
   let open QCheck2.Gen in
-  let width = int_range 1 8 and raw = int_bound 1000 and byte = int_bound 255 in
-  let gen_netlist =
-    let* inputs = list_size (int_range 1 3) width in
-    let* consts = list_size (int_range 0 2) (pair width byte) in
-    let* regs = list_size (int_range 1 4) (quad width byte raw (opt raw)) in
-    let* words = int_range 2 8 in
-    let* mem_width = width in
-    let* combs =
-      list_size (int_range 1 12)
-        (triple (int_bound 8) (list_size (int_range 1 3) raw) width)
-    in
-    let* reads = list_repeat 2 (pair raw raw) in
-    let+ write = triple raw raw raw in
-    { inputs; consts; regs; words; mem_width; combs; reads; write }
-  in
-  let model = oneofl [ C.Stuck_at_0; C.Stuck_at_1; C.Open_line; C.Bit_flip ] in
   let gen_action =
     frequency
       [ (4, map2 (fun i v -> Set_input (i, v)) raw byte);
@@ -357,15 +404,14 @@ let gen_case =
           map3
             (fun (s, bit) model (after, duration) ->
               Inject (s, bit, model, after, duration))
-            (pair raw (int_bound 7)) model
+            (pair raw (int_bound 31)) model
             (pair (int_bound 3) (opt (int_range 1 3))) );
         (1, pure Clear_fault) ]
   in
   pair gen_netlist (list_size (int_range 1 40) gen_action)
 
-let print_case (nl, actions) =
+let print_netlist b nl =
   let ints l = String.concat "," (List.map string_of_int l) in
-  let b = Buffer.create 256 in
   let p fmt = Printf.bprintf b fmt in
   p "inputs [%s] consts [%s]\n" (ints nl.inputs)
     (String.concat "; " (List.map (fun (w, v) -> Printf.sprintf "%d'%d" w v) nl.consts));
@@ -376,11 +422,16 @@ let print_case (nl, actions) =
     nl.regs;
   p "mem %d x %d bits\n" nl.words nl.mem_width;
   List.iteri
-    (fun k (op, deps, w) -> p "n%d: %s [%s] width %d\n" k op_names.(op) (ints deps) w)
+    (fun k (op, deps, w) -> p "n%d: %s [%s] width %d\n" k (op_name op) (ints deps) w)
     nl.combs;
   List.iteri (fun i (pos, addr) -> p "rd%d: at %d addr %d\n" i pos addr) nl.reads;
-  (let we, addr, data = nl.write in
-   p "write: we %d addr %d data %d\n" we addr data);
+  let we, addr, data = nl.write in
+  p "write: we %d addr %d data %d\n" we addr data
+
+let print_case (nl, actions) =
+  let b = Buffer.create 256 in
+  let p fmt = Printf.bprintf b fmt in
+  print_netlist b nl;
   List.iter
     (fun act ->
       p "%s\n"
@@ -403,6 +454,159 @@ let print_case (nl, actions) =
 let prop_random_netlists =
   QCheck2.Test.make ~name:"change-driven settle = dense twin on random netlists" ~count:200
     ~print:print_case gen_case agrees
+
+(* ---- lanes against dense twins on random netlists ---- *)
+
+(* One lane's fault, with the cycle it is retired at, if any. *)
+type lane_fault = {
+  site : int;
+  bit : int;
+  lmodel : C.fault_model;
+  from : int;
+  dur : int option;
+  retire : int option;
+}
+
+let fault_site rig ~words ~mem_width f =
+  if f.site mod 4 = 0 then C.Cell (rig.mem, f.site / 4 mod words, f.bit mod mem_width)
+  else
+    let n = rig.nodes.(f.site mod Array.length rig.nodes) in
+    C.Node (n, f.bit mod C.signal_width rig.c n)
+
+(* Record a golden trace over [cycles] (per cycle, the inputs that
+   change), then run one lane per fault against it next to a dense
+   faulty twin per lane.  Every input is driven in every live lane and
+   every twin each cycle, as [Batch.run] drives a lane that left the
+   golden bus.  Every node of every live lane must equal its twin's
+   after each settle, and at the end each lane's ejected state must
+   equal its twin's full state; a retired lane drops out, and the
+   others must not notice.  The lanes' divergence-frontier counts must
+   stay exact throughout. *)
+let lanes_agree (nl, cycles, faults) =
+  let g = build nl in
+  let nin = Array.length g.ins in
+  let current = Array.make nin 0 in
+  let inputs =
+    List.map
+      (fun ch ->
+        List.iter (fun (i, v) -> current.(i mod nin) <- v) ch;
+        Array.copy current)
+      cycles
+  in
+  let drive rig v = Array.iteri (fun i s -> C.set_input rig.c s v.(i)) rig.ins in
+  let first = List.hd inputs and rest = List.tl inputs in
+  C.reset g.c;
+  drive g first;
+  C.settle g.c;
+  let start = C.snapshot g.c in
+  C.trace_start g.c;
+  C.settle g.c;
+  List.iter
+    (fun v ->
+      C.clock g.c;
+      drive g v;
+      C.settle g.c)
+    rest;
+  let tr = C.trace_stop g.c in
+  C.restore g.c start;
+  let pass = Lanes.start g.c tr in
+  let site = fault_site ~words:nl.words ~mem_width:nl.mem_width in
+  let twins =
+    Array.of_list
+      (List.mapi
+         (fun l f ->
+           let tw = build nl in
+           C.reset tw.c;
+           drive tw first;
+           C.inject tw.c ~from_cycle:f.from ?duration:f.dur (site tw f) f.lmodel;
+           C.settle tw.c;
+           Lanes.arm pass l ~from_cycle:f.from ?duration:f.dur (site g f) f.lmodel;
+           tw)
+         faults)
+  in
+  let faults = Array.of_list faults in
+  let live = Array.make (Array.length faults) true in
+  let agree () =
+    Lanes.cut_exact pass
+    && Array.for_all Fun.id
+         (Array.mapi
+            (fun l tw ->
+              (not live.(l))
+              || Array.for_all (fun s -> Lanes.value pass s l = C.value tw.c s) g.nodes)
+            twins)
+  in
+  Lanes.settle pass;
+  let ok =
+    List.fold_left
+      (fun ok v ->
+        ok
+        &&
+        let cyc = Lanes.cycle pass + 1 in
+        Lanes.clock pass;
+        Array.iteri
+          (fun l f ->
+            if live.(l) && f.retire = Some cyc then begin
+              Lanes.retire pass l;
+              live.(l) <- false
+            end;
+            if live.(l) then Array.iteri (fun i s -> Lanes.set_input pass s l v.(i)) g.ins)
+          faults;
+        Lanes.settle pass;
+        Array.iter
+          (fun tw ->
+            C.clock tw.c;
+            drive tw v;
+            C.settle tw.c)
+          twins;
+        agree ())
+      (agree ()) rest
+  in
+  ok
+  && Array.for_all Fun.id
+       (Array.mapi
+          (fun l tw ->
+            (not live.(l))
+            ||
+            let x = build nl in
+            C.transplant x.c (Lanes.eject pass l);
+            C.state_equal x.c (C.snapshot tw.c))
+          twins)
+
+let gen_lanes_case =
+  let open QCheck2.Gen in
+  let fault =
+    map
+      (fun (site, bit, lmodel, from, dur, retire) ->
+        { site; bit; lmodel; from; dur; retire })
+      (tup6 raw (int_bound 31) model (int_bound 12)
+         (opt (int_range 1 3))
+         (opt (int_range 1 30)))
+  in
+  triple gen_netlist
+    (list_size (int_range 2 30) (list_size (int_range 0 2) (pair raw byte)))
+    (list_size (int_range 1 12) fault)
+
+let print_lanes_case (nl, cycles, faults) =
+  let b = Buffer.create 256 in
+  let p fmt = Printf.bprintf b fmt in
+  print_netlist b nl;
+  List.iteri
+    (fun c ch ->
+      p "cycle %d: %s\n" c
+        (String.concat ", " (List.map (fun (i, v) -> Printf.sprintf "in %d = %d" i v) ch)))
+    cycles;
+  List.iteri
+    (fun l f ->
+      p "lane %d: site %d bit %d %s from %d for %s%s\n" l f.site f.bit
+        (C.fault_model_name f.lmodel) f.from
+        (match f.dur with Some d -> string_of_int d | None -> "ever")
+        (match f.retire with Some c -> Printf.sprintf ", retired at %d" c | None -> ""))
+    faults;
+  Buffer.contents b
+
+let prop_lanes_random_netlists =
+  QCheck2.Test.make ~name:"lanes = dense twins on random netlists" ~count:200
+    ~print:print_lanes_case gen_lanes_case lanes_agree
 
 (* ---- the change-driven settle allocates nothing ---- *)
 
@@ -447,4 +651,5 @@ let suite =
         test_trace_ignores_earlier_runs;
       Alcotest.test_case "change-driven settle allocates nothing" `Quick
         test_settle_allocates_nothing ]
-    @ List.map QCheck_alcotest.to_alcotest [ prop_random_netlists ] )
+    @ List.map QCheck_alcotest.to_alcotest
+        [ prop_random_netlists; prop_lanes_random_netlists ] )
