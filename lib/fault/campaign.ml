@@ -217,6 +217,8 @@ let lockstep ?detect_loops sys golden ~compare_reads ~hang_factor ~matched ~mism
 let continue_ejected ~obs golden sys ~compare_reads ~hang_factor ~dt e (sp : Batch.spec)
     (site : Injection.site) model ~counted =
   let t_start = if Obs.enabled obs then Obs.now obs else 0. in
+  let circuit = (Leon3.System.core sys).Leon3.Core.circuit in
+  let work0 = C.settle_stats circuit in
   Leon3.System.transplant sys e.Batch.e_tp ~mem:e.Batch.e_mem ~iport:e.Batch.e_iport
     ~dport:e.Batch.e_dport ~events_rev:e.Batch.e_events_rev
     ~n_events:(List.length e.Batch.e_events_rev)
@@ -234,13 +236,19 @@ let continue_ejected ~obs golden sys ~compare_reads ~hang_factor ~dt e (sp : Bat
     lockstep ~detect_loops:(settled && not compare_reads) sys golden ~compare_reads
       ~hang_factor ~matched:e.Batch.e_matched ~mismatch:e.Batch.e_mismatch
   in
-  C.clear_fault (Leon3.System.core sys).Leon3.Core.circuit;
+  C.clear_fault circuit;
   let r =
     { site_name = site.Injection.site_name; model; outcome; detect_cycle;
       inject_cycle = sp.Batch.from_cycle; sim = Simulated }
   in
   if Obs.enabled obs then begin
     let tail = Obs.now obs -. t_start in
+    (* the continuation's settles, change-driven after the transplant's
+       one sweep, against dense sweeps: counts that do not depend on
+       host speed *)
+    let work = C.settle_stats circuit in
+    Obs.incr obs ~by:(work.C.ss_evals - work0.C.ss_evals) "tail.evaluated";
+    Obs.incr obs ~by:(work.C.ss_dense_evals - work0.C.ss_dense_evals) "tail.dense_equiv";
     Obs.incr obs "tail.transplants";
     Obs.incr obs ~by:start_cycle "tail.prefix_saved";
     Obs.add_time obs "tail.watchdog" tail;
@@ -338,14 +346,17 @@ let run_one ?(obs = Obs.null) ?plan sys prog golden ?(inject_cycle = 0) ?duratio
         (run_lanes ~obs golden sys prog ~compare_reads ~hang_factor
            [| (site, model, sp, true) |]).(0)
     | (Some _ | None), _ ->
-        (* the dense reference: a plain cycle-by-cycle run from reset *)
+        (* the dense reference: a plain cycle-by-cycle run from reset on
+           the reference engine *)
         let circuit = (Leon3.System.core sys).Leon3.Core.circuit in
-        Leon3.System.load sys prog;
-        C.inject circuit ~from_cycle:inject_cycle ?duration site.Injection.fault_site model;
         let outcome, detect_cycle =
-          lockstep sys golden ~compare_reads ~hang_factor ~matched:0 ~mismatch:None
+          C.reference circuit @@ fun () ->
+          Leon3.System.load sys prog;
+          C.inject circuit ~from_cycle:inject_cycle ?duration site.Injection.fault_site model;
+          let v = lockstep sys golden ~compare_reads ~hang_factor ~matched:0 ~mismatch:None in
+          C.clear_fault circuit;
+          v
         in
-        C.clear_fault circuit;
         finish outcome detect_cycle Simulated
 
 type summary = {

@@ -146,8 +146,9 @@ val run_one :
     once a bounded fault has expired, and continues on the scalar
     engine if it outlives the trace.  Lane statistics land on [obs] as
     [diff.nodes_evaluated] / [diff.golden_evaluated] counters.
-    Otherwise the run is a plain dense simulation from reset, with no
-    convergence exit: on a golden run with no coverage this is the
+    Otherwise the run is a plain dense simulation from reset on the
+    reference engine ({!C.reference}: every settle a dense sweep), with
+    no convergence exit: on a golden run with no coverage this is the
     dense reference every campaign verdict must equal. *)
 
 type summary = {

@@ -195,16 +195,19 @@ type t = {
   mutable recording : coverage option;
   mutable tracing : trace_builder option;
   (* The change-driven settle's seeds, cleared by every settle: source
-     nodes whose value changed since the last settle (an input set or a
-     register committed to a new value; a change-driven settle appends
-     the comb nodes it changes, then records from the list), and
-     memories whose content changed.  [full_sweep] makes the next
+     nodes whose value changed since the last settle (an input set, a
+     register committed to a new value or a faulted source transformed;
+     a change-driven settle appends the comb nodes it changes, then
+     records from the list), and memories whose content changed (a
+     write, or a forced cell fault).  [full_sweep] makes the next
      settle the dense sweep, after a bulk state change the seeds do not
-     describe. *)
+     describe; [reference] makes every settle the dense sweep, for the
+     duration of a {!reference} run. *)
   moved : int Vec.t;
   marked : int Vec.t;
   mutable mem_marked : bool array;
   mutable full_sweep : bool;
+  mutable reference : bool;
   mutable settle_evals : int;  (* comb evaluations scalar settles made *)
   mutable settle_dense : int;  (* comb nodes x scalar settles *)
   (* observed-cone restriction for recurrence comparison: [||] = no
@@ -220,7 +223,7 @@ let create c_name =
     wl = Worklist.create ~level:[||] ~max_level:0;
     elaborated = false; cyc = 0; fault = None; recording = None; tracing = None;
     moved = Vec.create 0; marked = Vec.create 0; mem_marked = [||]; full_sweep = true;
-    settle_evals = 0; settle_dense = 0; cone = [||]; cone_mems = [||] }
+    reference = false; settle_evals = 0; settle_dense = 0; cone = [||]; cone_mems = [||] }
 
 let name t = t.c_name
 
@@ -597,6 +600,14 @@ let set_input t s v =
 
 (* --- fault machinery --- *)
 
+(* Memory [m]'s content moved: its read ports are seeds of the next
+   change-driven settle. *)
+let mark_mem t m =
+  if not t.mem_marked.(m) then begin
+    t.mem_marked.(m) <- true;
+    Vec.push t.marked m
+  end
+
 let write_cell t m idx v =
   let info = t.mem_arr.(m) in
   let v =
@@ -609,25 +620,15 @@ let write_cell t m idx v =
   let v = v land mask in
   if v <> info.data.(idx) then begin
     info.data.(idx) <- v;
-    if not t.mem_marked.(m) then begin
-      t.mem_marked.(m) <- true;
-      Vec.push t.marked m
-    end
+    mark_mem t m
   end;
   match t.recording with
   | Some cov -> record_cell cov m idx ~mask v
   | None -> ()
 
-let refresh_cell_fault t =
-  match t.fault with
-  | Some ({ site = Cell (m, idx, bit); _ } as f) when fault_active ~cyc:t.cyc f -> (
-      let info = t.mem_arr.(m) in
-      if idx < info.words then
-        match cell_force f ~bit info.data.(idx) with
-        | Some v -> info.data.(idx) <- v
-        | None -> ())
-  | Some _ | None -> ()
-
+(* Arming, replacing or clearing a fault changes the rules every node
+   is computed by, and a comb node the old fault sat on still holds its
+   faulted value: the next settle sweeps. *)
 let inject t ?(from_cycle = 0) ?duration site model =
   t.fault <- Some { site; model; from_cycle; duration; frozen = None };
   t.full_sweep <- true
@@ -705,29 +706,45 @@ let trace_deltas tr c =
 
 (* --- simulation --- *)
 
-let dense_settle t =
-  refresh_cell_fault t;
+(* The armed fault's rules ahead of a settle, the same for both settle
+   loops: a cell fault forces its cell's content (marking the memory
+   when the content moves), and a fault on a source node (input, const,
+   register) transforms its stored value (a seed when the value moves).
+   Returns the faulted comb node, which the settle evaluates through
+   [node_fault], or -1. *)
+let apply_fault t =
   let cyc = t.cyc in
-  (* A fault on a source node (input/const/register) is applied to its
-     stored value before combinational propagation. *)
-  (match t.fault with
-  | Some ({ site = Node (s, bit); _ } as f) when fault_active ~cyc f -> (
-      match t.nodes.(s).kind with
-      | Input | Const _ | Register _ -> t.values.(s) <- transform_bit f ~bit t.values.(s)
-      | Comb _ -> ())
-  | Some _ | None -> ());
+  match t.fault with
+  | None -> -1
+  | Some ({ site = Cell (m, idx, bit); _ } as f) ->
+      let data = t.mem_arr.(m).data in
+      (if fault_active ~cyc f && idx < Array.length data then
+         match cell_force f ~bit data.(idx) with
+         | Some v when v <> data.(idx) ->
+             data.(idx) <- v;
+             mark_mem t m
+         | Some _ | None -> ());
+      -1
+  | Some ({ site = Node (s, bit); _ } as f) ->
+      if t.low.level.(s) > 0 then s
+      else begin
+        (if fault_active ~cyc f then
+           let v = transform_bit f ~bit t.values.(s) in
+           if v <> t.values.(s) then begin
+             t.values.(s) <- v;
+             Vec.push t.moved s
+           end);
+        -1
+      end
+
+let dense_settle t =
+  let cyc = t.cyc in
+  let fnode = apply_fault t in
   let order = t.low.order in
   let evals = t.low.order_eval in
   let values = t.values in
   let masks = t.low.masks in
-  (* Single compare per node in the hot loop: the armed comb fault id,
-     or -1 when no comb-node fault is active this cycle. *)
-  let fnode =
-    match t.fault with
-    | Some ({ site = Node (s, _); _ } as f) when fault_active ~cyc f -> (
-        match t.nodes.(s).kind with Comb _ -> s | Input | Const _ | Register _ -> -1)
-    | Some _ | None -> -1
-  in
+  (* single compare per node in the hot loop *)
   if fnode < 0 then
     for k = 0 to Array.length order - 1 do
       let id = Array.unsafe_get order k in
@@ -779,23 +796,29 @@ let eval_shaped values ds sh =
     in
     (sh lsr ix) land 1
 
-(* The change-driven settle, for a fault-free circuit whose comb values
-   are settled except for the seeds: evaluate, in level order, only the
+(* The change-driven settle, for a circuit whose comb values are
+   settled except for the seeds: evaluate, in level order, only the
    comb nodes with a dependency that moved (a seed, or a node this
    settle changed) and the read ports of memories whose content changed.
    Exact because evaluators are pure functions of their dependency
    values (and, for a read port, of its memory's content), which is
-   also what lets a shaped node skip its evaluator.  Each node that
-   moved is appended to [t.moved], so recording afterwards costs per
-   changed node: an unchanged node's value was recorded at the settle
-   where it last changed, or at the full sweep that started the
-   recording. *)
+   also what lets a shaped node skip its evaluator.  An armed fault
+   adds the seeds [apply_fault] leaves, and its comb node is evaluated
+   at every settle: the fault's window opens and closes on the cycle
+   counter, not on the node's inputs, and a closed window heals the
+   residue at the next evaluation.  Each node that moved is
+   appended to [t.moved], so recording afterwards costs per changed
+   node: an unchanged node's value was recorded at the settle where it
+   last changed, or at the full sweep that started the recording. *)
 let event_settle t =
   let low = t.low in
   let wl = t.wl and fanout = low.fanout and moved = t.moved in
   let values = t.values and masks = low.masks and evals = low.eval in
   let shape = low.shape and deps = low.deps in
+  let cyc = t.cyc in
   Worklist.start wl;
+  let fnode = apply_fault t in
+  if fnode >= 0 then push wl fnode;
   for i = 0 to Vec.length moved - 1 do
     queue_fanout wl fanout (Vec.get moved i)
   done;
@@ -816,6 +839,7 @@ let event_settle t =
         if sh <> shape_none then eval_shaped values (Array.unsafe_get deps id) sh
         else (Array.unsafe_get evals id) values land Array.unsafe_get masks id
       in
+      let v = if id = fnode then node_fault ~cyc t.fault id v else v in
       if v <> Array.unsafe_get values id then begin
         Array.unsafe_set values id v;
         Vec.push moved id;
@@ -850,24 +874,30 @@ let event_settle t =
       done
   | None -> ()
 
-(* Dense while a fault is armed (the fault rules live in the dense
-   sweep, and it is the oracle the lanes are checked against) and after
-   a bulk state change; change-driven otherwise. *)
+(* Dense on the reference engine and after a bulk state change;
+   change-driven otherwise, with or without a fault armed. *)
 let settle t =
   check_elab t;
   let ncomb = Array.length t.low.order in
-  (match t.fault with
-  | None when not t.full_sweep -> event_settle t
-  | None | Some _ ->
-      dense_settle t;
-      t.settle_evals <- t.settle_evals + ncomb;
-      t.full_sweep <- false);
+  if t.reference || t.full_sweep then begin
+    dense_settle t;
+    t.settle_evals <- t.settle_evals + ncomb;
+    t.full_sweep <- false
+  end
+  else event_settle t;
   t.settle_dense <- t.settle_dense + ncomb;
   Vec.clear t.moved;
   for i = 0 to Vec.length t.marked - 1 do
     t.mem_marked.(Vec.get t.marked i) <- false
   done;
   Vec.clear t.marked
+
+(* A dense sweep leaves every value settled and the seeds empty, so the
+   change-driven settle can take over wherever a reference run ends. *)
+let reference t f =
+  let outer = t.reference in
+  t.reference <- true;
+  Fun.protect ~finally:(fun () -> t.reference <- outer) f
 
 let clock t =
   check_elab t;

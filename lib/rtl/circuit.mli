@@ -17,22 +17,27 @@
     lost).
 
     The kernel has two settle loops:
-    - the {e dense sweep} evaluates every comb node in schedule order.
-      {!settle} runs it whenever a fault is armed — it is the reference
-      oracle every accelerated verdict must equal, and it continues
-      faulty runs past the end of a golden trace — and for the first
-      settle after a bulk state change ({!elaborate}, {!reset},
-      {!restore} and so {!transplant}, {!inject}, {!clear_fault},
-      {!coverage_start});
-    - the {e change-driven settle} runs every other {!settle}, which
-      in practice is the golden run: it evaluates, in level order, only
-      the comb nodes with a dependency that changed since the last
-      settle (an input set to a new value, a register committed to a
-      new value, a node this settle changed) and the read ports of
-      memories whose content changed, and records traces and coverage
-      from those changes alone.
+    - the {e dense sweep} evaluates every comb node in schedule order,
+      each through its evaluator, and applies the armed fault's rules.
+      It runs at every settle of a {!reference} run — the reference
+      engine, the oracle every accelerated verdict must equal — and
+      at the first settle after a bulk state change ({!elaborate},
+      {!reset}, {!restore} and so {!transplant}, {!inject},
+      {!clear_fault}, {!coverage_start});
+    - the {e change-driven settle} runs every other {!settle}: the
+      golden run and faulty runs alike, among them the watchdog's
+      continuation of a lane past the end of a golden trace.  It evaluates,
+      in level order, only the comb nodes with a dependency that
+      changed since the last settle (an input set to a new value, a
+      register committed to a new value, a node this settle changed)
+      and the read ports of memories whose content changed, and
+      records traces and coverage from those changes alone.  An armed
+      fault adds the seeds its rules need: a forced cell marks its
+      memory when its content moves, a transformed source node is a
+      seed when its value moves, and the faulted comb node is
+      evaluated at every settle while the fault is armed.
 
-    Every other faulty run goes to {!Lanes}, which advances up to
+    Every accelerated faulty run starts in {!Lanes}, which advances up to
     {!max_lanes} faulty machines as bit-lanes against a golden trace,
     on its own copy of the golden machine: a lanes pass never writes
     the circuit it starts from.  Both engines read one lowering
@@ -164,13 +169,21 @@ val set_input : t -> signal -> int -> unit
 
 val settle : t -> unit
 (** Propagate combinational values from the current register/input
-    state.  With no fault armed this is the change-driven settle: it
-    evaluates only the fanout of what changed since the previous
-    settle, and the result equals the dense sweep's node for node.
-    While a fault is armed, and on the first settle after a bulk state
-    change, it is the dense sweep (see the loops above).  The
-    change-driven settle allocates nothing beyond the growth of a
-    recorded trace. *)
+    state, under the armed fault if any.  This is the change-driven
+    settle: it evaluates only the fanout of what changed since the
+    previous settle, plus the seeds of the armed fault, and the result
+    equals the dense sweep's node for node.  The dense sweep runs
+    only inside {!reference} and on the first settle after a bulk state
+    change (see the loops above).  The change-driven settle allocates
+    nothing beyond the growth of a recorded trace. *)
+
+val reference : t -> (unit -> 'a) -> 'a
+(** [reference c f] runs [f] on the reference engine: every {!settle}
+    of [c] inside [f] is the dense sweep, whatever changed.  It is the
+    one entry to the dense oracle ([Campaign.run_one] without a plan,
+    and the tests' dense twins); the previous mode is restored when [f]
+    returns or raises.  Values are those of the change-driven settle
+    node for node, so a run may enter or leave it between settles. *)
 
 val clock : t -> unit
 (** Commit register next-values and memory writes from the settled
@@ -292,7 +305,7 @@ val coverage_start : t -> unit
     change-driven settle records only the nodes whose value changed,
     which is exact because an unchanged value was recorded when it
     last changed.  So recording costs per changed node, not per node;
-    while a fault is armed each settle records every node. *)
+    a dense sweep ({!reference}) records every node. *)
 
 val coverage_stop : t -> coverage
 (** Stop recording and return the accumulated coverage. *)

@@ -6,14 +6,25 @@ module C = Circuit
    golden machine (whose values live in [values], advanced from the
    golden trace).  A one-bit node keeps its lane values in one word,
    [bits.(id)], bit [l] for lane [l]; a wider node stores them densely
-   at [(id lsl lane_shift) lor l] in [lane] (whose rows for one-bit
-   nodes go unused).  Either is only meaningful where the diff bit is
-   set, so a settle propagates "needs evaluation" lane sets with
-   bitwise ORs and every clean (node, lane) pair costs nothing; a
-   shaped node ([C.lowering.shape]) is evaluated for all of its needed
-   lanes in a few bitwise operations on such words.  Memory divergence
-   is a sparse per-memory overlay: a cell has an entry only while some
-   lane's content differs from the golden (base) content. *)
+   in its own row of [lane], at [(row.(id) lsl lane_shift) lor l].
+   Either is only meaningful where the diff bit is set, so a settle
+   propagates "needs evaluation" lane sets with bitwise ORs and every
+   clean (node, lane) pair costs nothing; a shaped node
+   ([C.lowering.shape]) is evaluated for all of its needed lanes in a
+   few bitwise operations on such words.
+
+   A settle is change-driven per lane: [moved.(id)] holds the lanes
+   whose view of node [id] moved this cycle (valid while [nstamp.(id)]
+   is the current cycle).  A golden trace delta moves the lanes clean
+   on the node — a diverged lane holds its own value — and a lane's own
+   value change moves that lane.  A comb node is evaluated for a lane
+   only where the lane's view of one of its inputs moved (or of the
+   node itself: golden moved it, and a lane diverged on an input must
+   keep its own value) and the lane diverges somewhere across the
+   node's cut; every other (node, lane) pair would recompute the value
+   it holds.  Memory divergence is a sparse per-memory overlay: a cell
+   has an entry only while some lane's content differs from the golden
+   (base) content. *)
 
 let lane_shift = 6
 
@@ -66,7 +77,8 @@ type t = {
   mutable active : int;  (* mask of live lanes *)
   diff : int array;  (* per node: diverged-lane mask *)
   bits : int array;  (* per one-bit node: bit l = lane l's value *)
-  lane : int array;  (* (id lsl lane_shift) lor lane -> lane value, wider nodes *)
+  row : int array;  (* per node: its row in [lane], -1 for a one-bit node *)
+  lane : int array;  (* (row lsl lane_shift) lor lane -> lane value, wider nodes *)
   cut : int array;
       (* per node: how many of the node and its dependencies have a
          nonzero [diff] — the divergence frontier.  A golden move of a
@@ -112,16 +124,19 @@ type t = {
   sc_val : int array;
   nstamp : int array;
       (* per node: cycle of the last effective-value change (a golden
-         trace delta, or a lane value / diff-bit change), -1 before
-         the first.  A pending node none of whose dependencies carry
-         the current cycle's stamp would recompute exactly what it
-         computed last settle, so the evaluator skips it — the
-         change-driven pruning that makes a quiescent divergence cone
-         cost nothing per cycle. *)
+         trace delta, or a lane's own value change), -1 before the
+         first *)
+  moved : int array;
+      (* per node: the lanes whose view of the node moved in cycle
+         [nstamp] — clean lanes on a golden delta, a lane on its own
+         value change.  The settle seeds from these masks alone, so a
+         lane none of whose inputs moved costs nothing, and a quiescent
+         divergence cone nothing per cycle. *)
   fsite : int array;
-      (* per node: lanes with a combinational fault site here — exempt
-         from stamp skipping (the fault window opens and closes on the
-         cycle counter, not on any dependency) *)
+      (* per node: lanes with a combinational fault site here —
+         evaluated at every settle, whatever moved (the fault window
+         opens and closes on the cycle counter, not on any
+         dependency) *)
   regof : int array array;  (* per node: register slots watching it as q, d or enable *)
   regset : int Vec.t;  (* slots with any divergence on q/d/en *)
   regmem : bool array;  (* per slot: member of [regset] *)
@@ -169,6 +184,13 @@ let start c tr =
     Array.map (function [] -> empty | l -> Array.of_list l) ls
   in
   let words m = Array.length golden.snap_mems.(m) in
+  let row = Array.make n (-1) and rows = ref 0 in
+  for id = 0 to n - 1 do
+    if low.C.masks.(id) <> 1 then begin
+      row.(id) <- !rows;
+      incr rows
+    end
+  done;
   { values = golden.snap_values;
     base = golden.snap_mems;
     cyc = 0;
@@ -178,7 +200,8 @@ let start c tr =
     active = 0;
     diff = Array.make n 0;
     bits = Array.make n 0;
-    lane = Array.make (n lsl lane_shift) 0;
+    row;
+    lane = Array.make (!rows lsl lane_shift) 0;
     cut = Array.make n 0;
     faults = Array.make C.max_lanes None;
     fnode = Array.make C.max_lanes (-1);
@@ -202,6 +225,7 @@ let start c tr =
     sc_idx = Array.make C.max_lanes 0;
     sc_val = Array.make C.max_lanes 0;
     nstamp = Array.make n (-1);
+    moved = Array.make n 0;
     fsite = Array.make n 0;
     regof;
     regset = Vec.create 0;
@@ -214,8 +238,9 @@ let start c tr =
 
 let lane_view t id l =
   if t.diff.(id) land (1 lsl l) = 0 then t.values.(id)
-  else if t.low.C.masks.(id) = 1 then (t.bits.(id) lsr l) land 1
-  else t.lane.((id lsl lane_shift) lor l)
+  else
+    let r = t.row.(id) in
+    if r < 0 then (t.bits.(id) lsr l) land 1 else t.lane.((r lsl lane_shift) lor l)
 
 (* Node [id]'s diff mask goes from [d0] to [d1] (they differ).  A first
    divergence wakes the register slots that sample the node, so the
@@ -243,28 +268,36 @@ let set_diff t id d0 d1 =
     done
   end
 
+(* Lanes [lanes]'s views of node [id] moved this cycle. *)
+let stamp t id lanes =
+  if t.nstamp.(id) = t.cyc then t.moved.(id) <- t.moved.(id) lor lanes
+  else begin
+    t.nstamp.(id) <- t.cyc;
+    t.moved.(id) <- lanes
+  end
+
 (* Store lane [l]'s new value [v] of node [id]; true when the lane's
-   view moved, which stamps the node with the current cycle. *)
+   view moved, which stamps the node with the lane for the current
+   cycle. *)
 let store_lane t id l v =
   let bit = 1 lsl l in
-  let d0 = t.diff.(id) and g = t.values.(id) in
-  let one = t.low.C.masks.(id) = 1 in
+  let d0 = t.diff.(id) and g = t.values.(id) and r = t.row.(id) in
   let old =
     if d0 land bit = 0 then g
-    else if one then (t.bits.(id) lsr l) land 1
-    else t.lane.((id lsl lane_shift) lor l)
+    else if r < 0 then (t.bits.(id) lsr l) land 1
+    else t.lane.((r lsl lane_shift) lor l)
   in
   let d1 =
     if v = g then d0 land lnot bit
     else begin
-      if one then t.bits.(id) <- (t.bits.(id) land lnot bit) lor (v lsl l)
-      else t.lane.((id lsl lane_shift) lor l) <- v;
+      if r < 0 then t.bits.(id) <- (t.bits.(id) land lnot bit) lor (v lsl l)
+      else t.lane.((r lsl lane_shift) lor l) <- v;
       d0 lor bit
     end
   in
   if d1 <> d0 then set_diff t id d0 d1;
   let changed = old <> v in
-  if changed then t.nstamp.(id) <- t.cyc;
+  if changed then stamp t id bit;
   changed
 
 (* [store_lane] for a change the next settle must seed from — a lane
@@ -440,11 +473,12 @@ let eval_sliced t id deps sh need =
       let w = Array.unsafe_get deps 0 and i = sh land shape_tap_bits in
       let dw = Array.unsafe_get t.diff w land need in
       let x = ref (-((Array.unsafe_get t.values w lsr i) land 1) land lnot dw) in
+      let wr = Array.unsafe_get t.row w lsl lane_shift in
       let m = ref dw in
       while !m <> 0 do
         let l = lowest_lane !m in
         m := !m land (!m - 1);
-        let v = Array.unsafe_get t.lane ((w lsl lane_shift) lor l) in
+        let v = Array.unsafe_get t.lane (wr lor l) in
         x := !x lor (((v lsr i) land 1) lsl l)
       done;
       !x
@@ -477,7 +511,7 @@ let eval_sliced t id deps sh need =
   if d1 <> d0 then set_diff t id d0 d1;
   let changed = (old lxor r) land need in
   if changed <> 0 then begin
-    Array.unsafe_set t.nstamp id t.cyc;
+    stamp t id changed;
     push_fanout t id changed
   end
 
@@ -522,28 +556,37 @@ let settle t =
     wl.Worklist.epoch <- wl.Worklist.epoch + 1;
     Array.fill wl.Worklist.fill 0 (Array.length wl.Worklist.fill) 0;
     let nstamp = t.nstamp and cut = t.cut and rport_of = low.C.rport_of in
-    (* Change-driven seeding at the divergence frontier: between two
-       settles a lane's view of a node can only move through a node in
-       [stamped] (a golden trace delta, a clock-committed lane
-       register, a lane input change) or through memory content,
-       tracked per memory in [mem_dirty].  A node none of whose cut
-       diverges in any lane computes golden's value in every lane
-       whatever moved, so a move queues only the sinks with a nonzero
-       cut count, and the read ports of memories holding an overlay
-       (a lane reading golden's address may read its own cell).  Lanes
-       that diverge during the settle queue their own fanout. *)
+    (* Change-driven seeding at the divergence frontier, per lane:
+       between two settles a lane's view of a node can only move
+       through a node in [stamped] (a golden trace delta, a
+       clock-committed lane register, a lane input change), for the
+       lanes of its [moved] mask, or through memory content, tracked
+       per memory in [mem_dirty].  A node none of whose cut diverges in
+       any lane computes golden's value in every lane whatever moved,
+       so a move queues, for the lanes it moved, only the sinks with a
+       nonzero cut count; a read port, whose rule below re-derives its
+       own lanes, is queued for every lane when its cut is nonzero or
+       its memory holds an overlay (a lane reading golden's address may
+       read its own cell).  A comb node golden moved queues itself for
+       the lanes it moved: a lane clean on it but diverged on an input
+       whose view did not move keeps its own value, which no longer
+       equals golden's.  Lanes that change during the settle queue
+       their own fanout. *)
+    let moved = t.moved and level = low.C.level in
     for i = 0 to Vec.length t.stamped - 1 do
       let id = Vec.get t.stamped i in
       if Array.unsafe_get nstamp id = cyc then begin
+        let mv = Array.unsafe_get moved id land active in
+        if mv <> 0 && Array.unsafe_get level id > 0 && Array.unsafe_get cut id > 0 then
+          push t id mv;
         let fo = Array.unsafe_get low.C.fanout id in
         for j = 0 to Array.length fo - 1 do
           let s = Array.unsafe_get fo j in
-          if
-            Array.unsafe_get cut s > 0
-            ||
-            let rm = Array.unsafe_get rport_of s in
-            rm >= 0 && t.mem_lanes.(rm) <> 0
-          then push t s active
+          let rm = Array.unsafe_get rport_of s in
+          if rm >= 0 then begin
+            if Array.unsafe_get cut s > 0 || t.mem_lanes.(rm) <> 0 then push t s active
+          end
+          else if mv <> 0 && Array.unsafe_get cut s > 0 then push t s mv
         done
       end
     done;
@@ -571,7 +614,7 @@ let settle t =
        node's fanout once, for the lanes whose value it changed *)
     let nev = ref 0 in
     let diff = t.diff and values = t.values and pend = t.pend and fsite = t.fsite in
-    let masks = low.C.masks and shape = low.C.shape in
+    let masks = low.C.masks and shape = low.C.shape and row = t.row in
     for lvl = 1 to low.C.max_level do
       let b = Array.unsafe_get wl.Worklist.bucket lvl in
       for i = 0 to Array.unsafe_get wl.Worklist.fill lvl - 1 do
@@ -604,20 +647,16 @@ let settle t =
             Array.unsafe_get pend id land (lanes lor Array.unsafe_get fsite id)
           end
           else begin
-            (* change-driven pruning: with no dependency stamped this
-               cycle the node would recompute last settle's values;
-               the relevance mask restricts evaluation to lanes that
-               diverge somewhere across the node's cut (clean lanes
-               track the golden trace for free) *)
-            let fresh = ref false in
+            (* the pending lanes are those whose view of an input (or
+               of the node) moved; the relevance mask restricts
+               evaluation to the ones that diverge somewhere across the
+               node's cut (clean lanes track the golden trace for
+               free) *)
             let rel = ref (Array.unsafe_get diff id) in
             for j = 0 to Array.length deps - 1 do
-              let d = Array.unsafe_get deps j in
-              if Array.unsafe_get nstamp d = cyc then fresh := true;
-              rel := !rel lor Array.unsafe_get diff d
+              rel := !rel lor Array.unsafe_get diff (Array.unsafe_get deps j)
             done;
-            Array.unsafe_get pend id
-            land ((if !fresh then !rel else 0) lor Array.unsafe_get fsite id)
+            Array.unsafe_get pend id land (!rel lor Array.unsafe_get fsite id)
           end
         in
         let need = need land active in
@@ -656,9 +695,10 @@ let settle t =
                     Array.unsafe_set values d
                       (if Array.unsafe_get diff d land bitl = 0 then
                          Array.unsafe_get t.ov_vals j
-                       else if Array.unsafe_get masks d = 1 then
-                         (Array.unsafe_get t.bits d lsr l) land 1
-                       else Array.unsafe_get t.lane ((d lsl lane_shift) lor l))
+                       else
+                         let r = Array.unsafe_get row d in
+                         if r < 0 then (Array.unsafe_get t.bits d lsr l) land 1
+                         else Array.unsafe_get t.lane ((r lsl lane_shift) lor l))
                   done;
                   low.C.eval.(id) values land Array.unsafe_get masks id
                 end
@@ -812,7 +852,7 @@ let clock t =
   let c = t.cyc in
   let dend = t.tr.tr_dend and delta = t.tr.tr_delta in
   let cbits = trace_chunk_bits and cmask = trace_chunk - 1 in
-  let nstamp = t.nstamp in
+  let nstamp = t.nstamp and moved = t.moved and diff = t.diff in
   (* the seed set restarts here: stale entries from the settle that
      just ran describe changes its sweep already propagated *)
   Vec.clear t.stamped;
@@ -821,8 +861,10 @@ let clock t =
     let id = delta_id p in
     Array.unsafe_set values id (delta_val p);
     (* a delta is by definition an effective-value change for every
-       lane that is clean on this node *)
+       lane that is clean on this node, and for no other: a diverged
+       lane holds its own value.  The first stamp of the cycle. *)
     Array.unsafe_set nstamp id c;
+    Array.unsafe_set moved id (lnot (Array.unsafe_get diff id));
     Vec.push t.stamped id
   done;
   (* Phase 4: commit sampled lane registers against the new golden *)

@@ -8,7 +8,7 @@
     re-evaluating it.  Each {e lane} stores only the nodes on which it
     currently diverges from golden: a per-node 63-bit divergence mask
     plus lane values — one word per one-bit node (bit [l] is lane
-    [l]'s value), a dense per-lane store for wider nodes.  A settle
+    [l]'s value), a dense per-lane row for each wider node.  A settle
     propagates lane sets through the levelized schedule with bitwise
     ORs, so a clean (node, lane) pair costs nothing and a campaign of
     thousands of mostly-convergent faulty runs becomes dozens of
@@ -28,7 +28,7 @@
     Lanes only run where the golden trace does: lanes still live at the
     trace's last settled cycle are handed over to the scalar engine
     ({!eject}, {!Circuit.transplant}), which decides them with its own
-    hang detection. *)
+    hang detection, settling change-driven under the lane's fault. *)
 
 type t
 
@@ -47,15 +47,21 @@ val arm :
 val settle : t -> unit
 (** Propagate every active lane's divergence cone (the golden values
     are already settled, straight from the trace).  Work is paid per
-    diverged (node, lane) pair: a node is evaluated for a lane only
-    when one of its dependencies moved this cycle and the lane diverges
-    somewhere across the node's cut, or when the lane has a fault armed
-    on it.  The settle is seeded at the divergence frontier: a move
-    queues only the sinks whose cut (the node and its dependencies)
-    holds some diverged lane, and the read ports of memories that hold
-    an overlay; a lane that diverges during the settle queues its own
-    fanout.  A lane with a fault on a shaped node has its bit fixed up
-    by the same fault rule as the scalar engine's.
+    diverged (node, lane) pair, change-driven per lane: a node is
+    evaluated for a lane only when the lane's own view of one of its
+    dependencies moved this cycle and the lane diverges somewhere across
+    the node's cut, or when the lane has a fault armed on it.  A golden
+    move of a node moves the views of the lanes clean on it, not of a
+    lane that holds its own value there; a lane's own value change
+    moves that lane alone.  A comb node golden moved is also evaluated
+    for the lanes it moved that diverge on one of its dependencies: such
+    a lane keeps its own value, which no longer equals golden's.  The
+    settle is seeded at the divergence frontier: a move queues only the
+    sinks whose cut (the node and its dependencies) holds some diverged
+    lane, and the read ports of memories that hold an overlay; a lane
+    that changes during the settle queues its own fanout.  A lane with a
+    fault on a shaped node has its bit fixed up by the same fault rule
+    as the scalar engine's.
 
     A memory read port re-derives a lane's value only when
     - the lane's view of the array moved since the last settle: an

@@ -150,16 +150,20 @@ let comparator sys (golden : Campaign.golden) ~compare_reads ~matched ~mismatch 
       false
     end
 
-(* Scalar reference: the dense [run_one] comparator, exposing the raw
-   observables instead of a classified verdict. *)
+(* Scalar reference: the dense [run_one] comparator on the reference
+   engine, exposing the raw observables instead of a classified
+   verdict. *)
 let scalar_observe sys prog golden ~compare_reads ~max_cycles (sp : Batch.spec) =
   let c = circuit sys in
-  Leon3.System.load sys prog;
-  C.inject c ~from_cycle:sp.Batch.from_cycle ?duration:sp.Batch.duration
-    sp.Batch.site sp.Batch.model;
   let matched = ref 0 and mismatch = ref None in
-  let on_event = comparator sys golden ~compare_reads ~matched ~mismatch in
-  let stop = Leon3.System.run ~on_event sys ~max_cycles in
+  let stop =
+    C.reference c @@ fun () ->
+    Leon3.System.load sys prog;
+    C.inject c ~from_cycle:sp.Batch.from_cycle ?duration:sp.Batch.duration
+      sp.Batch.site sp.Batch.model;
+    let on_event = comparator sys golden ~compare_reads ~matched ~mismatch in
+    Leon3.System.run ~on_event sys ~max_cycles
+  in
   C.clear_fault c;
   { o_stop = stop;
     o_matched = !matched;
@@ -181,9 +185,10 @@ let pp_observed o =
     (List.length o.o_events)
 
 (* Continue an ejected lane on the scalar engine from its transplanted
-   trace-end state, exposing the same raw observables as
-   [scalar_observe] — every field must then equal the from-zero scalar
-   run's, since the transplant hands over the exact state. *)
+   trace-end state, change-driven as the watchdog continues it,
+   exposing the same raw observables as [scalar_observe] — every field
+   must then equal the from-zero reference run's, since the transplant
+   hands over the exact state. *)
 let continue_observe sys golden ~compare_reads ~max_cycles (e : Batch.ejected) =
   let c = circuit sys in
   Leon3.System.transplant sys e.Batch.e_tp ~mem:e.Batch.e_mem ~iport:e.Batch.e_iport
@@ -454,6 +459,7 @@ let test_convergence_is_state_equality () =
   (* the first cycle >= expiry at which the dense faulty run, past that
      cycle's terminal checks, equals the golden run *)
   let dense_convergence site =
+    C.reference c @@ fun () ->
     Leon3.System.load sys prog;
     C.inject c ~from_cycle:inject_cycle ~duration:1 site C.Bit_flip;
     let matched = ref 0 and mismatch = ref None in
@@ -732,6 +738,71 @@ let test_never_read_cells_cost_nothing () =
     true
     (stats.C.bs_evals <= bound)
 
+(* ---- a lane is evaluated only where its own view of an input moved ----
+
+   Node [n = a + b].  Golden drives [a] with a new value every cycle
+   and holds [b], so golden moves [a] and [n] every cycle.  One lane
+   holds a constant of its own on [a]: after the cycle it diverges,
+   neither its view of [a] nor its view of [b] moves, so its value of
+   [n] cannot change, and the lane costs one evaluation of [n] in all,
+   however often golden moves [a] and [n].  The lane must still equal
+   its scalar run on the reference engine at every cycle. *)
+
+let test_lane_quiet_while_golden_moves () =
+  let build () =
+    let c = C.create "quiet" in
+    let a = C.input c "a" 8 and b = C.input c "b" 8 in
+    let n = C.comb2 c "n" 8 a b ( + ) in
+    C.elaborate c;
+    C.reset c;
+    (c, a, b, n)
+  in
+  let cycles = 50 and own = 200 in
+  let c, a, b, n = build () in
+  let drive k =
+    C.set_input c a k;
+    C.set_input c b 3
+  in
+  drive 0;
+  C.settle c;
+  let start = C.snapshot c in
+  C.trace_start c;
+  C.settle c;
+  for k = 1 to cycles do
+    C.clock c;
+    drive k;
+    C.settle c
+  done;
+  let trace = C.trace_stop c in
+  C.restore c start;
+  let pass = Lanes.start c trace in
+  (* a dormant fault makes the lane live; its inputs diverge as driven *)
+  Lanes.arm pass 0 ~from_cycle:max_int (C.Node (b, 0)) C.Stuck_at_1;
+  let tw, ta, tb, tn = build () in
+  let step () =
+    Lanes.set_input pass a 0 own;
+    Lanes.set_input pass b 0 3;
+    Lanes.settle pass;
+    C.set_input tw ta own;
+    C.set_input tw tb 3;
+    C.settle tw;
+    check_int
+      (Printf.sprintf "cycle %d: lane = its scalar run" (Lanes.cycle pass))
+      (C.value tw tn) (Lanes.value pass n 0);
+    check_bool "golden moved away from the lane" true (Lanes.golden pass n <> C.value tw tn)
+  in
+  C.reference tw (fun () ->
+      step ();
+      for _ = 1 to cycles do
+        Lanes.clock pass;
+        C.clock tw;
+        step ()
+      done);
+  let evals = (Lanes.stats pass).C.bs_evals in
+  check_bool
+    (Printf.sprintf "%d lane evaluations over %d cycles, at most 1" evals (cycles + 1))
+    true (evals <= 1)
+
 let suite =
   ( "batch",
     [ Alcotest.test_case "compiled plan = graph replay plan" `Quick
@@ -751,7 +822,9 @@ let suite =
       Alcotest.test_case "lanes leave the circuit untouched" `Quick
         test_lanes_leave_circuit_untouched;
       Alcotest.test_case "never-read cells cost no read-port work" `Quick
-        test_never_read_cells_cost_nothing ]
+        test_never_read_cells_cost_nothing;
+      Alcotest.test_case "a lane whose inputs stay put costs nothing" `Quick
+        test_lane_quiet_while_golden_moves ]
     @ List.map QCheck_alcotest.to_alcotest
         [ prop_batch_matches_scalar; prop_one_lane_matches_dense;
           prop_one_lane_matches_dense_gate ] )

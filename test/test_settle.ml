@@ -1,14 +1,18 @@
-(* Tests for the change-driven settle.  With no fault armed, [settle]
-   evaluates only the comb fanout of what changed since the last settle
-   and records traces and coverage from the changes; while a fault is
-   armed every settle is the dense sweep, the oracle.  A dormant fault
-   (armed, never active) keeps a run on the dense sweep without moving
-   any value, so each check below runs a circuit next to a dense twin:
-   the real Leon3 netlists for recording, small random netlists for
-   values.  The random netlists mix word-level operators with gate
-   cells, one-bit tables and taps — the nodes both change-driven loops
-   evaluate from their shape instead of their evaluator — and also run
-   as lanes ({!Rtl.Lanes}) next to one dense faulty twin per lane. *)
+(* Tests for the change-driven settle.  [settle] evaluates only the
+   comb fanout of what changed since the last settle, with or without a
+   fault armed, and records traces and coverage from the changes; the
+   dense sweep runs at every settle of a [Circuit.reference] run, the
+   oracle.  Each check below runs a circuit next to a dense twin on the
+   reference engine: the real Leon3 netlists for recording, small random
+   netlists for values, with faults of every model armed on source,
+   comb and cell sites.  The random netlists mix word-level operators
+   with gate cells, one-bit tables and taps — the nodes both
+   change-driven loops evaluate from their shape instead of their
+   evaluator — and also run as lanes ({!Rtl.Lanes}) next to one dense
+   faulty twin per lane.  A watchdog continuation, the scalar engine's
+   faulty run after a lane's transplant, is change-driven too; the
+   dense reference [Campaign.run_one] without a plan sweeps at every
+   settle. *)
 
 module C = Rtl.Circuit
 module Lanes = Rtl.Lanes
@@ -36,9 +40,6 @@ let program ?iterations name =
   let iterations = Option.value iterations ~default:e.Suite.default_iterations in
   e.Suite.build ~iterations ~dataset:0
 
-(* A fault that is armed but never active. *)
-let arm_dormant c s = C.inject c ~from_cycle:max_int (C.Node (s, 0)) C.Stuck_at_1
-
 (* ---- recording on the real netlists ---- *)
 
 type recording = {
@@ -61,18 +62,19 @@ let record_golden sys prog =
     evaluated = Obs.counter obs "golden.evaluated";
     dense_equiv = Obs.counter obs "golden.dense_equiv" }
 
-(* The same run with a dormant fault armed: every settle sweeps. *)
+(* The same run on the reference engine: every settle sweeps. *)
 let record_dense sys prog =
   let c = circuit sys in
   let w0 = C.settle_stats c in
   C.clear_fault c;
   C.coverage_start c;
   C.trace_start c;
-  arm_dormant c (Leon3.System.core sys).Leon3.Core.halted;
-  Leon3.System.load sys prog;
-  let stop = Leon3.System.run sys ~max_cycles in
+  let stop =
+    C.reference c (fun () ->
+        Leon3.System.load sys prog;
+        Leon3.System.run sys ~max_cycles)
+  in
   let cov = C.coverage_stop c and tr = C.trace_stop c in
-  C.clear_fault c;
   (match stop with
   | Leon3.System.Exited _ -> ()
   | Leon3.System.Trapped _ | Leon3.System.Cycle_limit | Leon3.System.Aborted ->
@@ -288,21 +290,23 @@ let same_coverage a ca cb =
         (List.init (C.signal_width a.c s) Fun.id))
     a.nodes
 
+(* A settle of a dense twin, on the reference engine. *)
+let dense_settle rig = C.reference rig.c (fun () -> C.settle rig.c)
+
 (* Run [actions] on a circuit and on its dense twin, comparing every
    node value and memory word after each settle and the coverage at
-   the end. *)
+   the end.  Both arm the same faults: the circuit settles
+   change-driven under them, the twin sweeps. *)
 let agrees (nl, actions) =
   let a = build nl and b = build nl in
-  let dormant () = arm_dormant b.c b.nodes.(0) in
   C.reset a.c;
   C.reset b.c;
-  dormant ();
   C.coverage_start a.c;
   C.coverage_start b.c;
   let snaps = ref None in
   let settle () =
     C.settle a.c;
-    C.settle b.c;
+    dense_settle b;
     same_state ~words:nl.words a b
   in
   let step ok act =
@@ -349,7 +353,7 @@ let agrees (nl, actions) =
         true
     | Clear_fault ->
         C.clear_fault a.c;
-        dormant ();
+        C.clear_fault b.c;
         true
   in
   let ok = List.fold_left step true actions && settle () in
@@ -400,12 +404,15 @@ let gen_case =
         (1, pure Snapshot);
         (1, pure Restore);
         (1, pure Reset);
-        ( 1,
+        (* permanent and bounded faults alike, on any node (source,
+           comb, read port, tap) or memory cell *)
+        ( 2,
           map3
             (fun (s, bit) model (after, duration) ->
               Inject (s, bit, model, after, duration))
             (pair raw (int_bound 31)) model
-            (pair (int_bound 3) (opt (int_range 1 3))) );
+            (pair (int_bound 3)
+               (frequency [ (1, pure None); (1, map Option.some (int_range 1 3)) ])) );
         (1, pure Clear_fault) ]
   in
   pair gen_netlist (list_size (int_range 1 40) gen_action)
@@ -519,7 +526,7 @@ let lanes_agree (nl, cycles, faults) =
            C.reset tw.c;
            drive tw first;
            C.inject tw.c ~from_cycle:f.from ?duration:f.dur (site tw f) f.lmodel;
-           C.settle tw.c;
+           dense_settle tw;
            Lanes.arm pass l ~from_cycle:f.from ?duration:f.dur (site g f) f.lmodel;
            tw)
          faults)
@@ -556,7 +563,7 @@ let lanes_agree (nl, cycles, faults) =
           (fun tw ->
             C.clock tw.c;
             drive tw v;
-            C.settle tw.c)
+            dense_settle tw)
           twins;
         agree ())
       (agree ()) rest
@@ -643,10 +650,52 @@ let test_settle_allocates_nothing () =
     true
     (w1 -. w0 < 100.)
 
+(* ---- the watchdog continuation is change-driven, the reference dense ---- *)
+
+(* A permanent fault whose lane outlives the golden trace is handed to
+   the scalar engine at trace end, and the continuation settles
+   change-driven under the armed fault: fewer comb evaluations than
+   comb nodes x settles, and the dense reference's verdict.  The
+   reference run ([run_one] without a plan) sweeps at every settle. *)
+let test_watchdog_change_driven () =
+  let sys = Lazy.force behav_sys in
+  let c = circuit sys in
+  let prog = program ~iterations:1 "rspeed" in
+  let traced = Campaign.golden_run ~trace:true sys prog ~max_cycles in
+  let dense = Campaign.golden_run sys prog ~max_cycles in
+  let plan = C.compiled_plan c in
+  let sites = Array.of_list (Injection.sites (Leon3.System.core sys) Injection.Iu) in
+  let rec transplanted i =
+    if i >= Array.length sites then Alcotest.fail "no lane outlived the trace"
+    else
+      let site = sites.(i * 7919 mod Array.length sites) in
+      let obs = Obs.create () in
+      let r = Campaign.run_one ~obs ~plan sys prog traced site C.Stuck_at_1 in
+      if Obs.counter obs "tail.transplants" = 1 then (site, r, obs) else transplanted (i + 1)
+  in
+  let site, r, obs = transplanted 0 in
+  let evaluated = Obs.counter obs "tail.evaluated"
+  and dense_equiv = Obs.counter obs "tail.dense_equiv" in
+  check_bool
+    (Printf.sprintf "continuation evaluated %d of %d" evaluated dense_equiv)
+    true
+    (0 < evaluated && evaluated < dense_equiv);
+  let w0 = C.settle_stats c in
+  let d = Campaign.run_one sys prog dense site C.Stuck_at_1 in
+  let w1 = C.settle_stats c in
+  check_bool "continuation verdict = dense verdict" true
+    ((r.Campaign.outcome, r.Campaign.detect_cycle) = (d.Campaign.outcome, d.Campaign.detect_cycle));
+  check_bool "the reference settled" true (w1.C.ss_dense_evals > w0.C.ss_dense_evals);
+  check_int "the reference swept every comb node at every settle"
+    (w1.C.ss_dense_evals - w0.C.ss_dense_evals)
+    (w1.C.ss_evals - w0.C.ss_evals)
+
 let suite =
   ( "settle",
     [ Alcotest.test_case "change-driven recording = dense recording" `Slow
         test_recording_matches_dense;
+      Alcotest.test_case "watchdog change-driven, reference dense" `Quick
+        test_watchdog_change_driven;
       Alcotest.test_case "trace independent of earlier runs" `Quick
         test_trace_ignores_earlier_runs;
       Alcotest.test_case "change-driven settle allocates nothing" `Quick

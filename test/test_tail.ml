@@ -167,17 +167,19 @@ let check_transplant_matches_rerun sp =
   | None -> Alcotest.fail "an ejecting spec was decided before trace end"
   | Some e ->
       let tc = C.transplant_cycle e.Batch.e_tp in
-      (* from-zero re-simulation advanced to the transplant's cycle *)
-      Leon3.System.load sys prog;
-      C.inject c ~from_cycle:sp.Batch.from_cycle ?duration:sp.Batch.duration
-        sp.Batch.site sp.Batch.model;
-      (match
+      (* from-zero re-simulation on the reference engine, advanced to
+         the transplant's cycle *)
+      (C.reference c @@ fun () ->
+       Leon3.System.load sys prog;
+       C.inject c ~from_cycle:sp.Batch.from_cycle ?duration:sp.Batch.duration
+         sp.Batch.site sp.Batch.model;
+       match
          Leon3.System.run_segment sys ~until_cycle:tc ~max_cycles:(max_cycles * 2)
        with
-      | None -> ()
-      | Some r ->
-          Alcotest.failf "from-zero rerun stopped (%s) before trace end"
-            (Format.asprintf "%a" Leon3.System.pp_stop r));
+       | None -> ()
+       | Some r ->
+           Alcotest.failf "from-zero rerun stopped (%s) before trace end"
+             (Format.asprintf "%a" Leon3.System.pp_stop r));
       C.clear_fault c;
       let snap = C.snapshot c in
       let rerun_mem = Memory.copy (Leon3.System.memory sys) in
