@@ -22,8 +22,9 @@ type result = {
   events : Bus_event.t list;
 }
 
-(* A lane still undecided at the trace's last cycle, extracted for
-   scalar continuation: circuit state + fault (the transplant), the
+(* A lane handed over at the trace's last cycle, or at a window
+   boundary before it when it is dense, extracted for scalar
+   continuation: circuit state + fault (the transplant), the
    lane's main-memory image (golden base + overlay, materialised),
    bus-driver states, and the comparator/event bookkeeping a resumed
    run needs. *)
@@ -431,6 +432,32 @@ let run ~sys ~prog ~trace ~reference ~max_cycles ?(compare_reads = false)
         else if Lanes.cycle pass >= max_cycles then finish ln System.Cycle_limit
   in
   let last = C.trace_cycles trace - 1 in
+  (* Dense lanes leave early.  A lane with a permanent fault never
+     retires by convergence, and once it diverges almost everywhere it
+     costs more per cycle here than the change-driven scalar engine
+     that continues it from a transplant: that engine's work scales
+     with the nodes that move, and golden's trace deltas count those.
+     Every [dense_window] cycles, a live permanent-fault lane whose
+     evaluations over the window exceed [dense_ratio] times golden's
+     deltas over it is ejected, as at trace end.  Both constants come
+     from a sweep on figure 5's behavioural and gate-level workloads
+     (EXPERIMENTS.md, "Dense lanes leave the pass early"): ratio 1 and
+     a 256-cycle window sit on both workloads' flat floors; a ratio of
+     1/8, which ejects lanes that are cheap here, is slower than
+     ejecting none, and ratios from 2 up keep most dense lanes. *)
+  let dense_window = 256 and dense_ratio = 1 in
+  let window_evals = Array.make n 0 and window_deltas = ref 0 in
+  let leave_if_dense () =
+    let deltas = Lanes.golden_deltas pass in
+    let budget = dense_ratio * (deltas - !window_deltas) in
+    window_deltas := deltas;
+    iter_mask lanes !alive (fun ln ->
+        if specs.(ln.idx).duration = None then begin
+          let evals = Lanes.lane_evals pass ln.idx in
+          if evals - window_evals.(ln.idx) > budget then eject ln
+          else window_evals.(ln.idx) <- evals
+        end)
+  in
   let rec loop () =
     (* Terminal checks in the scalar run loop's order.  Only a lane
        with a stop or mismatch recorded, or one diverged on [halted],
@@ -445,6 +472,7 @@ let run ~sys ~prog ~trace ~reference ~max_cycles ?(compare_reads = false)
         iter_mask lanes !alive (fun ln ->
             if converged ln ck then retire ln (Converged (Lanes.cycle pass)))
     | None -> ());
+    if Lanes.cycle pass mod dense_window = 0 && Lanes.cycle pass < last then leave_if_dense ();
     if !alive <> 0 then
       if Lanes.cycle pass < last then begin
         step ();

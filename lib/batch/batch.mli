@@ -32,13 +32,16 @@
 
     Verdict-relevant behaviour — event streams, stop reasons, stop and
     mismatch cycles — is identical to running each fault through
-    {!Leon3.System.run} on its own machine.  Two things end a lane
+    {!Leon3.System.run} on its own machine.  Three things end a lane
     before its run does: convergence with the golden run at a
     boundary (a {!Leon3.System.checkpoint}) once its fault window has
-    closed, and the end of the trace: a lane whose run outlives the
+    closed; the end of the trace, where a lane whose run outlives the
     trace (a hang candidate) is ejected at the trace's last settled
-    cycle with its complete state, for a scalar continuation that
-    decides it with cycle-proof hang detection
+    cycle; and density, where a permanent-fault lane that makes more
+    evaluations than the golden trace has deltas over a window of
+    cycles is ejected at the window's end.  An ejected lane carries its
+    complete state, for a scalar continuation that decides it, settling
+    change-driven, with cycle-proof hang detection
     ([Leon3.System.run ~detect_loops:true]) or the timeout. *)
 
 module C = Rtl.Circuit
@@ -69,7 +72,8 @@ type ejected = {
   e_writes : int;  (** write events among them *)
 }
 (** Everything {!Leon3.System.transplant} needs to continue an ejected
-    lane from trace end instead of restarting from cycle 0. *)
+    lane from the cycle it was ejected at instead of restarting from
+    cycle 0. *)
 
 type outcome =
   | Done of result
@@ -77,8 +81,9 @@ type outcome =
       (** retired at this boundary cycle with a provably golden future:
           the run is silent *)
   | Ejected of ejected
-      (** undecided at the trace's last settled cycle: the lane's state
-          at hand-over, for scalar continuation *)
+      (** undecided at the trace's last settled cycle, or a dense
+          permanent-fault lane at a window boundary before it: the
+          lane's state at hand-over, for scalar continuation *)
 
 val run :
   sys:Leon3.System.t ->
@@ -109,6 +114,17 @@ val run :
     memory has no overlay, both its bus drivers equal the boundary's
     and its matched count equals the boundary's write count (event
     count with [compare_reads]).  Permanent faults never converge.
+
+    Dense lanes leave early: at every cycle that is a multiple of 256
+    and before [C.trace_cycles trace - 1], after that cycle's terminal
+    and convergence checks, a live lane with a permanent fault
+    ([duration = None]) comes back [Ejected] at that cycle when it made
+    more evaluations ({!Rtl.Lanes.lane_evals}) over the 256 cycles
+    since the previous such cycle than the golden trace has deltas
+    over them ({!Rtl.Lanes.golden_deltas}): a change-driven scalar run
+    of the lane would pay about as much as golden's deltas, the pass
+    more.  A bounded fault's lane never leaves early: it may still
+    converge.
 
     Every lane still live at cycle [C.trace_cycles trace - 1], after
     that cycle's terminal checks, comes back [Ejected] with

@@ -110,8 +110,8 @@ type run_result = Journal.run_result = {
    detection-latency histogram, time attribution per phase
    (prefilter / simulate / converge) and the cycles the trimming
    machinery avoided ([start_cycle] for a continuation transplanted at
-   trace end, the remaining suffix for a convergence exit, the whole
-   golden run for a prefiltered injection). *)
+   its ejection cycle, the remaining suffix for a convergence exit,
+   the whole golden run for a prefiltered injection). *)
 let record_run obs golden ~dt ~start_cycle r =
   Obs.incr obs "injections";
   (match r.outcome with
@@ -202,18 +202,20 @@ let lockstep ?detect_loops sys golden ~compare_reads ~hang_factor ~matched ~mism
    ({!Batch.run}) from cycle 0 against the golden trace; verdicts are
    identical to the dense reference's.  A lane retires when its run
    stops, when it converges with the golden run at a checkpoint
-   boundary, or at trace end, where it is handed over to the scalar
-   engine. *)
+   boundary, or when it is handed over to the scalar engine: at trace
+   end, or earlier when its permanent fault makes it cost more in the
+   pass than a scalar run would. *)
 
-(* Continue an ejected lane from its transplanted trace-end state
-   instead of re-running the whole prefix: the batch already carried
-   the fault to the end of the golden trace and handed over the lane's
-   complete state (circuit, memory image, bus drivers, comparator
-   counters), so only the genuinely undecided suffix — trace end to
-   verdict — is simulated.  Verdicts match a from-zero run because the
-   transplanted state is state-for-state equal to that run's state at
-   trace end (qcheck-tested) and the comparator resumes at the same
-   counters.  [dt] is the lane's share of its batch pass. *)
+(* Continue an ejected lane from its transplanted state instead of
+   re-running the whole prefix: the batch already carried the fault to
+   the cycle it ejected the lane at (trace end, or a window boundary
+   for a dense lane) and handed over the lane's complete state
+   (circuit, memory image, bus drivers, comparator counters), so only
+   the rest of the run — that cycle to verdict — is simulated.
+   Verdicts match a from-zero run because the transplanted state is
+   state-for-state equal to that run's state at the ejection cycle
+   (qcheck-tested) and the comparator resumes at the same counters.
+   [dt] is the lane's share of its batch pass. *)
 let continue_ejected ~obs golden sys ~compare_reads ~hang_factor ~dt e (sp : Batch.spec)
     (site : Injection.site) model ~counted =
   let t_start = if Obs.enabled obs then Obs.now obs else 0. in
@@ -275,6 +277,7 @@ let run_lanes ~obs golden sys prog ~compare_reads ~hang_factor lanes =
       (Array.map (fun (_, _, sp, _) -> sp) lanes)
   in
   let n = Array.length lanes in
+  let last = C.trace_cycles (Option.get golden.trace) - 1 in
   (* every lane is charged an equal share of the pass, under the phase
      that decided it *)
   let dt =
@@ -319,6 +322,8 @@ let run_lanes ~obs golden sys prog ~compare_reads ~hang_factor lanes =
       | Batch.Converged cyc -> decided Silent None (Converged cyc)
       | Batch.Ejected e ->
           Obs.incr obs "batch.ejected";
+          (* ... before the trace's last cycle: a dense lane *)
+          if C.transplant_cycle e.Batch.e_tp < last then Obs.incr obs "batch.ejected_dense";
           continue_ejected ~obs golden sys ~compare_reads ~hang_factor ~dt e sp site model
             ~counted)
     lanes outcomes

@@ -21,13 +21,16 @@
     {!Rtl.Circuit.max_lanes} lanes at a time) against the golden value
     trace, paying only for its divergence from golden; a bounded
     fault's lane retires at the first golden checkpoint where its
-    state has re-converged with the golden run; and hang candidates
-    outliving the trace are handed over to the scalar engine at trace
-    end, where cycle proofs decide the periodic ones early.  Every
-    layer is exact: a campaign's verdicts, failure breakdowns and
-    latencies equal the dense reference's — {!run_one} without a
-    replay plan, against a {!golden_run} with no coverage, trace or
-    checkpoints.  {!summary} reports how much simulation was avoided.
+    state has re-converged with the golden run; and a lane is handed
+    over to the scalar engine, from its transplanted state, when it
+    outlives the trace (a hang candidate) or earlier, when its
+    permanent fault makes it out-evaluate the golden machine
+    ({!Batch.run}); there cycle proofs decide the periodic hangs
+    early.  Every layer is exact: a campaign's verdicts, failure
+    breakdowns and latencies equal the dense reference's — {!run_one}
+    without a replay plan, against a {!golden_run} with no coverage,
+    trace or checkpoints.  {!summary} reports how much simulation was
+    avoided.
 
     {b Telemetry.}  Every entry point accepts an [?obs] collector
     (default {!Obs.null}, no cost).  A live collector receives

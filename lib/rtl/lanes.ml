@@ -126,6 +126,9 @@ type t = {
       (* per node: cycle of the last effective-value change (a golden
          trace delta, or a lane's own value change), -1 before the
          first *)
+  gstamp : int array;
+      (* per node: cycle of the last golden trace delta, -1 before the
+         first *)
   moved : int array;
       (* per node: the lanes whose view of the node moved in cycle
          [nstamp] — clean lanes on a golden delta, a lane on its own
@@ -141,7 +144,12 @@ type t = {
   regset : int Vec.t;  (* slots with any divergence on q/d/en *)
   regmem : bool array;  (* per slot: member of [regset] *)
   regactive : int Vec.t;  (* slots sampled by this clock's phase 1 *)
-  mutable evals : int;
+  lane_evals : int array;
+      (* per-lane-slot evaluation counts, bit-sliced like the lane
+         words: bit [l] of [lane_evals.(k)] is bit [k] of slot [l]'s
+         count, so one evaluation's needed lanes are counted by a ripple
+         add of the [need] mask, whatever their number; the pass's
+         total is their sum *)
   mutable sliced : int;
   mutable dense : int;
   mutable lane_cycles : int;
@@ -225,13 +233,14 @@ let start c tr =
     sc_idx = Array.make C.max_lanes 0;
     sc_val = Array.make C.max_lanes 0;
     nstamp = Array.make n (-1);
+    gstamp = Array.make n (-1);
     moved = Array.make n 0;
     fsite = Array.make n 0;
     regof;
     regset = Vec.create 0;
     regmem = Array.make (max nregs 1) false;
     regactive = Vec.create 0;
-    evals = 0;
+    lane_evals = Array.make Sys.int_size 0;
     sliced = 0;
     dense = 0;
     lane_cycles = 0 }
@@ -612,7 +621,6 @@ let settle t =
     (* evaluate the affected (node, lane) pairs in level order: an
        evaluation can only push strictly deeper nodes, and pushes the
        node's fanout once, for the lanes whose value it changed *)
-    let nev = ref 0 in
     let diff = t.diff and values = t.values and pend = t.pend and fsite = t.fsite in
     let masks = low.C.masks and shape = low.C.shape and row = t.row in
     for lvl = 1 to low.C.max_level do
@@ -624,21 +632,30 @@ let settle t =
         let need =
           if rm >= 0 then begin
             (* A read port re-derives a lane whose view of the array
-               moved, and, when its address was stamped, a lane that
-               diverges on the address or the port or holds an overlay
-               entry at the golden address.  Any other lane reads the
-               golden cell through the golden address: its value is
-               the golden trace's.  An armed cell fault re-derives
-               nothing by itself — a forced or written value that
-               moves the lane's content marks [mem_dirty]. *)
+               moved, and, when golden moved the address or the lane's
+               own address moved, a lane that diverges on the address
+               or the port or holds an overlay entry at the golden
+               address.  Any other lane reads the golden cell through
+               the golden address: its value is the golden trace's.
+               Another lane's move of the address re-derives nothing, so
+               a lane's work does not depend on the other lanes of its
+               pass.  An armed cell fault re-derives nothing by itself
+               — a forced or written value that moves the lane's
+               content marks [mem_dirty]. *)
             let addr = Array.unsafe_get deps 0 in
+            let am =
+              if Array.unsafe_get t.gstamp addr = cyc then -1
+              else if Array.unsafe_get nstamp addr = cyc then Array.unsafe_get moved addr
+              else 0
+            in
             let lanes =
-              if Array.unsafe_get nstamp addr = cyc then begin
+              if am <> 0 then begin
                 let ga = Array.unsafe_get values addr and ovl = t.ovl.(rm) in
-                Array.unsafe_get diff id
-                lor Array.unsafe_get diff addr
+                am
+                land (Array.unsafe_get diff id
+                     lor Array.unsafe_get diff addr
+                     lor if ga < Array.length ovl then Array.unsafe_get ovl ga else 0)
                 lor mem_dirty.(rm)
-                lor if ga < Array.length ovl then Array.unsafe_get ovl ga else 0
               end
               else mem_dirty.(rm)
             in
@@ -661,7 +678,13 @@ let settle t =
         in
         let need = need land active in
         if need <> 0 then begin
-          nev := !nev + lane_popcount need;
+          let carry = ref need and k = ref 0 in
+          while !carry <> 0 do
+            let w = Array.unsafe_get t.lane_evals !k in
+            Array.unsafe_set t.lane_evals !k (w lxor !carry);
+            carry := w land !carry;
+            incr k
+          done;
           let sh = Array.unsafe_get shape id in
           if sh <> shape_none then eval_sliced t id deps sh need
           else begin
@@ -714,7 +737,6 @@ let settle t =
         end
       done
     done;
-    t.evals <- t.evals + !nev;
     Array.fill mem_dirty 0 (Array.length mem_dirty) 0
   end
 
@@ -864,6 +886,7 @@ let clock t =
        lane that is clean on this node, and for no other: a diverged
        lane holds its own value.  The first stamp of the cycle. *)
     Array.unsafe_set nstamp id c;
+    Array.unsafe_set t.gstamp id c;
     Array.unsafe_set moved id (lnot (Array.unsafe_get diff id));
     Vec.push t.stamped id
   done;
@@ -911,8 +934,17 @@ let cut_exact t =
   let rec go id = id < 0 || (t.cut.(id) = count id && go (id - 1)) in
   go (Array.length t.cut - 1)
 
+let lane_evals t lane =
+  let n = ref 0 in
+  Array.iteri (fun k w -> n := !n lor (((w lsr lane) land 1) lsl k)) t.lane_evals;
+  !n
+
+let golden_deltas t = t.tr.tr_dend.(t.cyc)
+
 let stats t =
-  { C.bs_evals = t.evals;
+  let total = ref 0 in
+  Array.iteri (fun k w -> total := !total + (lane_popcount w lsl k)) t.lane_evals;
+  { C.bs_evals = !total;
     bs_sliced_evals = t.sliced;
     bs_dense_evals = t.dense;
     bs_lane_cycles = t.lane_cycles;

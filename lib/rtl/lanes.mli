@@ -28,7 +28,11 @@
     Lanes only run where the golden trace does: lanes still live at the
     trace's last settled cycle are handed over to the scalar engine
     ({!eject}, {!Circuit.transplant}), which decides them with its own
-    hang detection, settling change-driven under the lane's fault. *)
+    hang detection, settling change-driven under the lane's fault.  A
+    caller may hand a lane over earlier, at any settled cycle; the
+    per-lane evaluation count ({!lane_evals}) against the golden
+    trace's deltas ({!golden_deltas}) tells it when a lane costs more
+    here than a scalar run would. *)
 
 type t
 
@@ -69,11 +73,13 @@ val settle : t -> unit
       faults, preserved views), or a golden write to a cell the lane
       holds an overlay entry for or while the lane reads through a
       diverged address; or
-    - the port's address moved this cycle and the lane diverges on the
-      address or on the port, or holds an overlay entry at the golden
-      address.
+    - golden's address or the lane's own address moved this cycle, and
+      the lane diverges on the address or on the port, or holds an
+      overlay entry at the golden address.
     Every other lane reads the golden cell through the golden address,
-    so its value is the golden trace's.  An armed cell fault alone
+    so its value is the golden trace's.  Another lane's move of the
+    address re-derives nothing: what a lane costs does not depend on
+    the other lanes of its pass ({!lane_evals}).  An armed cell fault alone
     triggers no re-derivation: a stuck-at cell that is never read, or
     whose forced value equals its content, costs no read-port work. *)
 
@@ -117,9 +123,22 @@ val lane_golden : t -> int -> bool
     fault window has closed, its future is golden. *)
 
 val eject : t -> int -> Circuit.transplant
-(** Extract a live lane's complete settled state for scalar
-    continuation ({!Circuit.transplant}).  The lane is not retired;
-    callers typically {!retire} it afterwards. *)
+(** Extract a live lane's complete settled state, at the current
+    cycle, for scalar continuation ({!Circuit.transplant}).  The lane
+    is not retired; callers typically {!retire} it afterwards. *)
+
+val lane_evals : t -> int -> int
+(** [lane_evals t lane]: the evaluations made in lane slot [lane] since
+    {!start}, exactly: one per word-level evaluation of a node for the
+    lane, and one per bit-sliced evaluation the lane was needed in.
+    Summed over the slots, it is the pass's [bs_evals].  A lane's count
+    depends on its own fault and inputs alone: it equals that of a pass
+    holding the lane by itself. *)
+
+val golden_deltas : t -> int
+(** The golden trace deltas the golden machine has taken since {!start}
+    (cycles [1 .. cycle]): the nodes whose golden value moved, which is
+    what a change-driven scalar run of the same cycles pays for. *)
 
 val cut_exact : t -> bool
 (** A consistency check for tests: every node's divergence-frontier

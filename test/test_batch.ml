@@ -205,16 +205,43 @@ let continue_observe sys golden ~compare_reads ~max_cycles (e : Batch.ejected) =
     o_mismatch = !mismatch;
     o_events = Leon3.System.events sys }
 
+(* The evaluations a one-lane pass of [sp] makes through cycle [upto]:
+   the pass runs on the golden trace cut at that cycle, so a lane still
+   live there is ejected at the cut's end, having made exactly the
+   evaluations it makes up to [upto] in any pass — a lane's evaluations
+   depend on its own divergence alone. *)
+let evals_through sys prog ~reference ~compare_reads ~max_cycles sp upto =
+  let c = circuit sys in
+  C.trace_start c;
+  Leon3.System.load sys prog;
+  ignore (Leon3.System.run_segment sys ~until_cycle:upto ~max_cycles);
+  let cut = C.trace_stop c in
+  let _, stats = Batch.run ~sys ~prog ~trace:cut ~reference ~max_cycles ~compare_reads [| sp |] in
+  stats.C.bs_evals
+
+(* The golden trace's deltas over cycles [from + 1 .. upto]. *)
+let deltas_over trace ~from ~upto =
+  let n = ref 0 in
+  for k = from + 1 to upto do
+    n := !n + Array.length (C.trace_deltas trace k)
+  done;
+  !n
+
+(* [Batch.run]'s early-ejection window, in cycles. *)
+let dense_window = 256
+
 (* Every lane must equal its scalar run field for field — stop
    reason, stop cycle, matched count, mismatch cycle and the full event
    stream — directly when the batch decided it, through its
-   transplanted continuation when it was ejected.  A lane is ejected
-   exactly when its run is still undecided at the last cycle the trace
-   covers, and it is ejected at that cycle.  With [compare_reads] the
-   lanes and the scalar runs compare every data-side event against the
-   golden event stream.  [on] is the program and its golden setup
-   (default [small_prog]) on [sys] (default the behavioural system).
-   Returns the number of ejected lanes and the
+   transplanted continuation when it was ejected.  A lane whose run is
+   still undecided at the last cycle the trace covers is ejected, at
+   that cycle unless it left earlier; a lane that left earlier has a
+   permanent fault, left at a [dense_window] boundary, and made more
+   evaluations over the window that ended there than the golden trace
+   has deltas.  With [compare_reads] the lanes and the scalar runs
+   compare every data-side event against the golden event stream.  [on]
+   is the program and its golden setup (default [small_prog]) on [sys]
+   (default the behavioural system).  Returns the outcomes and the
    pass's work counters. *)
 let batch_vs_scalar ?(sys = shared_sys) ?(on = (small_prog, golden_setup)) ~compare_reads
     specs =
@@ -229,7 +256,21 @@ let batch_vs_scalar ?(sys = shared_sys) ?(on = (small_prog, golden_setup)) ~comp
   let outcomes, stats =
     Batch.run ~sys ~prog ~trace ~reference ~max_cycles ~compare_reads specs
   in
-  let ejected = ref 0 in
+  let left_dense i sp cyc =
+    let evals upto =
+      if upto = 0 then 0
+      else evals_through sys prog ~reference ~compare_reads ~max_cycles sp upto
+    in
+    let window = evals cyc - evals (cyc - dense_window) in
+    let deltas = deltas_over trace ~from:(cyc - dense_window) ~upto:cyc in
+    check_bool (Printf.sprintf "lane %d: left early with a permanent fault" i) true
+      (sp.Batch.duration = None);
+    check_int (Printf.sprintf "lane %d: left at a window boundary" i) 0 (cyc mod dense_window);
+    check_bool
+      (Printf.sprintf "lane %d: %d evaluations over the window > %d golden deltas" i window
+         deltas)
+      true (window > deltas)
+  in
   Array.iteri
     (fun i outcome ->
       let scalar = scalar_observe sys prog golden ~compare_reads ~max_cycles specs.(i) in
@@ -239,21 +280,30 @@ let batch_vs_scalar ?(sys = shared_sys) ?(on = (small_prog, golden_setup)) ~comp
         | Batch.Converged cyc ->
             Alcotest.failf "lane %d: converged at %d with no boundaries" i cyc
         | Batch.Ejected e ->
-            incr ejected;
-            check_int (Printf.sprintf "lane %d: ejected at the last trace cycle" i) last
-              (C.transplant_cycle e.Batch.e_tp);
+            let cyc = C.transplant_cycle e.Batch.e_tp in
+            if cyc < last then left_dense i specs.(i) cyc
+            else check_int (Printf.sprintf "lane %d: ejected at the last trace cycle" i) last cyc;
             continue_observe sys golden ~compare_reads ~max_cycles e
       in
-      check_bool (Printf.sprintf "lane %d: ejected iff live at the last trace cycle" i)
-        (scalar.o_stop_cycle > last)
-        (match outcome with
-        | Batch.Ejected _ -> true
-        | Batch.Done _ | Batch.Converged _ -> false);
+      if scalar.o_stop_cycle > last then
+        check_bool (Printf.sprintf "lane %d: live at the last trace cycle, ejected" i) true
+          (match outcome with
+          | Batch.Ejected _ -> true
+          | Batch.Done _ | Batch.Converged _ -> false);
       if b <> scalar then
         Alcotest.failf "lane %d: batch %s <> scalar %s" i (pp_observed b)
           (pp_observed scalar))
     outcomes;
-  (!ejected, stats)
+  (outcomes, stats)
+
+(* The cycle at which each lane of a pass was ejected, [None] for a
+   lane the pass decided. *)
+let ejection_cycles outcomes =
+  Array.map
+    (function
+      | Batch.Ejected e -> Some (C.transplant_cycle e.Batch.e_tp)
+      | Batch.Done _ | Batch.Converged _ -> None)
+    outcomes
 
 let spec ?duration ?(from_cycle = 0) site model =
   { Batch.site; model; from_cycle; duration }
@@ -288,13 +338,57 @@ let test_batch_past_trace_end () =
      byte-matches the from-zero run. *)
   let _, _, sites = Lazy.force golden_setup in
   let models = [| C.Stuck_at_0; C.Stuck_at_1; C.Open_line |] in
-  let ejected, _ =
+  let outcomes, _ =
     batch_vs_scalar ~compare_reads:false
       (Array.init C.max_lanes (fun i ->
            let site = sites.(((i * 97) + 13) mod Array.length sites) in
            spec site.Injection.fault_site models.(i mod 3)))
   in
-  check_bool "some lanes outlive the trace" true (ejected > 0)
+  check_bool "some lanes outlive the trace" true
+    (Array.exists Option.is_some (ejection_cycles outcomes))
+
+(* ---- dense lanes leave the pass early, quiet lanes stay ----
+
+   One pass of three lanes on [small_prog]: a stuck-at-0 on a next-PC
+   bit, which derails fetch for good and diverges almost everywhere; a
+   stuck-at-1 on a register-file cell that no instruction reads; and a
+   one-cycle flip of the same next-PC bit, which derails fetch as
+   densely.  The stuck bit must leave at the first window boundary,
+   long before the trace ends; the cell costs next to nothing and
+   stays; the flip's fault is bounded, so it stays however dense it
+   is, and its derailed run is still live at the last trace cycle. *)
+let test_dense_lanes_leave () =
+  let sys = Lazy.force shared_sys in
+  let prog = Lazy.force small_prog in
+  let golden, trace, sites = Lazy.force golden_setup in
+  let site name =
+    match Array.find_opt (fun s -> s.Injection.site_name = name) sites with
+    | Some s -> s.Injection.fault_site
+    | None -> Alcotest.failf "no site %s" name
+  in
+  let next_pc = site "iu.ex.ex_next_pc_r[3]" in
+  let specs =
+    [| spec next_pc C.Stuck_at_0;
+       spec (site "iu.regfile.regs[84][0]") C.Stuck_at_1;
+       spec ~from_cycle:20 ~duration:1 next_pc C.Bit_flip |]
+  in
+  let last = C.trace_cycles trace - 1 in
+  check_bool "the trace outlasts one window" true (last > dense_window);
+  let outcomes, _ = batch_vs_scalar ~compare_reads:false specs in
+  let at = ejection_cycles outcomes in
+  check_bool "the stuck next-PC bit leaves at the first window boundary" true
+    (at.(0) = Some dense_window);
+  check_bool "the never-read cell stays, and is decided in the pass" true (at.(1) = None);
+  check_bool "the one-cycle flip stays to the last trace cycle" true (at.(2) = Some last);
+  (* the flip was as dense as a lane the rule ejects: only its bounded
+     fault kept it in the pass *)
+  let evals =
+    evals_through sys prog ~reference:golden.Campaign.writes ~compare_reads:false
+      ~max_cycles:((4 * golden.Campaign.cycles) + 2000)
+      specs.(2) dense_window
+  in
+  check_bool "the flip out-evaluates golden over the first window" true
+    (evals > deltas_over trace ~from:0 ~upto:dense_window)
 
 let test_batch_cell_faults () =
   let _, _, sites = Lazy.force golden_setup in
@@ -811,6 +905,7 @@ let suite =
         test_batch_full_occupancy;
       Alcotest.test_case "full 63-lane batch past trace end = scalar runs" `Slow
         test_batch_past_trace_end;
+      Alcotest.test_case "dense lanes leave, quiet lanes stay" `Quick test_dense_lanes_leave;
       Alcotest.test_case "cell-fault lanes = scalar runs" `Slow
         test_batch_cell_faults;
       Alcotest.test_case "gate-level 63-lane batch = scalar runs" `Slow

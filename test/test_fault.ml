@@ -458,7 +458,9 @@ let test_behavioural_matches_oracle () =
   (* the layers did the work: the prefilter decided a fifth of the
      injections, batches ran, replays evaluated a fraction of the dense
      sweeps, and every lane the batch ejected was continued from its
-     transplanted trace-end state *)
+     transplanted state — some of them dense lanes that left before
+     trace end, so the oracle checked verdicts decided after a
+     mid-trace hand-over *)
   let total = Obs.counter obs "injections" in
   let skipped = Obs.counter obs "prefiltered" in
   check_bool
@@ -469,7 +471,9 @@ let test_behavioural_matches_oracle () =
   check_bool "dirty cone much smaller than dense sweep" true
     (Obs.counter obs "diff.nodes_evaluated" * 2 < Obs.counter obs "diff.golden_evaluated");
   check_int "every ejected lane transplanted" (Obs.counter obs "batch.ejected")
-    (Obs.counter obs "tail.transplants")
+    (Obs.counter obs "tail.transplants");
+  check_bool "dense lanes left before trace end" true
+    (Obs.counter obs "batch.ejected_dense" > 0)
 
 (* Comparing reads is off in every benchmark workload, and its faults
    run as batch lanes like any other: a campaign with it on must still
@@ -517,13 +521,18 @@ let test_gate_level_matches_oracle () =
   let prog = Lazy.force rspeed in
   let params = { Leon3.Core.default_params with Leon3.Core.gate_level = true } in
   let sys = Leon3.System.create ~params () in
-  let _, results = Campaign.run ~config:(reference_config ~sites:4) sys prog Injection.Iu in
+  let obs = Obs.create () in
+  let _, results =
+    Campaign.run ~config:(reference_config ~sites:4) ~obs sys prog Injection.Iu
+  in
   let checked =
     check_against_oracle ~label:"gate-level" ~target:Injection.Iu
       ~skip:(fun r -> r.Campaign.outcome = Campaign.Failure Campaign.Hang)
       sys prog results
   in
-  check_bool "verdicts checked" true (checked > 0)
+  check_bool "verdicts checked" true (checked > 0);
+  check_bool "dense lanes left before trace end" true
+    (Obs.counter obs "batch.ejected_dense" > 0)
 
 (* [run_transient] reports only its summary, so its upsets are redrawn
    here exactly as it draws them — sites without replacement from the

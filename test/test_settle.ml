@@ -488,7 +488,9 @@ let fault_site rig ~words ~mem_width f =
    after each settle, and at the end each lane's ejected state must
    equal its twin's full state; a retired lane drops out, and the
    others must not notice.  The lanes' divergence-frontier counts must
-   stay exact throughout. *)
+   stay exact throughout.  A lane's evaluation count must equal that
+   of a pass running its fault alone: a lane's work depends on its own
+   divergence, not on the other lanes of its pass. *)
 let lanes_agree (nl, cycles, faults) =
   let g = build nl in
   let nin = Array.length g.ins in
@@ -568,7 +570,26 @@ let lanes_agree (nl, cycles, faults) =
         agree ())
       (agree ()) rest
   in
+  let alone l f =
+    let solo = Lanes.start g.c tr in
+    Lanes.arm solo 0 ~from_cycle:f.from ?duration:f.dur (site g f) f.lmodel;
+    Lanes.settle solo;
+    let live = ref true in
+    List.iter
+      (fun v ->
+        let cyc = Lanes.cycle solo + 1 in
+        Lanes.clock solo;
+        if !live && f.retire = Some cyc then begin
+          Lanes.retire solo 0;
+          live := false
+        end;
+        if !live then Array.iteri (fun i s -> Lanes.set_input solo s 0 v.(i)) g.ins;
+        Lanes.settle solo)
+      rest;
+    Lanes.lane_evals solo 0 = Lanes.lane_evals pass l
+  in
   ok
+  && Array.for_all Fun.id (Array.mapi alone faults)
   && Array.for_all Fun.id
        (Array.mapi
           (fun l tw ->

@@ -1,8 +1,9 @@
 (* Tests for the watchdog-tail machinery: the Brent cycle detector
    (exact period, hash-collision rejection), the observed-cone
    restriction of recurrence comparison, and the lane→scalar
-   exhaustion-state transplant (state-for-state equal to a from-zero
-   re-simulation advanced to trace end). *)
+   transplant (state-for-state equal to a from-zero re-simulation
+   advanced to the ejection cycle, for lanes ejected at trace end and
+   for dense lanes ejected before it). *)
 
 module A = Sparc.Asm
 module I = Sparc.Isa
@@ -80,7 +81,7 @@ let test_cycle_collisions_rejected () =
     (Rtl.Cycle.collisions det = Rtl.Cycle.candidates det);
   check_bool "fingerprints were computed" true (Rtl.Cycle.checks det > 4000)
 
-(* ---- transplant = from-zero re-simulation at trace end ---- *)
+(* ---- transplant = from-zero re-simulation at the ejection cycle ---- *)
 
 let shared_sys = lazy (Leon3.System.create ())
 
@@ -115,19 +116,22 @@ let golden_setup =
 
 let spec site model = { Batch.site; model; from_cycle = 0; duration = None }
 
-(* Permanent faults still undecided at trace end, which the batch hands
-   over to the scalar engine, discovered by sweeping full batches over
-   the site pool. *)
+(* Permanent faults the batch hands over to the scalar engine,
+   discovered by sweeping full batches over the site pool: [early] the
+   dense lanes it ejected before the trace's last cycle, [at_end] the
+   lanes still undecided there.  The sweep goes on until it has found
+   both. *)
 let ejecting_specs =
   lazy
     (let sys = Lazy.force shared_sys in
      let prog = Lazy.force small_prog in
      let golden, trace, sites = Lazy.force golden_setup in
      let max_cycles = (4 * golden.Campaign.cycles) + 2000 in
+     let last = C.trace_cycles trace - 1 in
      let models = [| C.Stuck_at_0; C.Stuck_at_1; C.Open_line |] in
-     let pool = ref [] in
+     let early = ref [] and at_end = ref [] in
      let stride = ref 0 in
-     while !pool = [] && !stride < 8 do
+     while (!early = [] || !at_end = []) && !stride < 8 do
        let specs =
          Array.init C.max_lanes (fun i ->
              let k = (i * 131) + (!stride * 977) in
@@ -140,15 +144,18 @@ let ejecting_specs =
        Array.iteri
          (fun i o ->
            match o with
-           | Batch.Ejected _ -> pool := specs.(i) :: !pool
+           | Batch.Ejected e when C.transplant_cycle e.Batch.e_tp < last ->
+               early := specs.(i) :: !early
+           | Batch.Ejected _ -> at_end := specs.(i) :: !at_end
            | Batch.Done _ | Batch.Converged _ -> ())
          outcomes;
        incr stride
      done;
-     Array.of_list (List.rev !pool))
+     (Array.of_list (List.rev !early), Array.of_list (List.rev !at_end)))
 
-(* Eject one spec: a single-lane batch whose lane outlives the trace
-   hands it over as a transplant, exactly as the full batch did. *)
+(* Eject one spec: a single-lane batch hands its lane over as a
+   transplant at the cycle the full batch did — a lane's evaluations,
+   and so its early ejection, depend on its own divergence alone. *)
 let eject_one sys prog golden trace ~max_cycles sp =
   let outcomes, _ =
     Batch.run ~sys ~prog ~trace ~reference:golden.Campaign.writes ~max_cycles [| sp |]
@@ -164,36 +171,36 @@ let check_transplant_matches_rerun sp =
   let c = circuit sys in
   let max_cycles = (4 * golden.Campaign.cycles) + 2000 in
   match eject_one sys prog golden trace ~max_cycles sp with
-  | None -> Alcotest.fail "an ejecting spec was decided before trace end"
+  | None -> Alcotest.fail "an ejecting spec was decided in its one-lane pass"
   | Some e ->
       let tc = C.transplant_cycle e.Batch.e_tp in
       (* from-zero re-simulation on the reference engine, advanced to
-         the transplant's cycle *)
-      (C.reference c @@ fun () ->
-       Leon3.System.load sys prog;
-       C.inject c ~from_cycle:sp.Batch.from_cycle ?duration:sp.Batch.duration
-         sp.Batch.site sp.Batch.model;
-       match
-         Leon3.System.run_segment sys ~until_cycle:tc ~max_cycles:(max_cycles * 2)
-       with
-       | None -> ()
-       | Some r ->
-           Alcotest.failf "from-zero rerun stopped (%s) before trace end"
-             (Format.asprintf "%a" Leon3.System.pp_stop r));
-      C.clear_fault c;
-      let snap = C.snapshot c in
-      let rerun_mem = Memory.copy (Leon3.System.memory sys) in
-      let rerun_events = Leon3.System.events sys in
-      let rerun_stop =
-        (* ... and on to its verdict, without loop detection, for the
-           stop-reason comparison *)
+         the transplant's cycle, then on to its verdict under the same
+         fault, without loop detection, for the stop-reason
+         comparison *)
+      let snap, rerun_mem, rerun_events, rerun_stop =
+        C.reference c @@ fun () ->
+        Leon3.System.load sys prog;
+        C.inject c ~from_cycle:sp.Batch.from_cycle ?duration:sp.Batch.duration
+          sp.Batch.site sp.Batch.model;
+        (match
+           Leon3.System.run_segment sys ~until_cycle:tc ~max_cycles:(max_cycles * 2)
+         with
+        | None -> ()
+        | Some r ->
+            Alcotest.failf "from-zero rerun stopped (%s) before the ejection cycle %d"
+              (Format.asprintf "%a" Leon3.System.pp_stop r)
+              tc);
+        let snap = C.snapshot c in
+        let mem = Memory.copy (Leon3.System.memory sys) in
+        let events = Leon3.System.events sys in
         let stop = Leon3.System.run sys ~max_cycles in
-        let cyc = Leon3.System.cycles sys in
-        (stop, cyc)
+        (snap, mem, events, (stop, Leon3.System.cycles sys))
       in
+      C.clear_fault c;
       (* the transplanted system must stand exactly where the re-run
-         stood at trace end: registers, memories, cycle counter, main
-         memory and the recorded event stream *)
+         stood at the ejection cycle: registers, memories, cycle
+         counter, main memory and the recorded event stream *)
       Leon3.System.transplant sys e.Batch.e_tp ~mem:e.Batch.e_mem
         ~iport:e.Batch.e_iport ~dport:e.Batch.e_dport
         ~events_rev:e.Batch.e_events_rev
@@ -214,19 +221,26 @@ let check_transplant_matches_rerun sp =
       check_bool "stop reason equal" true ((stop, cyc) = rerun_stop)
 
 let test_transplant_known_ejecting () =
-  let pool = Lazy.force ejecting_specs in
-  check_bool "ejecting specs exist" true (Array.length pool > 0);
+  let early, at_end = Lazy.force ejecting_specs in
+  check_bool "dense lanes ejected before trace end" true (Array.length early > 0);
+  check_bool "lanes ejected at trace end" true (Array.length at_end > 0);
   Array.iter check_transplant_matches_rerun
-    (Array.sub pool 0 (min 3 (Array.length pool)))
+    (Array.append
+       (Array.sub early 0 (min 2 (Array.length early)))
+       (Array.sub at_end 0 (min 2 (Array.length at_end))))
 
+(* Each case checks one lane ejected before trace end and one ejected
+   at it. *)
 let prop_transplant_matches_rerun =
-  QCheck2.Test.make ~name:"transplant = from-zero rerun at trace end" ~count:12
+  QCheck2.Test.make ~name:"transplant = from-zero rerun at the ejection cycle" ~count:12
     ~print:string_of_int
     QCheck2.Gen.(int_bound 100_000)
     (fun k ->
-      let pool = Lazy.force ejecting_specs in
-      if Array.length pool = 0 then QCheck2.Test.fail_report "no ejecting specs";
-      check_transplant_matches_rerun pool.(k mod Array.length pool);
+      let early, at_end = Lazy.force ejecting_specs in
+      if Array.length early = 0 then QCheck2.Test.fail_report "no spec ejected early";
+      if Array.length at_end = 0 then QCheck2.Test.fail_report "no spec ejected at trace end";
+      check_transplant_matches_rerun early.(k mod Array.length early);
+      check_transplant_matches_rerun at_end.(k mod Array.length at_end);
       true)
 
 (* ---- the observed cone: free-running accounting state outside the
