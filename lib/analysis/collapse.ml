@@ -24,15 +24,13 @@ let analyse_unary c g map scratch ~keep ~max_probe_bits o d =
     done;
     if !is_fwd then
       for b = 0 to wo - 1 do
-        List.iter
-          (fun m -> Hashtbl.replace map (C.Node (d, b), m) (C.Node (o, b), m))
-          [ C.Stuck_at_0; C.Stuck_at_1; C.Open_line ]
+        Hashtbl.replace map (C.Node (d, b), C.Stuck_at_0) (C.Node (o, b), C.Stuck_at_0);
+        Hashtbl.replace map (C.Node (d, b), C.Stuck_at_1) (C.Node (o, b), C.Stuck_at_1)
       done
     else if !is_inv then
       for b = 0 to wo - 1 do
         Hashtbl.replace map (C.Node (d, b), C.Stuck_at_0) (C.Node (o, b), C.Stuck_at_1);
-        Hashtbl.replace map (C.Node (d, b), C.Stuck_at_1) (C.Node (o, b), C.Stuck_at_0);
-        Hashtbl.replace map (C.Node (d, b), C.Open_line) (C.Node (o, b), C.Open_line)
+        Hashtbl.replace map (C.Node (d, b), C.Stuck_at_1) (C.Node (o, b), C.Stuck_at_0)
       done
   end
 

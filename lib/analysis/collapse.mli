@@ -14,11 +14,10 @@
     not an observation point:
 
     - {b forward}: the reader is an identity buffer of equal width —
-      stuck-at-0/1 and open-line faults map to the same bit of the
-      reader, same model;
+      stuck-at-0/1 faults map to the same bit of the reader, same
+      model;
     - {b complement}: the reader is a bitwise inverter — stuck-at
-      polarities swap, open-line maps to open-line (the frozen input
-      bit pins the output to its own previous value);
+      polarities swap;
     - {b controlling value}: the reader has a 1-bit output and forcing
       one source bit to [c] fixes the output at [k] for {e every}
       combination of the remaining input bits — stuck-at-[c] on the
@@ -41,11 +40,13 @@
       is confined to vertices whose every path to an exit crosses the
       constant [d].
 
-    [Bit_flip] faults are never collapsed: an enable-hold register
-    downstream can re-latch a flipped value and diverge from the
-    equivalent-looking fault on the reader.  Chains resolve
-    transitively (representative ids strictly increase, so resolution
-    terminates). *)
+    Only stuck-at faults are collapsed.  A campaign turns a permanent
+    open line into the stuck-at of the bit it captures before it
+    consults the table.  [Bit_flip] faults are never collapsed: an
+    enable-hold register downstream can re-latch a flipped value and
+    diverge from the equivalent-looking fault on the reader.  Chains
+    resolve transitively (representative ids strictly increase, so
+    resolution terminates). *)
 
 module C = Rtl.Circuit
 
@@ -65,8 +66,8 @@ val build :
 
 val resolve : t -> C.fault_site -> C.fault_model -> C.fault_site * C.fault_model
 (** Follow the equivalence chain to its representative.  Returns the
-    argument unchanged for unmapped sites, [Cell] sites and
-    [Bit_flip]. *)
+    argument unchanged for unmapped sites, [Cell] sites, [Open_line]
+    and [Bit_flip]. *)
 
 val mapped : t -> int
 (** Number of (site, model) pairs with a recorded equivalence. *)

@@ -10,6 +10,7 @@ type golden = {
   coverage : C.coverage option;
   checkpoints : Leon3.System.checkpoint array;
   trace : C.trace option;
+  captures : (int * C.fault_site, int) Hashtbl.t;
 }
 
 (* Checkpoint-memory budget: when a golden run outgrows it, every
@@ -19,8 +20,12 @@ let checkpoint_budget = 96
 
 let default_checkpoint_interval = 512
 
+let site_bit circuit = function
+  | C.Node (s, bit) -> Bitops.bit bit (C.value circuit s)
+  | C.Cell (m, idx, bit) -> Bitops.bit bit (C.mem_read circuit m idx)
+
 let golden_run ?(obs = Obs.null) ?(coverage = false) ?(trace = false) ?checkpoint_every
-    sys prog ~max_cycles =
+    ?(capture = []) sys prog ~max_cycles =
   Obs.span obs "golden" @@ fun () ->
   let circuit = (Leon3.System.core sys).Leon3.Core.circuit in
   let work0 = C.settle_stats circuit in
@@ -34,29 +39,44 @@ let golden_run ?(obs = Obs.null) ?(coverage = false) ?(trace = false) ?checkpoin
   let checkpoints = ref [] in
   (* newest first *)
   let count = ref 0 in
+  let interval = ref (match checkpoint_every with Some every -> max 1 every | None -> 0) in
+  let next_checkpoint () =
+    if !interval = 0 then max_int else Leon3.System.cycles sys + !interval
+  in
+  let captures = Hashtbl.create 16 in
+  let take cycles =
+    List.iter
+      (fun (k, site) ->
+        if List.mem k cycles then Hashtbl.replace captures (k, site) (site_bit circuit site))
+      capture
+  in
+  (* The run pauses at every checkpoint and capture cycle, each a
+     settled state; a capture cycle the run does not reach takes its
+     final state. *)
+  let rec go ~checkpoint_at pending =
+    let due, pending = List.partition (fun k -> k <= Leon3.System.cycles sys) pending in
+    take due;
+    let until = List.fold_left min checkpoint_at pending in
+    match Leon3.System.run_segment sys ~until_cycle:until ~max_cycles with
+    | Some r ->
+        take pending;
+        r
+    | None when Leon3.System.cycles sys < checkpoint_at -> go ~checkpoint_at pending
+    | None ->
+        checkpoints := Leon3.System.checkpoint sys :: !checkpoints;
+        incr count;
+        if !count >= checkpoint_budget then begin
+          (* The newest checkpoint sits at an even multiple of the
+             doubled interval, so keeping alternate entries preserves
+             alignment. *)
+          checkpoints := List.filteri (fun i _ -> i mod 2 = 0) !checkpoints;
+          count := List.length !checkpoints;
+          interval := !interval * 2
+        end;
+        go ~checkpoint_at:(next_checkpoint ()) pending
+  in
   let stop =
-    match checkpoint_every with
-    | None -> Leon3.System.run sys ~max_cycles
-    | Some every ->
-        let interval = ref (max 1 every) in
-        let rec go () =
-          let until = Leon3.System.cycles sys + !interval in
-          match Leon3.System.run_segment sys ~until_cycle:until ~max_cycles with
-          | Some r -> r
-          | None ->
-              checkpoints := Leon3.System.checkpoint sys :: !checkpoints;
-              incr count;
-              if !count >= checkpoint_budget then begin
-                (* The newest checkpoint sits at an even multiple of
-                   the doubled interval, so keeping alternate entries
-                   preserves alignment. *)
-                checkpoints := List.filteri (fun i _ -> i mod 2 = 0) !checkpoints;
-                count := List.length !checkpoints;
-                interval := !interval * 2
-              end;
-              go ()
-        in
-        go ()
+    go ~checkpoint_at:(next_checkpoint ()) (List.sort_uniq compare (List.map fst capture))
   in
   let cov = if coverage then Some (C.coverage_stop circuit) else None in
   let tr = if trace then Some (C.trace_stop circuit) else None in
@@ -78,7 +98,8 @@ let golden_run ?(obs = Obs.null) ?(coverage = false) ?(trace = false) ?checkpoin
     stop;
     coverage = cov;
     checkpoints = Array.of_list (List.rev !checkpoints);
-    trace = tr }
+    trace = tr;
+    captures }
 
 (* The verdict vocabulary is owned by {!Journal} (which serialises it);
    re-exported here under its historical names. *)
@@ -254,6 +275,21 @@ let continue_ejected ~obs golden sys ~compare_reads ~hang_factor ~dt e (sp : Bat
     Obs.incr obs "tail.transplants";
     Obs.incr obs ~by:start_cycle "tail.prefix_saved";
     Obs.add_time obs "tail.watchdog" tail;
+    (* ... split by verdict class: a hang stopped short of the budget
+       was proved by a cycle proof *)
+    let stop_cycle = Leon3.System.cycles sys in
+    let verdict_class =
+      match outcome with
+      | Failure Hang ->
+          if stop_cycle < max_cycles_of ~hang_factor golden then "proved_hang"
+          else "budget_hang"
+      | Failure (Wrong_write _) -> "wrong_write"
+      | Failure (Missing_writes _) -> "missing_writes"
+      | Failure (Trap _) -> "trap"
+      | Silent -> "silent"
+    in
+    Obs.incr obs ~by:(stop_cycle - start_cycle) ("tail.cycles." ^ verdict_class);
+    Obs.add_time obs ("tail.watchdog." ^ verdict_class) tail;
     if counted then record_run obs golden ~dt:(dt +. tail) ~start_cycle r
     else Obs.add_time obs "simulate" (dt +. tail)
   end;
@@ -488,7 +524,9 @@ let build_tasks config sample =
 
 (* Per-task classification, made once over the global task list.  A
    task that reaches simulation runs its lane fault: its collapse-class
-   representative, or its own fault when nothing collapses it.  Its
+   representative, or its own fault when nothing collapses it; an open
+   line first becomes the stuck-at of the bit it captures
+   ([lane_model]), so it shares the lane of that stuck-at task.  Its
    leader is the first task in global order with the same lane fault,
    so every shard, every domain count and every resume agrees on it.
    The dynamic prefilter is consulted first, then the cone, then the
@@ -504,12 +542,41 @@ type task_plan =
    entirely. *)
 type machinery = { m_golden : golden; m_plans : task_plan array }
 
+(* An open line is charge retention from the fault's first act: until
+   then the faulty machine is golden, and from then on it holds the bit
+   it captured there.  So it is the stuck-at of golden's bit at that
+   point: a node's at the first settle under the fault, cycle
+   [max c 1] (the cycle-0 settle inside [load] runs before the fault is
+   armed), a cell's at cycle [c], the content its first write under the
+   fault, the clock c -> c+1, keeps. *)
+let capture_cycle ~inject_cycle = function
+  | C.Node _ -> max inject_cycle 1
+  | C.Cell _ -> inject_cycle
+
+let lane_model golden ~inject_cycle site = function
+  | C.Open_line ->
+      if Hashtbl.find golden.captures (capture_cycle ~inject_cycle site, site) = 0 then
+        C.Stuck_at_0
+      else C.Stuck_at_1
+  | (C.Stuck_at_0 | C.Stuck_at_1 | C.Bit_flip) as model -> model
+
 let build_machinery ~obs ~config sys prog tasks =
   (* value coverage powers the permanent-fault prefilter (useless for
      bit-flips, which always activate); no checkpoints, since a fault
-     without a duration never converges *)
+     without a duration never converges; the bits the open lines
+     capture *)
   let coverage = List.exists (fun m -> m <> C.Bit_flip) config.models in
-  let golden = golden_run ~obs ~coverage ~trace:true sys prog ~max_cycles:5_000_000 in
+  let inject_cycle = config.inject_cycle in
+  let capture =
+    List.filter_map
+      (fun (model, (site : Injection.site)) ->
+        let fsite = site.Injection.fault_site in
+        if model <> C.Open_line then None else Some (capture_cycle ~inject_cycle fsite, fsite))
+      (Array.to_list tasks)
+  in
+  let golden =
+    golden_run ~obs ~coverage ~trace:true ~capture sys prog ~max_cycles:5_000_000
+  in
   (* static analysis of the netlist: the observation cone decides which
      sites are silent by construction, the collapse table which (site,
      model) pairs share a verdict with a representative fault *)
@@ -540,7 +607,9 @@ let build_machinery ~obs ~config sys prog tasks =
         else if not (Analysis.Graph.cone_site cone site.Injection.fault_site) then
           T_pruned
         else
-          let fault = Analysis.Collapse.resolve collapse site.Injection.fault_site model in
+          let fsite = site.Injection.fault_site in
+          let model = lane_model golden ~inject_cycle fsite model in
+          let fault = Analysis.Collapse.resolve collapse fsite model in
           match Hashtbl.find_opt leaders fault with
           | Some leader -> T_lane { fault; leader }
           | None ->
@@ -573,8 +642,6 @@ let prepare ?(config = default_config) ?(obs = Obs.null) sys prog target =
   { p_fingerprint =
       { (fingerprint ~config prog target sample) with Journal.shard = (1, 1) };
     p_machinery = m }
-
-let prepared_fingerprint p = p.p_fingerprint
 
 (* A consumer recomputes its own (cheap) sample and fingerprint, so a
    preparation from a different campaign — other netlist, seed, config

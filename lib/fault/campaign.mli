@@ -16,17 +16,22 @@
     static analysis prunes faults outside the observation cone; every
     other task runs its lane fault — its collapse-class representative,
     or its own fault — and the tasks sharing a lane fault share one
-    lane, whose first task in global order is their leader.  Each
-    lane runs in a bit-parallel batch ({!Batch.run}, up to
-    {!Rtl.Circuit.max_lanes} lanes at a time) against the golden value
-    trace, paying only for its divergence from golden; a bounded
-    fault's lane retires at the first golden checkpoint where its
-    state has re-converged with the golden run; and a lane is handed
-    over to the scalar engine, from its transplanted state, when it
-    outlives the trace (a hang candidate) or earlier, when its
-    permanent fault makes it out-evaluate the golden machine
-    ({!Batch.run}); there cycle proofs decide the periodic hangs
-    early.  Every layer is exact: a campaign's verdicts, failure
+    lane, whose first task in global order is their leader.  A
+    permanent open line holds the bit it captures when the fault first
+    acts, so its lane fault is the stuck-at of golden's bit there: a
+    node's at the first settle under the fault, cycle
+    [max inject_cycle 1], a cell's at [inject_cycle], the content its
+    first write under the fault keeps; it shares the lane of that
+    stuck-at task.  Each lane runs in a bit-parallel batch
+    ({!Batch.run}, up to {!Rtl.Circuit.max_lanes} lanes at a time)
+    against the golden value trace, paying only for its divergence
+    from golden; a bounded fault's lane retires at the first golden
+    checkpoint where its state has re-converged with the golden run;
+    and a lane is handed over to the scalar engine, from its
+    transplanted state, when it outlives the trace (a hang candidate)
+    or earlier, when its permanent fault makes it out-evaluate the
+    golden machine ({!Batch.run}); there cycle proofs decide the
+    periodic hangs early.  Every layer is exact: a campaign's verdicts, failure
     breakdowns and latencies equal the dense reference's — {!run_one}
     without a replay plan, against a {!golden_run} with no coverage,
     trace or checkpoints.  {!summary} reports how much simulation was
@@ -40,10 +45,16 @@
     [prefiltered], [early_exits], [simulated], [static.pruned],
     [static.collapsed], [cycles.saved], plus [rtl.cycles] /
     [rtl.instructions] from the attached system) and a
-    [detect_latency] histogram.  Every task of a campaign counts once
-    in [injections].  {!run_parallel} gives each spawned
-    domain a private {!Obs.fork} and merges them in spawn order, so
-    counter totals are identical for any domain count. *)
+    [detect_latency] histogram.  Each scalar continuation of an
+    ejected lane adds to [tail.transplants] and to [tail.watchdog],
+    and by its verdict class to the counter [tail.cycles.<class>]
+    (cycles from the transplant to the stop) and the time
+    [tail.watchdog.<class>], where the class is [budget_hang],
+    [proved_hang] (a hang a cycle proof stopped before the budget),
+    [wrong_write], [missing_writes], [trap] or [silent].  Every task
+    of a campaign counts once in [injections].  {!run_parallel} gives
+    each spawned domain a private {!Obs.fork} and merges them in spawn
+    order, so counter totals are identical for any domain count. *)
 
 module C = Rtl.Circuit
 module Bus_event = Sparc.Bus_event
@@ -63,6 +74,10 @@ type golden = {
   trace : C.trace option;
       (** delta-compressed per-cycle value trace, when recorded —
           powers the batch engine the faulty runs execute on *)
+  captures : (int * C.fault_site, int) Hashtbl.t;
+      (** golden's bit (0 or 1) at each [(cycle, site)] that
+          [golden_run ~capture] asked for — the bits permanent open
+          lines capture *)
 }
 
 val golden_run :
@@ -70,6 +85,7 @@ val golden_run :
   ?coverage:bool ->
   ?trace:bool ->
   ?checkpoint_every:int ->
+  ?capture:(int * C.fault_site) list ->
   Leon3.System.t ->
   Sparc.Asm.program ->
   max_cycles:int ->
@@ -79,9 +95,12 @@ val golden_run :
     prefilter; [trace] (default false) records the per-cycle value
     trace for the batch engine; [checkpoint_every] captures a
     checkpoint at that cycle interval (the set is thinned to a bounded
-    count on long runs).  Raises [Failure] if the golden run itself
-    traps or hits the cycle limit (the workload is broken, not the
-    hardware).  Its settles are change-driven; a live [obs] receives
+    count on long runs); [capture] (default none) reads each listed
+    [(cycle, site)] bit in the settled state of that cycle, or in the
+    final state for a cycle past the end of the run.  Pausing adds no
+    simulated cycle.  Raises
+    [Failure] if the golden run itself traps or hits the cycle limit
+    (the workload is broken, not the hardware).  Its settles are change-driven; a live [obs] receives
     [golden.evaluated], the comb evaluations they made, and
     [golden.dense_equiv], comb nodes × settles. *)
 
@@ -197,17 +216,6 @@ val default_config : config
     injection at cycle 0, watchdog 4x, writes-only compare, seed 7,
     shard 1/1. *)
 
-val fingerprint :
-  config:config ->
-  Sparc.Asm.program ->
-  Injection.target ->
-  Injection.site array ->
-  Journal.fingerprint
-(** The identity a journal is bound to: workload + program hash,
-    sampled-site-name hash (which pins netlist, target, seed, sample
-    size and cell inclusion), the classification-relevant config flags
-    and the shard.  Exposed for merge tooling and tests. *)
-
 type prepared
 (** Everything shard-independent and expensive about a campaign —
     golden run (with coverage and trace), static analysis, per-task
@@ -232,10 +240,6 @@ val prepare :
     [site_sampling] spans, [static.graph] for the dependency-graph
     extraction and [static_analysis] around the observation cone, with
     [static.dominator] and [static.collapse] inside it. *)
-
-val prepared_fingerprint : prepared -> Journal.fingerprint
-(** The campaign identity the preparation was built for, shard
-    normalised to [(1, 1)] — the serve layer's cache key material. *)
 
 val run :
   ?config:config ->

@@ -116,7 +116,11 @@ let test_collapse_forward_chain () =
       let site, model' = Collapse.resolve col (C.Node (r, 3)) model in
       check_bool "chain resolves to buf2" true (site = C.Node (buf2, 3));
       check_bool "model preserved through buffers" true (model' = model))
-    [ C.Stuck_at_0; C.Stuck_at_1; C.Open_line ];
+    [ C.Stuck_at_0; C.Stuck_at_1 ];
+  (* an open line reaches the table only as the stuck-at of the bit it
+     captures; asked as itself it is unmapped *)
+  check_bool "open line unmapped" true
+    (Collapse.resolve col (C.Node (r, 3)) C.Open_line = (C.Node (r, 3), C.Open_line));
   (* intermediate node also collapses forward *)
   let site, _ = Collapse.resolve col (C.Node (buf1, 0)) C.Stuck_at_1 in
   check_bool "buf1 resolves to buf2" true (site = C.Node (buf2, 0));
@@ -143,13 +147,15 @@ let test_collapse_complement () =
   C.elaborate c;
   let g = Graph.build c in
   let col = Collapse.build g ~keep:(fun _ -> false) in
-  (* stuck-at polarity swaps through an inverter; open-line survives *)
+  (* stuck-at polarity swaps through an inverter; an open line is
+     never mapped (a campaign collapses it as the stuck-at of the bit
+     it captures) *)
   check_bool "sa0 becomes sa1" true
     (Collapse.resolve col (C.Node (x, 2)) C.Stuck_at_0 = (C.Node (inv, 2), C.Stuck_at_1));
   check_bool "sa1 becomes sa0" true
     (Collapse.resolve col (C.Node (x, 2)) C.Stuck_at_1 = (C.Node (inv, 2), C.Stuck_at_0));
-  check_bool "open line stays open line" true
-    (Collapse.resolve col (C.Node (x, 2)) C.Open_line = (C.Node (inv, 2), C.Open_line))
+  check_bool "open line returned unchanged" true
+    (Collapse.resolve col (C.Node (x, 2)) C.Open_line = (C.Node (x, 2), C.Open_line))
 
 let test_collapse_controlling_value () =
   let c = C.create "gates" in
@@ -205,7 +211,7 @@ let test_collapse_is_behaviourally_exact () =
       Alcotest.(check (list int))
         "identical observed trace" (run_faulted source model)
         (run_faulted rep_site rep_model))
-    [ C.Stuck_at_0; C.Stuck_at_1; C.Open_line ]
+    [ C.Stuck_at_0; C.Stuck_at_1 ]
 
 let test_collapse_fires_on_gate_level_leon3 () =
   (* The ripple-carry adder network is the collapsing target the

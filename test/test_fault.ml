@@ -517,6 +517,266 @@ let test_cmem_matches_oracle () =
         (0 < driven && driven < total))
     [ false; true ]
 
+(* ---- open lines ride their stuck-at lane ----
+
+   A permanent open line holds the bit it captures when the fault first
+   acts, so the campaign runs it as the stuck-at of golden's bit there:
+   a node's at the first settle under the fault, cycle [max c 1] (the
+   cycle-0 settle inside [load] runs before the fault is armed), a
+   cell's at cycle [c], the content its first write under the fault
+   keeps.  The dense oracle runs the native open-line rule, so these
+   campaigns pin that capture point. *)
+
+(* Golden's bit of every site of [target] at each of [cycles]. *)
+let golden_bits sys prog target cycles =
+  let sites = Injection.sites (Leon3.System.core sys) target in
+  let capture =
+    List.concat_map (fun k -> List.map (fun s -> (k, s.Injection.fault_site)) sites) cycles
+  in
+  let golden = Campaign.golden_run ~capture sys prog ~max_cycles:5_000_000 in
+  fun k site -> Hashtbl.find golden.Campaign.captures (k, site)
+
+let lane_leader (r : Campaign.run_result) =
+  match r.Campaign.sim with
+  | Campaign.Collapsed leader -> leader
+  | Campaign.Simulated | Campaign.Prefiltered | Campaign.Converged _ | Campaign.Pruned ->
+      r.Campaign.site_name
+
+let sa = function 0 -> C.Stuck_at_0 | _ -> C.Stuck_at_1
+
+(* Every open-line task of a campaign over [target] that reached
+   simulation is a follower in the lane of its own site's stuck-at of
+   the captured bit, with that task's verdict; no open line runs a lane
+   of its own.  Returns the captured bits of the followers. *)
+let check_open_lines_follow ~label ~target ~inject_cycle sys prog obs results =
+  let at = max inject_cycle 1 in
+  let bit = golden_bits sys prog target [ inject_cycle; at ] in
+  let sites = Hashtbl.create 64 in
+  List.iter
+    (fun s -> Hashtbl.replace sites s.Injection.site_name s.Injection.fault_site)
+    (Injection.sites (Leon3.System.core sys) target);
+  let find name model =
+    List.find
+      (fun (r : Campaign.run_result) ->
+        r.Campaign.site_name = name && r.Campaign.model = model)
+      results
+  in
+  let bits =
+    List.filter_map
+      (fun (r : Campaign.run_result) ->
+        match (r.Campaign.model, r.Campaign.sim) with
+        | C.Open_line, (Campaign.Prefiltered | Campaign.Pruned) -> None
+        | C.Open_line, sim ->
+            let name = r.Campaign.site_name in
+            let v =
+              match Hashtbl.find sites name with
+              | C.Node _ as site -> bit at site
+              | C.Cell _ as site -> bit inject_cycle site
+            in
+            let lead = find name (sa v) in
+            check_bool (Printf.sprintf "%s: %s open line is a follower" label name) true
+              (match sim with
+              | Campaign.Collapsed _ -> true
+              | Campaign.Simulated | Campaign.Prefiltered | Campaign.Converged _
+              | Campaign.Pruned ->
+                  false);
+            check_bool
+              (Printf.sprintf "%s: %s open line rides the stuck-at-%d lane" label name v)
+              true
+              (lane_leader r = lane_leader lead
+              && r.Campaign.outcome = lead.Campaign.outcome
+              && r.Campaign.detect_cycle = lead.Campaign.detect_cycle);
+            Some v
+        | (C.Stuck_at_0 | C.Stuck_at_1 | C.Bit_flip), _ -> None)
+      results
+  in
+  check_int (label ^ ": one lane per simulated leader")
+    (List.length
+       (List.filter (fun (r : Campaign.run_result) -> r.Campaign.sim = Campaign.Simulated)
+          results))
+    (Obs.counter obs "batch.lanes");
+  bits
+
+(* The cache controller's state bits leave reset in the first cycle:
+   [in_idle] falls and [in_fill] rises between cycles 0 and 1.  So at
+   injection cycle 0 an open line there is the stuck-at of its cycle-1
+   value, not of the value [load] settles to. *)
+let test_open_line_capture_at_cycle_0 () =
+  let prog = Lazy.force rspeed in
+  let sys = Leon3.System.create () in
+  let target = Injection.Prefix "cmem.icache.in_" in
+  let config = { (reference_config ~sites:10) with Campaign.sample_size = None } in
+  let obs = Obs.create () in
+  let _, results = Campaign.run ~config ~obs sys prog target in
+  check_int "every verdict checked" (List.length results)
+    (check_against_oracle ~label:"cmem.icache.in_ @0" ~target sys prog results);
+  let bits =
+    check_open_lines_follow ~label:"cmem.icache.in_ @0" ~target ~inject_cycle:0 sys prog obs
+      results
+  in
+  let bit = golden_bits sys prog target [ 0; 1 ] in
+  let moves =
+    List.filter
+      (fun s -> bit 0 s.Injection.fault_site <> bit 1 s.Injection.fault_site)
+      (Injection.sites (Leon3.System.core sys) target)
+  in
+  check_bool "sites move between cycles 0 and 1" true (List.length moves >= 2);
+  check_bool "open lines collapsed onto both polarities" true
+    (List.mem 0 bits && List.mem 1 bits)
+
+(* Past cycle 0 both capture points are cycle [c]: IU and CMEM
+   campaigns injecting at cycles 1 and 1000, cells included, equal the
+   oracle verdict by verdict, and their open lines follow the stuck-at
+   lanes of their captured bits. *)
+let test_open_line_capture_after_cycle_0 () =
+  let prog = Lazy.force rspeed in
+  let sys = Leon3.System.create () in
+  List.iter
+    (fun (inject_cycle, target, label) ->
+      let label = Printf.sprintf "%s @%d" label inject_cycle in
+      let config = { (reference_config ~sites:10) with Campaign.inject_cycle; seed = 5 } in
+      let obs = Obs.create () in
+      let _, results = Campaign.run ~config ~obs sys prog target in
+      check_int (label ^ ": every verdict checked") (List.length results)
+        (check_against_oracle ~label ~target sys prog results);
+      ignore (check_open_lines_follow ~label ~target ~inject_cycle sys prog obs results))
+    [ (1, Injection.Iu, "iu");
+      (1, Injection.Cmem, "cmem");
+      (1000, Injection.Iu, "iu");
+      (1000, Injection.Cmem, "cmem") ]
+
+(* A cell captures its content at cycle [c], before the write of the
+   clock c -> c+1.  The IU sample is redrawn here exactly as the
+   campaign draws it, and the campaign injects at the first cycle whose
+   clock rewrites a sampled register-file cell's bit, then one cycle
+   later: reading the content one cycle late, then one cycle early,
+   picks the other stuck-at. *)
+let test_open_line_cell_capture () =
+  let prog = Lazy.force rspeed in
+  let sys = Leon3.System.create () in
+  let core = Leon3.System.core sys in
+  let config = reference_config ~sites:10 in
+  let sample =
+    Stats.Rng.sample_without_replacement
+      (Stats.Rng.create config.Campaign.seed)
+      10
+      (Array.of_list (Injection.sites core Injection.Iu))
+  in
+  let cells =
+    List.filter_map
+      (fun s ->
+        match s.Injection.fault_site with
+        | C.Cell (m, idx, bit) -> Some (s.Injection.site_name, m, idx, bit)
+        | C.Node _ -> None)
+      (Array.to_list sample)
+  in
+  let circuit = core.Leon3.Core.circuit in
+  let bits () =
+    List.map (fun (_, m, idx, bit) -> (C.mem_read circuit m idx lsr bit) land 1) cells
+  in
+  Leon3.System.load sys prog;
+  let rec first_write before =
+    let c = Leon3.System.cycles sys in
+    match Leon3.System.run_segment sys ~until_cycle:(c + 1) ~max_cycles:5_000_000 with
+    | Some _ -> Alcotest.fail "no sampled cell bit is ever rewritten"
+    | None ->
+        let after = bits () in
+        if after = before then first_write after
+        else
+          ( c,
+            List.filter_map
+              (fun ((name, _, _, _), (b0, b1)) -> if b0 <> b1 then Some name else None)
+              (List.combine cells (List.combine before after)) )
+  in
+  let written, rewritten = first_write (bits ()) in
+  check_bool "the write is past cycle 0" true (written > 0);
+  List.iter
+    (fun inject_cycle ->
+      let label = Printf.sprintf "iu @%d" inject_cycle in
+      let config = { config with Campaign.inject_cycle } in
+      let obs = Obs.create () in
+      let _, results = Campaign.run ~config ~obs sys prog Injection.Iu in
+      check_int (label ^ ": every verdict checked") (List.length results)
+        (check_against_oracle ~label ~target:Injection.Iu sys prog results);
+      ignore
+        (check_open_lines_follow ~label ~target:Injection.Iu ~inject_cycle sys prog obs
+           results);
+      List.iter
+        (fun name ->
+          check_bool (Printf.sprintf "%s: %s open line ran" label name) true
+            (List.exists
+               (fun (r : Campaign.run_result) ->
+                 r.Campaign.site_name = name && r.Campaign.model = C.Open_line
+                 && match r.Campaign.sim with
+                    | Campaign.Collapsed _ -> true
+                    | Campaign.Simulated | Campaign.Prefiltered | Campaign.Converged _
+                    | Campaign.Pruned ->
+                        false)
+               results))
+        rewritten)
+    [ written; written + 1 ]
+
+(* An open line and the stuck-at of the bit it captures share one
+   lane: the open line follows as [Collapsed], and each verdict is its
+   own dense run's.  The IU control state moves around cycle 1000, so
+   the capture cycle decides which stuck-at is right, and it holds
+   both polarities there. *)
+let test_open_line_shares_stuck_at_lane () =
+  let prog = Lazy.force rspeed in
+  let sys = Leon3.System.create () in
+  let inject_cycle = 1000 in
+  let target = Injection.Prefix "iu.ctrl.state" in
+  let config =
+    { (reference_config ~sites:10) with Campaign.sample_size = None; inject_cycle }
+  in
+  let obs = Obs.create () in
+  let _, results = Campaign.run ~config ~obs sys prog target in
+  check_int "every verdict checked" (List.length results)
+    (check_against_oracle ~label:"pair" ~target sys prog results);
+  let bits =
+    check_open_lines_follow ~label:"pair" ~target ~inject_cycle sys prog obs results
+  in
+  check_bool "a site holding 1 at capture" true (List.mem 1 bits);
+  check_bool "a site holding 0 at capture" true (List.mem 0 bits);
+  check_int "followers counted as collapsed" (List.length bits)
+    (Obs.counter obs "static.collapsed");
+  let c = inject_cycle in
+  let bit = golden_bits sys prog target [ c - 1; c; c + 1 ] in
+  check_bool "some site moves around the injection cycle" true
+    (List.exists
+       (fun s ->
+         let at k = bit k s.Injection.fault_site in
+         at (c - 1) <> at c || at c <> at (c + 1))
+       (Injection.sites (Leon3.System.core sys) target))
+
+(* Every scalar continuation lands in exactly one verdict class, and a
+   hang stopped short of the watchdog budget is a cycle proof.
+   tblook's IU campaign at 100 sites proves some of its hangs and runs
+   others to the budget. *)
+let test_watchdog_split_by_verdict_class () =
+  let tblook = Workloads.Suite.find "tblook" in
+  let prog = tblook.Workloads.Suite.build ~iterations:1 ~dataset:0 in
+  let sys = Leon3.System.create () in
+  let obs = Obs.create () in
+  let config = { Campaign.default_config with Campaign.sample_size = Some 100 } in
+  ignore (Campaign.run ~config ~obs sys prog Injection.Iu);
+  let classes =
+    [ "budget_hang"; "proved_hang"; "wrong_write"; "missing_writes"; "trap"; "silent" ]
+  in
+  let count cls = Obs.span_count obs ("tail.watchdog." ^ cls) in
+  check_int "classes sum to the transplants"
+    (Obs.counter obs "tail.transplants")
+    (List.fold_left (fun a cls -> a + count cls) 0 classes);
+  check_int "proved hangs = cycle proofs" (Obs.counter obs "tail.cycle_proofs")
+    (count "proved_hang");
+  check_bool "some hangs proved" true (count "proved_hang" > 0);
+  check_bool "some hangs ran to the budget" true (count "budget_hang" > 0);
+  (* the system simulates the golden run and the continuations *)
+  let golden = Campaign.golden_run sys prog ~max_cycles:5_000_000 in
+  check_int "class cycles = the continuations' cycles"
+    (Obs.counter obs "rtl.cycles" - golden.Campaign.cycles)
+    (List.fold_left (fun a cls -> a + Obs.counter obs ("tail.cycles." ^ cls)) 0 classes)
+
 let test_gate_level_matches_oracle () =
   let prog = Lazy.force rspeed in
   let params = { Leon3.Core.default_params with Leon3.Core.gate_level = true } in
@@ -852,4 +1112,14 @@ let suite =
         test_gate_level_matches_oracle;
       Alcotest.test_case "compare-reads campaign = dense oracle" `Slow
         test_compare_reads_matches_oracle;
-      Alcotest.test_case "CMEM campaign = dense oracle" `Slow test_cmem_matches_oracle ] )
+      Alcotest.test_case "CMEM campaign = dense oracle" `Slow test_cmem_matches_oracle;
+      Alcotest.test_case "open line captures at cycle 1 when injected at 0" `Slow
+        test_open_line_capture_at_cycle_0;
+      Alcotest.test_case "open line captures at its cycle past 0" `Slow
+        test_open_line_capture_after_cycle_0;
+      Alcotest.test_case "open line shares its stuck-at lane" `Slow
+        test_open_line_shares_stuck_at_lane;
+      Alcotest.test_case "open line on a cell captures before the write" `Slow
+        test_open_line_cell_capture;
+      Alcotest.test_case "watchdog split by verdict class" `Slow
+        test_watchdog_split_by_verdict_class ] )
