@@ -31,10 +31,19 @@ let golden_run ?(obs = Obs.null) ?(coverage = false) ?(trace = false) ?checkpoin
   let work0 = C.settle_stats circuit in
   C.clear_fault circuit;
   if coverage then C.coverage_start circuit;
-  (* armed before [load], whose settle primes the trace with the
+  (* Armed before [load], whose settle primes the trace with the
      cycle-0 state: the state the batch engine starts from, rebuilt by
-     its own [load] *)
-  if trace then C.trace_start circuit;
+     its own [load].  A trace is the largest allocation a campaign makes
+     (18-35 MB per program at gate level) and the run allocates little
+     else, so the trace alone paces the collector through it.  Starting
+     the recording on a fresh collector cycle reclaims what died before
+     it, such as the previous campaign's trace, within the first cycle
+     the recording drives, whatever earlier allocations did to the
+     collector's phase. *)
+  if trace then begin
+    Gc.major ();
+    C.trace_start circuit
+  end;
   Leon3.System.load sys prog;
   let checkpoints = ref [] in
   (* newest first *)
@@ -485,13 +494,8 @@ let default_config =
    converge. *)
 let sample_sites ~obs ~config core target =
   Obs.span obs "site_sampling" @@ fun () ->
-  let pool =
-    Array.of_list (Injection.sites ~include_cells:config.include_cells core target)
-  in
-  let rng = Stats.Rng.create config.seed in
-  match config.sample_size with
-  | Some k when k < Array.length pool -> Stats.Rng.sample_without_replacement rng k pool
-  | Some _ | None -> pool
+  Injection.sample ~include_cells:config.include_cells core target
+    (Stats.Rng.create config.seed) config.sample_size
 
 (* ---- sharding and fingerprints ----
 
@@ -836,13 +840,8 @@ let run_transient ?(sample = 400) ?(seed = 7)
   in
   let upsets =
     Obs.span obs "site_sampling" @@ fun () ->
-    let pool = Array.of_list (Injection.sites core target) in
     let rng = Stats.Rng.create seed in
-    let chosen =
-      if sample < Array.length pool then
-        Stats.Rng.sample_without_replacement rng sample pool
-      else pool
-    in
+    let chosen = Injection.sample core target rng (Some sample) in
     Array.map
       (fun (site : Injection.site) ->
         let inject_cycle = Stats.Rng.int rng (max 1 golden.cycles) in

@@ -65,25 +65,14 @@ let unit_of_site_name name =
     (List.find_opt (fun (p, _) -> String.starts_with ~prefix:p path) prefix_table)
 
 let signal_sites (core : Leon3.Core.t) ~prefix =
-  List.map
-    (fun (fault_site, site_name) -> { fault_site; site_name })
-    (C.injection_bits core.Leon3.Core.circuit ~prefix)
+  C.injection_bits core.Leon3.Core.circuit ~prefix
 
-let cell_sites (core : Leon3.Core.t) mem ~name =
-  ignore name;
-  let mem_name, _, words, width =
+(* Every (word, bit) cell of a memory, word-major. *)
+let cell_sites (core : Leon3.Core.t) mem =
+  let _, _, words, width =
     List.find (fun (_, m, _, _) -> m = mem) (C.memories core.Leon3.Core.circuit)
   in
-  let sites = ref [] in
-  for w = words - 1 downto 0 do
-    for b = width - 1 downto 0 do
-      sites :=
-        { fault_site = C.Cell (mem, w, b);
-          site_name = Printf.sprintf "%s[%d][%d]" mem_name w b }
-        :: !sites
-    done
-  done;
-  !sites
+  List.init (words * width) (fun i -> C.Cell (mem, i / width, i mod width))
 
 (* The cross-unit gate scopes a unit owns besides its own subtree —
    enumerable per unit because no other unit's scope nests inside
@@ -94,28 +83,44 @@ let gate_prefixes_of_unit u =
       if u' = u && String.starts_with ~prefix:"iu.gates." p then Some p else None)
     extra_prefixes
 
-let sites ?(include_cells = true) (core : Leon3.Core.t) target =
-  match target with
-  | Prefix prefix -> signal_sites core ~prefix
-  | Unit_of u ->
-      signal_sites core ~prefix:(prefix_of_unit u)
-      @ List.concat_map
-          (fun prefix -> signal_sites core ~prefix)
-          (gate_prefixes_of_unit u)
-  | Iu ->
-      let signals = signal_sites core ~prefix:"iu." in
-      if include_cells then
-        signals @ cell_sites core core.Leon3.Core.regfile ~name:"regfile"
-      else signals
-  | Cmem ->
-      let signals = signal_sites core ~prefix:"cmem." in
-      if include_cells then
-        signals
-        @ cell_sites core core.Leon3.Core.icache.tag_mem ~name:"icache.tags"
-        @ cell_sites core core.Leon3.Core.icache.data_mem ~name:"icache.data"
-        @ cell_sites core core.Leon3.Core.dcache.tag_mem ~name:"dcache.tags"
-        @ cell_sites core core.Leon3.Core.dcache.data_mem ~name:"dcache.data"
-      else signals
+(* The pool of a target, unnamed: a name costs a sprintf, so a sampler
+   names only the sites it draws. *)
+let fault_sites ?(include_cells = true) (core : Leon3.Core.t) target =
+  Array.of_list
+    (match target with
+    | Prefix prefix -> signal_sites core ~prefix
+    | Unit_of u ->
+        signal_sites core ~prefix:(prefix_of_unit u)
+        @ List.concat_map
+            (fun prefix -> signal_sites core ~prefix)
+            (gate_prefixes_of_unit u)
+    | Iu ->
+        let signals = signal_sites core ~prefix:"iu." in
+        if include_cells then signals @ cell_sites core core.Leon3.Core.regfile else signals
+    | Cmem ->
+        let signals = signal_sites core ~prefix:"cmem." in
+        if include_cells then
+          signals
+          @ cell_sites core core.Leon3.Core.icache.tag_mem
+          @ cell_sites core core.Leon3.Core.icache.data_mem
+          @ cell_sites core core.Leon3.Core.dcache.tag_mem
+          @ cell_sites core core.Leon3.Core.dcache.data_mem
+        else signals)
+
+let named (core : Leon3.Core.t) fault_site =
+  { fault_site; site_name = C.site_name core.Leon3.Core.circuit fault_site }
+
+let sites ?include_cells core target =
+  Array.to_list (Array.map (named core) (fault_sites ?include_cells core target))
+
+let sample ?include_cells core target rng k =
+  let pool = fault_sites ?include_cells core target in
+  let drawn =
+    match k with
+    | Some k when k < Array.length pool -> Stats.Rng.sample_without_replacement rng k pool
+    | Some _ | None -> pool
+  in
+  Array.map (named core) drawn
 
 let pool_sizes core =
   let tally = Hashtbl.create 16 in

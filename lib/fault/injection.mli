@@ -26,24 +26,24 @@ val target_name : target -> string
 val prefix_of_unit : Sparc.Units.t -> string
 (** Hierarchical prefix of a functional unit in the Leon3 netlist. *)
 
-val prefix_table : (string * Sparc.Units.t) list
-(** Every registered scope prefix with its owning unit, longest
-    first — the table {!unit_of_site_name} matches against. *)
-
 val unit_of_site_name : string -> Sparc.Units.t option
 (** Attribute a site to its unit by longest registered prefix.  Robust
     to nested scopes ("iu.ex.adder.gates.c17[0]" is the adder's) and
     to names that {e are} a registered scope (memory cells such as
     "iu.regfile.regs[5][31]"). *)
 
-val signal_sites : Leon3.Core.t -> prefix:string -> site list
-
-val cell_sites : Leon3.Core.t -> C.memory -> name:string -> site list
-(** Every (word, bit) cell of a memory. *)
-
 val sites : ?include_cells:bool -> Leon3.Core.t -> target -> site list
 (** The full pool for a target ([include_cells] defaults to [true];
     it only affects {!Iu} and {!Cmem}). *)
+
+val sample :
+  ?include_cells:bool -> Leon3.Core.t -> target -> Stats.Rng.t -> int option -> site array
+(** [sample core target rng k]: [k] distinct sites of the pool drawn by
+    [rng] (the whole pool, in order and drawing nothing, when [k] is
+    [None] or at least the pool's size).  The same sites in the same
+    order, and the same draws from [rng], as
+    [Stats.Rng.sample_without_replacement] over {!sites}; only the drawn
+    sites are named. *)
 
 val pool_sizes : Leon3.Core.t -> (Sparc.Units.t * int) list
 (** Injectable bit count per functional unit (signals + owned cells) —

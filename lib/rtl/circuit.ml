@@ -197,12 +197,11 @@ type t = {
   (* The change-driven settle's seeds, cleared by every settle: source
      nodes whose value changed since the last settle (an input set, a
      register committed to a new value or a faulted source transformed;
-     a change-driven settle appends the comb nodes it changes, then
-     records from the list), and memories whose content changed (a
-     write, or a forced cell fault).  [full_sweep] makes the next
-     settle the dense sweep, after a bulk state change the seeds do not
-     describe; [reference] makes every settle the dense sweep, for the
-     duration of a {!reference} run. *)
+     a node can appear twice, and never a comb node), and memories
+     whose content changed (a write, or a forced cell fault).
+     [full_sweep] makes the next settle the dense sweep, after a bulk
+     state change the seeds do not describe; [reference] makes every
+     settle the dense sweep, for the duration of a {!reference} run. *)
   moved : int Vec.t;
   marked : int Vec.t;
   mutable mem_marked : bool array;
@@ -520,6 +519,13 @@ let record_nodes t cov =
       (Array.unsafe_get cov.cov_seen0 id lor (Array.unsafe_get masks id land lnot v))
   done
 
+(* One node's share of [record_nodes], for the change-driven settle. *)
+let record_node cov masks id v =
+  Array.unsafe_set cov.cov_seen1 id (Array.unsafe_get cov.cov_seen1 id lor v);
+  Array.unsafe_set cov.cov_seen0 id
+    (Array.unsafe_get cov.cov_seen0 id lor (Array.unsafe_get masks id land lnot v))
+[@@inline]
+
 let record_cell cov m idx ~mask v =
   cov.cov_cell_seen1.(m).(idx) <- cov.cov_cell_seen1.(m).(idx) lor v;
   cov.cov_cell_seen0.(m).(idx) <- cov.cov_cell_seen0.(m).(idx) lor (mask land lnot v)
@@ -806,10 +812,16 @@ let eval_shaped values ds sh =
    adds the seeds [apply_fault] leaves, and its comb node is evaluated
    at every settle: the fault's window opens and closes on the cycle
    counter, not on the node's inputs, and a closed window heals the
-   residue at the next evaluation.  Each node that moved is
-   appended to [t.moved], so recording afterwards costs per changed
-   node: an unchanged node's value was recorded at the settle where it
-   last changed, or at the full sweep that started the recording. *)
+   residue at the next evaluation.
+
+   Recording costs per changed node, written where the value changes:
+   an unchanged node's value was recorded at the settle where it last
+   changed, or at the full sweep that started the recording.  A seed is
+   compared with its last recorded value, since a source can move and
+   move back between two settles.  A comb node is evaluated at most
+   once per settle and held its recorded value before it, so a change
+   is a delta without a compare; its [tb_prev] entry is still kept for
+   the dense sweep's compare after a bulk change. *)
 let event_settle t =
   let low = t.low in
   let wl = t.wl and fanout = low.fanout and moved = t.moved in
@@ -819,8 +831,29 @@ let event_settle t =
   Worklist.start wl;
   let fnode = apply_fault t in
   if fnode >= 0 then push wl fnode;
+  (* The first recorded settle only primes, after the loop.  The
+     recording case reuses [t.tracing]'s own option: the settle
+     allocates nothing. *)
+  let trace =
+    match t.tracing with
+    | Some tb when tb.tb_upto >= 0 ->
+        trace_open t tb;
+        t.tracing
+    | Some _ | None -> None
+  in
+  let cov = t.recording in
   for i = 0 to Vec.length moved - 1 do
-    queue_fanout wl fanout (Vec.get moved i)
+    let id = Vec.get moved i in
+    let v = Array.unsafe_get values id in
+    (match trace with
+    | Some tb ->
+        if v <> Array.unsafe_get tb.tb_prev id then begin
+          Chunks.push tb.tb_delta (pack_delta id v);
+          Array.unsafe_set tb.tb_prev id v
+        end
+    | None -> ());
+    (match cov with Some cov -> record_node cov masks id v | None -> ());
+    queue_fanout wl fanout id
   done;
   for i = 0 to Vec.length t.marked - 1 do
     let rd = low.mem_readers.(Vec.get t.marked i) in
@@ -842,36 +875,22 @@ let event_settle t =
       let v = if id = fnode then node_fault ~cyc t.fault id v else v in
       if v <> Array.unsafe_get values id then begin
         Array.unsafe_set values id v;
-        Vec.push moved id;
+        (match trace with
+        | Some tb ->
+            Chunks.push tb.tb_delta (pack_delta id v);
+            Array.unsafe_set tb.tb_prev id v
+        | None -> ());
+        (match cov with Some cov -> record_node cov masks id v | None -> ());
         queue_fanout wl fanout id
       end
     done;
     nev := !nev + n
   done;
   t.settle_evals <- t.settle_evals + !nev;
-  (match t.tracing with
+  match t.tracing with
   | Some tb ->
-      trace_open t tb;
-      let prev = tb.tb_prev in
-      for i = 0 to Vec.length moved - 1 do
-        let id = Vec.get moved i in
-        let v = Array.unsafe_get values id in
-        if v <> Array.unsafe_get prev id then begin
-          Chunks.push tb.tb_delta (pack_delta id v);
-          Array.unsafe_set prev id v
-        end
-      done;
-      Vec.set tb.tb_dend t.cyc (Chunks.length tb.tb_delta)
-  | None -> ());
-  match t.recording with
-  | Some cov ->
-      for i = 0 to Vec.length moved - 1 do
-        let id = Vec.get moved i in
-        let v = Array.unsafe_get values id in
-        Array.unsafe_set cov.cov_seen1 id (Array.unsafe_get cov.cov_seen1 id lor v);
-        Array.unsafe_set cov.cov_seen0 id
-          (Array.unsafe_get cov.cov_seen0 id lor (Array.unsafe_get masks id land lnot v))
-      done
+      (match trace with None -> trace_open t tb | Some _ -> ());
+      Vec.set tb.tb_dend cyc (Chunks.length tb.tb_delta)
   | None -> ()
 
 (* Dense on the reference engine and after a bulk state change;
@@ -1110,9 +1129,9 @@ let content_hash t =
        the cone memories, so skipping them here can only produce extra
        rejected candidates (counted as collisions), never a wrong or a
        missed proof.  It cuts the per-observation cost from the full
-       cache/regfile image (~800 words) to the register file of the
-       cone (~a few hundred), which is what the watchdog continuation
-       pays every stride. *)
+       cache/regfile image (~800 words) to the cone's registers (23 of
+       the 28 registers on both Leon3 netlists), which is what the
+       watchdog continuation pays every stride. *)
     Array.iter
       (fun id ->
         if Array.unsafe_get t.cone id then h := mix !h (Array.unsafe_get t.values id))
@@ -1155,10 +1174,14 @@ let injection_bits t ~prefix =
     (fun id nd ->
       if String.starts_with ~prefix nd.nm then
         for bit = nd.width - 1 downto 0 do
-          sites := (Node (id, bit), Printf.sprintf "%s[%d]" nd.nm bit) :: !sites
+          sites := Node (id, bit) :: !sites
         done)
     (all_nodes t);
   !sites
+
+let site_name t = function
+  | Node (s, bit) -> Printf.sprintf "%s[%d]" (all_nodes t).(s).nm bit
+  | Cell (m, idx, bit) -> Printf.sprintf "%s[%d][%d]" (mem_info t m).m_name idx bit
 
 (* Structural views *)
 

@@ -31,7 +31,9 @@
       changed since the last settle (an input set to a new value, a
       register committed to a new value, a node this settle changed)
       and the read ports of memories whose content changed, and
-      records traces and coverage from those changes alone.  An armed
+      records traces and coverage from those changes alone, where they
+      happen: a moved source as the settle starts, a comb node as the
+      settle changes it.  An armed
       fault adds the seeds its rules need: a forced cell marks its
       memory when its content moves, a transformed source node is a
       seed when its value moves, and the faulted comb node is
@@ -333,11 +335,12 @@ val trace_start : t -> unit
 (** Begin recording a trace of every subsequent settled state.  The
     first recorded settle only primes the previous state: its cycle
     holds no deltas, so a trace does not depend on what the circuit ran
-    before.  A change-driven settle then compares only the nodes that
-    changed, emitting a delta where a value differs from its last
-    recorded one (a value set and restored between two settles emits
-    nothing): recording costs per changed node, not per node.  The
-    dense sweep compares every node. *)
+    before.  A change-driven settle then emits a delta for each comb
+    node it changes, as it changes it, and for each source that moved
+    since the last settle and differs from its last recorded value (a
+    source set and restored between two settles emits nothing):
+    recording costs per changed node, not per node.  The dense sweep
+    compares every node with its last recorded value. *)
 
 val trace_stop : t -> trace
 (** Stop recording and freeze the trace. *)
@@ -470,10 +473,13 @@ val signal_name : t -> signal -> string
 val node_count : t -> int
 (** Total number of signal nodes (netlist size proxy for area). *)
 
-val injection_bits : t -> prefix:string -> (fault_site * string) list
+val injection_bits : t -> prefix:string -> fault_site list
 (** Every (node, bit) site whose hierarchical name starts with
-    [prefix]; the string is ["name[bit]"].  Memory cells are not
-    included (enumerate them explicitly if wanted). *)
+    [prefix], unnamed.  Memory cells are not included (enumerate them
+    explicitly if wanted). *)
+
+val site_name : t -> fault_site -> string
+(** ["name[bit]"] for a node site, ["memory[word][bit]"] for a cell. *)
 
 (** {2 Structural views (static analysis)}
 

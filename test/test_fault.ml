@@ -122,6 +122,43 @@ let test_pool_sizes_cover_everything () =
   check_bool "regfile biggest IU unit" true
     (List.assoc Sparc.Units.Regfile sizes > List.assoc Sparc.Units.Adder sizes)
 
+(* A sample draws from the unnamed pool and names what it drew: the
+   same sites, in the same order, as drawing from the named pool, and
+   the generator is left where that draw leaves it (a transient
+   campaign goes on to draw its upset cycles from it). *)
+let test_sample_names_only_drawn () =
+  let core = Leon3.System.core (Lazy.force shared_sys) in
+  let key (s : Injection.site) = (s.Injection.fault_site, s.Injection.site_name) in
+  List.iter
+    (fun (target, include_cells) ->
+      let pool = Array.of_list (Injection.sites ~include_cells core target) in
+      let n = Array.length pool in
+      List.iter
+        (fun seed ->
+          List.iter
+            (fun k ->
+              let label =
+                Printf.sprintf "%s cells %b seed %d k %s" (Injection.target_name target)
+                  include_cells seed
+                  (match k with Some k -> string_of_int k | None -> "all")
+              in
+              let ra = Stats.Rng.create seed and rb = Stats.Rng.create seed in
+              let drawn = Injection.sample ~include_cells core target ra k in
+              let expected =
+                match k with
+                | Some k when k < n -> Stats.Rng.sample_without_replacement rb k pool
+                | Some _ | None -> pool
+              in
+              check_bool (label ^ ": same sample") true
+                (Array.map key drawn = Array.map key expected);
+              check_int (label ^ ": same generator state") (Stats.Rng.int rb 1_000_000)
+                (Stats.Rng.int ra 1_000_000))
+            [ Some 1; Some 30; Some (n - 1); Some n; Some (n + 7); None ])
+        [ 1; 7; 13 ])
+    [ (Injection.Iu, true); (Injection.Iu, false); (Injection.Cmem, true);
+      (Injection.Cmem, false); (Injection.Unit_of Sparc.Units.Adder, true);
+      (Injection.Prefix "iu.ctrl.", false) ]
+
 (* ---- golden runs ---- *)
 
 let test_golden_run () =
@@ -1122,4 +1159,6 @@ let suite =
       Alcotest.test_case "open line on a cell captures before the write" `Slow
         test_open_line_cell_capture;
       Alcotest.test_case "watchdog split by verdict class" `Slow
-        test_watchdog_split_by_verdict_class ] )
+        test_watchdog_split_by_verdict_class;
+      Alcotest.test_case "sample names only the drawn sites" `Quick
+        test_sample_names_only_drawn ] )

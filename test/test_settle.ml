@@ -4,8 +4,8 @@
    dense sweep runs at every settle of a [Circuit.reference] run, the
    oracle.  Each check below runs a circuit next to a dense twin on the
    reference engine: the real Leon3 netlists for recording, small random
-   netlists for values, with faults of every model armed on source,
-   comb and cell sites.  The random netlists mix word-level operators
+   netlists for values and recording, with faults of every model armed
+   on source, comb and cell sites.  The random netlists mix word-level operators
    with gate cells, one-bit tables and taps — the nodes both
    change-driven loops evaluate from their shape instead of their
    evaluator — and also run as lanes ({!Rtl.Lanes}) next to one dense
@@ -290,19 +290,46 @@ let same_coverage a ca cb =
         (List.init (C.signal_width a.c s) Fun.id))
     a.nodes
 
+(* Per cycle, the same deltas: the same nodes, each with the same
+   values in the same order (a node that moves and moves back between
+   two settles of one cycle records both moves). *)
+let same_trace ta tb =
+  let by_node tr cyc =
+    List.stable_sort
+      (fun ((x : C.signal), _) ((y : C.signal), _) -> compare (x :> int) (y :> int))
+      (Array.to_list (C.trace_deltas tr cyc))
+  in
+  C.trace_cycles ta = C.trace_cycles tb
+  && List.for_all
+       (fun cyc -> by_node ta cyc = by_node tb cyc)
+       (List.init (C.trace_cycles ta) Fun.id)
+
 (* A settle of a dense twin, on the reference engine. *)
 let dense_settle rig = C.reference rig.c (fun () -> C.settle rig.c)
 
 (* Run [actions] on a circuit and on its dense twin, comparing every
    node value and memory word after each settle and the coverage at
    the end.  Both arm the same faults: the circuit settles
-   change-driven under them, the twin sweeps. *)
+   change-driven under them, the twin sweeps.  Both also record a
+   trace until the first action that can move the cycle counter back
+   (a restore or a reset), and the traces must agree: an inject or a
+   clear_fault on the way makes the circuit's next settle a dense
+   sweep, which compares every node with its last recorded value. *)
 let agrees (nl, actions) =
   let a = build nl and b = build nl in
   C.reset a.c;
   C.reset b.c;
   C.coverage_start a.c;
   C.coverage_start b.c;
+  C.trace_start a.c;
+  C.trace_start b.c;
+  let tracing = ref true in
+  let traces_agree () =
+    (not !tracing)
+    ||
+    (tracing := false;
+     same_trace (C.trace_stop a.c) (C.trace_stop b.c))
+  in
   let snaps = ref None in
   let settle () =
     C.settle a.c;
@@ -330,16 +357,22 @@ let agrees (nl, actions) =
         snaps := Some (C.snapshot a.c, C.snapshot b.c);
         true
     | Restore ->
-        (match !snaps with
-        | Some (sa, sb) ->
-            C.restore a.c sa;
-            C.restore b.c sb
-        | None -> ());
-        true
+        traces_agree ()
+        && begin
+             (match !snaps with
+             | Some (sa, sb) ->
+                 C.restore a.c sa;
+                 C.restore b.c sb
+             | None -> ());
+             true
+           end
     | Reset ->
-        C.reset a.c;
-        C.reset b.c;
-        true
+        traces_agree ()
+        && begin
+             C.reset a.c;
+             C.reset b.c;
+             true
+           end
     | Inject (s, bit, model, after, duration) ->
         let site rig =
           if s mod 4 = 0 then C.Cell (rig.mem, s / 4 mod nl.words, bit mod nl.mem_width)
@@ -356,7 +389,7 @@ let agrees (nl, actions) =
         C.clear_fault b.c;
         true
   in
-  let ok = List.fold_left step true actions && settle () in
+  let ok = List.fold_left step true actions && settle () && traces_agree () in
   let stats = C.settle_stats b.c in
   ok
   && same_coverage a (C.coverage_stop a.c) (C.coverage_stop b.c)
