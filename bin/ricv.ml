@@ -253,6 +253,83 @@ let asm_cmd =
 let print_model_summaries summaries =
   List.iter print_endline (Serve.Render.rtl_summary_lines summaries)
 
+(* `campaign` and `iss-campaign` share one journal front: the
+   parallelism, shard, journal and seed options, and what a run does
+   with them. *)
+type front = {
+  domains : int;
+  shard : int * int;
+  journal : string option;
+  resume : bool;
+  seed : int;
+}
+
+let front_term =
+  let domains =
+    Arg.(value & opt (positive_int "domain count") 1 & info [ "domains"; "j" ] ~docv:"N"
+           ~doc:"Parallelise the campaign over N OCaml domains.")
+  in
+  let shard =
+    Arg.(value & opt shard_conv (1, 1) & info [ "shard" ] ~docv:"I/N"
+           ~doc:"Execute only shard $(docv) of the campaign (1-based).  Shards of \
+                 the same seeded campaign are disjoint and covering; journal each \
+                 one and combine with `ricv merge`.")
+  in
+  let journal =
+    Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE"
+           ~doc:"Append every classified verdict to a crash-safe JSONL journal at \
+                 $(docv), bound to the campaign fingerprint.")
+  in
+  let resume =
+    Arg.(value & flag & info [ "resume" ]
+           ~doc:"Replay the verdicts already in --journal instead of re-simulating \
+                 them, then continue.  A journal from a different campaign \
+                 (workload, config, seed, sampled sites or shard mismatch) is \
+                 rejected.")
+  in
+  let seed =
+    Arg.(value & opt int 7 & info [ "seed" ] ~docv:"S" ~doc:"Site-sampling seed.")
+  in
+  Term.(
+    const (fun domains shard journal resume seed -> { domains; shard; journal; resume; seed })
+    $ domains $ shard $ journal $ resume $ seed)
+
+(* Runs [campaign ~obs ~on_progress] with progress on stderr, then
+   [report summaries ~elapsed ~suffix], where [suffix] names the shard
+   and the journal for the footer line.  A journal of another campaign
+   exits 1. *)
+let run_journaled front ~trace ~metrics campaign report =
+  if front.resume && front.journal = None then begin
+    prerr_endline "ricv: --resume requires --journal";
+    exit 1
+  end;
+  let obs, finish_obs = make_obs ~trace ~metrics in
+  let t0 = Unix.gettimeofday () in
+  let on_progress ~done_ ~total =
+    if done_ mod 100 = 0 || done_ = total then
+      Printf.eprintf "\r%d/%d injections...%!" done_ total
+  in
+  let summaries =
+    try Obs.span obs "campaign" (fun () -> campaign ~obs ~on_progress)
+    with Fault_injection.Journal.Rejected msg ->
+      Printf.eprintf "\nricv: journal rejected: %s\n" msg;
+      exit 1
+  in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  prerr_newline ();
+  let suffix =
+    (match front.shard with 1, 1 -> "" | i, n -> Printf.sprintf "  [shard %d/%d]" i n)
+    ^
+    match (front.journal, front.resume) with
+    | Some path, false -> Printf.sprintf "  [journal %s]" path
+    | Some path, true when Obs.enabled obs ->
+        Printf.sprintf "  [journal %s, %d replayed]" path (Obs.counter obs "journal.replayed")
+    | Some path, true -> Printf.sprintf "  [journal %s, resumed]" path
+    | None, _ -> ""
+  in
+  report summaries ~elapsed ~suffix;
+  finish_obs ()
+
 let campaign_cmd =
   let target_conv =
     Arg.enum [ ("iu", Fault_injection.Injection.Iu); ("cmem", Fault_injection.Injection.Cmem) ]
@@ -265,27 +342,6 @@ let campaign_cmd =
     Arg.(value & opt (positive_int "sample size") 250 & info [ "samples"; "s" ] ~docv:"N"
            ~doc:"Number of injection sites to sample.")
   in
-  let domains_arg =
-    Arg.(value & opt (positive_int "domain count") 1 & info [ "domains"; "j" ] ~docv:"N"
-           ~doc:"Parallelise the campaign over N OCaml domains.")
-  in
-  let shard_arg =
-    Arg.(value & opt shard_conv (1, 1) & info [ "shard" ] ~docv:"I/N"
-           ~doc:"Execute only shard $(docv) of the campaign (1-based).  Shards of \
-                 the same seeded campaign are disjoint and covering; journal each \
-                 one and combine with `ricv merge`.")
-  in
-  let journal_arg =
-    Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE"
-           ~doc:"Append every classified verdict to a crash-safe JSONL journal at \
-                 $(docv), bound to the campaign fingerprint.")
-  in
-  let resume_arg =
-    Arg.(value & flag & info [ "resume" ]
-           ~doc:"Replay the verdicts already in --journal instead of re-simulating \
-                 them, then continue.  A journal from a different campaign \
-                 (workload, config, seed, netlist or shard mismatch) is rejected.")
-  in
   let hang_arg =
     Arg.(value & opt (positive_int "hang factor") 4 & info [ "hang-factor" ] ~docv:"K"
            ~env:(Cmd.Env.info "RICV_HANG_FACTOR")
@@ -293,76 +349,47 @@ let campaign_cmd =
                  times the golden run's cycle count (plus a fixed floor).  Mirrors \
                  the ISS campaign's --hang-factor.")
   in
-  let seed_arg =
-    Arg.(value & opt int 7 & info [ "seed" ] ~docv:"S" ~doc:"Site-sampling seed.")
-  in
-  let run name iterations dataset target samples domains shard journal resume hang_factor
-      seed gate trace metrics =
+  let run name iterations dataset target samples front hang_factor gate trace metrics =
     let prog = or_fail (build_workload name iterations dataset) in
     let params = system_params ~gate:(gate_enabled gate) in
-    if resume && journal = None then begin
-      prerr_endline "ricv: --resume requires --journal";
-      exit 1
-    end;
     let config =
       { Fault_injection.Campaign.default_config with
         Fault_injection.Campaign.sample_size = Some samples;
         hang_factor;
-        seed;
-        shard }
+        seed = front.seed;
+        shard = front.shard }
     in
-    let obs, finish_obs = make_obs ~trace ~metrics in
-    let t0 = Unix.gettimeofday () in
-    let on_progress ~done_ ~total =
-      if done_ mod 100 = 0 || done_ = total then
-        Printf.eprintf "\r%d/%d injections...%!" done_ total
-    in
-    let summaries, _ =
-      try
-        Obs.span obs "campaign" (fun () ->
-            Fault_injection.Campaign.run_parallel ~config ~obs ~domains ~on_progress
-              ?journal ~resume
-              (fun () -> Leon3.System.create ~params ())
-              prog target)
-      with Fault_injection.Journal.Rejected msg ->
-        Printf.eprintf "\nricv: journal rejected: %s\n" msg;
-        exit 1
-    in
-    let elapsed = Unix.gettimeofday () -. t0 in
-    prerr_newline ();
-    print_model_summaries summaries;
-    let injections, skipped, early, pruned, collapsed =
-      List.fold_left
-        (fun (i, k, e, p, c) (_, s) ->
-          ( i + s.Fault_injection.Campaign.injections,
-            k + s.Fault_injection.Campaign.skipped,
-            e + s.Fault_injection.Campaign.early_exits,
-            p + s.Fault_injection.Campaign.pruned,
-            c + s.Fault_injection.Campaign.collapsed ))
-        (0, 0, 0, 0, 0) summaries
-    in
-    Printf.printf
-      "%d injections in %.1fs: %d prefiltered (%.1f%%), %d cone-pruned, %d collapsed, \
-       %d early-exited%s%s\n"
-      injections elapsed skipped
-      (if injections = 0 then 0. else 100. *. float_of_int skipped /. float_of_int injections)
-      pruned collapsed early
-      (match shard with
-      | 1, 1 -> ""
-      | i, n -> Printf.sprintf "  [shard %d/%d]" i n)
-      (match (journal, resume) with
-      | Some path, false -> Printf.sprintf "  [journal %s]" path
-      | Some path, true when Obs.enabled obs ->
-          Printf.sprintf "  [journal %s, %d replayed]" path (Obs.counter obs "journal.replayed")
-      | Some path, true -> Printf.sprintf "  [journal %s, resumed]" path
-      | None, _ -> "");
-    finish_obs ()
+    run_journaled front ~trace ~metrics
+      (fun ~obs ~on_progress ->
+        fst
+          (Fault_injection.Campaign.run_parallel ~config ~obs ~domains:front.domains
+             ~on_progress ?journal:front.journal ~resume:front.resume
+             (fun () -> Leon3.System.create ~params ())
+             prog target))
+      (fun summaries ~elapsed ~suffix ->
+        print_model_summaries summaries;
+        let injections, skipped, early, pruned, collapsed =
+          List.fold_left
+            (fun (i, k, e, p, c) (_, s) ->
+              ( i + s.Fault_injection.Campaign.injections,
+                k + s.Fault_injection.Campaign.skipped,
+                e + s.Fault_injection.Campaign.early_exits,
+                p + s.Fault_injection.Campaign.pruned,
+                c + s.Fault_injection.Campaign.collapsed ))
+            (0, 0, 0, 0, 0) summaries
+        in
+        Printf.printf
+          "%d injections in %.1fs: %d prefiltered (%.1f%%), %d cone-pruned, %d collapsed, \
+           %d early-exited%s\n"
+          injections elapsed skipped
+          (if injections = 0 then 0.
+           else 100. *. float_of_int skipped /. float_of_int injections)
+          pruned collapsed early suffix)
   in
   Cmd.v
     (Cmd.info "campaign" ~doc:"Run a fault-injection campaign on the RTL model.")
     Term.(const run $ workload_arg $ iterations_arg $ dataset_arg $ target_arg
-          $ samples_arg $ domains_arg $ shard_arg $ journal_arg $ resume_arg
-          $ hang_arg $ seed_arg $ gate_arg $ trace_arg $ metrics_arg)
+          $ samples_arg $ front_term $ hang_arg $ gate_arg $ trace_arg $ metrics_arg)
 
 (* ---- iss-campaign ---- *)
 
@@ -377,84 +404,34 @@ let iss_campaign_cmd =
     Arg.(value & opt (positive_int "sample size") 400 & info [ "samples"; "s" ] ~docv:"N"
            ~doc:"Number of injection sites to sample per fault model.")
   in
-  let domains_arg =
-    Arg.(value & opt (positive_int "domain count") 1 & info [ "domains"; "j" ] ~docv:"N"
-           ~doc:"Parallelise the campaign over N OCaml domains.")
-  in
-  let shard_arg =
-    Arg.(value & opt shard_conv (1, 1) & info [ "shard" ] ~docv:"I/N"
-           ~doc:"Execute only shard $(docv) of the campaign (1-based).  Shards of \
-                 the same seeded campaign are disjoint and covering; journal each \
-                 one and combine with `ricv merge`.")
-  in
-  let journal_arg =
-    Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE"
-           ~doc:"Append every classified verdict to a crash-safe JSONL journal at \
-                 $(docv), bound to the campaign fingerprint.")
-  in
-  let resume_arg =
-    Arg.(value & flag & info [ "resume" ]
-           ~doc:"Replay the verdicts already in --journal instead of re-simulating \
-                 them, then continue.  A journal from a different campaign \
-                 (workload, config, seed or shard mismatch) is rejected.")
-  in
   let hang_arg =
     Arg.(value & opt (positive_int "hang factor") 4 & info [ "hang-factor" ] ~docv:"K"
            ~doc:"Instruction-budget watchdog: K times the golden run's dynamic \
                  instruction count.")
   in
-  let seed_arg =
-    Arg.(value & opt int 7 & info [ "seed" ] ~docv:"S" ~doc:"Site-sampling seed.")
-  in
-  let run name iterations dataset samples domains shard journal resume hang_factor seed
-      trace metrics =
+  let run name iterations dataset samples front hang_factor trace metrics =
     let prog = or_fail (build_workload name iterations dataset) in
-    if resume && journal = None then begin
-      prerr_endline "ricv: --resume requires --journal";
-      exit 1
-    end;
     let config =
       { Fault_injection.Iss_campaign.default_config with
         Fault_injection.Iss_campaign.samples_per_model = samples;
         hang_factor;
-        seed;
-        shard }
+        seed = front.seed;
+        shard = front.shard }
     in
-    let obs, finish_obs = make_obs ~trace ~metrics in
-    let t0 = Unix.gettimeofday () in
-    let on_progress ~done_ ~total =
-      if done_ mod 100 = 0 || done_ = total then
-        Printf.eprintf "\r%d/%d injections...%!" done_ total
-    in
-    let summaries, _ =
-      try
-        Obs.span obs "campaign" (fun () ->
-            Fault_injection.Iss_campaign.run_parallel ~config ~obs ~domains ~on_progress
-              ?journal ~resume prog)
-      with Fault_injection.Journal.Rejected msg ->
-        Printf.eprintf "\nricv: journal rejected: %s\n" msg;
-        exit 1
-    in
-    let elapsed = Unix.gettimeofday () -. t0 in
-    prerr_newline ();
-    print_iss_summaries summaries;
-    let injections =
-      List.fold_left
-        (fun acc (_, s) -> acc + s.Fault_injection.Campaign.injections)
-        0 summaries
-    in
-    Printf.printf "%d ISS injections in %.1fs (latencies in instructions)%s%s\n"
-      injections elapsed
-      (match shard with
-      | 1, 1 -> ""
-      | i, n -> Printf.sprintf "  [shard %d/%d]" i n)
-      (match (journal, resume) with
-      | Some path, false -> Printf.sprintf "  [journal %s]" path
-      | Some path, true when Obs.enabled obs ->
-          Printf.sprintf "  [journal %s, %d replayed]" path (Obs.counter obs "journal.replayed")
-      | Some path, true -> Printf.sprintf "  [journal %s, resumed]" path
-      | None, _ -> "");
-    finish_obs ()
+    run_journaled front ~trace ~metrics
+      (fun ~obs ~on_progress ->
+        fst
+          (Fault_injection.Iss_campaign.run_parallel ~config ~obs ~domains:front.domains
+             ~on_progress ?journal:front.journal ~resume:front.resume prog))
+      (fun summaries ~elapsed ~suffix ->
+        print_iss_summaries summaries;
+        let injections =
+          List.fold_left
+            (fun acc (_, s) -> acc + s.Fault_injection.Campaign.injections)
+            0 summaries
+        in
+        Printf.printf "%d ISS injections in %.1fs (latencies in instructions)%s\n"
+          injections elapsed suffix)
   in
   Cmd.v
     (Cmd.info "iss-campaign"
@@ -462,8 +439,7 @@ let iss_campaign_cmd =
              (register-file, data-memory and opcode bit flips), with the same \
              verdict taxonomy, journaling and sharding as `ricv campaign`.")
     Term.(const run $ workload_arg $ iterations_arg $ dataset_arg $ samples_arg
-          $ domains_arg $ shard_arg $ journal_arg $ resume_arg $ hang_arg $ seed_arg
-          $ trace_arg $ metrics_arg)
+          $ front_term $ hang_arg $ trace_arg $ metrics_arg)
 
 (* ---- merge ---- *)
 

@@ -191,8 +191,6 @@ let prepare ?(config = default_config) ?(obs = Obs.null) prog =
     p_golden = golden;
     p_sample = sample }
 
-let prepared_fingerprint p = p.p_fingerprint
-
 (* Returns the (golden, sample) to run with; raises on any mismatch a
    silent reuse could hide — the program hash and every config field
    except the shard. *)

@@ -125,9 +125,6 @@ val prepare : ?config:config -> ?obs:Obs.t -> Sparc.Asm.program -> prepared
 (** Golden run + site sample, shard-normalised to 1/1.  Raises
     [Invalid_argument] on an out-of-range shard spec. *)
 
-val prepared_fingerprint : prepared -> Journal.fingerprint
-(** The shard-1/1 fingerprint of the prepared campaign. *)
-
 (** {1 Execution} *)
 
 val run_one :

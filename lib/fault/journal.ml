@@ -283,131 +283,43 @@ let entry_of_json j =
 (* ---- writer ---- *)
 
 (* Verdicts are cheap relative to the simulations that produce them,
-   so the writer fsyncs every [fsync_every] appends (and at close):
-   a crash loses at most one batch of already-finished work. *)
-type writer = {
-  mutable oc : out_channel;
-  mutable pending : int;
-  fsync_every : int;
-  mutable closed : bool;
-  lock : Mutex.t;
-}
+   so the writer fsyncs every 64 appends (and at close): a crash loses
+   at most one batch of already-finished work. *)
+type writer = Durable.appender
 
-let sync w =
-  flush w.oc;
-  Unix.fsync (Unix.descr_of_out_channel w.oc)
+let verdict_line ~index r = Json.to_string (result_to_json ~index r)
 
-(* Fsyncing a file makes its {e contents} durable; making a rename or
-   create durable needs an fsync of the containing directory.  Some
-   filesystems reject directory fsync — durability is then whatever
-   the mount gives, so failures are deliberately swallowed. *)
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | fd ->
-      (try Unix.fsync fd with Unix.Unix_error _ -> ());
-      Unix.close fd
+(* The header and [entries] go down whole through [Durable.start]: a
+   kill leaves the old journal or the new one, never an empty file. *)
+let start path fp entries =
+  Durable.start ~sync_every:64 path
+    (Json.to_string (fingerprint_to_json fp)
+    :: List.map (fun e -> verdict_line ~index:e.index e.result) entries)
 
-let write_line oc json =
-  output_string oc (Json.to_string json);
-  output_char oc '\n'
+let create path fp = start path fp []
 
-let create ?(fsync_every = 64) path fp =
-  let oc = open_out path in
-  write_line oc (fingerprint_to_json fp);
-  let w = { oc; pending = 0; fsync_every = max 1 fsync_every; closed = false;
-            lock = Mutex.create () }
-  in
-  sync w;
-  w
+let append w ~index result = Durable.append w (verdict_line ~index result)
 
-let append w ~index result =
-  Mutex.lock w.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock w.lock) @@ fun () ->
-  if w.closed then invalid_arg "Journal.append: writer closed";
-  write_line w.oc (result_to_json ~index result);
-  w.pending <- w.pending + 1;
-  if w.pending >= w.fsync_every then begin
-    sync w;
-    w.pending <- 0
-  end
-
-let close w =
-  Mutex.lock w.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock w.lock) @@ fun () ->
-  if not w.closed then begin
-    sync w;
-    close_out w.oc;
-    w.closed <- true
-  end
+let close = Durable.close
 
 (* ---- reader ---- *)
 
-let read_lines path =
-  In_channel.with_open_text path @@ fun ic ->
-  let rec go acc =
-    match In_channel.input_line ic with
-    | Some line -> go (line :: acc)
-    | None -> List.rev acc
-  in
-  go []
-
-(* A crash can leave a torn final line; it is dropped silently (that
-   verdict was never fsync'd as complete).  Anything malformed before
-   the last line is corruption and rejects the journal. *)
 let load path =
-  match read_lines path with
-  | [] | [ "" ] -> Error (Printf.sprintf "%s: empty journal" path)
-  | header :: rest -> (
-      let parse_header =
-        let* j =
-          Result.map_error (Printf.sprintf "%s: header: %s" path) (Json.of_string header)
-        in
-        Result.map_error (Printf.sprintf "%s: header: %s" path) (fingerprint_of_json j)
-      in
-      match parse_header with
-      | Error _ as e -> e
-      | Ok fp ->
-          let n = List.length rest in
-          let rec entries i acc = function
-            | [] -> Ok (List.rev acc)
-            | line :: tl -> (
-                let last = i = n - 1 in
-                let parsed =
-                  let* j = Json.of_string line in
-                  let* t = field "type" Json.to_str j in
-                  if t <> "verdict" then Error (Printf.sprintf "unexpected record type %S" t)
-                  else entry_of_json j
-                in
-                match parsed with
-                | Ok e -> entries (i + 1) (e :: acc) tl
-                | Error _ when last && tl = [] ->
-                    (* torn tail from a crash mid-append *)
-                    Ok (List.rev acc)
-                | Error msg -> Error (Printf.sprintf "%s: line %d: %s" path (i + 2) msg))
-          in
-          let* es = entries 0 [] (match List.rev rest with "" :: tl -> List.rev tl | _ -> rest) in
-          Ok (fp, es))
+  Durable.load path
+    ~header:(fun line -> Result.bind (Json.of_string line) fingerprint_of_json)
+    ~record:(fun line ->
+      let* j = Json.of_string line in
+      let* t = field "type" Json.to_str j in
+      if t <> "verdict" then Error (Printf.sprintf "unexpected record type %S" t)
+      else entry_of_json j)
 
 (* ---- resume ---- *)
 
 (* Reopening for append after a crash must not leave a torn line in the
    middle of the file, so resume rewrites the journal from its parsed
-   contents (header + complete entries) into a temp file, atomically
-   renames it over the original, and keeps appending to the same
-   descriptor — the rename preserves the open channel. *)
-let open_resume ?fsync_every path fp =
-  let tmp = path ^ ".tmp" in
-  (* Debris from a kill between [create tmp] and the rename below: the
-     data it holds is a prefix of what [path] still holds, never the
-     only copy, so it is safe — and clearer than letting it rot — to
-     remove it up front. *)
-  if Sys.file_exists tmp then Sys.remove tmp;
-  if not (Sys.file_exists path) then begin
-    let w = create ?fsync_every path fp in
-    fsync_dir (Filename.dirname path);
-    Ok (w, [])
-  end
+   contents (header + complete entries) and appends to the rewrite. *)
+let open_resume path fp =
+  if not (Sys.file_exists path) then Ok (create path fp, [])
   else
     let* existing, entries = load path in
     match full_mismatch existing fp with
@@ -417,16 +329,7 @@ let open_resume ?fsync_every path fp =
              "%s: stale journal: %s differs from this campaign (was workload %S, \
               shard %d/%d)"
              path f existing.workload (fst existing.shard) (snd existing.shard))
-    | None ->
-        let w = create ?fsync_every tmp fp in
-        List.iter (fun e -> append w ~index:e.index e.result) entries;
-        sync w;
-        Sys.rename tmp path;
-        (* without this the rename itself is not power-loss durable:
-           the directory entry may still point at the old inode after
-           a crash even though the tmp contents were fsync'd *)
-        fsync_dir (Filename.dirname path);
-        Ok (w, entries)
+    | None -> Ok (start path fp entries, entries)
 
 (* ---- merge ---- *)
 

@@ -4,10 +4,12 @@
     campaign — workload name, program hash, hash of the sampled site
     names (which binds netlist, target, seed and sample size at once),
     the config flags that affect verdicts, and the shard spec —
-    followed by one verdict record per classified fault site.  Verdict
-    records are appended as classification finishes and fsync'd in
-    batches, so a crash, OOM or pre-empted machine loses at most the
-    last unsynced batch, never finished work.
+    followed by one verdict record per classified fault site.  The
+    file is a {!Durable} file: created whole with its header, verdict
+    records appended as classification finishes and fsync'd every 64,
+    so a crash, OOM or pre-empted machine loses at most the last
+    unsynced batch, never finished work.  A failed write or fsync
+    raises.
 
     {!Campaign.run}/{!Campaign.run_parallel} write and replay journals
     through this module; {!merge} combines the disjoint shard journals
@@ -88,10 +90,9 @@ val full_mismatch : fingerprint -> fingerprint -> string option
 
 type writer
 
-val create : ?fsync_every:int -> string -> fingerprint -> writer
-(** Create/truncate the journal, write and fsync the header.
-    [fsync_every] (default 64) bounds the verdicts lost to a crash.
-    The writer is domain-safe: {!append} takes an internal lock. *)
+val create : string -> fingerprint -> writer
+(** Create or replace the journal whole with its header
+    ({!Durable.start}).  The writer is domain-safe. *)
 
 val append : writer -> index:int -> run_result -> unit
 (** Append one verdict for the site at [index] in the campaign's
@@ -100,28 +101,21 @@ val append : writer -> index:int -> run_result -> unit
 val close : writer -> unit
 (** Flush, fsync and close.  Idempotent. *)
 
-val fsync_dir : string -> unit
-(** Fsync a directory, making renames/creates inside it power-loss
-    durable.  Best-effort: filesystems that reject directory fsync are
-    silently tolerated.  Shared with the serve layer's queue files. *)
-
 (** {1 Reading} *)
 
 type entry = { index : int; result : run_result }
 
 val load : string -> (fingerprint * entry list, string) result
-(** Parse a journal.  A torn final line (crash mid-append) is dropped;
-    malformed records anywhere else reject the file. *)
+(** Parse a journal under {!Durable.load}'s torn-tail rule: a torn
+    final record (crash mid-append) is dropped; a malformed record
+    anywhere else rejects the file. *)
 
-val open_resume :
-  ?fsync_every:int -> string -> fingerprint -> (writer * entry list, string) result
+val open_resume : string -> fingerprint -> (writer * entry list, string) result
 (** Resume journaling at a path: absent file — fresh {!create}; an
     existing journal whose fingerprint matches exactly is rewritten
-    atomically without its torn tail (if any) and reopened for append,
-    returning the verdicts already on disk; a fingerprint mismatch is
-    an [Error] naming the differing field.  Stale [.tmp] debris from a
-    kill mid-rewrite is removed, and the parent directory is fsync'd
-    after the rename so the rewrite is power-loss durable. *)
+    whole without its torn tail (if any), with one fsync, and reopened
+    for append, returning the verdicts already on disk; a fingerprint
+    mismatch is an [Error] naming the differing field. *)
 
 val merge :
   (fingerprint * entry list) list ->

@@ -170,9 +170,6 @@ let unit_accesses t =
     (fun u -> Option.map (fun c -> (u, c)) (Hashtbl.find_opt acc u))
     Units.all
 
-let icache_stats t = Option.map Cache.stats t.icache
-let dcache_stats t = Option.map Cache.stats t.dcache
-
 let set_icc_logic t result =
   t.iccs <-
     { n = Bitops.is_negative result; z = result = 0; v = false; c = false }

@@ -81,7 +81,6 @@ val cwp : t -> int
 val reg : t -> Isa.reg -> int
 (** Read an architectural register of the {e current} window. *)
 
-val set_reg : t -> Isa.reg -> int -> unit
 val memory : t -> Memory.t
 val events : t -> Bus_event.t list
 (** Off-core bus events in program order. *)
@@ -95,9 +94,6 @@ val diversity : t -> int
 val unit_accesses : t -> (Units.t * int) list
 (** Per-functional-unit dynamic access counts, derived from the opcode
     histogram via {!Units.used_by}. *)
-
-val icache_stats : t -> Cache.stats option
-val dcache_stats : t -> Cache.stats option
 
 (** {2 Fault-injection hooks}
 

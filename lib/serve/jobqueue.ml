@@ -1,11 +1,10 @@
 (* Persistent on-disk job queue: one JSONL file under the service
-   directory, written with the same discipline as the campaign
-   journals ({!Fault_injection.Journal}) — append + fsync per record,
-   torn-tail-tolerant load, atomic rewrite on open, stale [.tmp]
-   debris removed, parent directory fsync'd after renames. *)
+   directory, a {!Fault_injection.Durable} file like the campaign
+   journals — compacted whole on open, one fsync per appended record,
+   torn-tail-tolerant load. *)
 
 module Json = Obs.Json
-module Journal = Fault_injection.Journal
+module Durable = Fault_injection.Durable
 
 type record =
   | R_job of int * Protocol.spec
@@ -20,12 +19,7 @@ type job_record = {
   finished : [ `Open | `Done | `Failed of string ];
 }
 
-type t = {
-  dir : string;
-  path : string;
-  mutable fd : Unix.file_descr option;
-  mutable next_id : int;
-}
+type t = { dir : string; log : Durable.appender; mutable next_id : int }
 
 let header_line = {|{"type":"queue-header","version":1}|}
 
@@ -78,45 +72,6 @@ let record_of_json j =
   | Some other -> Error (Printf.sprintf "unknown queue record type %S" other)
   | None -> Error "queue record: missing field \"type\""
 
-(* ---- load ---- *)
-
-let split_lines s =
-  (* keep a trailing fragment (no '\n') separate: it is the torn tail *)
-  let n = String.length s in
-  let rec go acc start =
-    match String.index_from_opt s start '\n' with
-    | Some k -> go (String.sub s start (k - start) :: acc) (k + 1)
-    | None ->
-        let tail = if start >= n then None else Some (String.sub s start (n - start)) in
-        (List.rev acc, tail)
-  in
-  go [] 0
-
-let parse_contents contents =
-  let lines, _torn = split_lines contents in
-  match lines with
-  | [] -> Error "empty queue file"
-  | header :: rest ->
-      if
-        (match Json.of_string header with
-        | Ok j -> Option.bind (Json.member "type" j) Json.to_str <> Some "queue-header"
-        | Error _ -> true)
-      then Error "queue file: bad header"
-      else
-        let rec go acc = function
-          | [] -> Ok (List.rev acc)
-          | line :: rest -> (
-              match Json.of_string line with
-              | Error _ when rest = [] -> Ok (List.rev acc)  (* torn final line *)
-              | Error e -> Error (Printf.sprintf "queue file: %s" e)
-              | Ok j -> (
-                  match record_of_json j with
-                  | Ok r -> go (r :: acc) rest
-                  | Error _ when rest = [] -> Ok (List.rev acc)
-                  | Error e -> Error (Printf.sprintf "queue file: %s" e)))
-        in
-        go [] rest
-
 let fold_records records =
   (* job table in submission order *)
   let jobs = Hashtbl.create 16 in
@@ -147,17 +102,9 @@ let fold_records records =
 
 (* ---- writing ---- *)
 
-let write_all fd s =
-  let n = String.length s in
-  let rec go off = if off < n then go (off + Unix.write_substring fd s off (n - off)) in
-  go 0
+let record_line r = Json.to_string (record_to_json r)
 
-let append t record =
-  match t.fd with
-  | None -> invalid_arg "Jobqueue: closed"
-  | Some fd ->
-      write_all fd (Json.to_string (record_to_json record) ^ "\n");
-      (try Unix.fsync fd with Unix.Unix_error _ -> ())
+let append t record = Durable.append t.log (record_line record)
 
 let rec mkdir_p dir =
   if dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
@@ -165,34 +112,31 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
+let parse_header line =
+  match Json.of_string line with
+  | Ok j when Option.bind (Json.member "type" j) Json.to_str = Some "queue-header" -> Ok ()
+  | _ -> Error "bad queue header"
+
 let open_ dir =
   mkdir_p dir;
   let path = Filename.concat dir "queue.jsonl" in
-  let tmp = path ^ ".tmp" in
-  (* debris from a kill mid-rewrite: incomplete by construction, the
-     real file still has the pre-rewrite contents *)
-  if Sys.file_exists tmp then Sys.remove tmp;
-  let finish records =
-    (* atomic compacting rewrite: well-formed records only, torn tail
-       dropped, then rename over the old file and fsync the dir *)
-    let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-    write_all fd (header_line ^ "\n");
-    List.iter (fun r -> write_all fd (Json.to_string (record_to_json r) ^ "\n")) records;
-    (try Unix.fsync fd with Unix.Unix_error _ -> ());
-    Unix.close fd;
-    Sys.rename tmp path;
-    Journal.fsync_dir dir;
-    let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644 in
-    let jobs = fold_records records in
-    let next_id = List.fold_left (fun acc r -> max acc (r.id + 1)) 1 jobs in
-    Ok ({ dir; path; fd = Some fd; next_id }, jobs)
+  let loaded =
+    if not (Sys.file_exists path) then Ok []
+    else
+      Result.map snd
+        (Durable.load path ~header:parse_header ~record:(fun line ->
+             Result.bind (Json.of_string line) record_of_json))
   in
-  if not (Sys.file_exists path) then finish []
-  else
-    let contents = In_channel.with_open_bin path In_channel.input_all in
-    match parse_contents contents with
-    | Error _ as e -> e
-    | Ok records -> finish records
+  Result.map
+    (fun records ->
+      (* compacting rewrite: well-formed records only, torn tail dropped *)
+      let log =
+        Durable.start ~sync_every:1 path (header_line :: List.map record_line records)
+      in
+      let jobs = fold_records records in
+      let next_id = List.fold_left (fun acc r -> max acc (r.id + 1)) 1 jobs in
+      ({ dir; log; next_id }, jobs))
+    loaded
 
 let next_id t =
   let id = t.next_id in
@@ -216,10 +160,4 @@ let mark_job_done t id = append t (R_job_done id)
 
 let mark_job_failed t id ~reason = append t (R_job_failed (id, reason))
 
-let close t =
-  match t.fd with
-  | None -> ()
-  | Some fd ->
-      (try Unix.fsync fd with Unix.Unix_error _ -> ());
-      Unix.close fd;
-      t.fd <- None
+let close t = Durable.close t.log

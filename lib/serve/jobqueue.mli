@@ -3,12 +3,14 @@
     One append-only JSONL file, [DIR/queue.jsonl], records the queue's
     history: a header, one [job] record per submission, one
     [shard-done] record per completed shard, and a terminal
-    [job-done]/[job-failed] record per job.  Every append is fsync'd;
-    opening the queue replays the log (tolerating a torn final line
-    from a crash mid-append), compacts it with an atomic rewrite
-    ([.tmp] + rename + directory fsync — the {!Fault_injection.Journal}
-    durability discipline) and returns every job with its completion
-    state, so a daemon restart resumes exactly the unfinished shards.
+    [job-done]/[job-failed] record per job.  It is a
+    {!Fault_injection.Durable} file, like the campaign journals: every
+    append is fsync'd, and a failed write or fsync raises, which stops
+    the daemon; a restart recovers from disk.  Opening the queue
+    replays the log under the journals' torn-tail rule, compacts it
+    with a whole-file rewrite and returns every job with its
+    completion state, so a daemon restart resumes exactly the
+    unfinished shards.
 
     Shard verdicts themselves live in per-job campaign journals,
     [DIR/job-N/shard-K.jsonl]; the queue only tracks their
@@ -25,9 +27,9 @@ type t
 
 val open_ : string -> (t * job_record list, string) result
 (** Open (creating the directory and file if needed) and replay the
-    queue at [DIR].  Stale [queue.jsonl.tmp] debris is removed; a torn
-    final record is dropped; any other malformed record is an
-    [Error].  Jobs are returned in submission order. *)
+    queue at [DIR].  A torn final record is dropped; any other
+    malformed record is an [Error].  Jobs are returned in submission
+    order. *)
 
 val next_id : t -> int
 (** Allocate the next job id (monotonic across restarts). *)

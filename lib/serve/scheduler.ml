@@ -252,18 +252,11 @@ let fail_job t job reason =
   Obs.incr t.obs "serve.jobs_failed";
   Queue.add (Job_failed { job = job.id; reason }) t.events
 
+(* the table must be durable before it is published: a power loss
+   must not leave an empty summary that [recover] serves as the
+   finished job's table *)
 let write_summary t job lines =
-  let path = Jobqueue.summary_path t.queue job.id in
-  let tmp = path ^ ".tmp" in
-  Out_channel.with_open_bin tmp (fun oc ->
-      List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) lines;
-      (* the contents must be durable before the rename publishes them:
-         otherwise a power loss can leave an empty summary that
-         [recover] serves as the finished job's table *)
-      Out_channel.flush oc;
-      Unix.fsync (Unix.descr_of_out_channel oc));
-  Sys.rename tmp path;
-  Journal.fsync_dir (Filename.dirname path)
+  Fault_injection.Durable.write_file (Jobqueue.summary_path t.queue job.id) lines
 
 let finalize t job =
   let rec load acc k =

@@ -6,8 +6,6 @@ type t =
 
 let is_write = function Write _ -> true | Read _ -> false
 
-let size_bytes = function Byte -> 1 | Half -> 2 | Word -> 4
-
 let equal (a : t) (b : t) = a = b
 
 let size_letter = function Byte -> 'b' | Half -> 'h' | Word -> 'w'

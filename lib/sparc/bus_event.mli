@@ -14,8 +14,6 @@ type t =
 
 val is_write : t -> bool
 
-val size_bytes : size -> int
-
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit

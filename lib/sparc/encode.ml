@@ -1,5 +1,3 @@
-exception Invalid_instruction of int
-
 let op3_of_opcode : Isa.opcode -> int = function
   | Add -> 0x00 | And -> 0x01 | Or -> 0x02 | Xor -> 0x03
   | Sub -> 0x04 | Andn -> 0x05 | Orn -> 0x06 | Xnor -> 0x07
@@ -138,6 +136,3 @@ let decode w =
                  op2 })
       | Some _, None | None, Some _ | None, None -> None)
   | _ -> assert false
-
-let decode_exn w =
-  match decode w with Some i -> i | None -> raise (Invalid_instruction w)

@@ -5,9 +5,6 @@
     them with {!decode}, so the encoding is the single source of truth
     for what a program is. *)
 
-exception Invalid_instruction of int
-(** Raised by {!decode_exn} on a word outside the supported subset. *)
-
 val encode : Isa.instr -> int
 (** [encode i] is the 32-bit machine word for [i].  Raises
     [Invalid_argument] when a field is out of range (e.g. an immediate
@@ -16,9 +13,6 @@ val encode : Isa.instr -> int
 val decode : int -> Isa.instr option
 (** [decode w] decodes a machine word, or [None] if the word is not a
     valid instruction of the subset. *)
-
-val decode_exn : int -> Isa.instr
-(** Like {!decode} but raises {!Invalid_instruction}. *)
 
 val op3_of_opcode : Isa.opcode -> int
 (** The 6-bit [op3] field for format-3 opcodes; raises

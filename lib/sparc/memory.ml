@@ -72,8 +72,6 @@ let store_half t addr v =
 let blit_words t base words =
   Array.iteri (fun i w -> store_word t (base + (4 * i)) w) words
 
-let read_words t base n = Array.init n (fun i -> load_word t (base + (4 * i)))
-
 (* Pages are allocated on first touch, so two images with the same
    words can differ in page population — an all-zero page equals an
    absent one. *)

@@ -38,9 +38,6 @@ val blit_words : t -> int -> int array -> unit
 (** [blit_words mem base words] stores [words] at consecutive word
     addresses starting at [base]. *)
 
-val read_words : t -> int -> int -> int array
-(** [read_words mem base n] reads [n] consecutive words. *)
-
 val iter_nonzero : t -> (int -> int -> unit) -> unit
 (** [iter_nonzero mem f] calls [f word_addr value] for every word that
     was ever written (in unspecified order); used to diff final

@@ -34,14 +34,6 @@ let name = function
   | Icache -> "icache"
   | Dcache -> "dcache"
 
-let of_name s = List.find_opt (fun u -> name u = s) all
-
-let iu_units =
-  [ Fetch; Decode; Regfile; Adder; Logic_unit; Shifter; Multiplier; Divider;
-    Branch_unit; Load_store; Writeback; Exception_unit ]
-
-let cmem_units = [ Icache; Dcache ]
-
 (* Every instruction flows through fetch, decode and the I-cache; the
    writeback mux is likewise always clocked.  The rest follows the
    datapath each instruction class actually steers. *)

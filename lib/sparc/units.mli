@@ -27,14 +27,6 @@ val all : t list
 
 val name : t -> string
 
-val of_name : string -> t option
-
-val iu_units : t list
-(** The units making up the integer unit (everything but the caches). *)
-
-val cmem_units : t list
-(** The units making up the cache memory block. *)
-
 val used_by : Isa.opcode -> t list
 (** [used_by op] is the set of units instruction type [op] exercises
     when it flows down the pipeline.  Every opcode uses [Fetch],

@@ -14,9 +14,6 @@ val create : int -> t
 val copy : t -> t
 (** [copy rng] duplicates the state so two streams can diverge. *)
 
-val next64 : t -> int64
-(** [next64 rng] returns the next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int rng n] draws uniformly from [0, n-1].  [n] must be positive. *)
 

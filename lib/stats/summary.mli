@@ -12,8 +12,6 @@ val of_list : float list -> t
 (** [of_list xs] summarises a non-empty sample.  Raises
     [Invalid_argument] on the empty list. *)
 
-val of_array : float array -> t
-
 val percentile : float array -> float -> float
 (** [percentile xs p] is the [p]-th percentile ([0 <= p <= 100]) using
     linear interpolation on the sorted copy of [xs] (ordered with

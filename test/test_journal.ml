@@ -1,5 +1,7 @@
 (* Tests for the persistent campaign journal: round-trip, crash
-   resume, fingerprint binding and shard merging. *)
+   resume, fingerprint binding and shard merging; and for the durable
+   file layer beneath it and the serve queue: one torn-tail rule, one
+   failure policy. *)
 
 module A = Sparc.Asm
 module I = Sparc.Isa
@@ -7,6 +9,7 @@ module C = Rtl.Circuit
 module Campaign = Fault_injection.Campaign
 module Injection = Fault_injection.Injection
 module Journal = Fault_injection.Journal
+module Durable = Fault_injection.Durable
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -82,7 +85,7 @@ let test_roundtrip () =
       (4, mk "e[4]" C.Stuck_at_1 (Journal.Failure Journal.Hang) (Some 999)
            (Journal.Collapsed "leader[7]")) ]
   in
-  let w = Journal.create ~fsync_every:2 path fp in
+  let w = Journal.create path fp in
   List.iter (fun (index, r) -> Journal.append w ~index r) results;
   Journal.close w;
   Journal.close w;
@@ -393,6 +396,127 @@ let test_parallel_exception_propagates () =
         | exception _ -> false))
     [ 1; 2 ]
 
+(* ---- the durable file layer: one torn-tail rule, one failure policy ---- *)
+
+let write_raw path contents =
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents)
+
+(* a header "H" and integer records *)
+let load_ints path =
+  Durable.load path
+    ~header:(fun l -> if l = "H" then Ok () else Error "bad header")
+    ~record:(fun l ->
+      match int_of_string_opt l with Some n -> Ok n | None -> Error "not a number")
+
+let contains haystack needle =
+  let nl = String.length needle and hl = String.length haystack in
+  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
+  go 0
+
+let test_unterminated_tail_dropped () =
+  with_journal @@ fun path ->
+  write_raw path "H\n1\n2";
+  check_bool "a parsing but unterminated last line is dropped" true
+    (load_ints path = Ok ((), [ 1 ]))
+
+let test_unparsable_last_line_dropped () =
+  with_journal @@ fun path ->
+  write_raw path "H\n1\nx\n";
+  check_bool "a terminated last line that does not parse is dropped" true
+    (load_ints path = Ok ((), [ 1 ]))
+
+let test_bad_line_before_last () =
+  with_journal @@ fun path ->
+  write_raw path "H\n1\nx\n3\n";
+  match load_ints path with
+  | Ok _ -> Alcotest.fail "a bad line before the last was accepted"
+  | Error msg ->
+      check_bool ("names the path: " ^ msg) true (contains msg path);
+      check_bool ("names the line: " ^ msg) true (contains msg "line 3")
+
+let test_empty_file_rejected () =
+  with_journal @@ fun path ->
+  write_raw path "";
+  check_bool "empty file rejected" true (Result.is_error (load_ints path))
+
+let test_failed_rename_raises () =
+  (* a non-empty directory at the path makes the rename fail, as root
+     too; the [.tmp] it leaves is consumed by the next start *)
+  with_journal @@ fun path ->
+  let tmp = path ^ ".tmp" in
+  Unix.mkdir path 0o755;
+  let inner = Filename.concat path "x" in
+  write_raw inner "x";
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists inner then Sys.remove inner;
+      if Sys.file_exists path && Sys.is_directory path then Unix.rmdir path;
+      if Sys.file_exists tmp then Sys.remove tmp)
+  @@ fun () ->
+  check_bool "start raises Sys_error" true
+    (match Durable.start ~sync_every:1 path [ "H" ] with
+    | _ -> false
+    | exception Sys_error _ -> true);
+  check_bool "the failure leaves its .tmp" true (Sys.file_exists tmp);
+  Sys.remove inner;
+  Unix.rmdir path;
+  let a = Durable.start ~sync_every:1 path [ "H"; "1" ] in
+  Durable.append a "2";
+  Durable.close a;
+  Durable.close a;
+  check_bool "the next start consumes the .tmp" false (Sys.file_exists tmp);
+  check_bool "and writes the file" true (load_ints path = Ok ((), [ 1; 2 ]))
+
+let test_create_is_whole () =
+  with_journal @@ fun path ->
+  let fp = sample_fingerprint () in
+  let w = Journal.create path fp in
+  Fun.protect ~finally:(fun () -> Journal.close w) @@ fun () ->
+  check_bool "no .tmp left" false (Sys.file_exists (path ^ ".tmp"));
+  check_int "the file holds its header" 1
+    (List.length (In_channel.with_open_text path In_channel.input_lines));
+  match Journal.load path with
+  | Error msg -> Alcotest.fail msg
+  | Ok (fp', entries) ->
+      check_bool "header parses" true (Journal.full_mismatch fp fp' = None);
+      check_int "no verdicts" 0 (List.length entries)
+
+let test_queue_drops_tail_like_journal () =
+  let dir = temp_journal () in
+  let qfile = Filename.concat dir "queue.jsonl" in
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists qfile then Sys.remove qfile;
+      List.iter
+        (fun d -> if Sys.file_exists d then Unix.rmdir d)
+        [ Filename.concat dir "job-1"; dir ])
+  @@ fun () ->
+  let open_queue () =
+    match Serve.Jobqueue.open_ dir with Ok r -> r | Error e -> Alcotest.fail e
+  in
+  let q, _ = open_queue () in
+  let id = Serve.Jobqueue.next_id q in
+  Serve.Jobqueue.append_job q id
+    (Serve.Protocol.default_spec ~engine:Serve.Protocol.Rtl ~workload:"rspeed");
+  Serve.Jobqueue.close q;
+  (* a whole record, minus its newline: a torn append *)
+  let oc = open_out_gen [ Open_append ] 0o644 qfile in
+  output_string oc (Printf.sprintf {|{"type":"job-done","job":%d}|} id);
+  close_out oc;
+  let q, jobs = open_queue () in
+  Serve.Jobqueue.close q;
+  check_bool "queue: unterminated record dropped" true
+    (List.map (fun j -> j.Serve.Jobqueue.finished) jobs = [ `Open ]);
+  with_journal @@ fun path ->
+  let w = Journal.create path (sample_fingerprint ()) in
+  Journal.close w;
+  let oc = open_out_gen [ Open_append ] 0o644 path in
+  output_string oc
+    {|{"type":"verdict","i":0,"site":"a[0]","model":"stuck-at-1","outcome":"silent","detect":null,"inject":0,"sim":"simulated"}|};
+  close_out oc;
+  check_bool "journal: unterminated record dropped" true
+    (match Journal.load path with Ok (_, []) -> true | _ -> false)
+
 let suite =
   ( "journal",
     [ Alcotest.test_case "record round-trip" `Quick test_roundtrip;
@@ -407,4 +531,15 @@ let suite =
         test_sequential_journal_merges_like_parallel;
       Alcotest.test_case "invalid shard rejected" `Quick test_invalid_shard_rejected;
       Alcotest.test_case "worker exception propagates" `Slow
-        test_parallel_exception_propagates ] )
+        test_parallel_exception_propagates;
+      Alcotest.test_case "unterminated last line dropped" `Quick
+        test_unterminated_tail_dropped;
+      Alcotest.test_case "unparsable last line dropped" `Quick
+        test_unparsable_last_line_dropped;
+      Alcotest.test_case "bad line before the last rejected" `Quick
+        test_bad_line_before_last;
+      Alcotest.test_case "empty file rejected" `Quick test_empty_file_rejected;
+      Alcotest.test_case "failed rename raises" `Quick test_failed_rename_raises;
+      Alcotest.test_case "create writes the header whole" `Quick test_create_is_whole;
+      Alcotest.test_case "queue drops a torn tail like the journal" `Quick
+        test_queue_drops_tail_like_journal ] )
