@@ -42,14 +42,13 @@ type ejected = {
 type outcome = Done of result | Converged of int | Ejected of ejected
 
 (* Per-lane off-core state.  The main-memory image is the golden base
-   plus a sparse word-addressed overlay; bus-port drivers mirror
-   [System.drive_port]'s countdown/ready machine per lane.  While the
-   lane is in the pass's follow set, [cd] and [rdy] are stale: the
-   lane's drivers are the golden ones. *)
+   plus a sparse word-addressed overlay; each bus port has its own
+   driver, stepped by [Leon3.Bus_port.step].  While the lane is in the
+   pass's follow set, [port] is stale: the lane's drivers are the
+   golden ones. *)
 type lane = {
   idx : int;
-  cd : int array;  (* countdown per port: [|iport; dport|] *)
-  rdy : bool array;  (* ready_out per port *)
+  port : Leon3.Bus_port.t array;  (* [|iport; dport|] *)
   mem : (int, int) Hashtbl.t;  (* aligned word addr -> lane's word *)
   mutable matched : int;
   mutable mismatch : int option;
@@ -69,8 +68,7 @@ type lane = {
 
 let mk_lane idx =
   { idx;
-    cd = [| -1; -1 |];
-    rdy = [| false; false |];
+    port = [| Leon3.Bus_port.idle (); Leon3.Bus_port.idle () |];
     mem = Hashtbl.create 16;
     matched = 0;
     mismatch = None;
@@ -116,14 +114,16 @@ let iter_mask lanes mask f =
     end
   done
 
-let run ~sys ~prog ~trace ~reference ~max_cycles ?(compare_reads = false)
-    ?(boundaries = [||]) specs =
+let same_port (a : Leon3.Bus_port.t) (b : Leon3.Bus_port.t) =
+  a.countdown = b.countdown && a.ready_out = b.ready_out
+
+let run ~sys ~prog ~trace ~reference ~max_cycles ?(compare_reads = false) ?converge_every
+    specs =
   let n = Array.length specs in
   if n > C.max_lanes then invalid_arg "Batch.run: more specs than lanes";
   let core = System.core sys in
   let circuit = core.Core.circuit in
   let ic = core.Core.icache and dc = core.Core.dcache in
-  let latency = System.mem_latency sys in
   let nref = Array.length reference in
   System.load sys prog;
   let base = System.memory sys in
@@ -166,16 +166,16 @@ let run ~sys ~prog ~trace ~reference ~max_cycles ?(compare_reads = false)
   in
   (* The golden machine's bus drivers, replicated: the data port's so
      that base-memory writes land on the cycles the golden run produced
-     them, both so that followers can take the golden bus step.  The
-     golden request signals are the lanes' golden machine's settled
-     values; the (ready, rdata) answers are not needed — golden inputs
-     arrive via the trace deltas. *)
-  let g_cd = [| -1; -1 |] and g_rdy = [| false; false |] in
+     them, both so that followers can take the golden bus step and
+     convergence can compare a lane's drivers with golden's.  The golden
+     request signals are the lanes' golden machine's settled values;
+     the (ready, rdata) answers are not needed — golden inputs arrive
+     via the trace deltas.  [g_ref] counts golden's reference events so
+     far: its writes, and its reads too with [compare_reads]. *)
+  let g = [| Leon3.Bus_port.idle (); Leon3.Bus_port.idle () |] and g_ref = ref 0 in
   let golden = Lanes.golden pass in
-  (* A lane's port-driver state: its own, or golden's while it follows. *)
-  let port ln pi =
-    if !follow land (1 lsl ln.idx) <> 0 then (g_cd.(pi), g_rdy.(pi)) else (ln.cd.(pi), ln.rdy.(pi))
-  in
+  (* A lane's driver on port [pi]: its own, or golden's while it follows. *)
+  let port ln pi = if !follow land (1 lsl ln.idx) <> 0 then g.(pi) else ln.port.(pi) in
   let retire ln outcome =
     let bit = 1 lsl ln.idx in
     outcomes.(ln.idx) <- Some outcome;
@@ -197,111 +197,79 @@ let run ~sys ~prog ~trace ~reference ~max_cycles ?(compare_reads = false)
   let eject ln =
     let mem = Memory.copy base in
     Hashtbl.iter (fun wa v -> Memory.store_word mem wa v) ln.mem;
-    let e_iport = port ln 0 and e_dport = port ln 1 in
+    let ip = port ln 0 and dp = port ln 1 in
     retire ln
       (Ejected
          { e_tp = Lanes.eject pass ln.idx;
            e_mem = mem;
-           e_iport;
-           e_dport;
+           e_iport = (ip.countdown, ip.ready_out);
+           e_dport = (dp.countdown, dp.ready_out);
            e_matched = ln.matched;
            e_mismatch = ln.mismatch;
            e_events_rev = ln.events_rev;
            e_writes = ln.nw })
   in
   (* One bus-port driver step for one lane, against the lane's settled
-     view of the request signals; mirrors [System.drive_port].  Writes
-     are not applied here — the merged word is parked in [ln.pw]/[pwv]
-     (computed from the lane's pre-write view) and committed after the
-     golden base write so the preserve step can see who writes what. *)
+     view of the request signals, as [System.step] drives a port.
+     Writes are not applied here — the merged word is parked in
+     [ln.pw]/[pwv] (computed from the lane's pre-write view) and
+     committed after the golden base write so the preserve step can see
+     who writes what. *)
   let drive_lane ln pi =
     let ports = if pi = 0 then ic else dc in
     let read_only = pi = 0 in
     let get s = Lanes.value pass s ln.idx in
-    if ln.rdy.(pi) then begin
-      ln.rdy.(pi) <- false;
-      ln.cd.(pi) <- -1;
-      (0, 0)
-    end
-    else if get ports.Cache_block.bus_req = 0 then begin
-      ln.cd.(pi) <- -1;
-      (0, 0)
-    end
+    if not (Leon3.Bus_port.step ln.port.(pi) ~req:(get ports.Cache_block.bus_req <> 0)) then (0, 0)
     else begin
-      if ln.cd.(pi) < 0 then ln.cd.(pi) <- latency;
-      ln.cd.(pi) <- ln.cd.(pi) - 1;
-      if ln.cd.(pi) > 0 then (0, 0)
-      else begin
-        let addr = get ports.Cache_block.bus_addr in
-        let we = get ports.Cache_block.bus_we in
-        ln.rdy.(pi) <- true;
-        if we <> 0 && not read_only then begin
-          let size = size_of_code (get ports.Cache_block.bus_size) in
-          let value = get ports.Cache_block.bus_wdata in
-          record ln (Bus_event.Write { addr; size; value });
-          if Layout.is_exit_store addr then stop ln (System.Exited value)
-          else begin
-            (* Merge into the lane's current word now (read-modify-write
-               against the pre-write view), apply after the golden
-               commit.  Misaligned addresses truncate like the scalar
-               memory controller. *)
-            let a = addr land 0xFFFF_FFFF in
-            let wa = a land lnot 3 in
-            let old = lv_load base ln wa in
-            let wv =
-              match size with
-              | Bus_event.Byte ->
-                  let sh = 8 * (3 - (a land 3)) in
-                  (old land lnot (0xFF lsl sh)) lor ((value land 0xFF) lsl sh)
-              | Bus_event.Half ->
-                  let a = a land lnot 1 in
-                  let sh = 8 * (2 - (a land 2)) in
-                  (old land lnot (0xFFFF lsl sh)) lor ((value land 0xFFFF) lsl sh)
-              | Bus_event.Word -> value
-            in
-            ln.pw <- wa;
-            ln.pwv <- wv land 0xFFFF_FFFF
-          end;
-          (1, 0)
-        end
+      let addr = get ports.Cache_block.bus_addr in
+      if get ports.Cache_block.bus_we <> 0 && not read_only then begin
+        let size = size_of_code (get ports.Cache_block.bus_size) in
+        let value = get ports.Cache_block.bus_wdata in
+        record ln (Bus_event.Write { addr; size; value });
+        if Layout.is_exit_store addr then stop ln (System.Exited value)
         else begin
-          let word = lv_load base ln ((addr land 0xFFFF_FFFF) land lnot 3) in
-          if not read_only then record ln (Bus_event.Read { addr; size = Bus_event.Word });
-          (1, word)
-        end
+          (* Merge into the lane's current word now (read-modify-write
+             against the pre-write view), apply after the golden
+             commit.  Misaligned addresses truncate like the scalar
+             memory controller. *)
+          let a = addr land 0xFFFF_FFFF in
+          let wa = a land lnot 3 in
+          let old = lv_load base ln wa in
+          let wv =
+            match size with
+            | Bus_event.Byte ->
+                let sh = 8 * (3 - (a land 3)) in
+                (old land lnot (0xFF lsl sh)) lor ((value land 0xFF) lsl sh)
+            | Bus_event.Half ->
+                let a = a land lnot 1 in
+                let sh = 8 * (2 - (a land 2)) in
+                (old land lnot (0xFFFF lsl sh)) lor ((value land 0xFFFF) lsl sh)
+            | Bus_event.Word -> value
+          in
+          ln.pw <- wa;
+          ln.pwv <- wv land 0xFFFF_FFFF
+        end;
+        (1, 0)
       end
-    end
-  in
-  (* The golden step of port [pi]'s driver: advance its countdown and
-     ready state; when it fires, return true. *)
-  let golden_fires pi ports =
-    if g_rdy.(pi) then begin
-      g_rdy.(pi) <- false;
-      g_cd.(pi) <- -1;
-      false
-    end
-    else if golden ports.Cache_block.bus_req = 0 then begin
-      g_cd.(pi) <- -1;
-      false
-    end
-    else begin
-      if g_cd.(pi) < 0 then g_cd.(pi) <- latency;
-      g_cd.(pi) <- g_cd.(pi) - 1;
-      g_rdy.(pi) <- g_cd.(pi) <= 0;
-      g_rdy.(pi)
+      else begin
+        let word = lv_load base ln ((addr land 0xFFFF_FFFF) land lnot 3) in
+        if not read_only then record ln (Bus_event.Read { addr; size = Bus_event.Word });
+        (1, word)
+      end
     end
   in
   (* Golden's step on both ports.  Every follower takes golden's
      data-port event through its own comparator, exactly as its own
      drive would have produced it. *)
   let golden_drive driven =
-    ignore (golden_fires 0 ic);
-    if golden_fires 1 dc then begin
+    ignore (Leon3.Bus_port.step g.(0) ~req:(golden ic.Cache_block.bus_req <> 0));
+    if Leon3.Bus_port.step g.(1) ~req:(golden dc.Cache_block.bus_req <> 0) then begin
       let addr = golden dc.Cache_block.bus_addr in
       if golden dc.Cache_block.bus_we <> 0 then begin
         let size = size_of_code (golden dc.Cache_block.bus_size) in
         let value = golden dc.Cache_block.bus_wdata in
         let ev = Bus_event.Write { addr; size; value } in
+        incr g_ref;
         iter_mask lanes !follow (fun ln -> record ln ev);
         if Layout.is_exit_store addr then
           iter_mask lanes !follow (fun ln -> stop ln (System.Exited value))
@@ -323,6 +291,7 @@ let run ~sys ~prog ~trace ~reference ~max_cycles ?(compare_reads = false)
       end
       else begin
         let ev = Bus_event.Read { addr; size = Bus_event.Word } in
+        if compare_reads then incr g_ref;
         iter_mask lanes !follow (fun ln -> record ln ev)
       end
     end
@@ -342,16 +311,13 @@ let run ~sys ~prog ~trace ~reference ~max_cycles ?(compare_reads = false)
      memory equal golden's again.  Returns the driven lanes. *)
   let leave ln =
     for pi = 0 to 1 do
-      ln.cd.(pi) <- g_cd.(pi);
-      ln.rdy.(pi) <- g_rdy.(pi)
+      ln.port.(pi).countdown <- g.(pi).countdown;
+      ln.port.(pi).ready_out <- g.(pi).ready_out
     done
   in
   let rejoin ln =
-    if
-      ln.cd.(0) = g_cd.(0) && ln.cd.(1) = g_cd.(1) && ln.rdy.(0) = g_rdy.(0)
-      && ln.rdy.(1) = g_rdy.(1) && Hashtbl.length ln.mem = 0
-    then
-      follow := !follow lor (1 lsl ln.idx)
+    if same_port ln.port.(0) g.(0) && same_port ln.port.(1) g.(1) && Hashtbl.length ln.mem = 0
+    then follow := !follow lor (1 lsl ln.idx)
   in
   let refollow () =
     let div = ref 0 in
@@ -396,31 +362,20 @@ let run ~sys ~prog ~trace ~reference ~max_cycles ?(compare_reads = false)
     iter_mask lanes driven answer;
     Lanes.settle pass
   in
-  (* Convergence at a golden boundary: a lane whose fault window has
-     closed and whose complete state — circuit, main memory, both bus
-     drivers, comparator progress — equals the golden run's there has a
-     golden future, so its verdict is silent. *)
-  let converged ln ck =
+  (* Convergence against the golden machine: a lane whose fault window
+     has closed and whose complete state — circuit, main memory, both
+     bus drivers, comparator progress — equals golden's has a golden
+     future, so its verdict is silent. *)
+  let converged ln =
     let sp = specs.(ln.idx) in
     (match sp.duration with
-    | Some d -> sp.from_cycle + d <= System.checkpoint_cycle ck
+    | Some d -> sp.from_cycle + d <= Lanes.cycle pass
     | None -> false)
     && Hashtbl.length ln.mem = 0
-    && port ln 0 = System.checkpoint_iport ck
-    && port ln 1 = System.checkpoint_dport ck
-    && ln.matched
-       = (if compare_reads then System.checkpoint_events ck else System.checkpoint_writes ck)
+    && same_port (port ln 0) g.(0)
+    && same_port (port ln 1) g.(1)
+    && ln.matched = !g_ref
     && Lanes.lane_golden pass ln.idx
-  in
-  let next_boundary = ref 0 in
-  let boundary_at cyc =
-    let nb = Array.length boundaries in
-    while !next_boundary < nb && System.checkpoint_cycle boundaries.(!next_boundary) < cyc do
-      incr next_boundary
-    done;
-    if !next_boundary < nb && System.checkpoint_cycle boundaries.(!next_boundary) = cyc then
-      Some boundaries.(!next_boundary)
-    else None
   in
   let terminal ln =
     match ln.stopped with
@@ -467,11 +422,11 @@ let run ~sys ~prog ~trace ~reference ~max_cycles ?(compare_reads = false)
       (if Lanes.cycle pass >= max_cycles || golden core.Core.halted <> 0 then !alive
        else (!flagged lor Lanes.diverged pass core.Core.halted) land !alive)
       terminal;
-    (match boundary_at (Lanes.cycle pass) with
-    | Some ck ->
+    (match converge_every with
+    | Some every when Lanes.cycle pass > 0 && Lanes.cycle pass mod every = 0 ->
         iter_mask lanes !alive (fun ln ->
-            if converged ln ck then retire ln (Converged (Lanes.cycle pass)))
-    | None -> ());
+            if converged ln then retire ln (Converged (Lanes.cycle pass)))
+    | Some _ | None -> ());
     if Lanes.cycle pass mod dense_window = 0 && Lanes.cycle pass < last then leave_if_dense ();
     if !alive <> 0 then
       if Lanes.cycle pass < last then begin

@@ -9,8 +9,11 @@
     fault has not fired yet costs next to nothing), and the off-core
     world (bus drivers, main memory) is replicated per lane as cheap
     sparse overlays above the golden image.  The pass drives the golden
-    bus from the lanes' golden machine and never writes the circuit,
-    which stays in its loaded state.
+    bus from the lanes' golden machine, through a replica of the golden
+    run's bus drivers, and never writes the circuit, which stays in its
+    loaded state.  Every driver — a lane's own and the golden replica —
+    steps through {!Leon3.Bus_port.step}, the scalar system's one
+    driver step.
     Permanent faults, bounded and one-cycle faults, write-only and
     read-comparing observation all run here; a single fault is a
     one-lane batch.
@@ -33,9 +36,9 @@
     Verdict-relevant behaviour — event streams, stop reasons, stop and
     mismatch cycles — is identical to running each fault through
     {!Leon3.System.run} on its own machine.  Three things end a lane
-    before its run does: convergence with the golden run at a
-    boundary (a {!Leon3.System.checkpoint}) once its fault window has
-    closed; the end of the trace, where a lane whose run outlives the
+    before its run does: convergence with the pass's own golden machine
+    at a boundary cycle once its fault window has closed; the end of
+    the trace, where a lane whose run outlives the
     trace (a hang candidate) is ejected at the trace's last settled
     cycle; and density, where a permanent-fault lane that makes more
     evaluations than the golden trace has deltas over a window of
@@ -92,7 +95,7 @@ val run :
   reference:Sparc.Bus_event.t array ->
   max_cycles:int ->
   ?compare_reads:bool ->
-  ?boundaries:Leon3.System.checkpoint array ->
+  ?converge_every:int ->
   spec array ->
   outcome array * C.batch_stats
 (** [run ~sys ~prog ~trace ~reference ~max_cycles specs] loads [prog]
@@ -106,14 +109,15 @@ val run :
     never compared), or with [compare_reads] (default false) the golden
     run's every data-side event, reads included.
 
-    [boundaries] are checkpoints of the golden run [trace] records, in
-    ascending cycle order (default none).  At a boundary cycle, after
-    that cycle's terminal checks, a live lane retires as [Converged]
-    when its fault window has closed by then, its circuit state equals
-    the golden machine's ({!Rtl.Lanes.lane_golden}), its main
-    memory has no overlay, both its bus drivers equal the boundary's
-    and its matched count equals the boundary's write count (event
-    count with [compare_reads]).  Permanent faults never converge.
+    [converge_every] (default none: no lane converges) sets the
+    boundary cycles, every positive multiple of it.  At a boundary
+    cycle, after that cycle's terminal checks, a live lane retires as
+    [Converged] when its fault window has closed by then, its circuit
+    state equals the golden machine's ({!Rtl.Lanes.lane_golden}), its
+    main memory has no overlay, both its bus drivers equal the golden
+    replica's, and its matched count equals the golden run's reference
+    events so far: its writes, and its reads too with [compare_reads].
+    Permanent faults never converge.
 
     Dense lanes leave early: at every cycle that is a multiple of 256
     and before [C.trace_cycles trace - 1], after that cycle's terminal

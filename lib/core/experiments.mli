@@ -12,7 +12,9 @@
     - {!figure7}: Pf correlates with diversity, log fit with high R²;
     - {!sim_time} and {!campaign_cost}: the ISS-vs-RTL simulation-cost
       gap, per instruction and per injection;
-    - the [ablation_*] functions cover DESIGN.md §5. *)
+    - {!run}'s ["ablation"] id covers DESIGN.md §5: the observation
+      point, sample size, ISS-side predictors, transient upsets and
+      RTL vs gate-level adder injection. *)
 
 module T = Report.Table
 module Campaign = Fault_injection.Campaign
@@ -133,25 +135,6 @@ val campaign_cost : Context.t -> cost_row list * T.t
     size per model, the RTL one on the context's system.  Campaigns
     are timed whole and never memoised.  The table adds a total row
     and the per-injection RTL/ISS ratio. *)
-
-val ablation_observation : Context.t -> T.t
-(** Failure-observation point: writes-only (the paper's light-lockstep)
-    vs writes+reads. *)
-
-val ablation_sampling : Context.t -> T.t
-(** Pf estimate as a function of the injection sample size. *)
-
-val ablation_predictor : Context.t -> T.t
-(** Eq. (1) area-weighted utilisation predictor vs the plain ln(D)
-    fit on the Fig. 7 data. *)
-
-val ablation_transient : Context.t -> T.t
-(** The paper's future work: single-event-upset (transient bit-flip)
-    propagation vs the permanent stuck-at-1 baseline. *)
-
-val ablation_gate_level : Context.t -> T.t
-(** RTL vs gate-level injection granularity on the EX adder: site
-    count, Pf and campaign cost at both abstraction levels. *)
 
 val all_ids : string list
 (** Experiment selectors understood by {!run}: ["table1"; "figure3";

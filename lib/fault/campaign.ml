@@ -8,15 +8,10 @@ type golden = {
   instructions : int;
   stop : Leon3.System.stop_reason;
   coverage : C.coverage option;
-  checkpoints : Leon3.System.checkpoint array;
+  converge_every : int option;
   trace : C.trace option;
   captures : (int * C.fault_site, int) Hashtbl.t;
 }
-
-(* Checkpoint-memory budget: when a golden run outgrows it, every
-   other checkpoint is dropped and the interval doubles, so long runs
-   keep a bounded, evenly spaced set. *)
-let checkpoint_budget = 96
 
 let default_checkpoint_interval = 512
 
@@ -45,13 +40,6 @@ let golden_run ?(obs = Obs.null) ?(coverage = false) ?(trace = false) ?checkpoin
     C.trace_start circuit
   end;
   Leon3.System.load sys prog;
-  let checkpoints = ref [] in
-  (* newest first *)
-  let count = ref 0 in
-  let interval = ref (match checkpoint_every with Some every -> max 1 every | None -> 0) in
-  let next_checkpoint () =
-    if !interval = 0 then max_int else Leon3.System.cycles sys + !interval
-  in
   let captures = Hashtbl.create 16 in
   let take cycles =
     List.iter
@@ -59,34 +47,19 @@ let golden_run ?(obs = Obs.null) ?(coverage = false) ?(trace = false) ?checkpoin
         if List.mem k cycles then Hashtbl.replace captures (k, site) (site_bit circuit site))
       capture
   in
-  (* The run pauses at every checkpoint and capture cycle, each a
-     settled state; a capture cycle the run does not reach takes its
-     final state. *)
-  let rec go ~checkpoint_at pending =
+  (* The run pauses at every capture cycle, a settled state; a capture
+     cycle the run does not reach takes its final state. *)
+  let rec go pending =
     let due, pending = List.partition (fun k -> k <= Leon3.System.cycles sys) pending in
     take due;
-    let until = List.fold_left min checkpoint_at pending in
+    let until = match pending with k :: _ -> k | [] -> max_int in
     match Leon3.System.run_segment sys ~until_cycle:until ~max_cycles with
     | Some r ->
         take pending;
         r
-    | None when Leon3.System.cycles sys < checkpoint_at -> go ~checkpoint_at pending
-    | None ->
-        checkpoints := Leon3.System.checkpoint sys :: !checkpoints;
-        incr count;
-        if !count >= checkpoint_budget then begin
-          (* The newest checkpoint sits at an even multiple of the
-             doubled interval, so keeping alternate entries preserves
-             alignment. *)
-          checkpoints := List.filteri (fun i _ -> i mod 2 = 0) !checkpoints;
-          count := List.length !checkpoints;
-          interval := !interval * 2
-        end;
-        go ~checkpoint_at:(next_checkpoint ()) pending
+    | None -> go pending
   in
-  let stop =
-    go ~checkpoint_at:(next_checkpoint ()) (List.sort_uniq compare (List.map fst capture))
-  in
+  let stop = go (List.sort_uniq compare (List.map fst capture)) in
   let cov = if coverage then Some (C.coverage_stop circuit) else None in
   let tr = if trace then Some (C.trace_stop circuit) else None in
   (* the golden settles' work, next to the lane engine's
@@ -106,7 +79,7 @@ let golden_run ?(obs = Obs.null) ?(coverage = false) ?(trace = false) ?checkpoin
     instructions = Leon3.System.instructions sys;
     stop;
     coverage = cov;
-    checkpoints = Array.of_list (List.rev !checkpoints);
+    converge_every = Option.map (max 1) checkpoint_every;
     trace = tr;
     captures }
 
@@ -231,8 +204,8 @@ let lockstep ?detect_loops sys golden ~compare_reads ~hang_factor ~matched ~mism
    Every simulated fault runs as a lane of a bit-parallel batch
    ({!Batch.run}) from cycle 0 against the golden trace; verdicts are
    identical to the dense reference's.  A lane retires when its run
-   stops, when it converges with the golden run at a checkpoint
-   boundary, or when it is handed over to the scalar engine: at trace
+   stops, when it converges with the golden run at a boundary cycle, or
+   when it is handed over to the scalar engine: at trace
    end, or earlier when its permanent fault makes it cost more in the
    pass than a scalar run would. *)
 
@@ -318,7 +291,7 @@ let run_lanes ~obs golden sys prog ~compare_reads ~hang_factor lanes =
   let max_cycles = max_cycles_of ~hang_factor golden in
   let outcomes, stats =
     Batch.run ~sys ~prog ~trace:(Option.get golden.trace) ~reference ~max_cycles
-      ~compare_reads ~boundaries:golden.checkpoints
+      ~compare_reads ?converge_every:golden.converge_every
       (Array.map (fun (_, _, sp, _) -> sp) lanes)
   in
   let n = Array.length lanes in
@@ -566,8 +539,8 @@ let lane_model golden ~inject_cycle site = function
 
 let build_machinery ~obs ~config sys prog tasks =
   (* value coverage powers the permanent-fault prefilter (useless for
-     bit-flips, which always activate); no checkpoints, since a fault
-     without a duration never converges; the bits the open lines
+     bit-flips, which always activate); no convergence boundaries,
+     since a fault without a duration never converges; the bits the open lines
      capture *)
   let coverage = List.exists (fun m -> m <> C.Bit_flip) config.models in
   let inject_cycle = config.inject_cycle in
@@ -828,9 +801,8 @@ let pf_percent s = 100. *. s.pf
    the run.  Unlike permanent faults the outcome depends on *when* the
    fault hits, so each sampled site gets its own random instant.  The
    upsets run as batch lanes from cycle 0; a lane costs next to nothing
-   until its upset fires, and most retire at the first golden
-   checkpoint after it where their state has re-converged with the
-   golden run. *)
+   until its upset fires, and most retire at the first boundary cycle
+   after it where their state has re-converged with the golden run. *)
 let run_transient ?(sample = 400) ?(seed = 7)
     ?(checkpoint_every = default_checkpoint_interval) ?(obs = Obs.null) sys prog target =
   Leon3.System.set_obs sys obs;

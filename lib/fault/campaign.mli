@@ -25,16 +25,17 @@
     stuck-at task.  Each lane runs in a bit-parallel batch
     ({!Batch.run}, up to {!Rtl.Circuit.max_lanes} lanes at a time)
     against the golden value trace, paying only for its divergence
-    from golden; a bounded fault's lane retires at the first golden
-    checkpoint where its state has re-converged with the golden run;
-    and a lane is handed over to the scalar engine, from its
+    from golden; a bounded fault's lane retires at the first boundary
+    cycle (every [checkpoint_every] cycles) where its state equals the
+    pass's own golden machine's, drivers and comparator progress
+    included; and a lane is handed over to the scalar engine, from its
     transplanted state, when it outlives the trace (a hang candidate)
     or earlier, when its permanent fault makes it out-evaluate the
     golden machine ({!Batch.run}); there cycle proofs decide the
     periodic hangs early.  Every layer is exact: a campaign's verdicts, failure
     breakdowns and latencies equal the dense reference's — {!run_one}
-    without a replay plan, against a {!golden_run} with no coverage,
-    trace or checkpoints.  {!summary} reports how much simulation was
+    without a replay plan, against a {!golden_run} with no coverage or
+    trace.  {!summary} reports how much simulation was
     avoided.
 
     {b Telemetry.}  Every entry point accepts an [?obs] collector
@@ -68,9 +69,10 @@ type golden = {
   coverage : C.coverage option;
       (** value coverage, when recorded — powers the activation
           prefilter *)
-  checkpoints : Leon3.System.checkpoint array;
-      (** golden off-core state at increasing cycles, when captured —
-          the boundaries at which a bounded fault's lane may converge *)
+  converge_every : int option;
+      (** the interval between convergence boundaries, when asked for
+          ([golden_run ~checkpoint_every]): a bounded fault's lane may
+          converge at every positive multiple of it *)
   trace : C.trace option;
       (** delta-compressed per-cycle value trace, when recorded —
           powers the batch engine the faulty runs execute on *)
@@ -93,9 +95,9 @@ val golden_run :
 (** Run fault-free and capture the reference behaviour.  [coverage]
     (default false) records per-bit value coverage for the activation
     prefilter; [trace] (default false) records the per-cycle value
-    trace for the batch engine; [checkpoint_every] captures a
-    checkpoint at that cycle interval (the set is thinned to a bounded
-    count on long runs); [capture] (default none) reads each listed
+    trace for the batch engine; [checkpoint_every] (default none) sets
+    the interval between the boundary cycles at which a bounded fault's
+    lane may converge, carried in [converge_every]; [capture] (default none) reads each listed
     [(cycle, site)] bit in the settled state of that cycle, or in the
     final state for a cycle past the end of the run.  Pausing adds no
     simulated cycle.  Raises
@@ -121,7 +123,7 @@ type sim_status = Journal.sim_status =
   | Prefiltered  (** provably never activates; no simulation at all *)
   | Converged of int
       (** simulated until state equality with the golden run at the
-          checkpoint at this cycle proved the rest *)
+          boundary cycle given proved the rest *)
   | Pruned
       (** outside the backward cone of the observation points —
           statically silent, no simulation *)
@@ -164,7 +166,7 @@ val run_one :
     When [plan] (the kernel's lowering, {!C.compiled_plan}, which the
     lane engine reads) is given {e and} [golden] carries a trace, the
     run is a one-lane {!Batch.run} from cycle 0, exactly as campaigns
-    run their faults: it converges early at [golden]'s checkpoints
+    run their faults: it converges early at [golden]'s boundary cycles
     once a bounded fault has expired, and continues on the scalar
     engine if it outlives the trace.  Lane statistics land on [obs] as
     [diff.nodes_evaluated] / [diff.golden_evaluated] counters.
@@ -186,7 +188,7 @@ type summary = {
   skipped : int;  (** injections classified by the prefilter, unsimulated *)
   early_exits : int;
       (** simulated runs retired early: convergence with the golden run
-          at a checkpoint once a bounded fault expired *)
+          at a boundary cycle once a bounded fault expired *)
   pruned : int;  (** injections outside the observation cone, unsimulated *)
   collapsed : int;  (** injections that copied a collapse leader's verdict *)
 }
@@ -324,7 +326,7 @@ val run_transient :
     one-cycle bit inversions at uniformly random instants, one instant
     per sampled site.  The upsets run as lanes of batches of up to
     {!Rtl.Circuit.max_lanes}, from cycle 0 against the golden trace; a
-    lane retires early at the first golden checkpoint (every
+    lane retires early at the first boundary cycle (every
     [checkpoint_every] cycles, default 512) at which its state has
     re-converged with the golden run — for a 1-cycle upset that is
     typically the first one after its instant — and counts in

@@ -17,7 +17,6 @@ let trap_div0 = 3
 
 type t = {
   circuit : C.t;
-  nwindows : int;
   state : C.signal;
   pc : C.signal;
   ir : C.signal;
@@ -32,26 +31,23 @@ type t = {
 }
 
 type params = {
-  nwindows_p : int;
   icache_lines : int;
   dcache_lines : int;
-  words_per_line : int;
-  reset_pc : int;
-  gate_level_adder : bool;
-      (** elaborate the EX adder as a ripple-carry gate network instead
-          of one behavioural node per signal — the gate-level
-          granularity the paper contrasts RTL against *)
   gate_level : bool;
       (** elaborate the full IU datapath — decode PLA, ALU, barrel
           shifter, condition codes, branch and mux trees — as a
           NAND/NOR/NOT/MUX netlist ({!Gatelevel}), with every
           behavioural node name preserved as a packer or buffer over
-          the gate bits.  Subsumes [gate_level_adder]. *)
+          the gate bits. *)
 }
 
-let default_params =
-  { nwindows_p = 8; icache_lines = 64; dcache_lines = 64; words_per_line = 4;
-    reset_pc = Layout.text_base; gate_level_adder = false; gate_level = false }
+let default_params = { icache_lines = 64; dcache_lines = 64; gate_level = false }
+
+let nwindows = 8
+
+let words_per_line = 4
+
+let reset_pc = Layout.text_base
 
 let regfile_slot ~nwindows ~cwp r =
   if r < 8 then r
@@ -87,10 +83,9 @@ let cond_eval cond icc =
   Util.bit1 (if cond land 8 <> 0 then not base else base)
 
 let build ?(params = default_params) () =
-  let nw = params.nwindows_p in
   let c = C.create "leon3" in
   let cwp_bits =
-    let rec go b = if 1 lsl b >= nw then b else go (b + 1) in
+    let rec go b = if 1 lsl b >= nwindows then b else go (b + 1) in
     max 1 (go 1)
   in
   (* [iu name f] builds nodes under the scope ["iu.<name>"]. *)
@@ -98,7 +93,7 @@ let build ?(params = default_params) () =
 
   (* ---- registers on feedback paths ---- *)
   let state = iu "ctrl" (fun () -> C.reg c "state" ~width:3 ~init:st_fe ()) in
-  let pc = iu "fe" (fun () -> C.reg c "pc" ~width:32 ~init:params.reset_pc ()) in
+  let pc = iu "fe" (fun () -> C.reg c "pc" ~width:32 ~init:reset_pc ()) in
   let trap_pending, trap_code =
     iu "xc" (fun () ->
         (C.reg c "trap_pending" ~width:1 (), C.reg c "trap_code" ~width:2 ()))
@@ -141,7 +136,7 @@ let build ?(params = default_params) () =
 
   let icache =
     Cache_block.build c ~scope:"cmem.icache" ~lines:params.icache_lines
-      ~words_per_line:params.words_per_line ~with_store:false ~req:ireq ~we:zero1 ~addr:pc
+      ~words_per_line ~with_store:false ~req:ireq ~we:zero1 ~addr:pc
       ~wdata:zero32 ~size:size_word
   in
 
@@ -195,9 +190,9 @@ let build ?(params = default_params) () =
   (* ---- register file ---- *)
   let regfile, rda, rdb, rdc =
     iu "regfile" (fun () ->
-        let regfile = C.memory c "regs" ~words:(8 + (16 * nw)) ~width:32 in
+        let regfile = C.memory c "regs" ~words:(8 + (16 * nwindows)) ~width:32 in
         let map name ridx =
-          C.comb2 c name 8 cwp ridx (fun w r -> regfile_slot ~nwindows:nw ~cwp:w r)
+          C.comb2 c name 8 cwp ridx (fun w r -> regfile_slot ~nwindows ~cwp:w r)
         in
         let addr_a = map "addr_a" de_rs1 in
         let addr_b = map "addr_b" de_rs2 in
@@ -270,55 +265,13 @@ let build ?(params = default_params) () =
                     else if s = Ctl.sub_subx then 1 - cflag
                     else 0)
               in
-              let sum, carry =
-                if not params.gate_level_adder then
-                  ( C.comb3 c "sum" 32 ra_op1 b_eff cin (fun a b ci -> a + b + ci),
-                    C.comb3 c "carry" 1 ra_op1 b_eff cin (fun a b ci ->
-                        Util.bit1 (a + b + ci > 0xFFFF_FFFF)) )
-                else
-                  (* Ripple-carry gate network: a propagate xor and a
-                     sum xor per bit, with the majority carry realised
-                     as NAND-NAND two-level logic the way standard
-                     cells implement AND-OR — every gate output is its
-                     own injection node. *)
-                  C.scoped c "gates" (fun () ->
-                      let carry = ref cin in
-                      let sum_bits =
-                        Array.init 32 (fun i ->
-                            let p =
-                              C.comb2 c (Printf.sprintf "p%d" i) 1 ra_op1 b_eff
-                                (fun a b -> ((a lsr i) lxor (b lsr i)) land 1)
-                            in
-                            let s =
-                              C.comb2 c (Printf.sprintf "s%d" i) 1 p !carry
-                                (fun pv cv -> pv lxor cv)
-                            in
-                            (* generate and propagate NAND terms *)
-                            let ng =
-                              C.comb2 c (Printf.sprintf "ng%d" i) 1 ra_op1 b_eff
-                                (fun a b -> 1 - ((a lsr i) land (b lsr i) land 1))
-                            in
-                            let np =
-                              C.comb2 c (Printf.sprintf "np%d" i) 1 p !carry
-                                (fun pv cv -> 1 - (pv land cv))
-                            in
-                            let cout =
-                              C.comb2 c (Printf.sprintf "c%d" i) 1 ng np
-                                (fun x y -> 1 - (x land y))
-                            in
-                            carry := cout;
-                            s)
-                      in
-                      let sum =
-                        C.combn c "sum" 32 sum_bits (fun vs ->
-                            let v = ref 0 in
-                            for i = 31 downto 0 do
-                              v := (!v lsl 1) lor vs.(i)
-                            done;
-                            !v)
-                      in
-                      (sum, !carry))
+              (* carry is elaborated first: site enumeration follows
+                 node order *)
+              let carry =
+                C.comb3 c "carry" 1 ra_op1 b_eff cin (fun a b ci ->
+                    Util.bit1 (a + b + ci > 0xFFFF_FFFF))
               in
+              let sum = C.comb3 c "sum" 32 ra_op1 b_eff cin (fun a b ci -> a + b + ci) in
               let flag_c =
                 C.comb2 c "flag_c" 1 subop_s carry (fun s co ->
                     if s = Ctl.sub_sub || s = Ctl.sub_subx then 1 - co else co)
@@ -515,8 +468,8 @@ let build ?(params = default_params) () =
         C.connect c icc ~en:icc_en ~d:icc_next ();
         let cwp_next =
           C.comb3 c "cwp_next" cwp_bits cwp is_save is_restore (fun w sv rs ->
-              if sv <> 0 then (w + nw - 1) mod nw
-              else if rs <> 0 then (w + 1) mod nw
+              if sv <> 0 then (w + nwindows - 1) mod nwindows
+              else if rs <> 0 then (w + 1) mod nwindows
               else w)
         in
         let win_op = Util.or2 c "win_op" is_save is_restore in
@@ -554,7 +507,7 @@ let build ?(params = default_params) () =
 
   let dcache =
     Cache_block.build c ~scope:"cmem.dcache" ~lines:params.dcache_lines
-      ~words_per_line:params.words_per_line ~with_store:true ~req:dreq ~we:is_store
+      ~words_per_line ~with_store:true ~req:dreq ~we:is_store
       ~addr:ex_result_r ~wdata:st_value ~size:size_s
   in
 
@@ -657,7 +610,7 @@ let build ?(params = default_params) () =
               w land en land Util.bit1 (rd <> 0))
         in
         let wb_addr =
-          C.comb2 c "wb_addr" 8 cwp de_rd (fun w r -> regfile_slot ~nwindows:nw ~cwp:w r)
+          C.comb2 c "wb_addr" 8 cwp de_rd (fun w r -> regfile_slot ~nwindows ~cwp:w r)
         in
         C.write_port c regfile ~we:wb_we ~addr:wb_addr ~data:wb_data;
         C.connect c pc ~en:in_wb ~d:ex_next_pc_r ();
@@ -704,7 +657,7 @@ let build ?(params = default_params) () =
          [ p.bus_req; p.bus_we; p.bus_addr; p.bus_wdata; p.bus_size ])
        [ icache; dcache ]
     @ [ halted; trap_code ]);
-  { circuit = c; nwindows = nw; state; pc; ir; halted; trap_code; instret; icc; cwp;
+  { circuit = c; state; pc; ir; halted; trap_code; instret; icc; cwp;
     icache; dcache; regfile }
 
 (* The off-core failure boundary: exactly the signals the simulation

@@ -38,7 +38,6 @@ val trap_div0 : int
 
 type t = {
   circuit : C.t;
-  nwindows : int;
   state : C.signal;
   pc : C.signal;
   ir : C.signal;
@@ -53,16 +52,8 @@ type t = {
 }
 
 type params = {
-  nwindows_p : int;
   icache_lines : int;
   dcache_lines : int;
-  words_per_line : int;
-  reset_pc : int;
-  gate_level_adder : bool;
-      (** elaborate the EX adder as a ripple-carry gate network
-          (~130 extra 1-bit nodes under [iu.ex.adder.gates]) instead of
-          behavioural nodes — the finer, slower injection granularity
-          the paper contrasts RTL against *)
   gate_level : bool;
       (** elaborate the full IU datapath — decode PLA, ALU, barrel
           shifter, condition-code logic, branch and the
@@ -73,11 +64,16 @@ type params = {
           gate bits, so name-addressed faults exist in both
           elaborations.  Gate innards live under nested [gates] scopes
           ([iu.fe.gates], [iu.de.gates], [iu.ex.*.gates]) plus the
-          cross-unit [iu.gates.operand] and [iu.gates.alu] scopes.
-          Subsumes [gate_level_adder]. *)
+          cross-unit [iu.gates.operand] and [iu.gates.alu] scopes. *)
 }
 
 val default_params : params
+
+val nwindows : int
+(** Register windows (8). *)
+
+val reset_pc : int
+(** The PC the core fetches from after reset: {!Sparc.Layout.text_base}. *)
 
 val build : ?params:params -> unit -> t
 (** Construct and {e elaborate} the full microcontroller circuit. *)

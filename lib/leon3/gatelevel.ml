@@ -76,8 +76,8 @@ let pack c name bits =
       !v)
 
 (* Ripple-carry adder over bit arrays: propagate/sum XORs plus the
-   majority carry as NAND-NAND two-level logic, extending the naming
-   of the PR-ablation adder (p%d / s%d / ng%d / np%d / c%d). *)
+   majority carry as NAND-NAND two-level logic, the way standard cells
+   implement AND-OR (p%d / s%d / ng%d / np%d / c%d). *)
 let ripple c ?(prefix = "") a b cin =
   let carry = ref cin in
   let sum =

@@ -40,9 +40,9 @@ val ripple :
   C.t -> ?prefix:string -> C.signal array -> C.signal array -> C.signal ->
   C.signal array * C.signal
 (** 32-bit ripple-carry adder over bit arrays; returns (sum bits,
-    carry out).  Node names extend the PR-2 ablation adder's
-    [p%d]/[s%d]/[ng%d]/[np%d]/[c%d] convention, with [prefix]
-    prepended. *)
+    carry out).  Per bit [i]: propagate [p<i>], sum [s<i>], the
+    generate and propagate NANDs [ng<i>] and [np<i>] and the carry
+    [c<i>], each name with [prefix] prepended. *)
 
 (** {1 Shared EX operand taps} *)
 

@@ -6,20 +6,10 @@ module Bus_event = Sparc.Bus_event
 
 type stop_reason = Exited of int | Trapped of int | Cycle_limit | Aborted
 
-(* Per-bus-port driver state: [-1] idle, otherwise cycles until the
-   acknowledge is presented. *)
-type port_driver = {
-  ports : Cache_block.ports;
-  read_only : bool;
-  mutable countdown : int;
-  mutable ready_out : bool;  (* we asserted ready for the current cycle *)
-}
-
 type t = {
   core : Core.t;
-  mem_latency : int;
-  iport : port_driver;
-  dport : port_driver;
+  iport : Bus_port.t;
+  dport : Bus_port.t;
   mutable mem : Memory.t;
   mutable events_rev : Bus_event.t list;
   mutable n_events : int;  (* length of events_rev *)
@@ -29,12 +19,10 @@ type t = {
   mutable obs : Obs.t;
 }
 
-let create ?params ?(mem_latency = 1) () =
-  let core = Core.build ?params () in
-  { core;
-    mem_latency;
-    iport = { ports = core.icache; read_only = true; countdown = -1; ready_out = false };
-    dport = { ports = core.dcache; read_only = false; countdown = -1; ready_out = false };
+let create ?params () =
+  { core = Core.build ?params ();
+    iport = Bus_port.idle ();
+    dport = Bus_port.idle ();
     mem = Memory.create ();
     events_rev = [];
     n_events = 0;
@@ -45,8 +33,6 @@ let create ?params ?(mem_latency = 1) () =
 
 let core t = t.core
 
-let mem_latency t = t.mem_latency
-
 let set_obs t obs = t.obs <- obs
 
 let obs t = t.obs
@@ -54,7 +40,10 @@ let obs t = t.obs
 let circuit t = t.core.Core.circuit
 
 let load t prog =
-  assert (prog.Asm.entry = Core.default_params.reset_pc || prog.Asm.entry <> 0);
+  if prog.Asm.entry <> Core.reset_pc then
+    invalid_arg
+      (Printf.sprintf "System.load: program entry 0x%08x is not the reset PC 0x%08x"
+         prog.Asm.entry Core.reset_pc);
   C.reset (circuit t);
   t.mem <- Memory.create ();
   Asm.load prog t.mem;
@@ -63,10 +52,12 @@ let load t prog =
   t.n_writes <- 0;
   t.stopped <- None;
   t.abort <- false;
-  t.iport.countdown <- -1;
-  t.iport.ready_out <- false;
-  t.dport.countdown <- -1;
-  t.dport.ready_out <- false;
+  let reset (p : Bus_port.t) =
+    p.countdown <- -1;
+    p.ready_out <- false
+  in
+  reset t.iport;
+  reset t.dport;
   C.set_input (circuit t) t.core.Core.icache.bus_ready 0;
   C.set_input (circuit t) t.core.Core.dcache.bus_ready 0;
   C.settle (circuit t)
@@ -81,61 +72,42 @@ let record t ev on_event =
 
 let size_of_code = function 0 -> Bus_event.Byte | 1 -> Bus_event.Half | _ -> Bus_event.Word
 
-(* Inspect a port's settled request, advance its countdown, and return
-   the (ready, rdata) pair to present next cycle. *)
-let drive_port t p on_event =
+(* Step a port's driver against its settled request and return the
+   (ready, rdata) pair to present next cycle. *)
+let drive_port t (ports : Cache_block.ports) p ~read_only on_event =
   let c = circuit t in
-  let req = C.value c p.ports.bus_req in
-  if p.ready_out then begin
-    (* Transaction acknowledged during the current cycle. *)
-    p.ready_out <- false;
-    p.countdown <- -1;
-    (0, 0)
-  end
-  else if req = 0 then begin
-    p.countdown <- -1;
-    (0, 0)
-  end
+  if not (Bus_port.step p ~req:(C.value c ports.bus_req <> 0)) then (0, 0)
   else begin
-    if p.countdown < 0 then p.countdown <- t.mem_latency;
-    p.countdown <- p.countdown - 1;
-    if p.countdown > 0 then (0, 0)
-    else begin
-      let addr = C.value c p.ports.bus_addr in
-      let we = C.value c p.ports.bus_we in
-      p.ready_out <- true;
-      if we <> 0 && not p.read_only then begin
-        let size_code = C.value c p.ports.bus_size in
-        let value = C.value c p.ports.bus_wdata in
-        let size = size_of_code size_code in
-        record t (Bus_event.Write { addr; size; value }) on_event;
-        if Layout.is_exit_store addr then t.stopped <- Some (Exited value)
-        else begin
-          (* A fault inside the core can defeat its own alignment check
-             and push a misaligned address onto the bus; the memory
-             controller truncates like real hardware would (the raw
-             address is already recorded, so lockstep still sees the
-             divergence). *)
-          match size with
-          | Bus_event.Byte -> Memory.store_byte t.mem addr value
-          | Bus_event.Half -> Memory.store_half t.mem (addr land lnot 1) value
-          | Bus_event.Word -> Memory.store_word t.mem (addr land lnot 3) value
-        end;
-        (1, 0)
-      end
+    let addr = C.value c ports.bus_addr in
+    if C.value c ports.bus_we <> 0 && not read_only then begin
+      let size = size_of_code (C.value c ports.bus_size) in
+      let value = C.value c ports.bus_wdata in
+      record t (Bus_event.Write { addr; size; value }) on_event;
+      if Layout.is_exit_store addr then t.stopped <- Some (Exited value)
       else begin
-        let word = Memory.load_word t.mem (addr land lnot 3) in
-        if not p.read_only then
-          record t (Bus_event.Read { addr; size = Bus_event.Word }) on_event;
-        (1, word)
-      end
+        (* A fault inside the core can defeat its own alignment check
+           and push a misaligned address onto the bus; the memory
+           controller truncates like real hardware would (the raw
+           address is already recorded, so lockstep still sees the
+           divergence). *)
+        match size with
+        | Bus_event.Byte -> Memory.store_byte t.mem addr value
+        | Bus_event.Half -> Memory.store_half t.mem (addr land lnot 1) value
+        | Bus_event.Word -> Memory.store_word t.mem (addr land lnot 3) value
+      end;
+      (1, 0)
+    end
+    else begin
+      let word = Memory.load_word t.mem (addr land lnot 3) in
+      if not read_only then record t (Bus_event.Read { addr; size = Bus_event.Word }) on_event;
+      (1, word)
     end
   end
 
 let step_with t on_event =
   let c = circuit t in
-  let i_ready, i_rdata = drive_port t t.iport on_event in
-  let d_ready, d_rdata = drive_port t t.dport on_event in
+  let i_ready, i_rdata = drive_port t t.core.Core.icache t.iport ~read_only:true on_event in
+  let d_ready, d_rdata = drive_port t t.core.Core.dcache t.dport ~read_only:false on_event in
   C.clock c;
   C.set_input c t.core.Core.icache.bus_ready i_ready;
   C.set_input c t.core.Core.icache.bus_rdata i_rdata;
@@ -145,10 +117,14 @@ let step_with t on_event =
 
 let step t = step_with t None
 
+let port_state (p : Bus_port.t) = (p.countdown, p.ready_out)
+
+let ports t = (port_state t.iport, port_state t.dport)
+
 (* [run_segment] pauses (returns [None]) once the cycle counter
    reaches [until_cycle]; terminal conditions return [Some reason] and
    latch as before.  The pause point is between steps, i.e. at a
-   settled state — exactly the point {!checkpoint} captures.
+   settled state.
 
    [detect_loops] arms cycle-proof hang detection: a run that is going
    to exhaust its cycle budget almost always spins in a short state
@@ -187,12 +163,9 @@ let run_segment_raw ?on_event ?(detect_loops = false) t ~until_cycle ~max_cycles
                      (Bool.to_int t.iport.ready_out))
                   t.dport.countdown)
                (Bool.to_int t.dport.ready_out))
-           ~capture:(fun () ->
-             ( C.snapshot c, t.n_writes, t.iport.countdown, t.iport.ready_out,
-               t.dport.countdown, t.dport.ready_out ))
-           ~confirm:(fun (s, wr, icd, iro, dcd, dro) ->
-             t.n_writes = wr && t.iport.countdown = icd && t.iport.ready_out = iro
-             && t.dport.countdown = dcd && t.dport.ready_out = dro && C.same_state c s)
+           ~capture:(fun () -> (C.snapshot c, t.n_writes, ports t))
+           ~confirm:(fun (s, wr, p) ->
+             t.n_writes = wr && ports t = p && C.same_state c s)
            ())
   in
   let loop_check () =
@@ -251,23 +224,6 @@ let run ?on_event ?detect_loops t ~max_cycles =
   | Some r -> r
   | None -> assert false (* until_cycle = max_int never pauses first *)
 
-(* --- checkpoints (convergence boundaries) --- *)
-
-type checkpoint = {
-  ck_cycle : int;
-  ck_iport : int * bool;  (* countdown, ready_out *)
-  ck_dport : int * bool;
-  ck_events : int;
-  ck_writes : int;
-}
-
-let checkpoint t =
-  { ck_cycle = C.cycle (circuit t);
-    ck_iport = (t.iport.countdown, t.iport.ready_out);
-    ck_dport = (t.dport.countdown, t.dport.ready_out);
-    ck_events = t.n_events;
-    ck_writes = t.n_writes }
-
 (* --- lane -> scalar transplant (batch tail hand-off) --- *)
 
 let transplant t tp ~mem ~iport:(icd, iro) ~dport:(dcd, dro) ~events_rev ~n_events
@@ -283,12 +239,6 @@ let transplant t tp ~mem ~iport:(icd, iro) ~dport:(dcd, dro) ~events_rev ~n_even
   t.iport.ready_out <- iro;
   t.dport.countdown <- dcd;
   t.dport.ready_out <- dro
-
-let checkpoint_cycle ck = ck.ck_cycle
-let checkpoint_events ck = ck.ck_events
-let checkpoint_writes ck = ck.ck_writes
-let checkpoint_iport ck = ck.ck_iport
-let checkpoint_dport ck = ck.ck_dport
 
 let stop t = t.stopped
 
@@ -308,7 +258,7 @@ let reg t r =
   else
     let cwp = C.value c t.core.Core.cwp in
     C.mem_read c t.core.Core.regfile
-      (Core.regfile_slot ~nwindows:t.core.Core.nwindows ~cwp r)
+      (Core.regfile_slot ~nwindows:Core.nwindows ~cwp r)
 
 let pp_stop fmt = function
   | Exited code -> Format.fprintf fmt "exited(%d)" code

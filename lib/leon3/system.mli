@@ -1,12 +1,13 @@
 (** Complete RTL system: the {!Core} microcontroller plus its off-core
     environment — main memory behind the bus, the exit port, and the
-    bus-transaction driver.  This is the machine the fault-injection
+    bus-transaction drivers.  This is the machine the fault-injection
     campaigns run: everything inside {!Core} is injectable, everything
     in here is the (fault-free) outside world.
 
     The circuit is elaborated once per {!create}; each {!load} resets
     it and installs a fresh memory image, so one [t] is reused across
-    thousands of campaign runs. *)
+    thousands of campaign runs.  Both bus drivers step through
+    {!Bus_port.step}. *)
 
 module Asm = Sparc.Asm
 module Memory = Sparc.Memory
@@ -20,15 +21,10 @@ type stop_reason =
 
 type t
 
-val create : ?params:Core.params -> ?mem_latency:int -> unit -> t
-(** Build and elaborate the system.  [mem_latency] is the number of
-    cycles between a bus request and its acknowledgement (default 1). *)
+val create : ?params:Core.params -> unit -> t
+(** Build and elaborate the system. *)
 
 val core : t -> Core.t
-
-val mem_latency : t -> int
-(** The bus latency the system was built with (cycles between request
-    and acknowledgement). *)
 
 val set_obs : t -> Obs.t -> unit
 (** Attach a telemetry collector: every {!run}/{!run_segment} call
@@ -40,7 +36,8 @@ val obs : t -> Obs.t
 
 val load : t -> Asm.program -> unit
 (** Reset the circuit, clear recorded events and install the program
-    image.  The program must be linked at the core's reset PC. *)
+    image.  Raises [Invalid_argument], naming both addresses, when the
+    program's entry is not the core's reset PC ({!Core.reset_pc}). *)
 
 val step : t -> unit
 (** Advance one clock cycle (drive bus responses, clock, settle). *)
@@ -64,31 +61,10 @@ val run_segment :
   max_cycles:int -> stop_reason option
 (** Like {!run} but pauses once the cycle counter reaches
     [until_cycle], returning [None]; the run can then be inspected
-    (e.g. a golden {!checkpoint} taken) and resumed with another
-    [run_segment] or {!run} call.  Terminal outcomes return
-    [Some reason] and latch exactly as {!run} does. *)
+    and resumed with another [run_segment] or {!run} call.  Terminal
+    outcomes return [Some reason] and latch exactly as {!run} does. *)
 
 val stop : t -> stop_reason option
-
-(** {2 Checkpoints}
-
-    A checkpoint records the off-core side of a golden run at a settled
-    cycle: the cycle, the bus-event and write counts, and both
-    bus-driver states.  Campaigns take them at regular intervals and
-    hand them to the batch engine as {e convergence boundaries}: at a
-    boundary, a faulty lane whose fault window has closed, whose
-    circuit and memory state equal the golden machine's and whose
-    off-core state equals the checkpoint's has a provably golden
-    future.  The circuit and memory sides are compared against the
-    batch's own golden machine, so a checkpoint holds no copy of
-    either.  Checkpoints transfer between systems built with the same
-    parameters (deterministic elaboration). *)
-
-type checkpoint
-
-val checkpoint : t -> checkpoint
-(** Capture the current state (must be between steps, which is any
-    point from the caller's perspective). *)
 
 (** {2 Lane → scalar transplant}
 
@@ -111,18 +87,9 @@ val transplant :
   n_writes:int ->
   unit
 
-val checkpoint_cycle : checkpoint -> int
-val checkpoint_events : checkpoint -> int
-(** Bus events recorded up to the checkpoint (reads and writes). *)
-
-val checkpoint_writes : checkpoint -> int
-
-val checkpoint_iport : checkpoint -> int * bool
-(** Instruction-port driver state: countdown ([-1] idle) and whether
-    it presents ready this cycle. *)
-
-val checkpoint_dport : checkpoint -> int * bool
-(** Data-port driver state, as {!checkpoint_iport}. *)
+val ports : t -> (int * bool) * (int * bool)
+(** Both drivers' states, instruction port first, in the form
+    {!transplant} takes: (countdown, ready_out). *)
 
 val cycles : t -> int
 

@@ -988,7 +988,7 @@ let shape_nor = shape_nor
 
 let shape_mux = shape_mux
 
-(* --- state snapshots (campaign checkpointing) --- *)
+(* --- state snapshots --- *)
 
 type snapshot = Machine.snapshot
 

@@ -221,9 +221,7 @@ val mem_write : t -> memory -> int -> int -> unit
     every node value, every memory word and the cycle counter — so a
     run can be resumed from an intermediate point.  Snapshots taken on
     one circuit are valid on any other circuit built by the same
-    deterministic construction (same netlist ⇒ same node numbering),
-    which is what lets parallel campaign domains share golden
-    checkpoints. *)
+    deterministic construction (same netlist ⇒ same node numbering). *)
 
 type snapshot = Machine.snapshot
 

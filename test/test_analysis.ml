@@ -218,7 +218,7 @@ let test_collapse_fires_on_gate_level_leon3 () =
      paper's gate-level granularity implies: buffer/inverter/gate
      chains must yield a non-trivial number of equivalences. *)
   let core =
-    Leon3.Core.build ~params:{ Leon3.Core.default_params with gate_level_adder = true } ()
+    Leon3.Core.build ~params:{ Leon3.Core.default_params with gate_level = true } ()
   in
   let g = Graph.build core.Leon3.Core.circuit in
   let keep =
@@ -467,7 +467,7 @@ let test_lint_leon3_clean () =
     | None -> false);
   check_bool "behavioural settle chain under the limit" true
     (find_rule behavioural "comb-depth" = []);
-  let gate = lint_core { Leon3.Core.default_params with gate_level_adder = true } in
+  let gate = lint_core { Leon3.Core.default_params with gate_level = true } in
   check_int "gate-level: no errors" 0 (Lint.errors gate);
   check_bool "gate-level netlist is bigger" true (gate.Lint.signals > behavioural.Lint.signals);
   (* the ripple-carry chain exceeds the default depth limit: the rule

@@ -519,9 +519,66 @@ let prop_batch_matches_scalar =
 
 (* ---- convergence is exactly state equality ---- *)
 
+(* The golden run of [prog], stepped: its write count, both bus
+   drivers and its full state at every settled cycle before it stops.
+   [n] is its cycle count. *)
+let golden_states sys prog ~n =
+  let c = circuit sys in
+  Leon3.System.load sys prog;
+  let at = ref [] in
+  let rec step_golden () =
+    let cyc = Leon3.System.cycles sys in
+    at :=
+      ( (List.length (Leon3.System.writes sys), Leon3.System.ports sys),
+        C.snapshot c,
+        Memory.copy (Leon3.System.memory sys) )
+      :: !at;
+    match Leon3.System.run_segment sys ~until_cycle:(cyc + 1) ~max_cycles:(n + 1) with
+    | Some _ -> ()
+    | None -> step_golden ()
+  in
+  step_golden ();
+  Array.of_list (List.rev !at)
+
+(* The first cycle at or after the expiry of a one-cycle upset of
+   [site] at [inject_cycle] at which its dense stepped run, past that
+   cycle's terminal checks, equals the golden run [at] in full state —
+   circuit, main memory, both bus drivers — and matched count; [None]
+   when there is none. *)
+let dense_convergence sys prog golden at ~inject_cycle site =
+  let c = circuit sys in
+  C.reference c @@ fun () ->
+  Leon3.System.load sys prog;
+  C.inject c ~from_cycle:inject_cycle ~duration:1 site C.Bit_flip;
+  let matched = ref 0 and mismatch = ref None in
+  let on_event = comparator sys golden ~compare_reads:false ~matched ~mismatch in
+  let rec go () =
+    let cyc = Leon3.System.cycles sys in
+    if cyc >= Array.length at then None
+    else
+      let (writes, ports), snap, mem = at.(cyc) in
+      if
+        cyc > inject_cycle
+        && !matched = writes
+        && Leon3.System.ports sys = ports
+        && C.state_equal c snap
+        && Memory.equal (Leon3.System.memory sys) mem
+      then Some cyc
+      else
+        match
+          Leon3.System.run_segment ~on_event sys ~until_cycle:(cyc + 1)
+            ~max_cycles:(Array.length at)
+        with
+        | Some _ -> None
+        | None -> go ()
+  in
+  let r = go () in
+  C.clear_fault c;
+  r
+
 let test_convergence_is_state_equality () =
   (* Eight one-cycle upsets at cycle 40, run as lanes with a boundary
-     at every golden cycle.  A lane must converge at exactly the first
+     at every cycle.  A lane must converge at exactly the first
      boundary at or after its fault expires where a dense stepped run
      of the same upset equals the golden run in full state — circuit,
      main memory, both bus drivers — and matched count, and must not
@@ -530,60 +587,10 @@ let test_convergence_is_state_equality () =
   let sys = Lazy.force shared_sys in
   let prog = Lazy.force small_prog in
   let golden, trace, sites = Lazy.force golden_setup in
-  let c = circuit sys in
   let n = golden.Campaign.cycles in
   check_bool "golden run long enough" true (n > 60);
-  (* the golden run, stepped: a checkpoint and the full state at every
-     settled cycle *)
-  Leon3.System.load sys prog;
-  let at = ref [] in
-  let rec step_golden () =
-    let cyc = Leon3.System.cycles sys in
-    at :=
-      (Leon3.System.checkpoint sys, C.snapshot c, Memory.copy (Leon3.System.memory sys))
-      :: !at;
-    match Leon3.System.run_segment sys ~until_cycle:(cyc + 1) ~max_cycles:(n + 1) with
-    | Some _ -> ()
-    | None -> step_golden ()
-  in
-  step_golden ();
-  let at = Array.of_list (List.rev !at) in
-  let boundaries = Array.map (fun (ck, _, _) -> ck) at in
-  let inject_cycle = 40 and expiry = 41 in
-  (* the first cycle >= expiry at which the dense faulty run, past that
-     cycle's terminal checks, equals the golden run *)
-  let dense_convergence site =
-    C.reference c @@ fun () ->
-    Leon3.System.load sys prog;
-    C.inject c ~from_cycle:inject_cycle ~duration:1 site C.Bit_flip;
-    let matched = ref 0 and mismatch = ref None in
-    let on_event = comparator sys golden ~compare_reads:false ~matched ~mismatch in
-    let rec go () =
-      let cyc = Leon3.System.cycles sys in
-      if cyc >= Array.length at then None
-      else
-        let ck, snap, mem = at.(cyc) in
-        let faulty = Leon3.System.checkpoint sys in
-        if
-          cyc >= expiry
-          && !matched = Leon3.System.checkpoint_writes ck
-          && Leon3.System.checkpoint_iport faulty = Leon3.System.checkpoint_iport ck
-          && Leon3.System.checkpoint_dport faulty = Leon3.System.checkpoint_dport ck
-          && C.state_equal c snap
-          && Memory.equal (Leon3.System.memory sys) mem
-        then Some cyc
-        else
-          match
-            Leon3.System.run_segment ~on_event sys ~until_cycle:(cyc + 1)
-              ~max_cycles:(n + 1)
-          with
-          | Some _ -> None
-          | None -> go ()
-    in
-    let r = go () in
-    C.clear_fault c;
-    r
-  in
+  let at = golden_states sys prog ~n in
+  let inject_cycle = 40 in
   let upsets =
     List.map
       (fun si -> sites.(si mod Array.length sites))
@@ -591,7 +598,7 @@ let test_convergence_is_state_equality () =
   in
   let outcomes, _ =
     Batch.run ~sys ~prog ~trace ~reference:golden.Campaign.writes
-      ~max_cycles:((4 * n) + 2000) ~boundaries
+      ~max_cycles:((4 * n) + 2000) ~converge_every:1
       (Array.of_list
          (List.map
             (fun s -> spec ~duration:1 ~from_cycle:inject_cycle s.Injection.fault_site C.Bit_flip)
@@ -609,16 +616,57 @@ let test_convergence_is_state_equality () =
       in
       Alcotest.(check (option int))
         (site.Injection.site_name ^ ": converged at the first state-equal boundary")
-        (dense_convergence site.Injection.fault_site)
+        (dense_convergence sys prog golden at ~inject_cycle site.Injection.fault_site)
         got)
     upsets;
+  check_bool "at least one upset re-converged" true (!converged > 0)
+
+let test_boundaries_never_thin () =
+  (* A golden run with a boundary at every cycle keeps one at every
+     cycle to its end: upsets past the 96th cycle, run one lane at a
+     time through [Campaign.run_one], must retire at the first cycle
+     where their dense stepped run equals golden in full state, as
+     early ones do. *)
+  let sys = Lazy.force shared_sys in
+  let prog = Lazy.force reads_prog in
+  let golden =
+    Campaign.golden_run ~trace:true ~checkpoint_every:1 sys prog ~max_cycles:100_000
+  in
+  let n = golden.Campaign.cycles in
+  check_bool (Printf.sprintf "golden run of %d cycles long enough" n) true (n > 300);
+  let at = golden_states sys prog ~n in
+  let sites = Array.of_list (Injection.sites (Leon3.System.core sys) Injection.Iu) in
+  let plan = C.compiled_plan (circuit sys) in
+  let converged = ref 0 in
+  List.iter
+    (fun (si, inject_cycle) ->
+      let site = sites.(si mod Array.length sites) in
+      let r =
+        Campaign.run_one ~plan sys prog golden ~inject_cycle ~duration:1 site C.Bit_flip
+      in
+      let got =
+        match r.Campaign.sim with
+        | Campaign.Converged e ->
+            incr converged;
+            Some e
+        | Campaign.Simulated | Campaign.Prefiltered | Campaign.Pruned
+        | Campaign.Collapsed _ ->
+            None
+      in
+      Alcotest.(check (option int))
+        (Printf.sprintf "%s at %d: converged at the first state-equal cycle"
+           site.Injection.site_name inject_cycle)
+        (dense_convergence sys prog golden at ~inject_cycle site.Injection.fault_site)
+        got)
+    [ (1, 97); (57, 130); (313, 161); (1009, 199); (2203, 233); (3301, 251);
+      (4409, 277); (5507, 290) ];
   check_bool "at least one upset re-converged" true (!converged > 0)
 
 (* ---- a single fault is a one-lane batch ---- *)
 
 (* On [reads_prog], so that comparing reads matters: a traced golden
    run with boundaries every 16 cycles, and the dense reference's
-   golden run (no coverage, trace or checkpoints). *)
+   golden run (no coverage or trace). *)
 let goldens_of sys =
   lazy
     (let sys = Lazy.force sys in
@@ -912,6 +960,7 @@ let suite =
         test_gate_level_batch;
       Alcotest.test_case "convergence = state equality" `Quick
         test_convergence_is_state_equality;
+      Alcotest.test_case "boundaries never thin" `Quick test_boundaries_never_thin;
       Alcotest.test_case "lane masks per model + retirement" `Quick
         test_lane_masks_and_retirement;
       Alcotest.test_case "lanes leave the circuit untouched" `Quick

@@ -59,23 +59,11 @@ let test_unit_attribution_roundtrip () =
       Sparc.Units.all
   in
   roundtrip (Leon3.System.core (Lazy.force shared_sys));
-  (* the gate-level elaboration adds iu.ex.adder.gates.* sites, which
-     must still attribute to the adder *)
-  let gate_core =
-    Leon3.Core.build
-      ~params:{ Leon3.Core.default_params with Leon3.Core.gate_level_adder = true }
-      ()
-  in
-  roundtrip gate_core;
-  let gate_sites = Injection.sites gate_core (Injection.Unit_of Sparc.Units.Adder) in
-  check_bool "gate network enumerated" true
-    (List.exists
-       (fun s -> String.starts_with ~prefix:"iu.ex.adder.gates." s.Injection.site_name)
-       gate_sites);
-  (* the full gate-level elaboration adds per-unit gates.* subtrees
-     plus the cross-unit iu.gates.{operand,alu} scopes; every site
-     must still attribute to its unit, and the cross-unit scopes must
-     be enumerated with their owning unit's pool *)
+  (* the gate-level elaboration adds per-unit gates.* subtrees plus the
+     cross-unit iu.gates.{operand,alu} scopes; every site must still
+     attribute to its unit (iu.ex.adder.gates.* to the adder), and the
+     cross-unit scopes must be enumerated with their owning unit's
+     pool *)
   let full_gate_core =
     Leon3.Core.build
       ~params:{ Leon3.Core.default_params with Leon3.Core.gate_level = true }
@@ -88,6 +76,7 @@ let test_unit_attribution_roundtrip () =
   let adder_sites =
     Injection.sites full_gate_core (Injection.Unit_of Sparc.Units.Adder)
   in
+  check_bool "gate network enumerated" true (has "iu.ex.adder.gates." adder_sites);
   check_bool "alu cross-unit gates in adder pool" true
     (has "iu.gates.alu." adder_sites);
   let rf_sites =
@@ -421,7 +410,7 @@ let core_summary (s : Campaign.summary) =
    its exactness is checked the way [bench/layers] checks it:
    each campaign verdict is re-derived on the dense reference oracle,
    [Campaign.run_one] without a replay plan against a golden run with
-   no coverage, trace or checkpoints. *)
+   no coverage or trace. *)
 
 let rspeed =
   lazy ((Workloads.Suite.find "rspeed").Workloads.Suite.build ~iterations:1 ~dataset:0)
@@ -986,7 +975,7 @@ let test_static_matches_full_on_figure5_workloads () =
 (* The gate-level adder network is where collapsing fires: every NAND
    input pair is an equivalence class. *)
 let adder_campaign () =
-  let params = { Leon3.Core.default_params with Leon3.Core.gate_level_adder = true } in
+  let params = { Leon3.Core.default_params with Leon3.Core.gate_level = true } in
   let config =
     { Campaign.default_config with
       Campaign.models = [ C.Stuck_at_0; C.Stuck_at_1 ];

@@ -246,7 +246,7 @@ let prop_random_differential =
           && List.for_all2 Sparc.Bus_event.equal iss.E.writes (Leon3.System.writes sys)
       | _ -> false)
 
-let test_gate_level_adder_equivalent () =
+let test_gate_level_equivalent () =
   (* The gate-level elaboration must be architecturally identical. *)
   let prog =
     assemble (fun b ->
@@ -263,7 +263,7 @@ let test_gate_level_adder_equivalent () =
   in
   let gate_sys =
     Leon3.System.create
-      ~params:{ Leon3.Core.default_params with Leon3.Core.gate_level_adder = true }
+      ~params:{ Leon3.Core.default_params with Leon3.Core.gate_level = true }
       ()
   in
   Leon3.System.load gate_sys prog;
@@ -279,6 +279,18 @@ let test_gate_level_adder_equivalent () =
   check_bool "more nodes at gate level" true
     (Rtl.Circuit.node_count gate.Leon3.Core.circuit
     > Rtl.Circuit.node_count plain.Leon3.Core.circuit + 90)
+
+let test_load_rejects_foreign_entry () =
+  (* The core always fetches from its reset PC: a program linked at
+     another address would run zeroed memory on the RTL while the ISS
+     starts at its entry, so loading it must fail and name both. *)
+  let b = A.create ~name:"elsewhere" ~text_base:0x2000 () in
+  A.prologue b;
+  A.halt b I.g0;
+  let prog = A.assemble b in
+  Alcotest.check_raises "entry off the reset PC"
+    (Invalid_argument "System.load: program entry 0x00002000 is not the reset PC 0x00001000")
+    (fun () -> Leon3.System.load (Lazy.force shared_sys) prog)
 
 let test_cache_size_affects_timing_not_results () =
   (* Shrinking the caches must slow the machine down without changing
@@ -355,7 +367,9 @@ let suite =
       Alcotest.test_case "cache size is timing-only" `Quick
         test_cache_size_affects_timing_not_results;
       Alcotest.test_case "gate-level adder equivalent" `Quick
-        test_gate_level_adder_equivalent ]
+        test_gate_level_equivalent;
+      Alcotest.test_case "load rejects an entry off the reset PC" `Quick
+        test_load_rejects_foreign_entry ]
     @ List.map QCheck_alcotest.to_alcotest
         [ prop_random_differential; prop_ctl_consistent_with_isa;
           prop_ctl_imm_matches_decode ] )
