@@ -203,7 +203,7 @@ let use_prepared ~config prog = function
         invalid_arg "Iss_campaign: prepared run was built for a different program";
       Some (p.p_golden, p.p_sample)
 
-(* ---- one faulty run ---- *)
+(* ---- faulty runs ---- *)
 
 exception Diverged of failure_kind
 
@@ -215,8 +215,11 @@ let trap_code = function
 let record_run obs ~dt r =
   Obs.incr obs "injections";
   Obs.incr obs "iss.injections";
-  Obs.incr obs "simulated";
-  Obs.add_time obs "simulate" dt;
+  if r.sim = Journal.Prefiltered then Obs.incr obs "prefiltered"
+  else begin
+    Obs.incr obs "simulated";
+    Obs.add_time obs "simulate" dt
+  end;
   (match r.outcome with
   | Silent -> Obs.incr obs "outcome.silent"
   | Failure (Wrong_write _) -> Obs.incr obs "outcome.wrong_write"
@@ -228,12 +231,35 @@ let record_run obs ~dt r =
       Obs.observe obs "detect_latency" (float_of_int (d - r.inject_cycle))
   | (Failure _ | Silent), _ -> ()
 
-let run_one ?(obs = Obs.null) prog golden ~hang_factor (site : site) =
-  let t_start = if Obs.enabled obs then Obs.now obs else 0. in
+(* A fault-free machine under the faulty runs' instruction budget,
+   counting its writes: every faulty run starts as one, or as a copy
+   of one. *)
+let machine prog golden ~hang_factor =
   let budget = max (golden.instructions + 1) (hang_factor * golden.instructions) in
   let config = { emulator_config with Emulator.max_instructions = budget } in
   let t = Emulator.create ~config prog in
-  let matched = ref 0 in
+  let writes = ref 0 in
+  Emulator.set_event_hook t (Some (fun ev -> if Bus_event.is_write ev then incr writes));
+  (t, writes)
+
+let rec advance t instant =
+  if Emulator.instructions t < instant then
+    match Emulator.step t with
+    | Emulator.Running -> advance t instant
+    | Emulator.Stopped _ ->
+        failwith "Iss_campaign: golden prefix stopped before the injection instant"
+
+let inject t (site : site) =
+  match site.smodel with
+  | Reg_flip -> Emulator.flip_regfile_bit t ~slot:site.loc ~bit:site.bit
+  | Mem_flip -> Emulator.flip_memory_bit t ~addr:site.loc ~bit:site.bit
+  | Op_flip -> Emulator.corrupt_next_fetch t ~bit:site.bit
+
+(* The one verdict function: run the faulty machine [t], whose fault
+   is in place and whose [matched] writes so far are golden's first
+   ones, to its verdict.  [from] is its instruction count now. *)
+let verdict obs golden ~matched ~from t (site : site) =
+  let matched = ref matched in
   let nwrites = Array.length golden.writes in
   Emulator.set_event_hook t
     (Some
@@ -242,19 +268,6 @@ let run_one ?(obs = Obs.null) prog golden ~hang_factor (site : site) =
            if !matched >= nwrites || not (Bus_event.equal ev golden.writes.(!matched))
            then raise (Diverged (Wrong_write !matched))
            else incr matched));
-  (* fault-free prefix up to the injection instant *)
-  let rec advance () =
-    if Emulator.instructions t < site.index then
-      match Emulator.step t with
-      | Emulator.Running -> advance ()
-      | Emulator.Stopped _ ->
-          failwith "Iss_campaign: golden prefix stopped before the injection instant"
-  in
-  advance ();
-  (match site.smodel with
-  | Reg_flip -> Emulator.flip_regfile_bit t ~slot:site.loc ~bit:site.bit
-  | Mem_flip -> Emulator.flip_memory_bit t ~addr:site.loc ~bit:site.bit
-  | Op_flip -> Emulator.corrupt_next_fetch t ~bit:site.bit);
   let outcome, detect_cycle =
     match Emulator.run t with
     | exception Diverged f -> (Failure f, Some (Emulator.instructions t))
@@ -268,13 +281,170 @@ let run_one ?(obs = Obs.null) prog golden ~hang_factor (site : site) =
         (Failure (Trap (trap_code tr)), Some (Emulator.instructions t))
     | Emulator.Instruction_limit -> (Failure Hang, None)
   in
-  Obs.incr obs ~by:(Emulator.instructions t) "iss.instructions";
-  let r =
-    { site_name = site.site_name; model = C.Bit_flip; outcome; detect_cycle;
-      inject_cycle = site.index; sim = Journal.Simulated }
-  in
+  Obs.incr obs ~by:(Emulator.instructions t - from) "iss.instructions";
+  { site_name = site.site_name; model = C.Bit_flip; outcome; detect_cycle;
+    inject_cycle = site.index; sim = Journal.Simulated }
+
+let run_one ?(obs = Obs.null) prog golden ~hang_factor (site : site) =
+  let t_start = if Obs.enabled obs then Obs.now obs else 0. in
+  let t, writes = machine prog golden ~hang_factor in
+  advance t site.index;
+  inject t site;
+  let r = verdict obs golden ~matched:!writes ~from:0 t site in
   if Obs.enabled obs then record_run obs ~dt:(Obs.now obs -. t_start) r;
   r
+
+(* ---- forking from golden where the fault is first read ----
+
+   A register or memory fault changes nothing until its location is
+   next read: up to then the faulty machine executes golden's
+   instructions on golden's values, so at golden's first access at or
+   after the injection it is golden with one bit flipped.  That access
+   decides the site.  A write overwrites the bit and no access leaves
+   it unread, so either way the faulty machine is golden from then on
+   and the verdict is Silent without a run.  A read forks a copy of
+   golden at that instant, flips the bit there and runs it to its
+   verdict.  An opcode fault is read at its own instant. *)
+
+(* Each site's fork instant, [None] for a site the observed golden pass
+   decides.  The pass stops once every site is resolved. *)
+let fork_instants ~obs prog (sites : site array) =
+  Obs.span obs "golden" @@ fun () ->
+  let fork =
+    Array.map
+      (fun s -> match s.smodel with Op_flip -> Some s.index | Reg_flip | Mem_flip -> None)
+      sites
+  in
+  (* location -> the sites waiting for its next access, by instant *)
+  let waiting = Hashtbl.create 64 in
+  Array.iteri
+    (fun i s ->
+      let wait loc =
+        Hashtbl.replace waiting loc
+          ((s.index, i) :: Option.value ~default:[] (Hashtbl.find_opt waiting loc))
+      in
+      match s.smodel with
+      | Reg_flip -> wait (Emulator.Slot s.loc)
+      | Mem_flip -> wait (Emulator.Word (s.loc land lnot 3))
+      | Op_flip -> ())
+    sites;
+  Hashtbl.filter_map_inplace (fun _ l -> Some (List.sort compare l)) waiting;
+  let pending = ref (Hashtbl.fold (fun _ l n -> n + List.length l) waiting 0) in
+  if !pending > 0 then begin
+    let t = Emulator.create ~config:emulator_config prog in
+    Emulator.set_access_hook t
+      (Some
+         (fun a loc kind ->
+           match Hashtbl.find_opt waiting loc with
+           | None -> ()
+           | Some l ->
+               let rec resolve = function
+                 | (index, i) :: rest when index <= a ->
+                     (match kind with
+                     | Emulator.Read -> fork.(i) <- Some a
+                     | Emulator.Write -> ());
+                     decr pending;
+                     resolve rest
+                 | rest -> rest
+               in
+               (match resolve l with
+               | [] -> Hashtbl.remove waiting loc
+               | rest -> Hashtbl.replace waiting loc rest)));
+    let rec go () =
+      if !pending > 0 then
+        match Emulator.step t with Emulator.Running -> go () | Emulator.Stopped _ -> ()
+    in
+    go ();
+    Obs.incr obs ~by:(Emulator.instructions t) "iss.golden_instructions"
+  end;
+  fork
+
+type work =
+  | Decided of int list  (* tasks golden never reads the fault of: Silent *)
+  | Forks of (int * int) array  (* (fork instant, task), by instant *)
+
+(* Forks per unit: fixed, so the units (and the golden instructions
+   each one replays) are the same for any domain count. *)
+let forks_per_unit = 64
+
+let plan_work ~obs prog site_of tasks =
+  let sites = Array.of_list (List.map site_of tasks) in
+  let fates = List.combine tasks (Array.to_list (fork_instants ~obs prog sites)) in
+  let decided =
+    List.filter_map (fun (ti, fork) -> if fork = None then Some ti else None) fates
+  in
+  let forks =
+    Array.of_list
+      (List.filter_map (fun (ti, fork) -> Option.map (fun a -> (a, ti)) fork) fates)
+  in
+  Array.sort compare forks;
+  let n = Array.length forks in
+  let chunks =
+    Array.init
+      ((n + forks_per_unit - 1) / forks_per_unit)
+      (fun c ->
+        let lo = c * forks_per_unit in
+        Forks (Array.sub forks lo (min forks_per_unit (n - lo))))
+  in
+  if decided = [] then chunks else Array.append [| Decided decided |] chunks
+
+(* A [Forks] unit advances its own golden machine from instant to
+   instant; the matched-write count of each fork starts at the writes
+   golden made before it.  Its time is split at each fork: up to the
+   copy under [golden], from the copy to the verdict under
+   [simulate]. *)
+let exec_work obs prog golden ~hang_factor site_of work =
+  let now () = if Obs.enabled obs then Obs.now obs else 0. in
+  let clock = ref (now ()) in
+  match work with
+  | Decided tasks ->
+      let results =
+        List.map
+          (fun ti ->
+            let site = site_of ti in
+            let r =
+              { site_name = site.site_name; model = C.Bit_flip; outcome = Silent;
+                detect_cycle = None; inject_cycle = site.index; sim = Journal.Prefiltered }
+            in
+            record_run obs ~dt:0. r;
+            (ti, r))
+          tasks
+      in
+      Obs.add_time obs "prefilter" (now () -. !clock);
+      results
+  | Forks forks ->
+      let g, writes = machine prog golden ~hang_factor in
+      (* each fork takes over the previous one's memory pages *)
+      let last = ref None in
+      let results =
+        Array.fold_left
+          (fun acc (a, ti) ->
+            advance g a;
+            let t1 = now () in
+            Obs.add_time obs "golden" (t1 -. !clock);
+            let site = site_of ti in
+            let t = Emulator.copy ?into:!last g in
+            last := Some t;
+            inject t site;
+            let r = verdict obs golden ~matched:!writes ~from:a t site in
+            clock := now ();
+            record_run obs ~dt:(!clock -. t1) r;
+            (ti, r) :: acc)
+          [] forks
+      in
+      Obs.incr obs ~by:(Emulator.instructions g) "iss.golden_instructions";
+      List.rev results
+
+let run_sites ?(obs = Obs.null) prog golden ~hang_factor sites =
+  let site_of = Array.get sites in
+  let results = Array.make (Array.length sites) None in
+  Array.iter
+    (fun w ->
+      List.iter
+        (fun (i, r) -> results.(i) <- Some r)
+        (exec_work obs prog golden ~hang_factor site_of w))
+    (plan_work ~obs prog site_of (List.init (Array.length sites) Fun.id));
+  Array.map Option.get results
 
 (* ---- campaign engines ---- *)
 
@@ -288,10 +458,9 @@ let summaries_by_model models results =
              results) ))
     models
 
-(* Faulty ISS runs are independent and each builds a private emulator,
-   so every unit is one site and workers need no context of their own.
-   The journal index {e is} the site index, and every verdict's model
-   is bit-flip. *)
+(* Every unit builds its own emulators, so workers need no context of
+   their own.  The journal index {e is} the site index, and every
+   verdict's model is bit-flip. *)
 let run_parallel ?(config = default_config) ?(obs = Obs.null) ?(domains = 4)
     ?on_progress ?journal ?(resume = false) ?prepared prog =
   Executor.check_shard ~who:"Iss_campaign" config.shard;
@@ -303,11 +472,11 @@ let run_parallel ?(config = default_config) ?(obs = Obs.null) ?(domains = 4)
         ( golden,
           Obs.span obs "site_sampling" (fun () -> sample_sites ~config golden prog) )
   in
+  let site_of = Array.get sample in
   let plan pending =
-    { Executor.units = Array.of_list pending;
+    { Executor.units = plan_work ~obs prog site_of pending;
       exec =
-        (fun () o ti ->
-          [ (ti, run_one ~obs:o prog golden ~hang_factor:config.hang_factor sample.(ti)) ]) }
+        (fun () o w -> exec_work o prog golden ~hang_factor:config.hang_factor site_of w) }
   in
   let all =
     Executor.run ~obs ~domains:(max 1 domains) ~spawn:ignore ?on_progress ?journal ~resume

@@ -11,6 +11,17 @@
     codes, and an instruction budget of [hang_factor] times the golden
     run is the watchdog.
 
+    A campaign runs no fault-free prefix twice.  One golden pass,
+    observed through {!Iss.Emulator.set_access_hook}, finds where each
+    register or memory fault is first read: golden's first access to
+    the flipped location at or after the injection.  Until then the
+    faulty machine is golden with one bit flipped, so a site whose
+    location golden next overwrites, or never accesses again, is
+    Silent without a run ([Prefiltered]); every other site runs on a
+    copy of golden ({!Iss.Emulator.copy}) taken at that read, opcode
+    faults at their own instant.  {!run_one}, a fresh emulator that
+    replays the prefix, is the reference the tests hold this to.
+
     Journaling, sharding and resume reuse {!Journal} unchanged: the
     task list is flat (the journal site index {e is} the task index),
     every verdict is recorded under the RTL [bit-flip] model, and the
@@ -39,7 +50,9 @@ type run_result = Journal.run_result = {
   outcome : outcome;
   detect_cycle : int option;  (** dynamic instruction index of detection *)
   inject_cycle : int;  (** dynamic instruction index of injection *)
-  sim : Journal.sim_status;  (** always [Simulated] — no trimming layer *)
+  sim : Journal.sim_status;
+      (** [Prefiltered] when golden never reads the flipped bit after
+          the injection, [Simulated] otherwise *)
 }
 
 (** {1 Fault models} *)
@@ -129,7 +142,22 @@ val prepare : ?config:config -> ?obs:Obs.t -> Sparc.Asm.program -> prepared
 
 val run_one :
   ?obs:Obs.t -> Sparc.Asm.program -> golden -> hang_factor:int -> site -> run_result
-(** Execute and classify one faulty run on a fresh emulator. *)
+(** The reference: one faulty run on a fresh emulator that replays the
+    fault-free prefix up to the injection, classified by the same
+    verdict function as the campaign's forked runs.  Its [sim] is
+    always [Simulated]. *)
+
+val run_sites :
+  ?obs:Obs.t ->
+  Sparc.Asm.program ->
+  golden ->
+  hang_factor:int ->
+  site array ->
+  run_result array
+(** The campaign's engine on the given sites, in their order: one
+    observed golden pass decides the never-read ones, the rest fork
+    from golden where their fault is first read.  Each verdict equals
+    {!run_one}'s apart from [sim]. *)
 
 val summaries_by_model :
   model list -> run_result list -> (model * Campaign.summary) list
@@ -157,11 +185,13 @@ val run_parallel :
   ?prepared:prepared ->
   Sparc.Asm.program ->
   (model * Campaign.summary) list * run_result list
-(** Full campaign: golden run, site sampling, one faulty run per
-    sampled site (restricted to [config.shard]), on the same
-    {!Executor} as {!Campaign.run_parallel}, over [domains] OCaml
-    domains (default 4).  [journal] / [resume] behave exactly as in
-    {!Campaign.run_parallel} — journaled verdicts replay
+(** Full campaign: golden run, site sampling, then the sampled sites
+    of [config.shard] as in {!run_sites}: the observed golden pass runs
+    once per call, over the sites the journal does not cover, and the
+    forked runs, in units of a fixed number of forks by fork instant,
+    go through the same {!Executor} as {!Campaign.run_parallel}, over
+    [domains] OCaml domains (default 4).  [journal] / [resume] behave
+    exactly as in {!Campaign.run_parallel} — journaled verdicts replay
     byte-identically (counted as [journal.replayed] on [obs]), a stale
     journal raises {!Journal.Rejected}.  [prepared] skips the golden
     run and sampling, reusing a {!prepare} result; it must have been

@@ -8,48 +8,25 @@ type config = {
 let default_icache = { lines = 64; words_per_line = 4; miss_penalty = 6; write_through_cost = 0 }
 let default_dcache = { lines = 64; words_per_line = 4; miss_penalty = 6; write_through_cost = 1 }
 
-type stats = { hits : int; misses : int; stores : int }
-
 type t = {
   config : config;
   tags : int array;  (* -1 = invalid *)
-  mutable hits : int;
-  mutable misses : int;
-  mutable stores : int;
 }
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
 let create config =
   assert (is_pow2 config.lines && is_pow2 config.words_per_line);
-  { config; tags = Array.make config.lines (-1); hits = 0; misses = 0; stores = 0 }
+  { config; tags = Array.make config.lines (-1) }
 
-let reset t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  t.hits <- 0;
-  t.misses <- 0;
-  t.stores <- 0
+let copy t = { t with tags = Array.copy t.tags }
 
 let access t addr ~write =
   let line_bytes = t.config.words_per_line * 4 in
   let block = addr / line_bytes in
   let index = block land (t.config.lines - 1) in
   let tag = block / t.config.lines in
-  let penalty =
-    if t.tags.(index) = tag then begin
-      t.hits <- t.hits + 1;
-      0
-    end
-    else begin
-      t.misses <- t.misses + 1;
-      t.tags.(index) <- tag;
-      t.config.miss_penalty
-    end
-  in
-  if write then begin
-    t.stores <- t.stores + 1;
-    penalty + t.config.write_through_cost
-  end
-  else penalty
-
-let stats t = { hits = t.hits; misses = t.misses; stores = t.stores }
+  let hit = t.tags.(index) = tag in
+  if not hit then t.tags.(index) <- tag;
+  (if hit then 0 else t.config.miss_penalty)
+  + if write then t.config.write_through_cost else 0

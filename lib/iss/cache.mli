@@ -1,10 +1,10 @@
 (** Direct-mapped cache model for the ISS {e timing simulator}.
 
     The ISS functional emulator never needs caches for correctness;
-    this model only contributes hit/miss counts and cycle penalties, so
-    that reported ISS cycle counts resemble the real pipeline's.  The
-    RTL system has its own structural cache (the CMEM fault-injection
-    target); this one is deliberately simple. *)
+    this model only contributes cycle penalties, so that reported ISS
+    cycle counts resemble the real pipeline's.  The RTL system has its
+    own structural cache (the CMEM fault-injection target); this one is
+    deliberately simple. *)
 
 type config = {
   lines : int;  (** number of lines, a power of two *)
@@ -16,18 +16,15 @@ type config = {
 val default_icache : config
 val default_dcache : config
 
-type stats = { hits : int; misses : int; stores : int }
-
 type t
 
 val create : config -> t
 
-val reset : t -> unit
+val copy : t -> t
+(** An independent cache with the same tags. *)
 
 val access : t -> int -> write:bool -> int
 (** [access cache addr ~write] simulates one access to byte address
     [addr] and returns the cycle penalty beyond the base latency.
     Stores allocate on miss (the line is fetched first) and add the
     write-through cost. *)
-
-val stats : t -> stats

@@ -47,6 +47,10 @@ let default_config =
 
 type outcome = Running | Stopped of stop_reason
 
+type location = Slot of int | Word of int
+
+type access = Read | Write
+
 type t = {
   config : config;
   mem : Memory.t;
@@ -65,6 +69,7 @@ type t = {
   decode_cache : (int, Isa.instr) Hashtbl.t;
   mutable fetch_xor : int;  (* one-shot XOR mask on the next fetched word *)
   mutable on_event : (Bus_event.t -> unit) option;
+  mutable on_access : (int -> location -> access -> unit) option;
 }
 
 let create ?(config = default_config) prog =
@@ -86,7 +91,33 @@ let create ?(config = default_config) prog =
     dcache = Option.map Cache.create config.dcache;
     decode_cache = Hashtbl.create 1024;
     fetch_xor = 0;
-    on_event = None }
+    on_event = None;
+    on_access = None }
+
+let copy ?into t =
+  let mem =
+    match into with
+    | None -> Memory.copy t.mem
+    | Some d ->
+        Memory.blit ~src:t.mem d.mem;
+        d.mem
+  in
+  { t with
+    mem;
+    globals = Array.copy t.globals;
+    windowed = Array.copy t.windowed;
+    counts = Array.copy t.counts;
+    icache = Option.map Cache.copy t.icache;
+    dcache = Option.map Cache.copy t.dcache;
+    decode_cache = Hashtbl.copy t.decode_cache;
+    on_event = None;
+    on_access = None }
+
+(* The access hook's instant is the instruction count before the
+   accessing instruction runs: [step] counts an instruction after its
+   fetch and before it executes. *)
+let[@inline] note_word t ~instant addr kind =
+  match t.on_access with None -> () | Some f -> f instant (Word (addr land lnot 3)) kind
 
 (* Window mapping: register 8+i (out) of window w lives at slot w*16+i;
    register 16+i (local) at w*16+8+i; register 24+i (in) is the out of
@@ -96,15 +127,38 @@ let slot t w r =
   else if r < 24 then (16 * w) + 8 + (r - 16)
   else (16 * ((w + 1) mod t.config.nwindows)) + (r - 24)
 
+(* Hooked register accesses, by flat slot as in [flip_regfile_bit]
+   (globals first, then the windowed file).  They are tail calls, so an
+   unhooked access makes no call and needs no stack frame. *)
+let read_noted t f s =
+  f (t.ninstr - 1) (Slot s) Read;
+  let regs, i = if s < 8 then (t.globals, s) else (t.windowed, s - 8) in
+  regs.(i)
+
+let write_noted t f s v =
+  f (t.ninstr - 1) (Slot s) Write;
+  let v = Bitops.of_int v in
+  if s < 8 then t.globals.(s) <- v else t.windowed.(s - 8) <- v
+
 let reg_in_window t w r =
   if r = 0 then 0
-  else if r < 8 then t.globals.(r)
-  else t.windowed.(slot t w r)
+  else if r < 8 then
+    match t.on_access with None -> t.globals.(r) | Some f -> read_noted t f r
+  else
+    let s = slot t w r in
+    match t.on_access with None -> t.windowed.(s) | Some f -> read_noted t f (8 + s)
 
 let set_reg_in_window t w r v =
   if r = 0 then ()
-  else if r < 8 then t.globals.(r) <- Bitops.of_int v
-  else t.windowed.(slot t w r) <- Bitops.of_int v
+  else if r < 8 then
+    match t.on_access with
+    | None -> t.globals.(r) <- Bitops.of_int v
+    | Some f -> write_noted t f r v
+  else
+    let s = slot t w r in
+    match t.on_access with
+    | None -> t.windowed.(s) <- Bitops.of_int v
+    | Some f -> write_noted t f (8 + s) v
 
 let reg t r = reg_in_window t t.cwp r
 
@@ -128,11 +182,11 @@ let record t ev =
 
 let set_event_hook t hook = t.on_event <- hook
 
+let set_access_hook t hook = t.on_access <- hook
+
 (* Architectural register file as one flat slot space: globals first
    (slot 0 is the hardwired g0 cell — corrupting it is architecturally
    masked, like flipping a tied-zero net), then the windowed file. *)
-let regfile_slots t = 8 + Array.length t.windowed
-
 let flip_regfile_bit t ~slot ~bit =
   let mask = 1 lsl bit in
   if slot < 8 then t.globals.(slot) <- Bitops.of_int (t.globals.(slot) lxor mask)
@@ -314,33 +368,41 @@ let exec_alu t op rs1 op2 rd =
   | Isa.Bgu | Isa.Bleu | Isa.Bcc | Isa.Bcs | Isa.Bpos | Isa.Bneg | Isa.Bvc | Isa.Bvs ->
       assert false
 
+(* A partial store reads the word it merges into, so the hook reports
+   it as a read; only a full-word store overwrites its word. *)
 let exec_mem t op rs1 op2 rd =
   let lat = t.config.latencies in
   let ea = Bitops.add (reg t rs1) (operand_value t op2) in
   let mis addr = raise (Trap (Misaligned_access addr)) in
+  let instant = t.ninstr - 1 in
   charge_cache t.dcache t ea ~write:(Isa.is_store op);
   match op with
   | Isa.Ld ->
       if ea land 3 <> 0 then mis ea;
       if t.config.record_reads then record t (Bus_event.Read { addr = ea; size = Word });
+      note_word t ~instant ea Read;
       set_reg t rd (Memory.load_word t.mem ea);
       charge t lat.load
   | Isa.Ldub ->
       if t.config.record_reads then record t (Bus_event.Read { addr = ea; size = Byte });
+      note_word t ~instant ea Read;
       set_reg t rd (Memory.load_byte t.mem ea);
       charge t lat.load
   | Isa.Ldsb ->
       if t.config.record_reads then record t (Bus_event.Read { addr = ea; size = Byte });
+      note_word t ~instant ea Read;
       set_reg t rd (Bitops.sext ~bits:8 (Memory.load_byte t.mem ea));
       charge t lat.load
   | Isa.Lduh ->
       if ea land 1 <> 0 then mis ea;
       if t.config.record_reads then record t (Bus_event.Read { addr = ea; size = Half });
+      note_word t ~instant ea Read;
       set_reg t rd (Memory.load_half t.mem ea);
       charge t lat.load
   | Isa.Ldsh ->
       if ea land 1 <> 0 then mis ea;
       if t.config.record_reads then record t (Bus_event.Read { addr = ea; size = Half });
+      note_word t ~instant ea Read;
       set_reg t rd (Bitops.sext ~bits:16 (Memory.load_half t.mem ea));
       charge t lat.load
   | Isa.St ->
@@ -348,17 +410,22 @@ let exec_mem t op rs1 op2 rd =
       let v = reg t rd in
       record t (Bus_event.Write { addr = ea; size = Word; value = v });
       if Layout.is_exit_store ea then t.stopped <- Some (Exited v)
-      else Memory.store_word t.mem ea v;
+      else begin
+        note_word t ~instant ea Write;
+        Memory.store_word t.mem ea v
+      end;
       charge t lat.store
   | Isa.Stb ->
       let v = reg t rd land 0xFF in
       record t (Bus_event.Write { addr = ea; size = Byte; value = v });
+      note_word t ~instant ea Read;
       Memory.store_byte t.mem ea v;
       charge t lat.store
   | Isa.Sth ->
       if ea land 1 <> 0 then mis ea;
       let v = reg t rd land 0xFFFF in
       record t (Bus_event.Write { addr = ea; size = Half; value = v });
+      note_word t ~instant ea Read;
       Memory.store_half t.mem ea v;
       charge t lat.store
   | Isa.Add | Isa.Addcc | Isa.Addx | Isa.Addxcc | Isa.Sub | Isa.Subcc | Isa.Subx
@@ -377,6 +444,7 @@ let fetch_decode t =
   if t.fetch_xor <> 0 then begin
     (* Corrupted fetch: bypass the decode cache entirely (read and
        insert), decode the XORed word, and clear the one-shot mask. *)
+    note_word t ~instant:t.ninstr addr Read;
     let w = Memory.load_word t.mem addr lxor t.fetch_xor in
     t.fetch_xor <- 0;
     match Encode.decode w with
@@ -387,6 +455,7 @@ let fetch_decode t =
     match Hashtbl.find_opt t.decode_cache addr with
     | Some i -> i
     | None -> (
+        note_word t ~instant:t.ninstr addr Read;
         let w = Memory.load_word t.mem addr in
         match Encode.decode w with
         | Some i ->

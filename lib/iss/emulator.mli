@@ -64,6 +64,15 @@ val create : ?config:config -> Asm.program -> t
 (** Loads the program image into a fresh memory and points the PC at
     its entry. *)
 
+val copy : ?into:t -> t -> t
+(** An independent emulator in the same state: memory, register file,
+    CWP, condition codes, PC, cycle and instruction counts, opcode
+    histogram, recorded events, cache tags, decode cache and pending
+    fetch corruption.  Stepping either one leaves the other as it was.
+    The copy has no event or access hook.  With [into], the copy takes
+    over that emulator's memory pages instead of allocating its own;
+    [into] must not be used afterwards. *)
+
 val step : t -> outcome
 (** Execute one instruction. Stepping a stopped emulator returns the
     same stop again without effect. *)
@@ -102,13 +111,11 @@ val unit_accesses : t -> (Units.t * int) list
     directly; classification against a golden run is the caller's
     job. *)
 
-val regfile_slots : t -> int
-(** Size of the flat register-file slot space: 8 globals (slot 0 is
-    the hardwired g0 cell — corrupting it is architecturally masked)
-    followed by the [16 * nwindows] windowed registers. *)
-
 val flip_regfile_bit : t -> slot:int -> bit:int -> unit
-(** Invert one bit of one physical register-file slot. *)
+(** Invert one bit of one physical register-file slot.  Slots are
+    numbered flat: the 8 globals (slot 0 is the hardwired g0 cell —
+    corrupting it is architecturally masked), then the [16 * nwindows]
+    windowed registers. *)
 
 val flip_memory_bit : t -> addr:int -> bit:int -> unit
 (** Invert one bit of the memory word containing [addr] (the address
@@ -125,6 +132,26 @@ val set_event_hook : t -> (Bus_event.t -> unit) option -> unit
     event — the cheap lockstep-observation channel.  The callback may
     raise to abort the run; the exception propagates out of
     {!step}/{!run}. *)
+
+(** {2 Access observation} *)
+
+type location =
+  | Slot of int  (** register-file slot, numbered as in {!flip_regfile_bit} *)
+  | Word of int  (** word-aligned memory address *)
+
+type access = Read | Write
+
+val set_access_hook : t -> (int -> location -> access -> unit) option -> unit
+(** Install a callback told of every register-file and memory access
+    the interpreter makes, as [(instant, location, kind)]; the instant
+    is the instruction count before the accessing instruction runs.
+    Reads are register reads, loads, partial stores (a byte or
+    halfword store merges into its word) and instruction fetches that
+    miss or bypass the decode cache; writes are register writes and
+    full-word stores.  Within one instruction every read is reported before any
+    write.  The g0 cell (slot 0) is never read or written, and a store
+    to the exit port touches no memory.  Without a hook (the default)
+    observation costs one branch per access. *)
 
 (** {2 One-shot convenience} *)
 

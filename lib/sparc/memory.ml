@@ -14,6 +14,19 @@ let copy t =
   Hashtbl.iter (fun k v -> Hashtbl.add pages k (Array.copy v)) t.pages;
   { pages }
 
+(* Pages [dst] has and [src] lacks are zeroed, not dropped: an all-zero
+   page reads as an absent one. *)
+let blit ~src dst =
+  Hashtbl.iter
+    (fun key page -> if not (Hashtbl.mem src.pages key) then Array.fill page 0 page_words 0)
+    dst.pages;
+  Hashtbl.iter
+    (fun key page ->
+      match Hashtbl.find_opt dst.pages key with
+      | Some p -> Array.blit page 0 p 0 page_words
+      | None -> Hashtbl.add dst.pages key (Array.copy page))
+    src.pages
+
 let page_of t widx =
   let key = widx lsr page_shift in
   match Hashtbl.find_opt t.pages key with

@@ -16,6 +16,10 @@ val create : unit -> t
 val copy : t -> t
 (** Deep copy, so a faulty run cannot disturb the golden image. *)
 
+val blit : src:t -> t -> unit
+(** [blit ~src dst] makes [dst]'s image equal to [src]'s, reusing the
+    pages [dst] already has: a {!copy} into existing storage. *)
+
 val equal : t -> t -> bool
 (** Word-for-word equality of the stored images (an all-zero page
     equals an absent one).  Tests compare the ISS and RTL images with

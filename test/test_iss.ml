@@ -337,6 +337,122 @@ let test_unit_accesses () =
   check_int "fetch = instructions" (E.instructions t)
     (List.assoc Sparc.Units.Fetch accesses)
 
+(* ---- forking and access observation ---- *)
+
+let regs t = List.init 32 (fun r -> E.reg t r)
+
+(* Everything a run can show from outside. *)
+let check_same_state what a b =
+  check_int (what ^ ": pc") (E.pc a) (E.pc b);
+  check_int (what ^ ": instructions") (E.instructions a) (E.instructions b);
+  check_int (what ^ ": cycles") (E.cycles a) (E.cycles b);
+  check_int (what ^ ": cwp") (E.cwp a) (E.cwp b);
+  check_bool (what ^ ": icc") true (E.icc a = E.icc b);
+  Alcotest.(check (list int)) (what ^ ": registers") (regs a) (regs b);
+  check_bool (what ^ ": memory") true (Sparc.Memory.equal (E.memory a) (E.memory b));
+  check_bool (what ^ ": events") true
+    (List.for_all2 Sparc.Bus_event.equal (E.events a) (E.events b));
+  check_bool (what ^ ": histogram") true (E.opcode_histogram a = E.opcode_histogram b)
+
+let test_copy_continues_identically () =
+  (* caches on, reads recorded: every part of the state is live *)
+  let e = Workloads.Suite.find "membench" in
+  let prog =
+    e.Workloads.Suite.build ~iterations:e.Workloads.Suite.default_iterations ~dataset:0
+  in
+  let reference = E.create prog in
+  let stop = E.run reference in
+  let half = E.instructions reference / 2 in
+  let t = E.create prog in
+  while E.instructions t < half do ignore (E.step t) done;
+  let c = E.copy t in
+  check_bool "copy runs to the same stop" true (E.run c = stop);
+  check_same_state "copy" c reference;
+  (* the original continues unaffected by its copy's run *)
+  check_bool "original runs to the same stop" true (E.run t = stop);
+  check_same_state "original" t reference;
+  (* a corrupted copy leaves the original as it was *)
+  let t = E.create prog in
+  while E.instructions t < half do ignore (E.step t) done;
+  let c = E.copy t in
+  for slot = 1 to 135 do E.flip_regfile_bit c ~slot ~bit:3 done;
+  E.corrupt_next_fetch c ~bit:30;
+  ignore (E.run c);
+  ignore (E.run t);
+  check_same_state "original after a corrupted copy" t reference;
+  (* a copy into a finished run's storage is the same fork *)
+  let t = E.create prog in
+  while E.instructions t < half do ignore (E.step t) done;
+  let c = E.copy ~into:c t in
+  ignore (E.run c);
+  check_same_state "copy into used storage" c reference
+
+let test_access_hook_sequence () =
+  let b = A.create ~name:"observed" () in
+  A.set32 b Sparc.Layout.exit_addr I.g7;
+  A.mov b (Imm 0x20) I.g1;
+  A.sethi b (Sparc.Layout.data_base lsr 10) I.g2;
+  A.label b "loop";
+  A.st b I.St I.g1 I.g2 (Imm 0);
+  A.ld b I.Ldub I.g2 (Imm 1) I.o0;
+  A.st b I.Sth I.o0 I.g2 (Imm 6);
+  A.st b I.Stb I.g1 I.g2 (Imm 9);
+  A.op3 b I.Save I.o0 (Imm 1) I.o1;
+  A.op3 b I.Restore I.i1 (Imm 0) I.g0;
+  A.op3 b I.Subcc I.g1 (Imm 0x10) I.g1;
+  A.branch b I.Bne "loop";
+  A.halt b I.g0;
+  let prog = A.assemble b in
+  let t = E.create prog in
+  let seen = ref [] in
+  E.set_access_hook t (Some (fun a loc kind -> seen := (a, loc, kind) :: !seen));
+  check_bool "exits" true (E.run t = E.Exited 0);
+  E.set_access_hook t None;
+  let fetch k = E.Word (prog.A.text_base + (4 * k)) in
+  let data = Sparc.Layout.data_base in
+  let r a loc = (a, loc, E.Read) and w a loc = (a, loc, E.Write) in
+  (* Slots: %g1 = 1, %g2 = 2, %g7 = 7 and window 0's %o0 = 8.  SAVE
+     moves to window 7, whose %o1 is 8 + 16 * 7 + 1 = 121 and whose
+     %i1 is window 0's %o1, slot 9.  The first pass through the loop
+     fetches every instruction from memory; the second hits the decode
+     cache. *)
+  let iteration a =
+    [ r a (E.Slot 2); r a (E.Slot 1); w a (E.Word data);
+      r (a + 1) (E.Slot 2); r (a + 1) (E.Word data); w (a + 1) (E.Slot 8);
+      r (a + 2) (E.Slot 2); r (a + 2) (E.Slot 8); r (a + 2) (E.Word (data + 4));
+      r (a + 3) (E.Slot 2); r (a + 3) (E.Slot 1); r (a + 3) (E.Word (data + 8));
+      r (a + 4) (E.Slot 8); w (a + 4) (E.Slot 121);
+      r (a + 5) (E.Slot 9);
+      r (a + 6) (E.Slot 1); w (a + 6) (E.Slot 1) ]
+  in
+  let with_fetches a accesses =
+    List.concat_map
+      (fun k ->
+        r (a + k) (fetch (4 + k))
+        :: List.filter (fun (i, _, _) -> i = a + k) accesses)
+      (List.init 8 Fun.id)
+  in
+  let expected =
+    [ r 0 (fetch 0); w 0 (E.Slot 7);
+      r 1 (fetch 1); r 1 (E.Slot 7); w 1 (E.Slot 7);
+      r 2 (fetch 2); w 2 (E.Slot 1);
+      r 3 (fetch 3); w 3 (E.Slot 2) ]
+    @ with_fetches 4 (iteration 4)
+    @ iteration 12
+    @ [ r 20 (fetch 12); r 20 (E.Slot 7) ]
+  in
+  let show (a, loc, kind) =
+    Printf.sprintf "%d %s %s" a
+      (match loc with
+      | E.Slot s -> Printf.sprintf "slot %d" s
+      | E.Word x -> Printf.sprintf "word 0x%x" x)
+      (match kind with E.Read -> "read" | E.Write -> "write")
+  in
+  Alcotest.(check (list string))
+    "accesses" (List.map show expected)
+    (List.map show (List.rev !seen));
+  check_int "instructions" 21 (E.instructions t)
+
 let suite =
   ( "iss",
     [ Alcotest.test_case "add/sub" `Quick test_add_sub;
@@ -359,4 +475,7 @@ let suite =
       Alcotest.test_case "histogram" `Quick test_histogram_and_diversity;
       Alcotest.test_case "write events" `Quick test_write_events;
       Alcotest.test_case "cycle accounting" `Quick test_cycles_monotonic;
-      Alcotest.test_case "unit accesses" `Quick test_unit_accesses ] )
+      Alcotest.test_case "unit accesses" `Quick test_unit_accesses;
+      Alcotest.test_case "copy continues identically" `Quick
+        test_copy_continues_identically;
+      Alcotest.test_case "access hook sequence" `Quick test_access_hook_sequence ] )

@@ -222,6 +222,199 @@ let test_shard_merge_equals_direct () =
       check_bool "incomplete set rejected" true
         (match Journal.merge [ List.hd loaded ] with Ok _ -> false | Error _ -> true)
 
+(* ---- forked runs = from-scratch runs ---- *)
+
+module E = Iss.Emulator
+
+(* Golden's accesses to every location, in order, seen through the
+   emulator's access hook: the test's own account of where each fault
+   is first read, kept apart from the campaign's resolution of its
+   sites. *)
+let golden_accesses prog =
+  let t = E.create ~config:{ E.default_config with E.icache = None; dcache = None } prog in
+  let log = Hashtbl.create 256 in
+  E.set_access_hook t
+    (Some
+       (fun a loc kind ->
+         Hashtbl.replace log loc
+           ((a, kind) :: Option.value ~default:[] (Hashtbl.find_opt log loc))));
+  ignore (E.run t);
+  Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) log;
+  log
+
+(* How the observed pass should settle [site]: [`Forked_at a] or
+   [`Overwritten] or [`Never_read]; opcode sites fork at their own
+   instant. *)
+let expected_fate log (site : IC.site) =
+  let first loc =
+    match
+      List.find_opt (fun (a, _) -> a >= site.IC.index)
+        (Option.value ~default:[] (Hashtbl.find_opt log loc))
+    with
+    | Some (a, E.Read) -> `Forked_at a
+    | Some (_, E.Write) -> `Overwritten
+    | None -> `Never_read
+  in
+  match site.IC.smodel with
+  | IC.Reg_flip -> first (E.Slot site.IC.loc)
+  | IC.Mem_flip -> first (E.Word (site.IC.loc land lnot 3))
+  | IC.Op_flip -> `Forked_at site.IC.index
+
+let same_verdict (a : Journal.run_result) (b : Journal.run_result) =
+  a.Journal.site_name = b.Journal.site_name
+  && a.Journal.outcome = b.Journal.outcome
+  && a.Journal.detect_cycle = b.Journal.detect_cycle
+  && a.Journal.inject_cycle = b.Journal.inject_cycle
+
+let test_campaign_equals_run_one () =
+  let prefiltered = ref 0 and overwritten = ref 0 and forked_later = ref 0 in
+  List.iter
+    (fun name ->
+      let e = Workloads.Suite.find name in
+      let prog =
+        e.Workloads.Suite.build ~iterations:e.Workloads.Suite.default_iterations ~dataset:0
+      in
+      let golden = IC.golden_run prog in
+      let log = golden_accesses prog in
+      List.iter
+        (fun seed ->
+          let config = { (config ~samples:100 ()) with IC.seed } in
+          let _, results = IC.run ~config prog in
+          let sites = IC.sample_sites ~config golden prog in
+          List.iteri
+            (fun i (r : Journal.run_result) ->
+              let site = sites.(i) in
+              let reference =
+                IC.run_one prog golden ~hang_factor:config.IC.hang_factor site
+              in
+              if not (same_verdict r reference) then
+                Alcotest.failf "%s seed %d: campaign and run_one differ at %s" name seed
+                  site.IC.site_name;
+              let fate = expected_fate log site in
+              (match fate with
+              | `Overwritten -> incr overwritten
+              | `Forked_at a -> if a > site.IC.index then incr forked_later
+              | `Never_read -> ());
+              let decided =
+                match fate with `Forked_at _ -> false | `Overwritten | `Never_read -> true
+              in
+              if decided then incr prefiltered;
+              check_bool
+                (site.IC.site_name ^ ": decided without a run iff never read")
+                decided (r.Journal.sim = Journal.Prefiltered))
+            results)
+        [ seed; seed + 1 ])
+    [ "ttsprk"; "membench"; "intbench" ];
+  check_bool "some sites are prefiltered" true (!prefiltered > 0);
+  check_bool "some are overwritten before a read" true (!overwritten > 0);
+  check_bool "some fork at a later read" true (!forked_later > 0)
+
+(* Random straight-line programs over the windowed registers: ALU
+   operations, SAVE and RESTORE, loads of every width and stores of
+   every width into a 16-word scratch area addressed through %g1.
+   Every windowed register of the final window and every scratch word
+   are then published, so most faults can reach the write stream. *)
+let gen_program =
+  let open QCheck2.Gen in
+  let reg = int_range 8 31 in
+  let operand =
+    oneof [ map (fun r -> I.Reg r) reg; map (fun i -> I.Imm (i - 64)) (int_bound 127) ]
+  in
+  let alu =
+    map3
+      (fun op (rs1, rd) op2 -> `Alu (op, rs1, op2, rd))
+      (oneofl [ I.Add; I.Addcc; I.Sub; I.And; I.Or; I.Xor; I.Sll; I.Srl ])
+      (pair reg reg) operand
+  in
+  let window =
+    map3
+      (fun save (rs1, rd) op2 -> `Alu ((if save then I.Save else I.Restore), rs1, op2, rd))
+      bool (pair reg reg) operand
+  in
+  let store =
+    map3 (fun slot rs width -> `Store (slot * 4, rs, width))
+      (int_bound 15) reg (int_bound 2)
+  in
+  let load =
+    map3 (fun slot rd kind -> `Load (slot * 4, rd, kind)) (int_bound 15) reg (int_bound 4)
+  in
+  pair
+    (list_size (int_range 4 40)
+       (frequency [ (3, alu); (2, window); (2, store); (2, load) ]))
+    (int_bound 1_000_000)
+
+let build_program ops =
+  let b = A.create ~name:"forked" () in
+  A.prologue b;
+  A.set32 b 0x0002_8000 I.g1;
+  A.set32 b Sparc.Layout.result_base I.g2;
+  List.iter
+    (function
+      | `Alu (op, rs1, op2, rd) -> A.op3 b op rs1 op2 rd
+      | `Store (off, rs, width) ->
+          let op, off =
+            match width with
+            | 0 -> (I.St, off)
+            | 1 -> (I.Stb, off + 3)
+            | _ -> (I.Sth, off + 2)
+          in
+          A.st b op rs I.g1 (Imm off)
+      | `Load (off, rd, kind) ->
+          let op, off =
+            match kind with
+            | 0 -> (I.Ld, off)
+            | 1 -> (I.Ldub, off + 1)
+            | 2 -> (I.Ldsb, off + 2)
+            | 3 -> (I.Lduh, off)
+            | _ -> (I.Ldsh, off + 2)
+          in
+          A.ld b op I.g1 (Imm off) rd)
+    ops;
+  for r = 8 to 31 do
+    A.st b I.St r I.g2 (Imm (4 * (r - 8)))
+  done;
+  for k = 0 to 15 do
+    A.ld b I.Ld I.g1 (Imm (4 * k)) I.g3;
+    A.st b I.St I.g3 I.g2 (Imm (96 + (4 * k)))
+  done;
+  A.halt b I.g0;
+  A.assemble b
+
+(* A site on every register-file slot (the g0 cell included) and on
+   every word the program touches (its code, the scratch area and the
+   published results), and opcode flips, at instants and bits drawn
+   from [site_seed]. *)
+let sites_for ~site_seed prog golden =
+  let rng = Stats.Rng.create site_seed in
+  let draw smodel loc =
+    let index = Stats.Rng.int rng golden.IC.instructions and bit = Stats.Rng.int rng 32 in
+    { IC.smodel; index; loc; bit; site_name = Printf.sprintf "%d.%d@%d" loc bit index }
+  in
+  let words base n = List.init n (fun k -> base + (4 * k)) in
+  Array.of_list
+    (List.init (8 + (16 * E.default_config.E.nwindows)) (draw IC.Reg_flip)
+    @ List.map (draw IC.Mem_flip)
+        (words prog.A.text_base (Array.length prog.A.code)
+        @ words 0x0002_8000 16 @ words Sparc.Layout.result_base 40)
+    @ List.init 8 (fun _ -> draw IC.Op_flip 0))
+
+let prop_forked_equals_scratch =
+  QCheck2.Test.make ~name:"forked = from scratch" ~count:60
+    ~print:(fun (ops, site_seed) ->
+      Printf.sprintf "site seed %d\n%s" site_seed
+        (String.concat "\n"
+           (Array.to_list (Array.map I.instr_to_string (build_program ops).A.instrs))))
+    gen_program
+    (fun (ops, site_seed) ->
+      let prog = build_program ops in
+      let golden = IC.golden_run prog in
+      let sites = sites_for ~site_seed prog golden in
+      let hang_factor = IC.default_config.IC.hang_factor in
+      let forked = IC.run_sites prog golden ~hang_factor sites in
+      Array.for_all2
+        (fun site r -> same_verdict r (IC.run_one prog golden ~hang_factor site))
+        sites forked)
+
 let suite =
   ( "iss-campaign",
     [ Alcotest.test_case "golden run" `Quick test_golden_run;
@@ -232,4 +425,7 @@ let suite =
       Alcotest.test_case "kill and resume" `Slow test_journal_kill_and_resume;
       Alcotest.test_case "stale journal rejected" `Quick test_stale_journal_rejected;
       Alcotest.test_case "shard merge = direct" `Slow test_shard_merge_equals_direct ]
-    @ [ QCheck_alcotest.to_alcotest prop_parallel_matches_sequential ] )
+    @ [ QCheck_alcotest.to_alcotest prop_parallel_matches_sequential;
+        Alcotest.test_case "campaign = run_one, site by site" `Slow
+          test_campaign_equals_run_one;
+        QCheck_alcotest.to_alcotest prop_forked_equals_scratch ] )
